@@ -5,7 +5,14 @@ equivalence classes: a type fixes the truth of every context formula after
 every ground action sequence up to the property horizon.  Objective context
 formulas are evaluated by progressing a representative world under the real
 action theory; subjective ones are evaluated against the progressed
-knowledge base, which is the same for every representative.
+knowledge base, which is the same for every representative.  Types are
+therefore told apart by their objective entries alone.
+
+Each piece of work is done once per call: a (world, action) step and the
+objective truths at a world are memoised, and knowledge bases are
+progressed lazily, so only the sequences a caller reads (the POMDP builder
+reads the ones the program can take) are ever progressed.  The number of
+kept sequences is capped by SEQUENCE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -14,10 +21,12 @@ discharge itself, and every report restates that caveat.
 
 import itertools
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BeliefProgError, InadmissiblePropertyError
+from .errors import (BeliefProgError, InadmissiblePropertyError,
+                     SequenceBudgetError)
 from .kb import (EPSILON, FAILURE, action_likelihood, eval_fluent_formula,
                  eval_subjective, initial_kb, make_world, oi_alternatives,
                  progress_kb, progress_world, real_bat)
@@ -255,10 +264,114 @@ def horizon_of(phi) -> int:
 # ---------------------------------------------------------------------------
 # types
 
+# Cap on the action sequences one type computation may keep.  The kept set
+# grows about 6x per step on models/coffee.bp: F<=7 keeps 178,847
+# sequences and F<=8 about a million.
+SEQUENCE_BUDGET = 200_000
+
+
+class LazyKbs(Mapping):
+    """Kept sequence -> KnowledgeBase, or BREAKDOWN, progressed on access.
+
+    ``kb_of[z]`` progresses ``kb_of[z[:-1]]`` by ``z[-1]`` the first time
+    it is read and keeps the result.  A progression error, or a BREAKDOWN
+    parent, gives BREAKDOWN.  Pruned sequences are not members.
+    """
+
+    def __init__(self, kb0, kept):
+        self._kept = kept
+        self._kbs = {(): kb0}
+
+    def __contains__(self, z):
+        return z in self._kept
+
+    def __getitem__(self, z):
+        kb = self._kbs.get(z)
+        if kb is None:
+            if z not in self._kept:
+                raise KeyError(z)
+            parent = self[z[:-1]]
+            if parent == BREAKDOWN:
+                kb = BREAKDOWN
+            else:
+                try:
+                    kb = progress_kb(parent, z[-1])
+                except BeliefProgError:
+                    kb = BREAKDOWN
+            self._kbs[z] = kb
+        return kb
+
+    def __iter__(self):
+        return iter(self._kept)
+
+    def __len__(self):
+        return len(self._kept)
+
+
+class _Truths:
+    """Truth of the context formulas after each kept sequence.
+
+    Objective formulas are read at a representative's world after z, once
+    per distinct world; subjective ones at kb_of[z], which is the same for
+    every representative, and only when asked for.
+    """
+
+    def __init__(self, context, worlds_of, kb_of):
+        self.formulas = [f.formula for f in context.formulas]
+        self.subjective = [f.subjective for f in context.formulas]
+        self.position = {idx: pos for pos, idx
+                         in enumerate(context.objective_indices())}
+        self.worlds_of = worlds_of
+        self.kb_of = kb_of
+        self._by_world = {}
+
+    def objective(self, world):
+        """Truths of the objective formulas at world, in index order."""
+        hit = self._by_world.get(world)
+        if hit is None:
+            hit = self._by_world[world] = tuple(
+                eval_fluent_formula(self.formulas[idx], world)
+                for idx in self.position)
+        return hit
+
+    def truth(self, z, idx, rep):
+        if self.subjective[idx]:
+            kb = self.kb_of[z]
+            return kb != BREAKDOWN and eval_subjective(kb, self.formulas[idx])
+        return self.objective(self.worlds_of[z][rep])[self.position[idx]]
+
+
+class _TypeEntries(Mapping):
+    """(sequence, context index) -> bool for one representative."""
+
+    def __init__(self, truths, rep):
+        self._truths = truths
+        self._rep = rep
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        z, idx = key
+        return self._truths.truth(z, idx, self._rep)
+
+    def __contains__(self, key):
+        z, idx = key
+        return z in self._truths.worlds_of and \
+            0 <= idx < len(self._truths.formulas)
+
+    def __iter__(self):
+        n = len(self._truths.formulas)
+        return ((z, idx) for z in self._truths.worlds_of for idx in range(n))
+
+    def __len__(self):
+        return len(self._truths.worlds_of) * len(self._truths.formulas)
+
+
 @dataclass
 class TypeAssignment:
     witness: object  # representative World
-    entries: dict  # (sequence tuple, context index) -> bool
+    entries: Mapping  # (sequence tuple, context index) -> bool
+    # objective entries, sequences in _sequence_sort_key order
     bitvec: tuple = field(default=())
 
     def truth(self, z, ctx_index):
@@ -271,9 +384,20 @@ class Abstraction:
     universe: list
     horizon: int
     sequences: list  # kept sequences (tuples of GroundAction), by tree order
-    kb_of: dict  # sequence -> KnowledgeBase, or BREAKDOWN marker
+    kb_of: LazyKbs  # sequence -> KnowledgeBase, or BREAKDOWN marker
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
+
+
+def _check_budget(k, kept, frontier, remaining):
+    # eps and fail have likelihood 1 at every world, so each frontier
+    # sequence keeps at least 2 + 4 + ... + 2**remaining descendants
+    floor = kept + frontier * (2 ** (remaining + 1) - 2)
+    if floor > SEQUENCE_BUDGET:
+        raise SequenceBudgetError(
+            f"type abstraction up to horizon {k} keeps at least {floor} "
+            f"action sequences, over the budget of {SEQUENCE_BUDGET}; "
+            "lower the property's step bound")
 
 
 def compute_types(model, k, reps, phi=None) -> Abstraction:
@@ -295,80 +419,66 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
     for w in reps:
         if w not in deduped:
             deduped.append(w)
-    reps = deduped
+    reps = tuple(deduped)
 
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
     rbat = real_bat(model)
-    kb0 = initial_kb(model)
 
-    obj_idx = context.objective_indices()
-    subj_idx = context.subjective_indices()
+    steps = {}  # (world, action) -> (real likelihood, successor world)
 
-    # prefix tree over (A_P)^{<=k}; prune a branch once every representative
-    # reaches it with likelihood 0
-    sequences = []
-    kb_of = {(): kb0}
-    # per sequence: list of (world, likelihood) per representative
-    worlds_of = {(): [(w, Fraction(1)) for w in reps]}
+    def step(w, t):
+        hit = steps.get((w, t))
+        if hit is None:
+            hit = steps[(w, t)] = (action_likelihood(t, w, rbat),
+                                   progress_world(w, t, rbat))
+        return hit
+
+    # prefix tree over (A_P)^{<=k}, breadth first with children in universe
+    # order, so insertion order is tree order.  A branch is pruned once every
+    # representative reaches it with likelihood 0; a representative's world
+    # stays frozen after the step that killed it.
+    worlds_of = {(): reps}  # sequence -> world per representative
+    frontier = [((), reps, (True,) * len(reps))]
     pruned = 0
-    frontier = [()]
-    for _depth in range(k):
+    for depth in range(k + 1):
+        _check_budget(k, len(worlds_of), len(frontier), k - depth)
+        if depth == k:
+            break
         new_frontier = []
-        for z in frontier:
+        for z, worlds, live in frontier:
             for t in universe:
-                z2 = z + (t,)
-                cur = worlds_of[z]
-                succ = []
-                alive = False
-                for w, like in cur:
-                    if like == 0:
-                        succ.append((w, like))
-                        continue
-                    step = like * action_likelihood(t, w, rbat)
-                    succ.append((progress_world(w, t, rbat), step))
-                    alive = alive or step != 0
-                if not alive:
+                succ, succ_live = [], []
+                for w, alive in zip(worlds, live):
+                    if alive:
+                        like, w = step(w, t)
+                        alive = like != 0
+                    succ.append(w)
+                    succ_live.append(alive)
+                if not any(succ_live):
                     pruned += 1
                     continue
+                z2 = z + (t,)
+                succ = tuple(succ)
                 worlds_of[z2] = succ
-                kb_prev = kb_of[z]
-                if kb_prev == BREAKDOWN:
-                    kb_of[z2] = BREAKDOWN
-                else:
-                    try:
-                        kb_of[z2] = progress_kb(kb_prev, t)
-                    except BeliefProgError:
-                        kb_of[z2] = BREAKDOWN
-                new_frontier.append(z2)
+                new_frontier.append((z2, succ, succ_live))
         frontier = new_frontier
-    sequences = sorted(worlds_of.keys(), key=lambda z: (len(z), [universe.index(t) for t in z]))
+    sequences = list(worlds_of)
 
-    # shared subjective entries
-    subj_entries = {}
-    for z in sequences:
-        kb = kb_of[z]
-        for idx in subj_idx:
-            if kb == BREAKDOWN:
-                subj_entries[(z, idx)] = False
-            else:
-                subj_entries[(z, idx)] = eval_subjective(kb, context.formulas[idx].formula)
-
+    kb_of = LazyKbs(initial_kb(model), worlds_of.keys())
+    truths = _Truths(context, worlds_of, kb_of)
+    # subjective entries are equal for every representative, so the
+    # objective ones alone decide type equality and order
+    key_order = sorted(sequences, key=_sequence_sort_key)
     types = []
     seen = set()
-    for rep_i, w0 in enumerate(reps):
-        entries = dict(subj_entries)
-        for z in sequences:
-            w_z, _like = worlds_of[z][rep_i]
-            for idx in obj_idx:
-                entries[(z, idx)] = eval_fluent_formula(
-                    context.formulas[idx].formula, w_z)
-        key = tuple(entries[k2] for k2 in sorted(entries.keys(),
-                                                 key=_entry_sort_key))
+    for rep, w0 in enumerate(reps):
+        key = tuple(itertools.chain.from_iterable(
+            truths.objective(worlds_of[z][rep]) for z in key_order))
         if key in seen:
             continue
         seen.add(key)
-        types.append(TypeAssignment(w0, entries, key))
+        types.append(TypeAssignment(w0, _TypeEntries(truths, rep), key))
     types.sort(key=lambda t: t.bitvec)
 
     if pruned:
@@ -377,9 +487,8 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
     return Abstraction(context, universe, k, sequences, kb_of, types, pruned)
 
 
-def _entry_sort_key(key):
-    z, idx = key
-    return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z), idx)
+def _sequence_sort_key(z):
+    return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z))
 
 
 # ---------------------------------------------------------------------------

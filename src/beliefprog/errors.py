@@ -54,5 +54,9 @@ class PolicyBudgetError(BeliefProgError):
     """Proper-policy count exceeds the configured enumeration cap."""
 
 
+class SequenceBudgetError(BeliefProgError):
+    """Type abstraction would keep more action sequences than its budget."""
+
+
 class ObservationUniformityError(BeliefProgError):
     """States sharing an observation disagree on their enabled actions."""

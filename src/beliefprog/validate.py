@@ -18,10 +18,28 @@ def _const_weights(row):
     return values if all(v is not None for v in values) else None
 
 
+def _outcome_value(vec):
+    """The outcome's constant value, or its expressions when a parameter
+    occurs; equal results always denote the same outcome."""
+    from .parser import _fold_const
+    values = tuple(_fold_const(v) for v in vec)
+    return tuple(vec) if None in values else values
+
+
 def _check_table(name, kind, table, out, where):
     if not table.outcomes:
         out.append(Diagnostic("no-outcomes",
                               f"{kind} action {name!r} declares no outcomes ({where})"))
+    # a ground action names its outcome by value, so a repeated value would
+    # make the two outcomes' weights indistinguishable
+    seen = []
+    for i, vec in enumerate(table.outcomes, 1):
+        value = _outcome_value(vec)
+        if value in seen:
+            out.append(Diagnostic("duplicate-outcome",
+                                  f"outcome {i} of {name!r} repeats outcome "
+                                  f"{seen.index(value) + 1} ({where})"))
+        seen.append(value)
     for row in table.rows:
         values = _const_weights(row)
         if values is None:

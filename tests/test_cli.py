@@ -179,3 +179,21 @@ def test_restriction_violation_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(bad), "--property", "P1")
     assert code == 2
     assert "belief-sum" in err
+
+
+def test_duplicate_outcome_value_exit_2(tmp_path, coffee_text, capsys):
+    bad = tmp_path / "dup.bp"
+    bad.write_text(coffee_text.replace("action sencfe sensing(1, 0)",
+                                       "action sencfe sensing(0, 0)"))
+    code, _, err = run(capsys, "verify", str(bad), "--property", "P1")
+    assert code == 2
+    assert "duplicate-outcome" in err
+    assert "Traceback" not in err
+
+
+def test_sequence_budget_exit_2(tmp_path, coffee_text, capsys):
+    deep = tmp_path / "deep.bp"
+    deep.write_text(coffee_text.replace("F<=2 B(h = 2)", "F<=9 B(h = 2)"))
+    code, _, err = run(capsys, "verify", str(deep), "--property", "P1")
+    assert code == 2
+    assert "budget" in err

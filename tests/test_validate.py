@@ -82,3 +82,18 @@ def test_duplicate_context_reported():
         program { a }
     """)
     assert any(d.code == "context-overlap" for d in validate_restrictions(m))
+
+
+@pytest.mark.parametrize("outcomes", ["(0), (0)", "(1 - 1), (0)", "(x), (x)"])
+def test_duplicate_outcome_reported(outcomes):
+    m = parse_model(f"""
+        fluents h;
+        action a stochastic(x; y) {{
+          outcomes: {outcomes};
+          likelihood: case true: 1/2, 1/2;
+        }}
+        belief {{ (0): 1 }}
+        program {{ a(1) }}
+    """)
+    codes = [d.code for d in validate_restrictions(m)]
+    assert "duplicate-outcome" in codes
