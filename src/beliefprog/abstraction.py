@@ -27,16 +27,15 @@ from fractions import Fraction
 
 from .errors import (BeliefProgError, InadmissiblePropertyError,
                      SequenceBudgetError)
-from .kb import (EPSILON, FAILURE, action_likelihood, eval_fluent_formula,
-                 eval_subjective, initial_kb, make_world, oi_alternatives,
-                 progress_kb, progress_world, real_bat)
+from .kb import (BREAKDOWN, EPSILON, FAILURE, action_likelihood,
+                 eval_fluent_formula, eval_subjective, initial_kb, make_world,
+                 next_observation, oi_alternatives, progress_kb,
+                 progress_world, real_bat)
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
                      Not, Num, Or, POp, ParamRef, Piecewise, Prim, Test,
                      Seq, Choice, Star, Nil, UntilOp, XOp, print_formula)
 
 log = logging.getLogger(__name__)
-
-BREAKDOWN = "belief-breakdown"
 
 
 class RepresentativeError(BeliefProgError):
@@ -271,11 +270,11 @@ SEQUENCE_BUDGET = 200_000
 
 
 class LazyKbs(Mapping):
-    """Kept sequence -> KnowledgeBase, or BREAKDOWN, progressed on access.
+    """Kept sequence -> observation (KnowledgeBase or BREAKDOWN),
+    progressed on access.
 
-    ``kb_of[z]`` progresses ``kb_of[z[:-1]]`` by ``z[-1]`` the first time
-    it is read and keeps the result.  A progression error, or a BREAKDOWN
-    parent, gives BREAKDOWN.  Pruned sequences are not members.
+    ``kb_of[z]`` is ``next_observation(kb_of[z[:-1]], z[-1])``, computed
+    the first time it is read and kept.  Pruned sequences are not members.
     """
 
     def __init__(self, kb0, kept):
@@ -290,15 +289,8 @@ class LazyKbs(Mapping):
         if kb is None:
             if z not in self._kept:
                 raise KeyError(z)
-            parent = self[z[:-1]]
-            if parent == BREAKDOWN:
-                kb = BREAKDOWN
-            else:
-                try:
-                    kb = progress_kb(parent, z[-1])
-                except BeliefProgError:
-                    kb = BREAKDOWN
-            self._kbs[z] = kb
+            kb = self._kbs[z] = next_observation(self[z[:-1]], z[-1],
+                                                 progress_kb)
         return kb
 
     def __iter__(self):
@@ -336,8 +328,11 @@ class _Truths:
 
     def truth(self, z, idx, rep):
         if self.subjective[idx]:
+            # like a label, a context entry at BREAKDOWN is false, even
+            # for a negation
             kb = self.kb_of[z]
-            return kb != BREAKDOWN and eval_subjective(kb, self.formulas[idx])
+            return kb is not BREAKDOWN and \
+                eval_subjective(kb, self.formulas[idx])
         return self.objective(self.worlds_of[z][rep])[self.position[idx]]
 
 
@@ -384,7 +379,7 @@ class Abstraction:
     universe: list
     horizon: int
     sequences: list  # kept sequences (tuples of GroundAction), by tree order
-    kb_of: LazyKbs  # sequence -> KnowledgeBase, or BREAKDOWN marker
+    kb_of: LazyKbs  # sequence -> KnowledgeBase or BREAKDOWN
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
 

@@ -16,11 +16,11 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .abstraction import BREAKDOWN, horizon_of
+from .abstraction import horizon_of
 from .errors import InadmissiblePropertyError, PolicyBudgetError
 from .kb import eval_subjective
-from .syntax import (And, BoolConst, Cmp, Not, Or, POp, UntilOp, XOp,
-                     print_state_formula, print_trace_formula)
+from .syntax import (And, Not, POp, UntilOp, XOp, print_state_formula,
+                     print_trace_formula)
 
 log = logging.getLogger(__name__)
 
@@ -31,28 +31,8 @@ DEFAULT_POLICY_CAP = 10 ** 6
 # state-formula truth on observations
 
 def obs_satisfies(kb, beta) -> bool:
-    """Truth of a P-free state formula at an observation.
-
-    The belief-breakdown observation satisfies no comparison atom (its
-    label set is empty); boolean structure still applies.
-    """
-    if kb == BREAKDOWN:
-        return _breakdown_eval(beta)
+    """Truth of a P-free state formula at an observation."""
     return eval_subjective(kb, beta)
-
-
-def _breakdown_eval(beta):
-    if isinstance(beta, BoolConst):
-        return beta.value
-    if isinstance(beta, Cmp):
-        return False
-    if isinstance(beta, Not):
-        return not _breakdown_eval(beta.operand)
-    if isinstance(beta, And):
-        return _breakdown_eval(beta.left) and _breakdown_eval(beta.right)
-    if isinstance(beta, Or):
-        return _breakdown_eval(beta.left) or _breakdown_eval(beta.right)
-    raise TypeError(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +42,7 @@ def policy_space(pomdp):
     """Sorted decision observations and their choice lists."""
     decisions = [(obs, choices) for obs, choices in pomdp.agent_actions.items()
                  if choices]
-    def render(obs):
-        kb = pomdp.observations[obs]
-        return "~breakdown" if kb == BREAKDOWN else kb.render()
-    decisions.sort(key=lambda item: render(item[0]))
+    decisions.sort(key=lambda item: pomdp.observations[item[0]].render())
     return decisions
 
 

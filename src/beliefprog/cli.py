@@ -9,7 +9,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +24,7 @@ from .parser import (model_digest, parse_ground_action, parse_model,
 from .pomdp import build_pomdp, pomdp_fingerprint, to_dot as pomdp_dot, to_json as pomdp_json
 from .program_graph import build_graph, to_dot as graph_dot
 from .simulate import estimate
-from .syntax import (GloballyOp, POp, UntilOp, frac_str, print_state_formula,
-                     print_trace_formula)
+from .syntax import POp, frac_str, print_state_formula, print_trace_formula
 from .validate import validate_restrictions
 
 log = logging.getLogger("beliefprog")
@@ -123,9 +121,7 @@ def cmd_verify(args):
     fingerprints = [hashlib.sha256(pomdp_fingerprint(p, model, abstraction)).hexdigest()
                     for p in pomdps]
     t0 = time.perf_counter()
-    cap = args.policy_cap if args.policy_cap is not None else \
-        int(os.environ.get("BELIEFPROG_POLICY_CAP", DEFAULT_POLICY_CAP))
-    verdict = check(pomdps, phi, abstraction, policy_cap=cap)
+    verdict = check(pomdps, phi, abstraction, policy_cap=args.policy_cap)
     timing["check"] = time.perf_counter() - t0
 
     report = {
@@ -169,12 +165,8 @@ def cmd_verify(args):
 
 
 def _policy_dict(pomdp, policy):
-    out = {}
-    for obs, label in policy.items():
-        kb = pomdp.observations[obs]
-        key = "belief-breakdown" if not hasattr(kb, "render") else kb.render()
-        out[key] = label
-    return dict(sorted(out.items()))
+    return dict(sorted((pomdp.observations[obs].render(), label)
+                       for obs, label in policy.items()))
 
 
 def _render_verify_text(report):
@@ -358,7 +350,7 @@ def build_arg_parser():
     v.add_argument("model")
     v.add_argument("--property", required=True)
     _add_reps_flags(v)
-    v.add_argument("--policy-cap", type=int, default=None)
+    v.add_argument("--policy-cap", type=int, default=DEFAULT_POLICY_CAP)
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
 

@@ -14,6 +14,10 @@ and progression follows the two update rules:
 with L read from the believed likelihood tables.  The reserved actions
 eps and fail have likelihood 1, are OI only to themselves, and only touch
 the reserved fluents Final and Fail.
+
+An observation is a knowledge base or BREAKDOWN, left when a sensing result
+is believed impossible; next_observation and eval_subjective are the one
+progression rule and the one truth rule for both.
 """
 
 from dataclasses import dataclass
@@ -362,6 +366,21 @@ class KnowledgeBase:
         return f"KnowledgeBase({self.render()})"
 
 
+class _Breakdown:
+    """The belief-breakdown observation; BREAKDOWN is the one instance."""
+
+    key = "belief-breakdown"
+
+    def render(self, fluent_order=None):
+        return self.key
+
+    def __repr__(self):
+        return "BREAKDOWN"
+
+
+BREAKDOWN = _Breakdown()
+
+
 def initial_kb(model) -> KnowledgeBase:
     bat = believed_bat(model)
     dist = {}
@@ -432,6 +451,20 @@ def progress_kb(kb, action) -> KnowledgeBase:
     return progress_kb_stochastic(kb, action)
 
 
+def next_observation(obs, action, progress=progress_kb):
+    """The observation after action: BREAKDOWN stays BREAKDOWN, a sensing
+    result believed impossible (normalizer 0) gives BREAKDOWN, and other
+    progression errors propagate.  Callers pass their own binding of
+    progress_kb, so that a wrapper on it (perfbench/spans.py) sees the call.
+    """
+    if obs is BREAKDOWN:
+        return BREAKDOWN
+    try:
+        return progress(obs, action)
+    except IncompatibleSensingError:
+        return BREAKDOWN
+
+
 # ---------------------------------------------------------------------------
 # subjective evaluation
 
@@ -467,9 +500,13 @@ def _belief_value(e, kb) -> Fraction:
 
 
 def eval_subjective(kb, alpha) -> bool:
+    """Truth of a subjective formula at an observation; at BREAKDOWN every
+    comparison is false and the boolean structure still applies."""
     if isinstance(alpha, BoolConst):
         return alpha.value
     if isinstance(alpha, Cmp):
+        if kb is BREAKDOWN:
+            return False
         return _CMP[alpha.op](_belief_value(alpha.left, kb),
                               _belief_value(alpha.right, kb))
     if isinstance(alpha, Not):

@@ -24,9 +24,8 @@ import logging
 from fractions import Fraction
 
 from .errors import LikelihoodContextError, ObservationUniformityError
-from .kb import GroundAction, eval_expr, eval_subjective
+from .kb import BREAKDOWN, GroundAction, eval_expr, eval_subjective
 from .program_graph import enabled
-from .abstraction import BREAKDOWN
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula, print_program
 
 log = logging.getLogger(__name__)
@@ -60,9 +59,6 @@ class FinitePomdp:
                     seen.append(label)
         return seen
 
-    def obs_kb(self, obs_index):
-        return self.observations[obs_index]
-
     def state_str(self, i):
         z, node = self.states[i]
         if z is None:
@@ -89,22 +85,18 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
     obs_index = {}
 
     def observation_of(kb):
-        key = BREAKDOWN if kb == BREAKDOWN else kb.key
-        if key not in obs_index:
-            obs_index[key] = len(p.observations)
+        if kb.key not in obs_index:
+            obs_index[kb.key] = len(p.observations)
             p.observations.append(kb)
-            if kb == BREAKDOWN:
-                p.labels.append(frozenset())
-            else:
-                p.labels.append(frozenset(
-                    i for i in ctx.subjective_indices()
-                    if eval_subjective(kb, ctx.formulas[i].formula)))
-        return obs_index[key]
+            # the breakdown label set is empty, even for a negation
+            p.labels.append(frozenset() if kb is BREAKDOWN else frozenset(
+                i for i in ctx.subjective_indices()
+                if eval_subjective(kb, ctx.formulas[i].formula)))
+        return obs_index[kb.key]
 
     start = _add_state(p, ((), 0))
     p.obs_of[start] = observation_of(abstraction.kb_of[()])
     queue = [start]
-    sink = None
     while queue:
         si = queue.pop(0)
         z, node = p.states[si]
@@ -146,20 +138,16 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                         f"type abstraction is missing sequence {z2}; "
                         "internal invariant breach")
                 kb2 = abstraction.kb_of[z2]
-                if kb2 == BREAKDOWN:
-                    if sink is None:
-                        sink = _add_state(p, (None, None))
-                        p.obs_of[sink] = observation_of(BREAKDOWN)
-                        queue.append(sink)
+                # every breakdown branch goes to the one sink state
+                target = _add_state(p, (None, None) if kb2 is BREAKDOWN
+                                    else (z2, edge.target))
+                if p.obs_of[target] is None:
+                    p.obs_of[target] = observation_of(kb2)
+                    queue.append(target)
+                    if kb2 is BREAKDOWN:
                         p.breakdown_states += 1
                         log.warning("belief-breakdown branch reached via %s",
                                     " ".join(str(a) for a in z2))
-                    target = sink
-                else:
-                    target = _add_state(p, (z2, edge.target))
-                    if p.obs_of[target] is None:
-                        p.obs_of[target] = observation_of(kb2)
-                        queue.append(target)
                 branches[target] = branches.get(target, Fraction(0)) + weight
                 total += weight
             if total != 1:
@@ -212,21 +200,20 @@ def _select_row(model, ctx, tau, z, prim):
 # canonical serialization
 
 def _canonical_struct(p, model, formulas):
-    order = []
-    for i, (z, node) in enumerate(p.states):
-        seq_key = ("~breakdown",) if z is None else tuple(str(t) for t in z)
-        order.append((len(seq_key), seq_key, -1 if node is None else node, i))
-    order.sort()
-    renum = {old: new for new, (_, _, _, old) in enumerate(order)}
+    # by sequence length, then sequence; the breakdown sink (seq [], node
+    # -1) sorts after the one-step sequences
+    order = sorted((1, True, (), -1, i) if z is None else
+                   (len(z), False, tuple(str(t) for t in z), node, i)
+                   for i, (z, node) in enumerate(p.states))
+    renum = {old: new for new, (*_, old) in enumerate(order)}
 
     states = []
-    for _, seq_key, node, old in order:
+    for _, _, seq, node, old in order:
         kb = p.observations[p.obs_of[old]]
         states.append({
-            "seq": list(seq_key) if p.states[old][0] is not None else [],
+            "seq": list(seq),
             "node": node,
-            "observation": "belief-breakdown" if kb == BREAKDOWN
-                           else kb.render(model.fluent_order),
+            "observation": kb.render(model.fluent_order),
             "labels": sorted(print_formula(formulas[j].formula)
                              for j in p.labels[p.obs_of[old]]),
         })

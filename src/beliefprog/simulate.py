@@ -16,12 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abstraction import BREAKDOWN
 from .checker import obs_satisfies
-from .errors import BeliefProgError, IncompatibleSensingError
-from .kb import (GroundAction, KnowledgeBase, action_likelihood,
-                 eval_fluent_formula, initial_kb, oi_alternatives,
-                 progress_kb, progress_world, real_bat)
+from .errors import BeliefProgError
+from .kb import (BREAKDOWN, action_likelihood, eval_fluent_formula,
+                 initial_kb, next_observation, oi_alternatives, progress_kb,
+                 progress_world, real_bat)
 from .program_graph import build_graph, enabled
 from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp, print_program
 
@@ -66,15 +65,11 @@ class TraceRecord:
     kbs: list  # knowledge-base snapshots; len(kbs) == len(actions) + 1
     outcome: str  # final | fail | belief-breakdown | horizon-cut
     trace_likelihood: Fraction
-    breakdown_action: object = None  # the really-sampled action the KB rejected
 
 
 class Strategy:
     FIRST_ENABLED = "first-enabled"
     UNIFORM_RANDOM = "uniform-random"
-
-
-_BREAKDOWN_SENTINEL = object()
 
 
 class TraceEngine:
@@ -108,11 +103,7 @@ class TraceEngine:
         key = (kb, action)
         hit = self._kb_step.get(key)
         if hit is None:
-            try:
-                hit = progress_kb(kb, action)
-            except IncompatibleSensingError:
-                hit = _BREAKDOWN_SENTINEL
-            self._kb_step[key] = hit
+            hit = self._kb_step[key] = next_observation(kb, action, progress_kb)
         return hit
 
     def world_after(self, world, action):
@@ -138,7 +129,7 @@ class TraceEngine:
         return hit
 
     def satisfies(self, obs, beta):
-        key = (obs if isinstance(obs, KnowledgeBase) else BREAKDOWN, id(beta))
+        key = (obs, id(beta))
         hit = self._beta.get(key)
         if hit is None:
             hit = obs_satisfies(obs, beta)
@@ -208,9 +199,9 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
                 f"at {w!r}")
         t, p = weighted[_sample_cum(rng, thresholds)]
         next_kb = engine.progress(kb, t)
-        if next_kb is _BREAKDOWN_SENTINEL:
+        if next_kb is BREAKDOWN:
             return TraceRecord(world0, actions, kbs, "belief-breakdown",
-                               likelihood, breakdown_action=t)
+                               likelihood)
         likelihood *= p
         w = engine.world_after(w, t)
         kb = next_kb

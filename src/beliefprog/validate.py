@@ -8,8 +8,10 @@ the progression code.
 
 from fractions import Fraction
 
+from .abstraction import program_prims
 from .errors import Diagnostic
-from .syntax import frac_str
+from .kb import eval_expr
+from .syntax import frac_str, print_program
 
 
 def _const_weights(row):
@@ -26,20 +28,34 @@ def _outcome_value(vec):
     return tuple(vec) if None in values else values
 
 
-def _check_table(name, kind, table, out, where):
+def _repeats(values):
+    """(i, j), 1-based, for each value i that repeats an earlier value j."""
+    return [(i + 1, values.index(v) + 1) for i, v in enumerate(values)
+            if values.index(v) < i]
+
+
+def _check_table(decl, prims, table, out, where):
+    name = decl.name
     if not table.outcomes:
         out.append(Diagnostic("no-outcomes",
-                              f"{kind} action {name!r} declares no outcomes ({where})"))
+                              f"{decl.kind} action {name!r} declares no outcomes ({where})"))
     # a ground action names its outcome by value, so a repeated value would
-    # make the two outcomes' weights indistinguishable
-    seen = []
-    for i, vec in enumerate(table.outcomes, 1):
-        value = _outcome_value(vec)
-        if value in seen:
+    # make the two outcomes' weights indistinguishable; values that differ
+    # as written may still coincide at a primitive's arguments, as (x) and
+    # (2 * x) do at x = 0
+    written = _repeats([_outcome_value(vec) for vec in table.outcomes])
+    for i, j in written:
+        out.append(Diagnostic("duplicate-outcome",
+                              f"outcome {i} of {name!r} repeats outcome "
+                              f"{j} ({where})"))
+    for prim in prims:
+        bindings = dict(zip(decl.ctrl, prim.args))
+        ground = _repeats([tuple(eval_expr(v, None, bindings) for v in vec)
+                           for vec in table.outcomes])
+        for i, j in sorted(set(ground) - set(written)):
             out.append(Diagnostic("duplicate-outcome",
                                   f"outcome {i} of {name!r} repeats outcome "
-                                  f"{seen.index(value) + 1} ({where})"))
-        seen.append(value)
+                                  f"{j} at {print_program(prim)} ({where})"))
     for row in table.rows:
         values = _const_weights(row)
         if values is None:
@@ -75,13 +91,15 @@ def validate_restrictions(model):
                                   f"initial belief weight {frac_str(w)} for "
                                   f"{vals} is not positive"))
 
+    prims = program_prims(model.program)
     for decl in model.actions:
+        used = [p for p in prims if p.symbol == decl.name]
         for which, bat in (("real", model.real_bat), ("believed", model.believed_bat)):
             table = bat.likelihood_for(decl.name)
             if table is None:
                 out.append(Diagnostic("no-outcomes",
                                       f"no likelihood table for {decl.name!r} ({which})"))
                 continue
-            _check_table(decl.name, decl.kind, table, out, which)
+            _check_table(decl, used, table, out, which)
 
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
-from beliefprog import (BeliefProgError, build_graph, build_pomdp,
+from beliefprog import (IncompatibleSensingError, build_graph, build_pomdp,
                         compute_types, horizon_of, parse_model)
 from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
                                     TypeAssignment, ground_action_universe,
@@ -65,7 +65,7 @@ def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
                 else:
                     try:
                         kb_of[z2] = progress_kb(kb_prev, t)
-                    except BeliefProgError:
+                    except IncompatibleSensingError:
                         kb_of[z2] = BREAKDOWN
                 new_frontier.append(z2)
         frontier = new_frontier

@@ -6,6 +6,7 @@ import pytest
 from beliefprog import (PolicyBudgetError, build_graph, build_pomdp, check,
                         compute_types, enumerate_policies, make_world,
                         parse_model, probability)
+from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
 from beliefprog.kb import KnowledgeBase, World, believed_bat
 from beliefprog.parser import parse_subjective
@@ -30,6 +31,27 @@ def _pomdp_for(abstraction, pomdps, h):
         if tau.witness["h"] == h:
             return pomdps[i]
     raise AssertionError
+
+
+# ---------------------------------------------------------------------------
+# truth at the belief-breakdown observation
+
+@pytest.mark.parametrize("text, expected", [
+    ("true", True),
+    ("false", False),
+    # an empty distribution would make these comparisons true
+    ("B(h = 0) = 0", False),
+    ("B(h = 0) = 0 & B(h = 1) = 0", False),
+    ("B(h = 0) = 0 | B(h = 1) = 0", False),
+    ("!B(h = 0) = 0", True),
+    ("!B(h = 0) = 0 & !B(h = 1) = 0", True),
+    ("!B(h = 0) = 0 | B(h = 1) = 0", True),
+    ("!(B(h = 0) = 0 | true)", False),
+    ("B(h = 0) = 0 & true", False),
+    ("B(h = 0) = 0 | true", True),
+])
+def test_breakdown_satisfies_no_comparison(coffee, text, expected):
+    assert obs_satisfies(BREAKDOWN, parse_subjective(text, coffee)) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,46 @@ def test_sequence_budget_exit_2(tmp_path, coffee_text, capsys):
     code, _, err = run(capsys, "verify", str(deep), "--property", "P1")
     assert code == 2
     assert "budget" in err
+
+
+# believed weights of a(1/2) sum to 1/2: an error in the believed theory,
+# not a belief breakdown
+HALF_BELIEVED = """
+fluents h;
+action a stochastic(x; y) { outcomes: (0), (1); likelihood: case true: 1, 0; }
+believed { action a { likelihood: case true: x, 0; } }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(1/2) }
+property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
+"""
+
+# outcomes (x) and (2 * x) coincide at the program's argument 0
+EQUAL_AT_ZERO = """
+fluents h;
+action a stochastic(x; y) { outcomes: (x), (2 * x); likelihood: case true: 1/2, 1/2; }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(0) }
+property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (HALF_BELIEVED, "outcome weights of 'a' sum to 1/2"),
+    (EQUAL_AT_ZERO, "[duplicate-outcome]"),
+], ids=["half-believed", "equal-at-zero"])
+@pytest.mark.parametrize("command", [
+    ("verify", "--property", "P1"),
+    ("simulate", "--psi", "F<=1 B(h = 0) = 1", "--trials", "20"),
+], ids=["verify", "simulate"])
+def test_verify_and_simulate_agree_on_model_errors(tmp_path, capsys, text,
+                                                    message, command):
+    path = tmp_path / "m.bp"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert message in err
+    assert "belief-breakdown" not in out + err

@@ -9,7 +9,7 @@ from beliefprog import (EPSILON, FAILURE, IncompatibleSensingError,
                         parse_model, progress_kb, progress_kb_sensing,
                         progress_kb_stochastic, progress_world, real_bat,
                         trace_likelihood)
-from beliefprog.kb import KnowledgeBase
+from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
 
 F = Fraction
@@ -159,6 +159,25 @@ def test_incomplete_believed_likelihoods_raise():
     m = parse_model(text)
     with pytest.raises(LikelihoodSumError):
         progress_kb(initial_kb(m), parse_ground_action("a(0)", m))
+    # not a belief breakdown
+    with pytest.raises(LikelihoodSumError):
+        next_observation(initial_kb(m), parse_ground_action("a(0)", m))
+
+
+def test_next_observation_folds_only_believed_impossible_sensing(coffee):
+    kb = initial_kb(coffee)
+    assert next_observation(kb, ga(coffee, "sencfe(0)")) == \
+        progress_kb(kb, ga(coffee, "sencfe(0)"))
+    assert next_observation(kb, ga(coffee, "sencfe(1)")) is BREAKDOWN
+    assert next_observation(BREAKDOWN, ga(coffee, "east(1, 1)")) is BREAKDOWN
+
+
+def test_breakdown_is_one_observation(coffee):
+    assert BREAKDOWN.render() == BREAKDOWN.render(coffee.fluent_order) == \
+        "belief-breakdown"
+    assert BREAKDOWN != initial_kb(coffee) and initial_kb(coffee) != BREAKDOWN
+    assert BREAKDOWN.key != initial_kb(coffee).key
+    assert {BREAKDOWN: 1}[BREAKDOWN] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,21 @@ def test_duplicate_outcome_reported(outcomes):
     """)
     codes = [d.code for d in validate_restrictions(m)]
     assert "duplicate-outcome" in codes
+
+
+@pytest.mark.parametrize("arg, reported", [(0, True), (1, False)])
+def test_outcomes_equal_at_ground_arguments_reported(arg, reported):
+    m = parse_model(f"""
+        fluents h;
+        action a stochastic(x; y) {{
+          outcomes: (x), (2 * x);
+          likelihood: case true: 1/2, 1/2;
+        }}
+        belief {{ (0): 1 }}
+        program {{ a({arg}) }}
+    """)
+    messages = [str(d) for d in validate_restrictions(m)
+                if d.code == "duplicate-outcome"]
+    assert messages == ([f"[duplicate-outcome] outcome 2 of 'a' repeats "
+                         f"outcome 1 at a({arg}) ({which})"
+                         for which in ("real", "believed")] if reported else [])
