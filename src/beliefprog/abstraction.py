@@ -8,11 +8,14 @@ action theory; subjective ones are evaluated against the progressed
 knowledge base, which is the same for every representative.  Types are
 therefore told apart by their objective entries alone.
 
-Each piece of work is done once per call: a (world, action) step and the
-objective truths at a world are memoised, and knowledge bases are
-progressed lazily, so only the sequences a caller reads (the POMDP builder
-reads the ones the program can take) are ever progressed.  The number of
-kept sequences is capped by SEQUENCE_BUDGET.
+Each piece of work is done once per call: a (world, action) step, giving
+the real likelihood and the successor world, and the objective truths at a
+world are memoised, and knowledge bases are progressed lazily, so only the
+sequences a caller reads (the POMDP builder reads the ones the program can
+take) are ever progressed.  The step is exposed as Abstraction.step: the
+POMDP builder reads a type's transitions from it at the type witness's
+world, so real likelihoods are found in one place.  The number of kept
+sequences is capped by SEQUENCE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -22,13 +25,14 @@ discharge itself, and every report restates that caveat.
 import itertools
 import logging
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BeliefProgError, InadmissiblePropertyError,
                      SequenceBudgetError)
-from .kb import (BREAKDOWN, EPSILON, FAILURE, action_likelihood,
-                 eval_fluent_formula, eval_subjective, initial_kb, make_world,
+# BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
+from .kb import (BREAKDOWN, EPSILON, FAILURE, action_likelihood,  # noqa: F401
+                 eval_fluent_formula, initial_kb, make_world,
                  next_observation, oi_alternatives, progress_kb,
                  progress_world, real_bat)
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
@@ -153,36 +157,23 @@ class ProgramContext:
     """The finite formula set whose truth along sequences fixes a type.
 
     Stores positive formulas only; closure under negation is implicit in
-    the boolean entries of a type assignment.
+    the truth values a type records.
     """
 
     def __init__(self, model, phi=None):
         self.formulas = []
-        self._seen = {}
-        # row selectors: (symbol, ctrl args) -> per explicit row, the index
-        # of its instantiated context formula; None marks the default row
-        self.row_contexts = {}
+        self._seen = set()
 
         for c in model.init.constraints:
             self._add(c, "init", subjective=False)
-
-        prims = program_prims(model.program)
-        for prim in prims:
+        # instantiated likelihood contexts separate worlds whose rows differ
+        for prim in program_prims(model.program):
+            bindings = dict(zip(model.action_decl(prim.symbol).ctrl, prim.args))
             for bat_decl in (model.real_bat, model.believed_bat):
-                table = bat_decl.likelihood_for(prim.symbol)
-                decl = model.action_decl(prim.symbol)
-                bindings = dict(zip(decl.ctrl, prim.args))
-                selectors = []
-                for row in table.rows:
-                    if row.context is None:
-                        selectors.append(None)
-                        continue
-                    inst = _instantiate(row.context, bindings)
-                    idx = self._add(inst, "likelihood-context", subjective=False)
-                    selectors.append(idx)
-                if bat_decl is model.real_bat:
-                    self.row_contexts[(prim.symbol, prim.args)] = selectors
-
+                for row in bat_decl.likelihood_for(prim.symbol).rows:
+                    if row.context is not None:
+                        self._add(_instantiate(row.context, bindings),
+                                  "likelihood-context", subjective=False)
         for cond in _tests_of(model.program):
             self._add(cond, "test", subjective=True)
         if phi is not None:
@@ -192,12 +183,9 @@ class ProgramContext:
                 self._add(leaf, "property", subjective=True)
 
     def _add(self, formula, provenance, subjective):
-        if formula in self._seen:
-            return self._seen[formula]
-        idx = len(self.formulas)
-        self.formulas.append(ContextFormula(formula, provenance, subjective))
-        self._seen[formula] = idx
-        return idx
+        if formula not in self._seen:
+            self._seen.add(formula)
+            self.formulas.append(ContextFormula(formula, provenance, subjective))
 
     def objective_indices(self):
         return [i for i, f in enumerate(self.formulas) if not f.subjective]
@@ -300,77 +288,12 @@ class LazyKbs(Mapping):
         return len(self._kept)
 
 
-class _Truths:
-    """Truth of the context formulas after each kept sequence.
-
-    Objective formulas are read at a representative's world after z, once
-    per distinct world; subjective ones at kb_of[z], which is the same for
-    every representative, and only when asked for.
-    """
-
-    def __init__(self, context, worlds_of, kb_of):
-        self.formulas = [f.formula for f in context.formulas]
-        self.subjective = [f.subjective for f in context.formulas]
-        self.position = {idx: pos for pos, idx
-                         in enumerate(context.objective_indices())}
-        self.worlds_of = worlds_of
-        self.kb_of = kb_of
-        self._by_world = {}
-
-    def objective(self, world):
-        """Truths of the objective formulas at world, in index order."""
-        hit = self._by_world.get(world)
-        if hit is None:
-            hit = self._by_world[world] = tuple(
-                eval_fluent_formula(self.formulas[idx], world)
-                for idx in self.position)
-        return hit
-
-    def truth(self, z, idx, rep):
-        if self.subjective[idx]:
-            # like a label, a context entry at BREAKDOWN is false, even
-            # for a negation
-            kb = self.kb_of[z]
-            return kb is not BREAKDOWN and \
-                eval_subjective(kb, self.formulas[idx])
-        return self.objective(self.worlds_of[z][rep])[self.position[idx]]
-
-
-class _TypeEntries(Mapping):
-    """(sequence, context index) -> bool for one representative."""
-
-    def __init__(self, truths, rep):
-        self._truths = truths
-        self._rep = rep
-
-    def __getitem__(self, key):
-        if key not in self:
-            raise KeyError(key)
-        z, idx = key
-        return self._truths.truth(z, idx, self._rep)
-
-    def __contains__(self, key):
-        z, idx = key
-        return z in self._truths.worlds_of and \
-            0 <= idx < len(self._truths.formulas)
-
-    def __iter__(self):
-        n = len(self._truths.formulas)
-        return ((z, idx) for z in self._truths.worlds_of for idx in range(n))
-
-    def __len__(self):
-        return len(self._truths.worlds_of) * len(self._truths.formulas)
-
-
 @dataclass
 class TypeAssignment:
     witness: object  # representative World
-    entries: Mapping  # (sequence tuple, context index) -> bool
-    # objective entries, sequences in _sequence_sort_key order
-    bitvec: tuple = field(default=())
-
-    def truth(self, z, ctx_index):
-        return self.entries[(z, ctx_index)]
+    # truths of the objective context formulas, sequences in
+    # _sequence_sort_key order
+    bitvec: tuple
 
 
 @dataclass
@@ -382,6 +305,7 @@ class Abstraction:
     kb_of: LazyKbs  # sequence -> KnowledgeBase or BREAKDOWN
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
+    step: object  # (world, action) -> (real likelihood, successor world)
 
 
 def _check_budget(k, kept, frontier, remaining):
@@ -461,25 +385,36 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
     sequences = list(worlds_of)
 
     kb_of = LazyKbs(initial_kb(model), worlds_of.keys())
-    truths = _Truths(context, worlds_of, kb_of)
-    # subjective entries are equal for every representative, so the
+    formulas = [context.formulas[i].formula
+                for i in context.objective_indices()]
+    truths = {}  # world -> objective truths, in context index order
+
+    def objective(w):
+        hit = truths.get(w)
+        if hit is None:
+            hit = truths[w] = tuple(eval_fluent_formula(f, w)
+                                    for f in formulas)
+        return hit
+
+    # subjective truths are equal for every representative, so the
     # objective ones alone decide type equality and order
     key_order = sorted(sequences, key=_sequence_sort_key)
     types = []
     seen = set()
     for rep, w0 in enumerate(reps):
         key = tuple(itertools.chain.from_iterable(
-            truths.objective(worlds_of[z][rep]) for z in key_order))
+            objective(worlds_of[z][rep]) for z in key_order))
         if key in seen:
             continue
         seen.add(key)
-        types.append(TypeAssignment(w0, _TypeEntries(truths, rep), key))
+        types.append(TypeAssignment(w0, key))
     types.sort(key=lambda t: t.bitvec)
 
     if pruned:
         log.info("pruned %d action sequences unreachable from every "
                  "representative", pruned)
-    return Abstraction(context, universe, k, sequences, kb_of, types, pruned)
+    return Abstraction(context, universe, k, sequences, kb_of, types, pruned,
+                       step)
 
 
 def _sequence_sort_key(z):

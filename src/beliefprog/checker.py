@@ -91,7 +91,7 @@ def _step(pomdp, policy, alive):
     return new
 
 
-def probability(pomdp, policy, psi, abstraction, conservation=None) -> Fraction:
+def probability(pomdp, policy, psi, conservation=None) -> Fraction:
     """Exact probability of the trace formula under one policy."""
     def sat(state, beta):
         return obs_satisfies(pomdp.observations[pomdp.obs_of[state]], beta)
@@ -204,7 +204,7 @@ def check(pomdps, phi, abstraction, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
         for policy in enumerate_policies(pomdp, policy_cap):
             n_policies += 1
             for sub in p_subs:
-                prob = probability(pomdp, policy, sub.trace, abstraction)
+                prob = probability(pomdp, policy, sub.trace)
                 cur = results.get(id(sub))
                 if cur is None:
                     results[id(sub)] = SubformulaResult(sub, prob, prob,

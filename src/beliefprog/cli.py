@@ -112,12 +112,8 @@ def cmd_verify(args):
     phi = model.property_named(args.property)
     if phi is None:
         raise BeliefProgError(f"no property named {args.property!r} in the model")
-    try:
-        abstraction, graph, pomdps, reps, source = _build_abstraction(
-            model, phi, args, timing, warnings)
-    except InadmissiblePropertyError as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
-        return 2
+    abstraction, graph, pomdps, reps, source = _build_abstraction(
+        model, phi, args, timing, warnings)
     fingerprints = [hashlib.sha256(pomdp_fingerprint(p, model, abstraction)).hexdigest()
                     for p in pomdps]
     t0 = time.perf_counter()

@@ -1,11 +1,13 @@
 """Finite POMDP construction for one type.
 
 States are (action sequence, graph node) pairs explored forward from the
-empty sequence.  Transition probabilities are the real-world outcome
-weights of the likelihood row selected by the type's context entries; the
-believed knowledge base progressed along the sequence supplies the
-observation attached to each state and the labels attached to each
-observation.
+empty sequence.  Transition probabilities are the real likelihoods at the
+type witness's world progressed along the sequence, read through the
+abstraction's memoised step; the type fixes the truth of every likelihood
+context along every sequence, so any world of the type gives the same
+weights.  The believed knowledge base progressed along the sequence
+supplies the observation attached to each state and the labels attached
+to each observation.
 
 Two deliberate conventions:
 
@@ -24,7 +26,7 @@ import logging
 from fractions import Fraction
 
 from .errors import LikelihoodContextError, ObservationUniformityError
-from .kb import BREAKDOWN, GroundAction, eval_expr, eval_subjective
+from .kb import BREAKDOWN, eval_subjective, oi_alternatives
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula, print_program
 
@@ -94,6 +96,7 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                 if eval_subjective(kb, ctx.formulas[i].formula)))
         return obs_index[kb.key]
 
+    world_at = {(): tau.witness}  # sequence -> the witness's world after it
     start = _add_state(p, ((), 0))
     p.obs_of[start] = observation_of(abstraction.kb_of[()])
     queue = [start]
@@ -120,23 +123,13 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                 raise LikelihoodContextError(
                     f"two enabled transitions share the action {label!r} at "
                     f"{p.state_str(si)}; per-action successor would be ambiguous")
-            row = _select_row(model, ctx, tau, z, edge.prim)
-            decl = model.action_decl(edge.prim.symbol)
-            bindings = dict(zip(decl.ctrl, edge.prim.args))
-            table = model.real_bat.likelihood_for(edge.prim.symbol)
             branches = {}
-            total = Fraction(0)
-            for vec, weight_expr in zip(table.outcomes, row.weights):
-                weight = eval_expr(weight_expr, None, bindings)
-                if weight == 0:
+            for t in oi_alternatives(edge.prim.symbol, edge.prim.args, model):
+                like, w2 = abstraction.step(world_at[z], t)
+                if like == 0:
                     continue
-                value = tuple(eval_expr(v, None, bindings) for v in vec)
-                t = GroundAction(edge.prim.symbol, edge.prim.args, value)
                 z2 = z + (t,)
-                if z2 not in abstraction.kb_of:
-                    raise RuntimeError(
-                        f"type abstraction is missing sequence {z2}; "
-                        "internal invariant breach")
+                world_at[z2] = w2
                 kb2 = abstraction.kb_of[z2]
                 # every breakdown branch goes to the one sink state
                 target = _add_state(p, (None, None) if kb2 is BREAKDOWN
@@ -148,12 +141,7 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                         p.breakdown_states += 1
                         log.warning("belief-breakdown branch reached via %s",
                                     " ".join(str(a) for a in z2))
-                branches[target] = branches.get(target, Fraction(0)) + weight
-                total += weight
-            if total != 1:
-                raise LikelihoodContextError(
-                    f"real outcome weights of {label!r} sum to "
-                    f"{frac_str(total)} at {p.state_str(si)}")
+                branches[target] = branches.get(target, Fraction(0)) + like
             trans[label] = sorted(branches.items())
             choices.append(label)
         if not choices:
@@ -173,27 +161,6 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
         if acts is None:
             p.agent_actions[obs] = ()
     return p
-
-
-def _select_row(model, ctx, tau, z, prim):
-    """Pick the real likelihood row whose context holds after z, reading
-    the truth values from the type assignment."""
-    selectors = ctx.row_contexts[(prim.symbol, prim.args)]
-    table = model.real_bat.likelihood_for(prim.symbol)
-    matches = [i for i, sel in enumerate(selectors)
-               if sel is not None and tau.truth(z, sel)]
-    if len(matches) > 1:
-        raise LikelihoodContextError(
-            f"likelihood contexts of {prim.symbol!r} overlap after "
-            + (" ".join(str(t) for t in z) or "the empty sequence"))
-    if matches:
-        return table.rows[matches[0]]
-    default = next((i for i, sel in enumerate(selectors) if sel is None), None)
-    if default is None:
-        raise LikelihoodContextError(
-            f"no likelihood context of {prim.symbol!r} holds after "
-            + (" ".join(str(t) for t in z) or "the empty sequence"))
-    return table.rows[default]
 
 
 # ---------------------------------------------------------------------------

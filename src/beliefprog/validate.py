@@ -9,7 +9,7 @@ the progression code.
 from fractions import Fraction
 
 from .abstraction import program_prims
-from .errors import Diagnostic
+from .errors import Diagnostic, EvalError
 from .kb import eval_expr
 from .syntax import frac_str, print_program
 
@@ -50,9 +50,18 @@ def _check_table(decl, prims, table, out, where):
                               f"{j} ({where})"))
     for prim in prims:
         bindings = dict(zip(decl.ctrl, prim.args))
-        ground = _repeats([tuple(eval_expr(v, None, bindings) for v in vec)
-                           for vec in table.outcomes])
-        for i, j in sorted(set(ground) - set(written)):
+        values = []
+        for i, vec in enumerate(table.outcomes, 1):
+            try:
+                values.append(tuple(eval_expr(v, None, bindings) for v in vec))
+            except EvalError as exc:
+                out.append(Diagnostic("outcome-eval",
+                                      f"outcome {i} of {name!r} cannot be "
+                                      f"evaluated at {print_program(prim)}: "
+                                      f"{exc} ({where})"))
+        if len(values) < len(table.outcomes):
+            continue  # outcomes that have no value cannot be compared
+        for i, j in sorted(set(_repeats(values)) - set(written)):
             out.append(Diagnostic("duplicate-outcome",
                                   f"outcome {i} of {name!r} repeats outcome "
                                   f"{j} at {print_program(prim)} ({where})"))

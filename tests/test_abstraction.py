@@ -89,32 +89,32 @@ def test_empty_representatives_rejected(coffee):
 
 
 def test_type_soundness_by_reevaluation(coffee):
-    # two representatives of the same type agree on every (z, alpha) entry
+    # a type's bit vector is the truth of every objective context formula
+    # after every kept sequence, sequences by length and then action
+    # symbols; two representatives of the same type agree on all of it
     reps = [make_world(coffee, [v]) for v in (0, -1, -2, -3)]
     a = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    # -2 and -3 collapse into one type; recheck the objective entries of
-    # both worlds directly
-    assert len(a.types) == 3
     rb = real_bat(coffee)
     ctx = a.context
-    for tau in a.types:
-        w0 = tau.witness
-        for z in a.sequences:
+    order = sorted(a.sequences, key=lambda z: (
+        len(z), [(t.symbol, t.ctrl, t.unctrl) for t in z]))
+
+    def bitvec(w0):
+        bits = []
+        for z in order:
             w = w0
             for t in z:
                 w = progress_world(w, t, rb)
-            for idx in ctx.objective_indices():
-                expected = eval_fluent_formula(ctx.formulas[idx].formula, w)
-                assert tau.entries[(z, idx)] == expected
+            bits.extend(eval_fluent_formula(ctx.formulas[idx].formula, w)
+                        for idx in ctx.objective_indices())
+        return tuple(bits)
 
-
-def test_entries_cover_every_pair(coffee):
-    reps = [make_world(coffee, [0])]
-    a = compute_types(coffee, 1, reps, coffee.property_named("P1"))
-    tau = a.types[0]
-    for z in a.sequences:
-        for idx in range(len(a.context.formulas)):
-            assert (z, idx) in tau.entries
+    # -2 and -3 collapse into one type
+    assert len(a.types) == 3
+    for tau in a.types:
+        assert bitvec(tau.witness) == tau.bitvec
+    assert {bitvec(w) for w in reps} == {tau.bitvec for tau in a.types}
+    assert bitvec(reps[2]) == bitvec(reps[3])
 
 
 def test_pruning_drops_zero_likelihood_sequences(coffee):

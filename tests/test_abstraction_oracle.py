@@ -2,9 +2,10 @@
 
 ``eager_compute_types`` is the straightforward construction: it progresses
 the knowledge base of every kept sequence, evaluates every context formula
-for every representative, and deduplicates on all entries.
+for every representative, and deduplicates and sorts on all entries.
 ``compute_types`` must give the same sequences, pruning, type order,
-witnesses, entries and knowledge bases.
+witnesses, objective truths (``bitvec``) and knowledge bases; the
+subjective entries are functions of the knowledge bases.
 """
 
 import itertools
@@ -14,8 +15,9 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
-from beliefprog import (IncompatibleSensingError, build_graph, build_pomdp,
-                        compute_types, horizon_of, parse_model)
+from beliefprog import (BeliefProgError, IncompatibleSensingError,
+                        build_graph, build_pomdp, compute_types, horizon_of,
+                        parse_model, pomdp_fingerprint)
 from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
                                     TypeAssignment, ground_action_universe,
                                     reps_from_init)
@@ -83,8 +85,10 @@ def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
         z, idx = key
         return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z), idx)
 
-    types = []
-    seen = set()
+    def step(w, t):
+        return action_likelihood(t, w, rbat), progress_world(w, t, rbat)
+
+    by_key = {}  # key over all entries -> first type with it
     for rep_i, w0 in enumerate(reps):
         entries = dict(subj_entries)
         for z in sequences:
@@ -92,25 +96,21 @@ def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
             for idx in obj_idx:
                 entries[(z, idx)] = eval_fluent_formula(
                     context.formulas[idx].formula, w_z)
-        key = tuple(entries[k2] for k2 in sorted(entries, key=entry_key))
-        if key in seen:
-            continue
-        seen.add(key)
-        types.append(TypeAssignment(w0, entries, key))
-    types.sort(key=lambda t: t.bitvec)
-    return Abstraction(context, universe, k, sequences, kb_of, types, pruned)
+        order = sorted(entries, key=entry_key)
+        key = tuple(entries[k2] for k2 in order)
+        if key not in by_key:
+            by_key[key] = TypeAssignment(
+                w0, tuple(entries[k2] for k2 in order if k2[1] in obj_idx))
+    types = [by_key[key] for key in sorted(by_key)]
+    return Abstraction(context, universe, k, sequences, kb_of, types, pruned,
+                       step)
 
 
 def assert_same_abstraction(lazy, eager):
     assert lazy.sequences == eager.sequences
     assert lazy.pruned == eager.pruned
     assert [t.witness for t in lazy.types] == [t.witness for t in eager.types]
-    n = len(eager.context.formulas)
-    for tl, te in zip(lazy.types, eager.types):
-        assert len(tl.entries) == len(te.entries) == len(eager.sequences) * n
-        for z in eager.sequences:
-            for idx in range(n):
-                assert tl.entries[(z, idx)] == te.entries[(z, idx)], (z, idx)
+    assert [t.bitvec for t in lazy.types] == [t.bitvec for t in eager.types]
     for z in eager.sequences:
         assert z in lazy.kb_of
         assert lazy.kb_of[z] == eager.kb_of[z], z
@@ -119,6 +119,23 @@ def assert_same_abstraction(lazy, eager):
         for z in itertools.product(eager.universe, repeat=depth):
             assert (z in lazy.kb_of) == (z in eager.kb_of)
             assert lazy.kb_of.get(z) == eager.kb_of.get(z)
+
+
+def _pomdp_or_error(model, graph, abstraction, tau):
+    try:
+        p = build_pomdp(model, graph, abstraction, tau)
+    except BeliefProgError as exc:
+        return type(exc)
+    return pomdp_fingerprint(p, model, abstraction)
+
+
+def assert_same_pomdps(model, lazy, eager):
+    """Each type's POMDP is the same whether its transitions come from the
+    memoised step or the eager oracle's plain one."""
+    graph = build_graph(model.program)
+    for tl, te in zip(lazy.types, eager.types):
+        assert _pomdp_or_error(model, graph, lazy, tl) == \
+            _pomdp_or_error(model, graph, eager, te)
 
 
 def _with_bound(text, k):
@@ -134,7 +151,9 @@ def test_coffee_p1_matches_eager(coffee_text, k):
     # from k=3 on the belief breaks down, first after
     # east(1, 1) sencfe(1) sencfe(0)
     assert any(kb == BREAKDOWN for kb in eager.kb_of.values()) == (k >= 3)
-    assert_same_abstraction(compute_types(model, k, reps, phi), eager)
+    lazy = compute_types(model, k, reps, phi)
+    assert_same_abstraction(lazy, eager)
+    assert_same_pomdps(model, lazy, eager)
 
 
 def test_choice_model_matches_eager():
@@ -142,16 +161,20 @@ def test_choice_model_matches_eager():
     phi = model.property_named("P1")
     k = horizon_of(phi)
     reps = reps_from_init(model)
-    assert_same_abstraction(compute_types(model, k, reps, phi),
-                            eager_compute_types(model, k, reps, phi))
+    lazy = compute_types(model, k, reps, phi)
+    eager = eager_compute_types(model, k, reps, phi)
+    assert_same_abstraction(lazy, eager)
+    assert_same_pomdps(model, lazy, eager)
 
 
 @pytest.mark.parametrize("seed", range(200))
 def test_random_models_match_eager(seed):
     model = parse_model(random_model_text(seed))
     reps = reps_from_init(model)
-    assert_same_abstraction(compute_types(model, 2, reps),
-                            eager_compute_types(model, 2, reps))
+    lazy = compute_types(model, 2, reps)
+    eager = eager_compute_types(model, 2, reps)
+    assert_same_abstraction(lazy, eager)
+    assert_same_pomdps(model, lazy, eager)
 
 
 def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,

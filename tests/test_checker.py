@@ -93,7 +93,7 @@ def test_dp_matches_path_enumeration_on_coffee(coffee, coffee_setup):
     psi = phi.trace
     for p in pomdps:
         for policy in enumerate_policies(p):
-            assert probability(p, policy, psi, abstraction) == \
+            assert probability(p, policy, psi) == \
                 _paths_oracle(p, policy, psi, abstraction)
 
 
@@ -102,7 +102,7 @@ def test_tau1_probability_is_exactly_one_twentieth(coffee, coffee_setup):
     p = _pomdp_for(abstraction, pomdps, 0)
     phi = coffee.property_named("P1")
     policy = next(enumerate_policies(p))
-    assert probability(p, policy, phi.trace, abstraction) == F(1, 20)
+    assert probability(p, policy, phi.trace) == F(1, 20)
 
 
 def test_verdict_p1_violated(coffee, coffee_setup):
@@ -154,7 +154,7 @@ def test_choice_gives_two_policies():
     abstraction = compute_types(m, 1, [make_world(m, [0])], m.property_named("T"))
     p = build_pomdp(m, graph, abstraction, abstraction.types[0])
     assert policy_count(p) == 2
-    probs = sorted(probability(p, pol, m.property_named("T").trace, abstraction)
+    probs = sorted(probability(p, pol, m.property_named("T").trace)
                    for pol in enumerate_policies(p))
     assert probs == [0, 1]
 
@@ -197,12 +197,12 @@ def test_policy_budget_enforced(coffee, coffee_setup):
 
 
 def test_forward_mass_conservation(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
+    _, pomdps = coffee_setup
     phi = coffee.property_named("P1")
     for p in pomdps:
         for policy in enumerate_policies(p):
             masses = []
-            probability(p, policy, phi.trace, abstraction, conservation=masses)
+            probability(p, policy, phi.trace, conservation=masses)
             assert masses and all(m == 1 for m in masses)
 
 
@@ -211,7 +211,7 @@ def test_until_monotone_in_bound(coffee, coffee_setup):
     p = _pomdp_for(abstraction, pomdps, 0)
     beta = parse_subjective("B(h = 2) = 1", coffee)
     policy = next(enumerate_policies(p))
-    values = [probability(p, policy, UntilOp(TRUE, beta, k), abstraction)
+    values = [probability(p, policy, UntilOp(TRUE, beta, k))
               for k in range(3)]
     assert values == sorted(values)
     assert values[2] == F(1, 20)
@@ -331,7 +331,7 @@ def test_extremes_match_value_iteration(seed):
 
     checker_mod.obs_satisfies = fake_obs_satisfies
     try:
-        probs = [checker_mod.probability(p, pol, psi, None)
+        probs = [checker_mod.probability(p, pol, psi)
                  for pol in enumerate_policies(p)]
     finally:
         checker_mod.obs_satisfies = orig

@@ -240,3 +240,30 @@ def test_verify_and_simulate_agree_on_model_errors(tmp_path, capsys, text,
     assert code == 2
     assert message in err
     assert "belief-breakdown" not in out + err
+
+
+# outcome 1 divides by the program's argument 0
+DIVIDES_BY_ZERO = """
+fluents h;
+action a stochastic(x; y) { outcomes: (1 / x), (2); likelihood: case true: 1/2, 1/2; }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(0) }
+property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--property", "P1"),
+    ("simulate", "--psi", "F<=1 B(h = 0) = 1", "--trials", "20"),
+], ids=["verify", "simulate"])
+def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
+                                                           command):
+    path = tmp_path / "m.bp"
+    path.write_text(DIVIDES_BY_ZERO)
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert ("[outcome-eval] outcome 1 of 'a' cannot be evaluated at a(0): "
+            "division by zero (real)") in err
+    assert "Traceback" not in err

@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 
 from beliefprog import (LikelihoodContextError, ObservationUniformityError,
-                        build_graph, build_pomdp, compute_types, eval_subjective,
-                        make_world, parse_model, pomdp_fingerprint)
-from beliefprog.abstraction import BREAKDOWN
+                        build_graph, build_pomdp, compute_types, enabled,
+                        eval_subjective, horizon_of, make_world, parse_model,
+                        pomdp_fingerprint, print_program)
+from beliefprog.abstraction import BREAKDOWN, reps_from_init
+from beliefprog.kb import GroundAction, likelihood_row, progress_world, real_bat
 from beliefprog.parser import parse_subjective
+from conftest import COFFEE, ROOT, random_model_text
 
 F = Fraction
 
@@ -186,3 +189,54 @@ def test_ambiguous_same_action_transition_detected():
     abstraction = compute_types(m, 2, [make_world(m, [0])], m.property_named("T"))
     with pytest.raises(LikelihoodContextError):
         build_pomdp(m, graph, abstraction, abstraction.types[0])
+
+
+def assert_transitions_are_witness_likelihoods(model, k, phi=None):
+    """Every transition of every buildable type's POMDP is likelihood_row
+    at the witness's world after the state's sequence, merged by target;
+    breakdown branches go to the sink."""
+    graph = build_graph(model.program)
+    a = compute_types(model, k, reps_from_init(model), phi)
+    rbat = real_bat(model)
+    checked = 0
+    for tau in a.types:
+        try:
+            p = build_pomdp(model, graph, a, tau)
+        except (ObservationUniformityError, LikelihoodContextError):
+            continue
+        for si, (z, node) in enumerate(p.states):
+            if z is None or len(z) == k:
+                continue
+            w = tau.witness
+            for t in z:
+                w = progress_world(w, t, rbat)
+            for edge in enabled(graph, node, a.kb_of[z])[0]:
+                prim = edge.prim
+                expected = {}
+                for value, weight in likelihood_row(prim.symbol, prim.args,
+                                                    w, rbat):
+                    if weight == 0:
+                        continue
+                    z2 = z + (GroundAction(prim.symbol, prim.args, value),)
+                    key = (None, None) if a.kb_of[z2] is BREAKDOWN \
+                        else (z2, edge.target)
+                    target = p.state_index[key]
+                    expected[target] = expected.get(target, F(0)) + weight
+                assert p.transitions[si][print_program(prim)] == \
+                    sorted(expected.items())
+                checked += 1
+    return checked
+
+
+def test_transitions_are_witness_likelihoods_coffee():
+    for path in (COFFEE, ROOT / "perfbench" / "models" / "coffee_choice.bp"):
+        model = parse_model(path.read_text())
+        phi = model.property_named("P1")
+        assert assert_transitions_are_witness_likelihoods(
+            model, horizon_of(phi), phi) > 0
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_transitions_are_witness_likelihoods_random(seed):
+    assert_transitions_are_witness_likelihoods(
+        parse_model(random_model_text(seed)), 2)

@@ -196,14 +196,14 @@ def test_observation_uniform_enabled_sets(model_factory, seed):
 def test_forward_dp_mass_conservation(model_factory, seed):
     """success + failed + alive mass equals 1 at every DP depth."""
     model = model_factory(seed)
-    _graph, abstraction, pomdps = _build(model)
+    _graph, _abstraction, pomdps = _build(model)
     beta = parse_subjective(f"B({model.fluents[0].name} = 0) >= 1/2", model)
     psi = UntilOp(TRUE, beta, 2)
     ran = False
     for p in pomdps:
         for policy in itertools.islice(enumerate_policies(p, cap=None), 8):
             masses = []
-            probability(p, policy, psi, abstraction, conservation=masses)
+            probability(p, policy, psi, conservation=masses)
             assert masses and all(m == 1 for m in masses)
             ran = True
     _mark("conservation", ran)
@@ -212,12 +212,12 @@ def test_forward_dp_mass_conservation(model_factory, seed):
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_until_probability_monotone_in_bound(model_factory, seed):
     model = model_factory(seed)
-    _graph, abstraction, pomdps = _build(model)
+    _graph, _abstraction, pomdps = _build(model)
     beta = parse_subjective(f"B({model.fluents[0].name} = 1) > 0", model)
     ran = False
     for p in pomdps:
         for policy in itertools.islice(enumerate_policies(p, cap=None), 4):
-            values = [probability(p, policy, UntilOp(TRUE, beta, k), abstraction)
+            values = [probability(p, policy, UntilOp(TRUE, beta, k))
                       for k in range(3)]
             assert values == sorted(values)
             ran = True
