@@ -6,9 +6,9 @@ product, so "for all proper policies" is decided exactly by computing the
 probability for every policy and checking the min and max against the
 interval (the interval is convex, so the extremes suffice).
 
-Path probabilities are computed by forward mass propagation with success
-and failure absorption, following the cylinder-set measure of the induced
-chain.
+Path probabilities are computed by forward mass propagation over the
+induced chain, absorbing at each depth the mass that trace_verdict (the
+path rule the simulator shares) decides.
 """
 
 import itertools
@@ -19,8 +19,8 @@ from fractions import Fraction
 from .abstraction import horizon_of
 from .errors import InadmissiblePropertyError, PolicyBudgetError
 from .kb import eval_subjective
-from .syntax import (And, Not, POp, UntilOp, XOp, print_state_formula,
-                     print_trace_formula)
+from .syntax import (And, GloballyOp, Not, POp, UntilOp, XOp,
+                     print_state_formula, print_trace_formula)
 
 log = logging.getLogger(__name__)
 
@@ -28,11 +28,33 @@ DEFAULT_POLICY_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# state-formula truth on observations
+# truth on observations and on paths
 
 def obs_satisfies(kb, beta) -> bool:
     """Truth of a P-free state formula at an observation."""
     return eval_subjective(kb, beta)
+
+
+def decision_depth(psi):
+    """The depth that decides psi on every path; None for G and unbounded U."""
+    if isinstance(psi, XOp):
+        return 1
+    return psi.bound if isinstance(psi, UntilOp) else None
+
+
+def trace_verdict(psi, depth, holds):
+    """What the path position at depth decides about psi when no earlier
+    position did: True, False, or None (still open).  holds(beta) is the
+    truth of a state formula at that position's observation."""
+    if isinstance(psi, XOp):
+        return holds(psi.arg) if depth == 1 else None
+    if isinstance(psi, UntilOp):
+        if holds(psi.right):
+            return True
+        return False if depth == psi.bound or not holds(psi.left) else None
+    if isinstance(psi, GloballyOp):
+        return None if holds(psi.arg) else False
+    raise TypeError(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -93,39 +115,34 @@ def _step(pomdp, policy, alive):
 
 def probability(pomdp, policy, psi, conservation=None) -> Fraction:
     """Exact probability of the trace formula under one policy."""
-    def sat(state, beta):
-        return obs_satisfies(pomdp.observations[pomdp.obs_of[state]], beta)
-
-    if isinstance(psi, XOp):
-        alive = _step(pomdp, policy, {pomdp.initial: Fraction(1)})
-        if conservation is not None:
-            conservation.append(sum(alive.values(), Fraction(0)))
-        return sum((m for s, m in alive.items() if sat(s, psi.arg)), Fraction(0))
-
-    if not isinstance(psi, UntilOp) or psi.bound is None:
+    last = decision_depth(psi)
+    if last is None:
         raise InadmissiblePropertyError(
             f"trace formula {print_trace_formula(psi)} is not bounded")
-
-    success = Fraction(0)
-    failed = Fraction(0)
+    decided = {True: Fraction(0), False: Fraction(0)}
+    verdicts = {}  # (observation, depth) -> verdict
     alive = {pomdp.initial: Fraction(1)}
-    for depth in range(psi.bound + 1):
+    for depth in range(last + 1):
         still = {}
         for state, mass in alive.items():
-            if sat(state, psi.right):
-                success += mass
-            elif not sat(state, psi.left):
-                failed += mass
-            else:
+            key = (pomdp.obs_of[state], depth)
+            if key not in verdicts:
+                obs = pomdp.observations[key[0]]
+                verdicts[key] = trace_verdict(
+                    psi, depth, lambda beta: obs_satisfies(obs, beta))
+            verdict = verdicts[key]
+            if verdict is None:
                 still[state] = mass
+            else:
+                decided[verdict] += mass
         alive = still
         if conservation is not None:
-            total = success + failed + sum(alive.values(), Fraction(0))
-            conservation.append(total)
-        if not alive or depth == psi.bound:
+            conservation.append(sum(decided.values())
+                                + sum(alive.values(), Fraction(0)))
+        if not alive:
             break
         alive = _step(pomdp, policy, alive)
-    return success
+    return decided[True]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +161,6 @@ class SubformulaResult:
 @dataclass
 class TypeResult:
     type_id: int
-    witness: object
     policies: int
     subformulas: list
     holds: bool
@@ -182,7 +198,7 @@ def _eval_state(phi, p_truth, initial_kb):
     return obs_satisfies(initial_kb, phi)
 
 
-def check(pomdps, phi, abstraction, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
+def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
     """Decide a bounded state formula over the per-type POMDPs.
 
     The verdict is the conjunction over all types: the property is valid in
@@ -225,9 +241,7 @@ def check(pomdps, phi, abstraction, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
             sub_list.append(res)
         initial_kb = pomdp.observations[pomdp.obs_of[pomdp.initial]]
         type_holds = _eval_state(phi, p_truth, initial_kb)
-        witness = abstraction.types[type_id].witness if \
-            abstraction is not None and type_id < len(abstraction.types) else None
-        verdict.per_type.append(TypeResult(type_id, witness, n_policies,
-                                           sub_list, type_holds))
+        verdict.per_type.append(TypeResult(type_id, n_policies, sub_list,
+                                           type_holds))
         verdict.holds = verdict.holds and type_holds
     return verdict

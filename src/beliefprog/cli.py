@@ -50,11 +50,12 @@ def _resolve_reps(model, args):
     if getattr(args, "reps", None):
         worlds = []
         with open(args.reps, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.split("//")[0].strip().strip("()")
                 if not line:
                     continue
-                vals = [Fraction(v.strip()) for v in line.replace(",", " ").split()]
+                vals = [_number(v, f"{args.reps} line {number}")
+                        for v in line.replace(",", " ").split()]
                 worlds.append(make_world(model, vals))
         return worlds, f"file {args.reps}"
     if getattr(args, "reps_range", None):
@@ -64,7 +65,11 @@ def _resolve_reps(model, args):
             lo, _, hi = span.partition("..")
             if not hi:
                 hi = lo
-            ranges[name.strip()] = (int(lo), int(hi))
+            try:
+                ranges[name.strip()] = (int(lo), int(hi))
+            except ValueError:
+                raise BeliefProgError(f"--reps-range {spec!r}: the bounds "
+                                      "must be integers") from None
         return reps_from_ranges(model, ranges), f"ranges {args.reps_range}"
     if getattr(args, "reps_auto", False):
         return reps_auto(model), "auto heuristic"
@@ -117,7 +122,7 @@ def cmd_verify(args):
     fingerprints = [hashlib.sha256(pomdp_fingerprint(p, model, abstraction)).hexdigest()
                     for p in pomdps]
     t0 = time.perf_counter()
-    verdict = check(pomdps, phi, abstraction, policy_cap=args.policy_cap)
+    verdict = check(pomdps, phi, policy_cap=args.policy_cap)
     timing["check"] = time.perf_counter() - t0
 
     report = {
@@ -250,12 +255,23 @@ def _parse_world(model, spec):
     values = {f.name: Fraction(0) for f in model.fluents}
     if spec:
         for part in spec.split(","):
-            name, _, value = part.partition("=")
+            name, eq, value = part.partition("=")
             name = name.strip()
             if name not in values:
                 raise BeliefProgError(f"unknown fluent {name!r} in --world")
-            values[name] = Fraction(value.strip())
+            if not eq:
+                raise BeliefProgError(f"--world entry {part.strip()!r} is "
+                                      "not fluent=value")
+            values[name] = _number(value, f"--world value of {name!r}")
     return make_world(model, [values[f.name] for f in model.fluents])
+
+
+def _number(text, where):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise BeliefProgError(f"{where}: {text.strip()!r} is not a "
+                              "number") from None
 
 
 def cmd_progress(args):

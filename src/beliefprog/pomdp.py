@@ -37,9 +37,8 @@ _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
 
 
 class FinitePomdp:
-    def __init__(self, k, graph, type_id=None):
+    def __init__(self, k, type_id=None):
         self.k = k
-        self.graph = graph
         self.type_id = type_id
         self.states = []            # (sequence tuple, node index); sink is (None, None)
         self.state_index = {}
@@ -83,7 +82,7 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
     """Forward exploration of the reachable (sequence, node) space."""
     k = abstraction.horizon
     ctx = abstraction.context
-    p = FinitePomdp(k, graph, type_id)
+    p = FinitePomdp(k, type_id)
     obs_index = {}
 
     def observation_of(kb):

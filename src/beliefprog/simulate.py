@@ -13,10 +13,11 @@ individual trials are reproducible and order-independent.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .checker import obs_satisfies
+from .checker import decision_depth, obs_satisfies, trace_verdict
 from .errors import BeliefProgError
 from .kb import (BREAKDOWN, action_likelihood, eval_fluent_formula,
                  initial_kb, next_observation, oi_alternatives, progress_kb,
@@ -189,8 +190,6 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
                 if edge is None:
                     raise BeliefProgError(
                         f"policy action {label!r} is not enabled at {kb.render()}")
-        if edge is None and is_final:
-            return TraceRecord(world0, actions, kbs, "final", likelihood)
 
         weighted, thresholds = engine.real_outcomes(w, edge)
         if not weighted:
@@ -215,52 +214,31 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
 # ---------------------------------------------------------------------------
 # trace-formula evaluation on a finite record
 
-def _state_at(record, i):
-    """Observation at path position i, extending by the terminal convention:
-    final/fail self-loop repeats the last knowledge base; anything beyond a
-    breakdown or horizon cut satisfies no atom."""
-    if i < len(record.kbs):
-        return record.kbs[i]
-    if record.outcome in ("final", "fail"):
-        return record.kbs[-1]
-    return BREAKDOWN
+def _reject_nested_p(formula):
+    if isinstance(formula, POp):
+        raise BeliefProgError("nested probability operators cannot be "
+                              "estimated on a single trace")
+    if isinstance(formula, (Not, And, XOp, UntilOp, GloballyOp)):
+        for part in vars(formula).values():
+            _reject_nested_p(part)
 
 
 def eval_trace_formula(psi, record, engine=None) -> bool:
-    n = len(record.kbs) - 1
-
-    def truth(i, beta):
-        return _satisfies_state(_state_at(record, i), beta, engine)
-
-    if isinstance(psi, XOp):
-        return truth(1, psi.arg)
-    if isinstance(psi, UntilOp):
-        # states repeat after final/fail, so positions past n add nothing
-        limit = min(psi.bound, n) if psi.bound is not None else n
-        for i in range(limit + 1):
-            if truth(i, psi.right):
-                return True
-            if not truth(i, psi.left):
-                return False
-        return False
-    if isinstance(psi, GloballyOp):
-        # on a cut trace this is the prefix check only (an upper bound)
-        return all(truth(i, psi.arg) for i in range(n + 1))
-    raise TypeError(psi)
-
-
-def _satisfies_state(obs, phi, engine):
-    if isinstance(phi, POp):
-        raise BeliefProgError("nested probability operators cannot be "
-                              "estimated on a single trace")
-    if isinstance(phi, Not):
-        return not _satisfies_state(obs, phi.operand, engine)
-    if isinstance(phi, And):
-        return _satisfies_state(obs, phi.left, engine) and \
-            _satisfies_state(obs, phi.right, engine)
-    if engine is not None:
-        return engine.satisfies(obs, phi)
-    return obs_satisfies(obs, phi)
+    """Truth of psi on the record's path, by trace_verdict at each position.
+    The path goes on as a POMDP path does: a final or failing trace repeats
+    its last knowledge base, a broken-down one stays in BREAKDOWN, and a
+    horizon-cut one stops.  An open formula is satisfied only if it is G."""
+    _reject_nested_p(psi)
+    truth = engine.satisfies if engine is not None else obs_satisfies
+    # the tail repeats one observation forever; what its first position
+    # leaves open stays open, or a bounded U ends false at its bound
+    tail = (record.kbs[-1],) if record.outcome in ("final", "fail") else \
+        (BREAKDOWN,) if record.outcome == "belief-breakdown" else ()
+    for depth, obs in enumerate(chain(record.kbs, tail)):
+        verdict = trace_verdict(psi, depth, lambda beta: truth(obs, beta))
+        if verdict is not None:
+            return verdict
+    return isinstance(psi, GloballyOp)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +267,8 @@ def hoeffding_half_width(n, confidence=0.95) -> float:
 def estimate(model, psi, world0, policy, trials, seed, horizon,
              graph=None, engine=None) -> EstimateResult:
     """Fraction of sampled traces satisfying the trace formula."""
+    if trials < 1:
+        raise BeliefProgError(f"trials must be at least 1, got {trials}")
     engine = engine or TraceEngine(model, graph)
     successes = 0
     outcomes = {}
@@ -298,7 +278,6 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
         outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
         if eval_trace_formula(psi, record, engine):
             successes += 1
-    bounded = not (isinstance(psi, GloballyOp)
-                   or (isinstance(psi, UntilOp) and psi.bound is None))
     return EstimateResult(successes / trials, hoeffding_half_width(trials),
-                          successes, trials, horizon, outcomes, bounded)
+                          successes, trials, horizon, outcomes,
+                          decision_depth(psi) is not None)

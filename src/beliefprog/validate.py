@@ -1,9 +1,10 @@
 """Model-level well-formedness checks beyond what parsing enforces.
 
-Symbolic checks run here; anything that would need an arithmetic solver
-(context disjointness and completeness for parameter-dependent tables,
-weight sums with parameters) is deferred to evaluation-time assertions in
-the progression code.
+Symbolic checks run here, and outcome values and likelihood weights are
+evaluated at every program primitive's arguments; anything that would need
+an arithmetic solver (context disjointness and completeness for
+parameter-dependent tables, weight sums with parameters) is deferred to
+evaluation-time assertions in the progression code.
 """
 
 from fractions import Fraction
@@ -57,6 +58,15 @@ def _check_table(decl, prims, table, out, where):
             except EvalError as exc:
                 out.append(Diagnostic("outcome-eval",
                                       f"outcome {i} of {name!r} cannot be "
+                                      f"evaluated at {print_program(prim)}: "
+                                      f"{exc} ({where})"))
+        for i, row in enumerate(table.rows, 1):
+            try:
+                for weight in row.weights:
+                    eval_expr(weight, None, bindings)
+            except EvalError as exc:
+                out.append(Diagnostic("weight-eval",
+                                      f"row {i} of {name!r} cannot be "
                                       f"evaluated at {print_program(prim)}: "
                                       f"{exc} ({where})"))
         if len(values) < len(table.outcomes):

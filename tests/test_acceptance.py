@@ -46,7 +46,7 @@ def verification(coffee):
               for i, tau in enumerate(abstraction.types)]
     fingerprints = [pomdp_fingerprint(p, coffee, abstraction) for p in pomdps]
     elapsed = time.perf_counter() - t0
-    verdict = check(pomdps, phi, abstraction)
+    verdict = check(pomdps, phi)
     return abstraction, pomdps, fingerprints, verdict, elapsed
 
 

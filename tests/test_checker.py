@@ -107,7 +107,7 @@ def test_tau1_probability_is_exactly_one_twentieth(coffee, coffee_setup):
 
 def test_verdict_p1_violated(coffee, coffee_setup):
     abstraction, pomdps = coffee_setup
-    verdict = check(pomdps, coffee.property_named("P1"), abstraction)
+    verdict = check(pomdps, coffee.property_named("P1"))
     assert not verdict.holds
     by_witness = {abstraction.types[tr.type_id].witness["h"]:
                   tr.subformulas[0] for tr in verdict.per_type}
@@ -117,9 +117,9 @@ def test_verdict_p1_violated(coffee, coffee_setup):
 
 
 def test_trivial_property_holds(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
+    _, pomdps = coffee_setup
     phi = POp(PropInterval(F(0), F(1)), XOp(TRUE))
-    verdict = check(pomdps, phi, abstraction)
+    verdict = check(pomdps, phi)
     assert verdict.holds
 
 
@@ -128,7 +128,7 @@ def test_strict_threshold_fails_at_exact_value(coffee, coffee_setup):
     p = _pomdp_for(abstraction, pomdps, 0)
     phi = coffee.property_named("P1")
     strict = POp(PropInterval(F(1, 20), F(1), lo_open=True), phi.trace)
-    verdict = check([p], strict, abstraction)
+    verdict = check([p], strict)
     assert not verdict.holds
     assert verdict.per_type[0].subformulas[0].maximum == F(1, 20)
 
@@ -225,13 +225,13 @@ def test_boolean_structure_of_state_formulas(coffee, coffee_setup):
     leaf = parse_subjective("B(true) = 1", coffee)
     # per type: phi holds exactly for tau1, so its negation holds exactly
     # for the other two; neither is valid over all types
-    per_type = [tr.holds for tr in check(pomdps, phi, abstraction).per_type]
-    neg_per_type = [tr.holds for tr in check(pomdps, Not(phi), abstraction).per_type]
+    per_type = [tr.holds for tr in check(pomdps, phi).per_type]
+    neg_per_type = [tr.holds for tr in check(pomdps, Not(phi)).per_type]
     assert neg_per_type == [not h for h in per_type]
-    assert not check(pomdps, Not(phi), abstraction).holds
+    assert not check(pomdps, Not(phi)).holds
     # conjunction with an always-true leaf is neutral
-    assert check([p_tau1], And(leaf, phi), abstraction).holds
-    assert not check([p_tau1], And(leaf, Not(phi)), abstraction).holds
+    assert check([p_tau1], And(leaf, phi)).holds
+    assert not check([p_tau1], And(leaf, Not(phi))).holds
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def _dummy_obs(i):
 
 
 def _random_layered_pomdp(rng, k=3):
-    p = FinitePomdp(k, graph=None)
+    p = FinitePomdp(k)
     layers = [[None] * rng.randint(1, 3) for _ in range(k + 1)]
     counter = 0
     for d, layer in enumerate(layers):

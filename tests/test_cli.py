@@ -224,10 +224,41 @@ property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
 """
 
 
+# row 1's weights divide by the program's argument 0
+WEIGHT_DIVIDES_BY_ZERO = """
+fluents h;
+action a stochastic(x; y) { outcomes: (0), (1); likelihood: case true: 1 / x, 1 - 1 / x; }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(0) }
+property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
+"""
+
+# the believed table's default row divides by the argument; the real one
+# does not
+BELIEVED_WEIGHT_DIVIDES_BY_ZERO = """
+fluents h;
+action a stochastic(x; y) { outcomes: (0), (1); likelihood: case true: 1/2, 1/2; }
+believed { action a { likelihood: case h = 5: 1, 0; default: x / x, 0; } }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(0) }
+property P1 { P[>= 0](F<=1 B(h = 0) = 1) }
+"""
+
+
 @pytest.mark.parametrize("text, message", [
     (HALF_BELIEVED, "outcome weights of 'a' sum to 1/2"),
     (EQUAL_AT_ZERO, "[duplicate-outcome]"),
-], ids=["half-believed", "equal-at-zero"])
+    (WEIGHT_DIVIDES_BY_ZERO, "[weight-eval] row 1 of 'a' cannot be evaluated "
+                             "at a(0): division by zero (real)"),
+    (BELIEVED_WEIGHT_DIVIDES_BY_ZERO, "[weight-eval] row 2 of 'a' cannot be "
+                                      "evaluated at a(0): division by zero "
+                                      "(believed)"),
+], ids=["half-believed", "equal-at-zero", "weight-eval-real",
+        "weight-eval-believed"])
 @pytest.mark.parametrize("command", [
     ("verify", "--property", "P1"),
     ("simulate", "--psi", "F<=1 B(h = 0) = 1", "--trials", "20"),
@@ -267,3 +298,37 @@ def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
     assert ("[outcome-eval] outcome 1 of 'a' cannot be evaluated at a(0): "
             "division by zero (real)") in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed command-line values end as errors (exit 2) naming the value
+
+@pytest.mark.parametrize("argv, message", [
+    (("--world", "h=abc"), "--world value of 'h': 'abc' is not a number"),
+    (("--world", "h"), "--world entry 'h' is not fluent=value"),
+    (("--trials", "0"), "trials must be at least 1, got 0"),
+    (("--trials", "-3"), "trials must be at least 1, got -3"),
+], ids=["world-not-a-number", "world-without-value", "trials-zero",
+        "trials-negative"])
+def test_simulate_rejects_bad_values(capsys, argv, message):
+    code, _, err = run(capsys, "simulate", MODEL, "--psi", "F<=2 B(h=2) = 1",
+                       "--trials", "10", *argv)
+    assert code == 2
+    assert err.strip() == f"error: {message}"
+
+
+def test_verify_rejects_non_integer_reps_range(capsys):
+    code, _, err = run(capsys, "verify", MODEL, "--property", "P1",
+                       "--reps-range", "h=a..0")
+    assert code == 2
+    assert err.strip() == ("error: --reps-range 'h=a..0': the bounds must be "
+                           "integers")
+
+
+def test_verify_rejects_non_numeric_reps_file_line(tmp_path, capsys):
+    reps = tmp_path / "worlds.txt"
+    reps.write_text("(0)\n(x)\n")
+    code, _, err = run(capsys, "verify", MODEL, "--property", "P1",
+                       "--reps", str(reps))
+    assert code == 2
+    assert err.strip() == f"error: {reps} line 2: 'x' is not a number"
