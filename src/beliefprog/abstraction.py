@@ -430,7 +430,12 @@ def reps_from_init(model):
 
 def reps_from_ranges(model, ranges):
     """Integer box per fluent, e.g. {"h": (-2, 0)}; fluents without a range
-    stay at 0."""
+    stay at 0.  A range naming no fluent of the model is an error."""
+    names = {f.name for f in model.fluents}
+    for name in ranges:
+        if name not in names:
+            raise RepresentativeError(
+                f"representative range for unknown fluent {name!r}")
     axes = []
     for f in model.fluents:
         if f.name in ranges:

@@ -1,14 +1,20 @@
-"""Bounded PCTL checking by exhaustive enumeration of proper policies.
+"""Bounded PCTL checking over every proper policy by one exact search.
 
 A proper policy picks one enabled action per observation; with finitely
 many observations and actions the policy space is a finite cartesian
-product, so "for all proper policies" is decided exactly by computing the
-probability for every policy and checking the min and max against the
-interval (the interval is convex, so the extremes suffice).
+product, and "for all proper policies" is decided exactly by the min and
+max probability over it (the interval is convex, so the extremes suffice).
 
 Path probabilities are computed by forward mass propagation over the
 induced chain, absorbing at each depth the mass that trace_verdict (the
-path rule the simulator shares) decides.
+path rule the simulator shares) decides.  check does not walk the policies
+one by one: a depth-first search propagates the mass of all policies at
+once and fixes a choice only at the decision observations that mass
+reaches before the formula is decided (the finite-horizon policy tree of
+a POMDP).  Each leaf of the search stands for every policy that agrees
+with its fixed choices, so the leaves partition the policy space and
+their values give the exact extremes; the policy cap bounds search nodes.
+enumerate_policies stays as the exhaustive oracle.
 """
 
 import itertools
@@ -113,29 +119,42 @@ def _step(pomdp, policy, alive):
     return new
 
 
-def probability(pomdp, policy, psi, conservation=None) -> Fraction:
-    """Exact probability of the trace formula under one policy."""
+def _last_depth(psi):
     last = decision_depth(psi)
     if last is None:
         raise InadmissiblePropertyError(
             f"trace formula {print_trace_formula(psi)} is not bounded")
+    return last
+
+
+def _absorb(pomdp, psi, depth, alive, verdicts, decided):
+    """Move the mass that trace_verdict decides at depth from alive into
+    decided[True] / decided[False]; return the mass still open.  verdicts
+    memoises (observation, depth) -> verdict, since a state formula's truth
+    depends only on the observation."""
+    still = {}
+    for state, mass in alive.items():
+        key = (pomdp.obs_of[state], depth)
+        if key not in verdicts:
+            obs = pomdp.observations[key[0]]
+            verdicts[key] = trace_verdict(
+                psi, depth, lambda beta: obs_satisfies(obs, beta))
+        verdict = verdicts[key]
+        if verdict is None:
+            still[state] = mass
+        else:
+            decided[verdict] += mass
+    return still
+
+
+def probability(pomdp, policy, psi, conservation=None) -> Fraction:
+    """Exact probability of the trace formula under one policy."""
+    last = _last_depth(psi)
     decided = {True: Fraction(0), False: Fraction(0)}
-    verdicts = {}  # (observation, depth) -> verdict
+    verdicts = {}
     alive = {pomdp.initial: Fraction(1)}
     for depth in range(last + 1):
-        still = {}
-        for state, mass in alive.items():
-            key = (pomdp.obs_of[state], depth)
-            if key not in verdicts:
-                obs = pomdp.observations[key[0]]
-                verdicts[key] = trace_verdict(
-                    psi, depth, lambda beta: obs_satisfies(obs, beta))
-            verdict = verdicts[key]
-            if verdict is None:
-                still[state] = mass
-            else:
-                decided[verdict] += mass
-        alive = still
+        alive = _absorb(pomdp, psi, depth, alive, verdicts, decided)
         if conservation is not None:
             conservation.append(sum(decided.values())
                                 + sum(alive.values(), Fraction(0)))
@@ -143,6 +162,65 @@ def probability(pomdp, policy, psi, conservation=None) -> Fraction:
             break
         alive = _step(pomdp, policy, alive)
     return decided[True]
+
+
+def _search(pomdp, psi, cap):
+    """Min and max of Pr(psi) over every proper policy.
+
+    Returns (min, argmin, max, argmax, search nodes).  A node propagates
+    the open mass one depth under the choices fixed so far and branches
+    over the decision observations that this mass newly reaches, in
+    policy_space order with choices in declaration order.  A leaf (no open
+    mass, or the formula's decision depth) stands for every policy that
+    agrees with its fixed choices, so the leaves partition the policy
+    space.  The witnesses are the first optimal policies in
+    enumerate_policies order: each leaf's first member takes the first
+    choice wherever it fixed none, and the smallest such member wins."""
+    last = _last_depth(psi)
+    decisions = policy_space(pomdp)
+    choices_of = dict(decisions)
+    rank = {obs: i for i, (obs, _choices) in enumerate(decisions)}
+    verdicts = {}
+    best = {}  # 1 (min) / -1 (max) -> ((sign * value, completion key), fixed)
+    nodes = 0
+
+    def leaf(value, fixed):
+        key = tuple(choices.index(fixed[obs]) if obs in fixed else 0
+                    for obs, choices in decisions)
+        for sign in (1, -1):
+            if sign not in best or (sign * value, key) < best[sign][0]:
+                best[sign] = ((sign * value, key), fixed)
+
+    def visit(depth, alive, fixed, value):
+        nonlocal nodes
+        nodes += 1
+        if cap is not None and nodes > cap:
+            raise PolicyBudgetError(
+                f"policy search reached {nodes} nodes, over the cap {cap}")
+        decided = {True: value, False: Fraction(0)}
+        alive = _absorb(pomdp, psi, depth, alive, verdicts, decided)
+        if not alive or depth == last:
+            leaf(decided[True], fixed)
+            return
+        reached = {pomdp.obs_of[state] for state in alive}
+        new = sorted((reached - fixed.keys()) & rank.keys(),
+                     key=rank.__getitem__)
+        for combo in itertools.product(*[choices_of[obs] for obs in new]):
+            branch = {**fixed, **dict(zip(new, combo))}
+            visit(depth + 1, _step(pomdp, branch, alive), branch,
+                  decided[True])
+
+    visit(0, {pomdp.initial: Fraction(1)}, {}, Fraction(0))
+
+    (low, _), argmin = best[1]
+    (high, _), argmax = best[-1]
+    return (low, _complete(decisions, argmin), -high,
+            _complete(decisions, argmax), nodes)
+
+
+def _complete(decisions, fixed):
+    """The first policy in enumerate_policies order that agrees with fixed."""
+    return {obs: fixed.get(obs, choices[0]) for obs, choices in decisions}
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +276,23 @@ def _eval_state(phi, p_truth, initial_kb):
     return obs_satisfies(initial_kb, phi)
 
 
+def _recheck(pomdp, psi, witnesses):
+    """Re-derive each (value, policy) witness with probability: the value
+    must be the search's and the propagated mass exactly 1 at every depth."""
+    checked = []
+    for value, policy in witnesses:
+        if policy in checked:
+            continue
+        checked.append(policy)
+        masses = []
+        got = probability(pomdp, policy, psi, conservation=masses)
+        if got != value or any(mass != 1 for mass in masses):
+            raise RuntimeError(
+                f"witness policy re-check of Pr({print_trace_formula(psi)}): "
+                f"probability gives {got} with masses "
+                f"{[str(m) for m in masses]}, the search gave {value}")
+
+
 def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
     """Decide a bounded state formula over the per-type POMDPs.
 
@@ -215,33 +310,23 @@ def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
             raise InadmissiblePropertyError(
                 f"POMDP horizon {pomdp.k} is smaller than the property "
                 f"horizon {k}")
-        results = {}
-        n_policies = 0
-        for policy in enumerate_policies(pomdp, policy_cap):
-            n_policies += 1
-            for sub in p_subs:
-                prob = probability(pomdp, policy, sub.trace)
-                cur = results.get(id(sub))
-                if cur is None:
-                    results[id(sub)] = SubformulaResult(sub, prob, prob,
-                                                        dict(policy), dict(policy),
-                                                        False)
-                else:
-                    if prob < cur.minimum:
-                        cur.minimum, cur.argmin = prob, dict(policy)
-                    if prob > cur.maximum:
-                        cur.maximum, cur.argmax = prob, dict(policy)
         p_truth = {}
         sub_list = []
         for sub in p_subs:
-            res = results[id(sub)]
-            res.holds = sub.interval.contains(res.minimum) and \
-                sub.interval.contains(res.maximum)
-            p_truth[id(sub)] = res.holds
-            sub_list.append(res)
+            minimum, argmin, maximum, argmax, nodes = _search(
+                pomdp, sub.trace, policy_cap)
+            log.info("type %s: %d proper policies, min %s and max %s after "
+                     "%d search nodes", type_id, policy_count(pomdp), minimum,
+                     maximum, nodes)
+            _recheck(pomdp, sub.trace, [(minimum, argmin), (maximum, argmax)])
+            holds = sub.interval.contains(minimum) and \
+                sub.interval.contains(maximum)
+            p_truth[id(sub)] = holds
+            sub_list.append(SubformulaResult(sub, minimum, maximum, argmin,
+                                             argmax, holds))
         initial_kb = pomdp.observations[pomdp.obs_of[pomdp.initial]]
         type_holds = _eval_state(phi, p_truth, initial_kb)
-        verdict.per_type.append(TypeResult(type_id, n_policies, sub_list,
-                                           type_holds))
+        verdict.per_type.append(TypeResult(type_id, policy_count(pomdp),
+                                           sub_list, type_holds))
         verdict.holds = verdict.holds and type_holds
     return verdict

@@ -65,8 +65,12 @@ def _resolve_reps(model, args):
             lo, _, hi = span.partition("..")
             if not hi:
                 hi = lo
+            name = name.strip()
+            if name in ranges:
+                raise BeliefProgError(f"--reps-range gives fluent {name!r} "
+                                      "more than once")
             try:
-                ranges[name.strip()] = (int(lo), int(hi))
+                ranges[name] = (int(lo), int(hi))
             except ValueError:
                 raise BeliefProgError(f"--reps-range {spec!r}: the bounds "
                                       "must be integers") from None
@@ -362,7 +366,8 @@ def build_arg_parser():
     v.add_argument("model")
     v.add_argument("--property", required=True)
     _add_reps_flags(v)
-    v.add_argument("--policy-cap", type=int, default=DEFAULT_POLICY_CAP)
+    v.add_argument("--policy-cap", type=int, default=DEFAULT_POLICY_CAP,
+                   help="most nodes of each policy search (default %(default)s)")
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
 

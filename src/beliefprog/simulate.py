@@ -269,6 +269,8 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
     """Fraction of sampled traces satisfying the trace formula."""
     if trials < 1:
         raise BeliefProgError(f"trials must be at least 1, got {trials}")
+    if horizon < 0:
+        raise BeliefProgError(f"horizon must be at least 0, got {horizon}")
     engine = engine or TraceEngine(model, graph)
     successes = 0
     outcomes = {}

@@ -155,3 +155,8 @@ def test_reps_helpers(coffee):
     assert sorted(w["h"] for w in ranged) == [-2, -1, 0]
     auto = reps_auto(coffee)
     assert sorted(w["h"] for w in auto) == [-2, -1, 0]
+
+
+def test_reps_from_ranges_rejects_an_unknown_fluent(coffee):
+    with pytest.raises(RepresentativeError, match="unknown fluent 'zz'"):
+        reps_from_ranges(coffee, {"h": (-2, 0), "zz": (-2, 0)})

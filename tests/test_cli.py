@@ -308,11 +308,31 @@ def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
     (("--world", "h"), "--world entry 'h' is not fluent=value"),
     (("--trials", "0"), "trials must be at least 1, got 0"),
     (("--trials", "-3"), "trials must be at least 1, got -3"),
+    (("--horizon", "-2"), "horizon must be at least 0, got -2"),
 ], ids=["world-not-a-number", "world-without-value", "trials-zero",
-        "trials-negative"])
+        "trials-negative", "horizon-negative"])
 def test_simulate_rejects_bad_values(capsys, argv, message):
     code, _, err = run(capsys, "simulate", MODEL, "--psi", "F<=2 B(h=2) = 1",
                        "--trials", "10", *argv)
+    assert code == 2
+    assert err.strip() == f"error: {message}"
+
+
+def test_simulate_accepts_horizon_zero(capsys):
+    code, out, _ = run(capsys, "simulate", MODEL, "--psi", "F<=2 B(h=2) = 1",
+                       "--trials", "10", "--horizon", "0")
+    assert code == 0
+    assert "0/10 traces, horizon 0" in out
+
+
+@pytest.mark.parametrize("ranges, message", [
+    (["zz=-2..0"], "representative range for unknown fluent 'zz'"),
+    (["h=-2..0", "h=0..0"], "--reps-range gives fluent 'h' more than once"),
+], ids=["unknown-fluent", "repeated-fluent"])
+def test_verify_rejects_reps_range_naming_no_single_fluent(capsys, ranges,
+                                                           message):
+    argv = [arg for spec in ranges for arg in ("--reps-range", spec)]
+    code, _, err = run(capsys, "verify", MODEL, "--property", "P1", *argv)
     assert code == 2
     assert err.strip() == f"error: {message}"
 

@@ -59,6 +59,12 @@ def test_initial_world_must_satisfy_constraints(coffee):
         run_trace(coffee, make_world(coffee, [1]), "first-enabled", 5)
 
 
+def test_negative_horizon_rejected(coffee):
+    psi = parse_trace_formula("F<=2 B(h=2) = 1", coffee)
+    with pytest.raises(BeliefProgError, match="horizon must be at least 0, got -1"):
+        estimate(coffee, psi, make_world(coffee, [0]), "first-enabled", 10, 0, -1)
+
+
 def test_unknown_strategy_rejected(coffee):
     with pytest.raises(BeliefProgError):
         run_trace(coffee, make_world(coffee, [0]), "fastest", 5)
