@@ -9,13 +9,14 @@ knowledge base, which is the same for every representative.  Types are
 therefore told apart by their objective entries alone.
 
 Each piece of work is done once per call: a (world, action) step, giving
-the real likelihood and the successor world, and the objective truths at a
-world are memoised, and knowledge bases are progressed lazily, so only the
-sequences a caller reads (the POMDP builder reads the ones the program can
-take) are ever progressed.  The step is exposed as Abstraction.step: the
-POMDP builder reads a type's transitions from it at the type witness's
-world, so real likelihoods are found in one place.  The number of kept
-sequences is capped by SEQUENCE_BUDGET.
+the real likelihood and the successor world, is the real Bat's memoised
+step, the objective truths at a world are memoised, and knowledge bases
+are progressed lazily, so only the sequences a caller reads (the POMDP
+builder reads the ones the program can take) are ever progressed.  The
+step is exposed as Abstraction.step: the POMDP builder reads a type's
+transitions from it at the type witness's world, so real likelihoods are
+found in one place.  The number of kept sequences is capped by
+SEQUENCE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -31,10 +32,9 @@ from fractions import Fraction
 from .errors import (BeliefProgError, InadmissiblePropertyError,
                      SequenceBudgetError)
 # BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
-from .kb import (BREAKDOWN, EPSILON, FAILURE, action_likelihood,  # noqa: F401
+from .kb import (BREAKDOWN, EPSILON, FAILURE,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
-                 next_observation, oi_alternatives, progress_kb,
-                 progress_world, real_bat)
+                 next_observation, oi_alternatives, progress_kb, real_bat)
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
                      Not, Num, Or, POp, ParamRef, Piecewise, Prim, Test,
                      Seq, Choice, Star, Nil, UntilOp, XOp, print_formula)
@@ -334,24 +334,16 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
         raise RepresentativeError(
             "representative world(s) violate the initial constraints: "
             + ", ".join(repr(w) for w in rejected))
+    rbat = real_bat(model)
     deduped = []
     for w in reps:
         if w not in deduped:
-            deduped.append(w)
+            deduped.append(rbat.intern(w))
     reps = tuple(deduped)
+    step = rbat.step
 
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
-    rbat = real_bat(model)
-
-    steps = {}  # (world, action) -> (real likelihood, successor world)
-
-    def step(w, t):
-        hit = steps.get((w, t))
-        if hit is None:
-            hit = steps[(w, t)] = (action_likelihood(t, w, rbat),
-                                   progress_world(w, t, rbat))
-        return hit
 
     # prefix tree over (A_P)^{<=k}, breadth first with children in universe
     # order, so insertion order is tree order.  A branch is pruned once every

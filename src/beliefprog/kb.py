@@ -15,6 +15,13 @@ with L read from the believed likelihood tables.  The reserved actions
 eps and fail have likelihood 1, are OI only to themselves, and only touch
 the reserved fluents Final and Fail.
 
+Each Bat memoises its steps: the likelihood row per (symbol, ctrl, world),
+the (likelihood, successor) per (world, ground action), and the
+progression per (knowledge base, ground action).  It interns the worlds
+and knowledge bases it makes, so equal ones are one object and dicts
+keyed by them hit on identity.  A Bat is made per theory per run
+(real_bat, initial_kb), so no table outlives the run that filled it.
+
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation and eval_subjective are the one
 progression rule and the one truth rule for both.
@@ -59,7 +66,8 @@ class World:
         return tuple(self._vals[name] for name in order)
 
     def __eq__(self, other):
-        return isinstance(other, World) and self._key == other._key
+        return self is other or \
+            isinstance(other, World) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -117,7 +125,9 @@ RESERVED = (EPSILON, FAILURE)
 
 
 class Bat:
-    """Runtime view of one basic action theory (real or believed)."""
+    """Runtime view of one basic action theory (real or believed), with
+    the memo of its steps and the intern tables of its worlds and
+    knowledge bases."""
 
     def __init__(self, model, which):
         decl = model.real_bat if which == "real" else model.believed_bat
@@ -126,9 +136,66 @@ class Bat:
         self.ssa = {rule.fluent: rule for rule in decl.ssa}
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
+        self._rows = {}  # (symbol, ctrl, world) -> likelihood_row
+        self._alternatives = {}  # (symbol, ctrl) -> oi_alternatives
+        self._steps = {}  # (world, action) -> (likelihood, successor)
+        self._branches = {}  # (world, symbol, ctrl) -> nonzero branches
+        self._progressed = {}  # (kb, action) -> progressed kb
+        self._worlds = {}  # intern tables: each maps a value to its
+        self._kbs = {}  # one object
 
     def action_decl(self, symbol):
         return self.actions.get(symbol)
+
+    def intern(self, world):
+        """The one World equal to world that this theory hands out."""
+        return self._worlds.setdefault(world, world)
+
+    def intern_kb(self, kb):
+        """The one KnowledgeBase equal to kb that this theory hands out."""
+        return self._kbs.setdefault(kb, kb)
+
+    def likelihood_of(self, action, world) -> Fraction:
+        """action_likelihood, reading the row memo."""
+        if action.symbol in (EPSILON_NAME, FAILURE_NAME):
+            return ONE
+        key = (action.symbol, action.ctrl, world)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = likelihood_row(action.symbol, action.ctrl,
+                                                   world, self)
+        for value, weight in row:
+            if value == action.unctrl:
+                return weight
+        return ZERO
+
+    def step(self, world, action):
+        """(likelihood, successor world) of a ground action at a world; the
+        successor is interned and is computed even where the likelihood
+        is 0."""
+        key = (world, action)
+        hit = self._steps.get(key)
+        if hit is None:
+            hit = self._steps[key] = (
+                self.likelihood_of(action, world),
+                self.intern(progress_world(world, action, self)))
+        return hit
+
+    def branches(self, world, symbol, ctrl):
+        """(ground action, likelihood) for each OI-alternative of
+        symbol(ctrl, _) with nonzero likelihood at world, in
+        oi_alternatives order."""
+        key = (world, symbol, ctrl)
+        hit = self._branches.get(key)
+        if hit is None:
+            alts = self._alternatives.get((symbol, ctrl))
+            if alts is None:
+                alts = self._alternatives[(symbol, ctrl)] = \
+                    oi_alternatives(symbol, ctrl, self.model)
+            hit = self._branches[key] = tuple(
+                (t, like) for t in alts
+                if (like := self.likelihood_of(t, world)) != 0)
+        return hit
 
 
 def real_bat(model):
@@ -334,7 +401,7 @@ class KnowledgeBase:
     def __init__(self, dist, bat):
         self.dist = {w: p for w, p in dist.items() if p != 0}
         self.bat = bat
-        self._key = tuple(sorted((w._key, p) for w, p in self.dist.items()))
+        self._key = frozenset(self.dist.items())
         self._hash = hash(self._key)
 
     @property
@@ -345,7 +412,8 @@ class KnowledgeBase:
         return sum(self.dist.values(), ZERO)
 
     def __eq__(self, other):
-        return isinstance(other, KnowledgeBase) and self._key == other._key
+        return self is other or \
+            isinstance(other, KnowledgeBase) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -382,27 +450,25 @@ BREAKDOWN = _Breakdown()
 
 
 def initial_kb(model) -> KnowledgeBase:
+    """The initial knowledge base, over a new believed Bat."""
     bat = believed_bat(model)
     dist = {}
     for vals, weight in model.kb0:
-        w = make_world(model, vals)
+        w = bat.intern(make_world(model, vals))
         dist[w] = dist.get(w, ZERO) + weight
-    return KnowledgeBase(dist, bat)
+    return bat.intern_kb(KnowledgeBase(dist, bat))
 
 
 def progress_kb_stochastic(kb, action) -> KnowledgeBase:
-    alts = oi_alternatives(action.symbol, action.ctrl, kb.bat.model)
+    bat = kb.bat
     new = {}
     total = ZERO
     per_point_ok = True
     for w, p in kb.dist.items():
         point_mass = ZERO
-        for alt in alts:
-            like = action_likelihood(alt, w, kb.bat)
-            if like == 0:
-                continue
+        for alt, like in bat.branches(w, action.symbol, action.ctrl):
             point_mass += like
-            succ = progress_world(w, alt, kb.bat)
+            succ = bat.step(w, alt)[1]
             new[succ] = new.get(succ, ZERO) + p * like
         total += p * point_mass
         if point_mass != 1:
@@ -414,17 +480,18 @@ def progress_kb_stochastic(kb, action) -> KnowledgeBase:
         raise LikelihoodSumError(
             f"believed likelihoods of {action} are incomplete: "
             f"total progressed mass {frac_str(total)}")
-    return KnowledgeBase(new, kb.bat)
+    return bat.intern_kb(KnowledgeBase(new, bat))
 
 
 def progress_kb_sensing(kb, action) -> KnowledgeBase:
+    bat = kb.bat
     new = {}
     eta = ZERO
     for w, p in kb.dist.items():
-        like = action_likelihood(action, w, kb.bat)
+        like = bat.likelihood_of(action, w)
         if like == 0:
             continue
-        succ = progress_world(w, action, kb.bat)
+        succ = bat.step(w, action)[1]
         new[succ] = new.get(succ, ZERO) + p * like
         eta += p * like
     if eta == 0:
@@ -432,23 +499,33 @@ def progress_kb_sensing(kb, action) -> KnowledgeBase:
             f"sensing result {action} is believed impossible (normalizer 0)")
     if eta != 1:
         new = {w: p / eta for w, p in new.items()}
-    return KnowledgeBase(new, kb.bat)
+    return bat.intern_kb(KnowledgeBase(new, bat))
 
 
 def progress_kb(kb, action) -> KnowledgeBase:
-    """Progress by one ground action, dispatching on its kind."""
+    """Progress by one ground action, dispatching on its kind; the result
+    is memoised on, and interned by, the knowledge base's Bat."""
+    bat = kb.bat
+    key = (kb, action)
+    hit = bat._progressed.get(key)
+    if hit is not None:
+        return hit
     if action.symbol in (EPSILON_NAME, FAILURE_NAME):
         new = {}
         for w, p in kb.dist.items():
-            succ = progress_world(w, action, kb.bat)
+            succ = bat.step(w, action)[1]
             new[succ] = new.get(succ, ZERO) + p
-        return KnowledgeBase(new, kb.bat)
-    decl = kb.bat.action_decl(action.symbol)
-    if decl is None:
-        raise EvalError(f"undeclared action {action.symbol!r}")
-    if decl.kind == "sensing":
-        return progress_kb_sensing(kb, action)
-    return progress_kb_stochastic(kb, action)
+        hit = bat.intern_kb(KnowledgeBase(new, bat))
+    else:
+        decl = bat.action_decl(action.symbol)
+        if decl is None:
+            raise EvalError(f"undeclared action {action.symbol!r}")
+        if decl.kind == "sensing":
+            hit = progress_kb_sensing(kb, action)
+        else:
+            hit = progress_kb_stochastic(kb, action)
+    bat._progressed[key] = hit
+    return hit
 
 
 def next_observation(obs, action, progress=progress_kb):

@@ -23,6 +23,7 @@ infinite; frontier states at the horizon carry a fail self-loop.
 
 import json
 import logging
+from collections import deque
 from fractions import Fraction
 
 from .errors import LikelihoodContextError, ObservationUniformityError
@@ -83,24 +84,27 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
     k = abstraction.horizon
     ctx = abstraction.context
     p = FinitePomdp(k, type_id)
+    # keyed by the observation itself: a KnowledgeBase caches its hash and
+    # equal ones are one interned object, and BREAKDOWN is a singleton
     obs_index = {}
 
     def observation_of(kb):
-        if kb.key not in obs_index:
-            obs_index[kb.key] = len(p.observations)
+        index = obs_index.get(kb)
+        if index is None:
+            index = obs_index[kb] = len(p.observations)
             p.observations.append(kb)
             # the breakdown label set is empty, even for a negation
             p.labels.append(frozenset() if kb is BREAKDOWN else frozenset(
                 i for i in ctx.subjective_indices()
                 if eval_subjective(kb, ctx.formulas[i].formula)))
-        return obs_index[kb.key]
+        return index
 
     world_at = {(): tau.witness}  # sequence -> the witness's world after it
     start = _add_state(p, ((), 0))
     p.obs_of[start] = observation_of(abstraction.kb_of[()])
-    queue = [start]
+    queue = deque([start])
     while queue:
-        si = queue.pop(0)
+        si = queue.popleft()
         z, node = p.states[si]
         if z is None:  # breakdown sink
             p.transitions[si][FAILURE_NAME] = [(si, Fraction(1))]

@@ -20,6 +20,8 @@ rules:
     fin(d1 | d2) = fin(d1) | fin(d2)     fin(d*) = true
 """
 
+from collections import deque
+
 from .kb import eval_subjective
 from .syntax import (Choice, FALSE, Nil, Prim, Seq, Star, Test, TRUE, conj,
                      disj, neg, print_formula, print_program, seq)
@@ -92,9 +94,9 @@ def build_graph(delta) -> CharGraph:
     edges = []
     fin = []
     fail = []
-    frontier = [delta]
+    frontier = deque([delta])
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         raw = step_edges(node)
         out = []
         for guard, prim, succ in raw:

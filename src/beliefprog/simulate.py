@@ -19,9 +19,8 @@ import numpy as np
 
 from .checker import decision_depth, obs_satisfies, trace_verdict
 from .errors import BeliefProgError
-from .kb import (BREAKDOWN, action_likelihood, eval_fluent_formula,
-                 initial_kb, next_observation, oi_alternatives, progress_kb,
-                 progress_world, real_bat)
+from .kb import (BREAKDOWN, eval_fluent_formula, initial_kb,
+                 next_observation, progress_kb, real_bat)
 from .program_graph import build_graph, enabled
 from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp, print_program
 
@@ -73,12 +72,48 @@ class Strategy:
     UNIFORM_RANDOM = "uniform-random"
 
 
-class TraceEngine:
-    """Shared caches for repeated trials over one model.
+class _Config:
+    """One entry of the configuration table: a trace at a program node with
+    an observation, in a real world.  The enabled edges are filled when a
+    trace first stands here with steps left; each edge's move when it is
+    first chosen here."""
 
-    The reachable configuration space of a run is tiny compared to the
-    trial count, so guard evaluation, knowledge-base progression, world
-    progression, and real likelihood rows are all memoized.
+    __slots__ = ("node", "obs", "world", "live", "is_final", "is_failing",
+                 "moves", "rendered", "labels")
+
+    def __init__(self, node, obs, world):
+        self.node = node
+        self.obs = obs
+        self.world = world
+        self.live = None  # enabled edges, once filled
+        self.is_final = self.is_failing = False
+        self.moves = None  # per live edge: _Move or None
+        # for policy maps: obs.render() and the live edges' labels
+        self.rendered = self.labels = None
+
+
+class _Move:
+    """An enabled edge taken from one configuration: its really-possible
+    ground outcomes, their cumulative cut-offs and their successor entries
+    (a _Config, BREAKDOWN, or None until first drawn)."""
+
+    __slots__ = ("edge", "outcomes", "cuts", "succ")
+
+    def __init__(self, edge, outcomes, cuts):
+        self.edge = edge
+        self.outcomes = outcomes  # ((ground action, real likelihood), ...)
+        self.cuts = cuts  # _cum_thresholds of the likelihoods
+        self.succ = [None] * len(outcomes)
+
+
+class TraceEngine:
+    """The configuration table of repeated trials over one model.
+
+    A configuration is (node, observation, world).  run_trace walks the
+    table, keyed by configuration, and fills a missing entry through the
+    five methods below; world steps and knowledge-base progressions are
+    memoised in the real and believed Bat, so each is taken once per
+    engine.
     """
 
     def __init__(self, model, graph=None):
@@ -87,10 +122,8 @@ class TraceEngine:
         self.rbat = real_bat(model)
         self.kb0 = initial_kb(model)
         self._enabled = {}
-        self._kb_step = {}
-        self._world_step = {}
-        self._outcomes = {}
         self._beta = {}
+        self._configs = {}  # (node, observation, world) -> _Config
 
     def enabled_at(self, node, kb):
         key = (node, kb)
@@ -101,33 +134,17 @@ class TraceEngine:
         return hit
 
     def progress(self, kb, action):
-        key = (kb, action)
-        hit = self._kb_step.get(key)
-        if hit is None:
-            hit = self._kb_step[key] = next_observation(kb, action, progress_kb)
-        return hit
+        return next_observation(kb, action, progress_kb)
 
     def world_after(self, world, action):
-        key = (world, action)
-        hit = self._world_step.get(key)
-        if hit is None:
-            hit = progress_world(world, action, self.rbat)
-            self._world_step[key] = hit
-        return hit
+        return self.rbat.step(world, action)[1]
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
-        with precomputed cumulative sampling thresholds."""
-        key = (world, id(edge))
-        hit = self._outcomes.get(key)
-        if hit is None:
-            prim = edge.prim
-            alts = oi_alternatives(prim.symbol, prim.args, self.model)
-            weighted = [(t, p) for t in alts
-                        if (p := action_likelihood(t, world, self.rbat)) > 0]
-            hit = (weighted, _cum_thresholds([p for _, p in weighted]))
-            self._outcomes[key] = hit
-        return hit
+        with cumulative sampling thresholds."""
+        prim = edge.prim
+        weighted = self.rbat.branches(world, prim.symbol, prim.args)
+        return weighted, _cum_thresholds([p for _, p in weighted])
 
     def satisfies(self, obs, beta):
         key = (obs, id(beta))
@@ -136,6 +153,42 @@ class TraceEngine:
             hit = obs_satisfies(obs, beta)
             self._beta[key] = hit
         return hit
+
+    # -- filling the table --------------------------------------------------
+
+    def config(self, node, obs, world):
+        key = (node, obs, world)
+        hit = self._configs.get(key)
+        if hit is None:
+            hit = self._configs[key] = _Config(node, obs, world)
+        return hit
+
+    def _fill(self, config):
+        live, config.is_final, config.is_failing = \
+            self.enabled_at(config.node, config.obs)
+        config.moves = [None] * len(live)
+        config.live = live
+
+    def _fill_labels(self, config):
+        config.rendered = config.obs.render()
+        config.labels = [print_program(e.prim) for e in config.live]
+
+    def _move(self, config, i):
+        edge = config.live[i]
+        weighted, cuts = self.real_outcomes(config.world, edge)
+        if not weighted:
+            raise BeliefProgError(
+                f"{print_program(edge.prim)} has no really-possible outcome "
+                f"at {config.world!r}")
+        move = config.moves[i] = _Move(edge, weighted, cuts)
+        return move
+
+    def _successor(self, config, move, j):
+        t = move.outcomes[j][0]
+        obs = self.progress(config.obs, t)
+        succ = move.succ[j] = BREAKDOWN if obs is BREAKDOWN else \
+            self.config(move.edge.target, obs, self.world_after(config.world, t))
+        return succ
 
 
 def run_trace(model, world0, policy, horizon, seed=0, trial=0,
@@ -151,64 +204,63 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
         raise BeliefProgError(f"unknown strategy {policy!r}")
     engine = engine or TraceEngine(model, graph)
     rng = rng or trial_rng(seed, trial)
-    kb = engine.kb0
-    w = world0
-    node = 0
+    config = engine.config(0, engine.kb0, engine.rbat.intern(world0))
     actions = []
-    kbs = [kb]
-    likelihood = Fraction(1)
+    kbs = [config.obs]
+    num = den = 1  # the trace likelihood num/den, normalised once at the end
+    outcome = "horizon-cut"
 
     while len(actions) < horizon:
-        live, is_final, is_failing = engine.enabled_at(node, kb)
-        if is_failing:
-            return TraceRecord(world0, actions, kbs, "fail", likelihood)
-        edge = None
+        if config.live is None:
+            engine._fill(config)
+        if config.is_failing:
+            outcome = "fail"
+            break
         if policy == Strategy.FIRST_ENABLED:
-            if live:
-                edge = live[0]
-            else:
-                return TraceRecord(world0, actions, kbs, "final", likelihood)
+            if not config.live:
+                outcome = "final"
+                break
+            i = 0
         elif policy == Strategy.UNIFORM_RANDOM:
-            options = list(live) + (["stop"] if is_final else [])
-            pick = options[int(rng.integers(0, len(options)))]
-            if pick == "stop":
-                return TraceRecord(world0, actions, kbs, "final", likelihood)
-            edge = pick
+            n = len(config.live)
+            i = int(rng.integers(0, n + 1 if config.is_final else n))
+            if i == n:
+                outcome = "final"
+                break
         else:
-            label = policy.get(kb.render())
+            if config.labels is None:
+                engine._fill_labels(config)
+            label = policy.get(config.rendered)
             if label in (None, "eps"):
-                if is_final:
-                    return TraceRecord(world0, actions, kbs, "final", likelihood)
-                if label is None and live:
-                    edge = live[0]
+                if config.is_final:
+                    outcome = "final"
+                    break
+                if label is None and config.live:
+                    i = 0
                 else:
                     raise BeliefProgError(
-                        f"policy stops at a non-final observation {kb.render()}")
+                        "policy stops at a non-final observation "
+                        f"{config.rendered}")
+            elif label in config.labels:
+                i = config.labels.index(label)
             else:
-                edge = next((e for e in live
-                             if print_program(e.prim) == label), None)
-                if edge is None:
-                    raise BeliefProgError(
-                        f"policy action {label!r} is not enabled at {kb.render()}")
+                raise BeliefProgError(f"policy action {label!r} is not "
+                                      f"enabled at {config.rendered}")
 
-        weighted, thresholds = engine.real_outcomes(w, edge)
-        if not weighted:
-            raise BeliefProgError(
-                f"{print_program(edge.prim)} has no really-possible outcome "
-                f"at {w!r}")
-        t, p = weighted[_sample_cum(rng, thresholds)]
-        next_kb = engine.progress(kb, t)
-        if next_kb is BREAKDOWN:
-            return TraceRecord(world0, actions, kbs, "belief-breakdown",
-                               likelihood)
-        likelihood *= p
-        w = engine.world_after(w, t)
-        kb = next_kb
+        move = config.moves[i] or engine._move(config, i)
+        j = _sample_cum(rng, move.cuts)
+        succ = move.succ[j] or engine._successor(config, move, j)
+        if succ is BREAKDOWN:
+            outcome = "belief-breakdown"
+            break
+        t, p = move.outcomes[j]
+        num *= p.numerator
+        den *= p.denominator
         actions.append(t)
-        kbs.append(kb)
-        node = edge.target
+        kbs.append(succ.obs)
+        config = succ
 
-    return TraceRecord(world0, actions, kbs, "horizon-cut", likelihood)
+    return TraceRecord(world0, actions, kbs, outcome, Fraction(num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,26 @@
+import json
 from fractions import Fraction
 
 import pytest
 from scipy import stats
 
-from beliefprog import (BeliefProgError, estimate, eval_trace_formula,
-                        make_world, parse_model, parse_trace_formula,
-                        progress_kb, run_trace)
+from beliefprog import (BeliefProgError, IncompatibleActionError,
+                        IncompatibleSensingError, KnowledgeBase,
+                        LikelihoodSumError, action_likelihood, believed_bat,
+                        build_graph, enabled, estimate, eval_fluent_formula,
+                        eval_trace_formula, make_world, oi_alternatives,
+                        parse_model, parse_trace_formula, progress_kb,
+                        progress_world, real_bat, reps_from_init, run_trace)
+import beliefprog.kb as kb_mod
+from beliefprog.abstraction import program_prims
+from beliefprog.cli import main
 from beliefprog.kb import initial_kb
-from beliefprog.simulate import (TraceEngine, hoeffding_half_width,
-                                 sample_index, trial_rng)
+from beliefprog.simulate import (TraceEngine, TraceRecord,
+                                 hoeffding_half_width, sample_index,
+                                 trial_rng)
+from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, frac_str,
+                               print_program)
+from conftest import COFFEE, ROOT, random_model_text
 
 F = Fraction
 
@@ -180,3 +192,262 @@ def test_globally_on_prefix(coffee):
     record = run_trace(coffee, make_world(coffee, [-2]), "first-enabled", 4,
                        seed=2, trial=0)
     assert eval_trace_formula(psi, record)
+
+
+# ---------------------------------------------------------------------------
+# the configuration table against a reference stepper
+#
+# reference_trace is the simulator's step loop as it was before the
+# configuration table and the Bat's step memo: every step evaluates the
+# guards, the real likelihoods, the knowledge-base update rules and the
+# world progression afresh through the unmemoised kb functions.
+
+CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
+
+
+def reference_progress(kb, action):
+    """The stochastic and sensing update rules over action_likelihood and
+    progress_world, with no memo and no interning."""
+    bat = kb.bat
+    new = {}
+    if action.symbol in (EPSILON_NAME, FAILURE_NAME):
+        for w, p in kb.dist.items():
+            succ = progress_world(w, action, bat)
+            new[succ] = new.get(succ, F(0)) + p
+        return KnowledgeBase(new, bat)
+    if bat.action_decl(action.symbol).kind == "sensing":
+        eta = F(0)
+        for w, p in kb.dist.items():
+            like = action_likelihood(action, w, bat)
+            if like == 0:
+                continue
+            succ = progress_world(w, action, bat)
+            new[succ] = new.get(succ, F(0)) + p * like
+            eta += p * like
+        if eta == 0:
+            raise IncompatibleSensingError(f"sensing result {action} is "
+                                           "believed impossible (normalizer 0)")
+        return KnowledgeBase({w: p / eta for w, p in new.items()}, bat)
+    alts = oi_alternatives(action.symbol, action.ctrl, bat.model)
+    total = F(0)
+    per_point_ok = True
+    for w, p in kb.dist.items():
+        point_mass = F(0)
+        for alt in alts:
+            like = action_likelihood(alt, w, bat)
+            if like == 0:
+                continue
+            point_mass += like
+            succ = progress_world(w, alt, bat)
+            new[succ] = new.get(succ, F(0)) + p * like
+        total += p * point_mass
+        per_point_ok = per_point_ok and point_mass == 1
+    if total == 0:
+        raise IncompatibleActionError(
+            f"action {action} has zero believed likelihood on the whole support")
+    if not per_point_ok or total != 1:
+        raise LikelihoodSumError(
+            f"believed likelihoods of {action} are incomplete: "
+            f"total progressed mass {frac_str(total)}")
+    return KnowledgeBase(new, bat)
+
+
+def reference_trace(model, world0, policy, horizon, seed, trial):
+    if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
+        raise BeliefProgError(f"initial world {world0!r} violates the "
+                              "initial constraints")
+    graph = build_graph(model.program)
+    rbat = real_bat(model)
+    rng = trial_rng(seed, trial)
+    kb = initial_kb(model)
+    w = world0
+    node = 0
+    actions = []
+    kbs = [kb]
+    likelihood = F(1)
+
+    while len(actions) < horizon:
+        live, is_final, is_failing = enabled(graph, node, kb)
+        if is_failing:
+            return TraceRecord(world0, actions, kbs, "fail", likelihood)
+        edge = None
+        if policy == "first-enabled":
+            if live:
+                edge = live[0]
+            else:
+                return TraceRecord(world0, actions, kbs, "final", likelihood)
+        elif policy == "uniform-random":
+            options = list(live) + (["stop"] if is_final else [])
+            pick = options[int(rng.integers(0, len(options)))]
+            if pick == "stop":
+                return TraceRecord(world0, actions, kbs, "final", likelihood)
+            edge = pick
+        else:
+            label = policy.get(kb.render())
+            if label in (None, "eps"):
+                if is_final:
+                    return TraceRecord(world0, actions, kbs, "final", likelihood)
+                if label is None and live:
+                    edge = live[0]
+                else:
+                    raise BeliefProgError(
+                        f"policy stops at a non-final observation {kb.render()}")
+            else:
+                edge = next((e for e in live
+                             if print_program(e.prim) == label), None)
+                if edge is None:
+                    raise BeliefProgError(
+                        f"policy action {label!r} is not enabled at {kb.render()}")
+
+        prim = edge.prim
+        weighted = [(t, p) for t in oi_alternatives(prim.symbol, prim.args, model)
+                    if (p := action_likelihood(t, w, rbat)) > 0]
+        if not weighted:
+            raise BeliefProgError(
+                f"{print_program(edge.prim)} has no really-possible outcome "
+                f"at {w!r}")
+        t, p = weighted[sample_index(rng, [p for _, p in weighted])]
+        try:
+            next_kb = reference_progress(kb, t)
+        except IncompatibleSensingError:
+            return TraceRecord(world0, actions, kbs, "belief-breakdown",
+                               likelihood)
+        likelihood *= p
+        w = progress_world(w, t, rbat)
+        kb = next_kb
+        actions.append(t)
+        kbs.append(kb)
+        node = edge.target
+
+    return TraceRecord(world0, actions, kbs, "horizon-cut", likelihood)
+
+
+def _result(stepper):
+    """A record's fields, or the class and message of what it raised."""
+    try:
+        r = stepper()
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+    return r.actions, r.kbs, r.outcome, r.trace_likelihood
+
+
+def _rotating_policy_map(model, records):
+    """Maps each observation the records reach to the program's action
+    labels and "eps" in turn, so a run meets chosen, disabled, stopping
+    and missing entries."""
+    labels = [print_program(p) for p in program_prims(model.program)] + ["eps"]
+    seen = dict.fromkeys(kb for r in records for kb in r.kbs)
+    return {kb.render(): labels[i % len(labels)] for i, kb in enumerate(seen)}
+
+
+def assert_steppers_agree(model, world0, policies, trials, horizon, seed):
+    """The table walk equals the reference on every trial and policy, and
+    every recorded progression through the warm believed Bat is the
+    interned result of a fresh Bat's and of the reference rules."""
+    walked = 0
+    for policy in policies:
+        engine = TraceEngine(model)
+        for trial in range(trials):
+            got = _result(lambda: run_trace(model, world0, policy, horizon,
+                                            seed=seed, trial=trial,
+                                            engine=engine))
+            assert got == _result(lambda: reference_trace(
+                model, world0, policy, horizon, seed, trial)), (policy, trial)
+            if isinstance(got[0], type):
+                continue
+            actions, kbs = got[0], got[1]
+            for kb, action, after in zip(kbs, actions, kbs[1:]):
+                assert progress_kb(kb, action) is after
+                fresh = KnowledgeBase(kb.dist, believed_bat(model))
+                assert progress_kb(fresh, action) == after
+                assert reference_progress(kb, action) == after
+            walked += len(actions)
+    return walked
+
+
+@pytest.mark.parametrize("path", [COFFEE, CHOICE], ids=["coffee", "coffee-choice"])
+def test_configuration_table_matches_reference(path, capsys):
+    model = parse_model(path.read_text())
+    world0 = make_world(model, [0])
+    # one policy map: the argmax witness of type 0 (witness h = 0)
+    assert main(["verify", str(path), "--property", "P1",
+                 "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    witness = report["verdict"]["per_type"][0]["subformulas"][0]["argmax_policy"]
+    walked = assert_steppers_agree(
+        model, world0, ["first-enabled", "uniform-random", witness],
+        trials=150, horizon=10, seed=5)
+    assert walked > 1000
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_configuration_table_matches_reference_random(seed):
+    model = parse_model(random_model_text(seed))
+    world0 = reps_from_init(model)[0]
+    records = []
+    for trial in range(6):
+        try:
+            records.append(reference_trace(model, world0, "uniform-random",
+                                           4, seed, trial))
+        except BeliefProgError:
+            pass
+    policies = ["first-enabled", "uniform-random",
+                _rotating_policy_map(model, records)]
+    assert_steppers_agree(model, world0, policies, trials=6, horizon=4,
+                          seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# seeded results and the lifetime of the step tables
+
+SIM_COFFEE = ["simulate", str(COFFEE), "--world", "h=0",
+              "--policy", "first-enabled", "--psi", "F<=2 B(h=2) = 1",
+              "--trials", "5000", "--horizon", "10", "--seed", "0",
+              "--format", "json"]
+SIM_CHOICE = ["simulate", str(CHOICE), "--world", "h=0",
+              "--policy", "uniform-random", "--psi", "F<=3 B(h = 2) = 1",
+              "--trials", "2000", "--horizon", "10", "--seed", "0",
+              "--format", "json"]
+
+
+@pytest.mark.parametrize("argv, successes, outcomes", [
+    (SIM_COFFEE, 297, {"belief-breakdown": 190, "horizon-cut": 4810}),
+    (SIM_CHOICE, 47, {"belief-breakdown": 51, "final": 293,
+                      "horizon-cut": 1656}),
+], ids=["sim-coffee", "sim-choice"])
+def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
+    # the benchmark's simulate workloads at seed 0
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["successes"], report["outcomes"]) == (successes, outcomes)
+
+
+def test_cli_calls_share_no_step_table(monkeypatch, capsys):
+    """Each cli.main call reads and fills only tables it made: no Bat or
+    engine outlives the call that made it."""
+    made, used = [], []
+    for cls, methods in ((kb_mod.Bat, ("step", "branches", "likelihood_of",
+                                       "intern", "intern_kb")),
+                         (TraceEngine, ("config",))):
+        init = cls.__init__
+
+        def recording_init(self, *args, _init=init, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+        monkeypatch.setattr(cls, "__init__", recording_init)
+        for name in methods:
+            method = getattr(cls, name)
+
+            def recording(self, *args, _method=method):
+                used.append(self)
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, recording)
+
+    small_sim = SIM_COFFEE[:SIM_COFFEE.index("--trials")] + ["--trials", "50"]
+    for argv in [small_sim] * 2 + [["verify", str(COFFEE), "--property", "P1"]] * 2:
+        made.clear()
+        used.clear()
+        main(argv)
+        assert used
+        assert set(map(id, used)) <= set(map(id, made)), argv
+    capsys.readouterr()
