@@ -10,13 +10,11 @@ therefore told apart by their objective entries alone.
 
 Each piece of work is done once per call: a (world, action) step, giving
 the real likelihood and the successor world, is the real Bat's memoised
-step, the objective truths at a world are memoised, and knowledge bases
-are progressed lazily, so only the sequences a caller reads (the POMDP
-builder reads the ones the program can take) are ever progressed.  The
-step is exposed as Abstraction.step: the POMDP builder reads a type's
-transitions from it at the type witness's world, so real likelihoods are
-found in one place.  The number of kept sequences is capped by
-SEQUENCE_BUDGET.
+step, and the objective truths at a world are memoised.  No knowledge base
+is progressed here.  The abstraction hands on the real Bat and the initial
+knowledge base, from which the POMDP builder steps a type's configurations
+at the type witness's world, so real likelihoods are found in one place.
+The number of kept sequences is capped by SEQUENCE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -25,7 +23,6 @@ discharge itself, and every report restates that caveat.
 
 import itertools
 import logging
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +31,7 @@ from .errors import (BeliefProgError, InadmissiblePropertyError,
 # BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
 from .kb import (BREAKDOWN, EPSILON, FAILURE,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
-                 next_observation, oi_alternatives, progress_kb, real_bat)
+                 oi_alternatives, real_bat)
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
                      Not, Num, Or, POp, ParamRef, Piecewise, Prim, Test,
                      Seq, Choice, Star, Nil, UntilOp, XOp, print_formula)
@@ -257,37 +254,6 @@ def horizon_of(phi) -> int:
 SEQUENCE_BUDGET = 200_000
 
 
-class LazyKbs(Mapping):
-    """Kept sequence -> observation (KnowledgeBase or BREAKDOWN),
-    progressed on access.
-
-    ``kb_of[z]`` is ``next_observation(kb_of[z[:-1]], z[-1])``, computed
-    the first time it is read and kept.  Pruned sequences are not members.
-    """
-
-    def __init__(self, kb0, kept):
-        self._kept = kept
-        self._kbs = {(): kb0}
-
-    def __contains__(self, z):
-        return z in self._kept
-
-    def __getitem__(self, z):
-        kb = self._kbs.get(z)
-        if kb is None:
-            if z not in self._kept:
-                raise KeyError(z)
-            kb = self._kbs[z] = next_observation(self[z[:-1]], z[-1],
-                                                 progress_kb)
-        return kb
-
-    def __iter__(self):
-        return iter(self._kept)
-
-    def __len__(self):
-        return len(self._kept)
-
-
 @dataclass
 class TypeAssignment:
     witness: object  # representative World
@@ -302,10 +268,10 @@ class Abstraction:
     universe: list
     horizon: int
     sequences: list  # kept sequences (tuples of GroundAction), by tree order
-    kb_of: LazyKbs  # sequence -> KnowledgeBase or BREAKDOWN
+    kb0: object  # the initial KnowledgeBase
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
-    step: object  # (world, action) -> (real likelihood, successor world)
+    rbat: object  # the real Bat whose steps made the types
 
 
 def _check_budget(k, kept, frontier, remaining):
@@ -376,7 +342,6 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
         frontier = new_frontier
     sequences = list(worlds_of)
 
-    kb_of = LazyKbs(initial_kb(model), worlds_of.keys())
     formulas = [context.formulas[i].formula
                 for i in context.objective_indices()]
     truths = {}  # world -> objective truths, in context index order
@@ -405,8 +370,8 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
     if pruned:
         log.info("pruned %d action sequences unreachable from every "
                  "representative", pruned)
-    return Abstraction(context, universe, k, sequences, kb_of, types, pruned,
-                       step)
+    return Abstraction(context, universe, k, sequences, initial_kb(model),
+                       types, pruned, rbat)
 
 
 def _sequence_sort_key(z):

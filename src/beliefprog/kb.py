@@ -49,7 +49,9 @@ class World:
     def __init__(self, values):
         self._vals = dict(values)
         self._key = tuple(sorted(self._vals.items()))
-        self._hash = hash(self._key)
+        # hash(-1) == hash(-2) in CPython, so the values are hashed by
+        # their text: h=-1 and h=-2 must not collide
+        self._hash = hash(tuple((name, str(v)) for name, v in self._key))
 
     def __getitem__(self, name):
         return self._vals[name]

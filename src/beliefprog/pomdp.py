@@ -1,13 +1,14 @@
 """Finite POMDP construction for one type.
 
-States are (action sequence, graph node) pairs explored forward from the
-empty sequence.  Transition probabilities are the real likelihoods at the
-type witness's world progressed along the sequence, read through the
-abstraction's memoised step; the type fixes the truth of every likelihood
-context along every sequence, so any world of the type gives the same
-weights.  The believed knowledge base progressed along the sequence
-supplies the observation attached to each state and the labels attached
-to each observation.
+A state is a program configuration at a depth: ((graph node, observation,
+real world), depth), explored breadth first from (0, the initial
+knowledge base, the type witness) at depth 0.  A configuration's branches
+are the real likelihoods at its own world, read from the real Bat's
+memoised step; the type fixes the truth of every likelihood context along
+every sequence, so any world of the type gives the same weights.  The
+observation is progressed by next_observation and supplies the labels.
+Sequences that reach one configuration at one depth reach one state: the
+state's future depends only on the configuration, so the merge is exact.
 
 Two deliberate conventions:
 
@@ -27,7 +28,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import LikelihoodContextError, ObservationUniformityError
-from .kb import BREAKDOWN, eval_subjective, oi_alternatives
+from .kb import BREAKDOWN, eval_subjective, next_observation, progress_kb
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula, print_program
 
@@ -41,7 +42,9 @@ class FinitePomdp:
     def __init__(self, k, type_id=None):
         self.k = k
         self.type_id = type_id
-        self.states = []            # (sequence tuple, node index); sink is (None, None)
+        # ((node, observation, world), depth) in build order; the sink is
+        # (None, None)
+        self.states = []
         self.state_index = {}
         self.initial = 0
         self.transitions = []       # per state: {action label: [(target, prob)]}
@@ -62,10 +65,12 @@ class FinitePomdp:
         return seen
 
     def state_str(self, i):
-        z, node = self.states[i]
-        if z is None:
+        config, depth = self.states[i]
+        if config is None:
             return "<belief-breakdown>"
-        return "<%s | node %d>" % (" ".join(str(t) for t in z) or "()", node)
+        node, obs, world = config
+        return "<node %d | %s | %r | depth %d>" % (node, obs.render(), world,
+                                                   depth)
 
 
 def _add_state(p, key):
@@ -80,9 +85,10 @@ def _add_state(p, key):
 
 
 def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
-    """Forward exploration of the reachable (sequence, node) space."""
+    """Forward exploration of the reachable configurations by depth."""
     k = abstraction.horizon
     ctx = abstraction.context
+    rbat = abstraction.rbat
     p = FinitePomdp(k, type_id)
     # keyed by the observation itself: a KnowledgeBase caches its hash and
     # equal ones are one interned object, and BREAKDOWN is a singleton
@@ -99,20 +105,19 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                 if eval_subjective(kb, ctx.formulas[i].formula)))
         return index
 
-    world_at = {(): tau.witness}  # sequence -> the witness's world after it
-    start = _add_state(p, ((), 0))
-    p.obs_of[start] = observation_of(abstraction.kb_of[()])
+    start = _add_state(p, ((0, abstraction.kb0, tau.witness), 0))
+    p.obs_of[start] = observation_of(abstraction.kb0)
     queue = deque([start])
     while queue:
         si = queue.popleft()
-        z, node = p.states[si]
-        if z is None:  # breakdown sink
+        config, depth = p.states[si]
+        if config is None:  # breakdown sink
             p.transitions[si][FAILURE_NAME] = [(si, Fraction(1))]
             continue
-        kb = abstraction.kb_of[z]
+        node, kb, world = config
         trans = p.transitions[si]
         choices = []
-        if len(z) == k:
+        if depth == k:
             trans[FAILURE_NAME] = [(si, Fraction(1))]
             p.agent_actions.setdefault(p.obs_of[si], None)
             continue
@@ -127,23 +132,19 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
                     f"two enabled transitions share the action {label!r} at "
                     f"{p.state_str(si)}; per-action successor would be ambiguous")
             branches = {}
-            for t in oi_alternatives(edge.prim.symbol, edge.prim.args, model):
-                like, w2 = abstraction.step(world_at[z], t)
-                if like == 0:
-                    continue
-                z2 = z + (t,)
-                world_at[z2] = w2
-                kb2 = abstraction.kb_of[z2]
+            for t, like in rbat.branches(world, edge.prim.symbol,
+                                         edge.prim.args):
+                kb2 = next_observation(kb, t, progress_kb)
                 # every breakdown branch goes to the one sink state
-                target = _add_state(p, (None, None) if kb2 is BREAKDOWN
-                                    else (z2, edge.target))
+                target = _add_state(p, (None, None) if kb2 is BREAKDOWN else (
+                    (edge.target, kb2, rbat.step(world, t)[1]), depth + 1))
                 if p.obs_of[target] is None:
                     p.obs_of[target] = observation_of(kb2)
                     queue.append(target)
                     if kb2 is BREAKDOWN:
                         p.breakdown_states += 1
-                        log.warning("belief-breakdown branch reached via %s",
-                                    " ".join(str(a) for a in z2))
+                        log.warning("belief-breakdown branch reached via %s "
+                                    "at %s", t, p.state_str(si))
                 branches[target] = branches.get(target, Fraction(0)) + like
             trans[label] = sorted(branches.items())
             choices.append(label)
@@ -170,40 +171,34 @@ def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
 # canonical serialization
 
 def _canonical_struct(p, model, formulas):
-    # by sequence length, then sequence; the breakdown sink (seq [], node
-    # -1) sorts after the one-step sequences
-    order = sorted((1, True, (), -1, i) if z is None else
-                   (len(z), False, tuple(str(t) for t in z), node, i)
-                   for i, (z, node) in enumerate(p.states))
-    renum = {old: new for new, (*_, old) in enumerate(order)}
-
+    # states in build order, which is breadth first with edges and
+    # outcomes in declaration order; worlds are left out, so types whose
+    # POMDPs differ only in their worlds serialise alike.  The breakdown
+    # sink has node and depth -1.
     states = []
-    for _, _, seq, node, old in order:
-        kb = p.observations[p.obs_of[old]]
+    for i, (config, depth) in enumerate(p.states):
+        obs = p.obs_of[i]
         states.append({
-            "seq": list(seq),
-            "node": node,
-            "observation": kb.render(model.fluent_order),
+            "depth": -1 if config is None else depth,
+            "node": -1 if config is None else config[0],
+            "observation": p.observations[obs].render(model.fluent_order),
             "labels": sorted(print_formula(formulas[j].formula)
-                             for j in p.labels[p.obs_of[old]]),
+                             for j in p.labels[obs]),
         })
-    transitions = []
-    for old in range(len(p.states)):
-        for label, targets in p.transitions[old].items():
-            for target, prob in targets:
-                transitions.append((renum[old], label, renum[target],
-                                    frac_str(prob)))
-    transitions.sort()
+    transitions = sorted(
+        (i, label, target, frac_str(prob))
+        for i, trans in enumerate(p.transitions)
+        for label, targets in trans.items() for target, prob in targets)
     return {
         "k": p.k,
-        "initial": renum[p.initial],
+        "initial": p.initial,
         "states": states,
         "transitions": [list(t) for t in transitions],
     }
 
 
 def pomdp_fingerprint(p, model, abstraction) -> bytes:
-    """Order-independent canonical byte string of the structure."""
+    """Canonical byte string of the structure."""
     data = _canonical_struct(p, model, abstraction.context.formulas)
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 

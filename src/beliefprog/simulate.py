@@ -124,6 +124,7 @@ class TraceEngine:
         self._enabled = {}
         self._beta = {}
         self._configs = {}  # (node, observation, world) -> _Config
+        self._admitted = None  # the last trace formula admit accepted
 
     def enabled_at(self, node, kb):
         key = (node, kb)
@@ -153,6 +154,12 @@ class TraceEngine:
             hit = obs_satisfies(obs, beta)
             self._beta[key] = hit
         return hit
+
+    def admit(self, psi):
+        """Reject a trace formula with a nested P, once per formula."""
+        if psi is not self._admitted:
+            _reject_nested_p(psi)
+            self._admitted = psi
 
     # -- filling the table --------------------------------------------------
 
@@ -280,8 +287,12 @@ def eval_trace_formula(psi, record, engine=None) -> bool:
     The path goes on as a POMDP path does: a final or failing trace repeats
     its last knowledge base, a broken-down one stays in BREAKDOWN, and a
     horizon-cut one stops.  An open formula is satisfied only if it is G."""
-    _reject_nested_p(psi)
-    truth = engine.satisfies if engine is not None else obs_satisfies
+    if engine is None:
+        _reject_nested_p(psi)
+        truth = obs_satisfies
+    else:
+        engine.admit(psi)
+        truth = engine.satisfies
     # the tail repeats one observation forever; what its first position
     # leaves open stays open, or a bounded U ends false at its bound
     tail = (record.kbs[-1],) if record.outcome in ("final", "fail") else \
@@ -324,6 +335,7 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
     if horizon < 0:
         raise BeliefProgError(f"horizon must be at least 0, got {horizon}")
     engine = engine or TraceEngine(model, graph)
+    engine.admit(psi)
     successes = 0
     outcomes = {}
     for trial in range(trials):

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (InadmissiblePropertyError, compute_types,
-                        ground_action_universe, horizon_of, make_world,
-                        parse_model)
+from beliefprog import (InadmissiblePropertyError, build_graph, build_pomdp,
+                        compute_types, ground_action_universe, horizon_of,
+                        make_world, parse_model)
 from beliefprog.abstraction import (BREAKDOWN, RepresentativeError, reps_auto,
                                     reps_from_init, reps_from_ranges)
-from beliefprog.kb import eval_fluent_formula, progress_world, real_bat
+from beliefprog.kb import (eval_fluent_formula, next_observation,
+                           progress_world, real_bat)
 
 
 def test_ground_universe_coffee(coffee):
@@ -133,8 +134,18 @@ def test_breakdown_marked_for_belief_impossible_sequences(coffee):
     a = compute_types(coffee, 2, reps, coffee.property_named("P1"))
     east11 = next(t for t in a.universe if str(t) == "east(1, 1)")
     sen1 = next(t for t in a.universe if str(t) == "sencfe(1)")
-    assert a.kb_of[(east11, sen1)] != BREAKDOWN
-    assert a.kb_of[(east11, sen1)].render() == "{(2): 1}"
+    # the believed-accurate sensor reading 1 after east(1, 1) is believed
+    # possible, so its configuration is a state and not the sink
+    p = build_pomdp(coffee, build_graph(coffee.program), a, a.types[0])
+    w1 = a.rbat.step(reps[0], east11)[1]
+    kb1 = next_observation(a.kb0, east11)
+    kb2 = next_observation(kb1, sen1)
+    assert kb2 != BREAKDOWN and kb2.render() == "{(2): 1}"
+    targets = dict(p.transitions[p.state_index[((0, kb1, w1), 1)]]["sencfe"])
+    reached = [i for i, (config, depth) in enumerate(p.states)
+               if config is not None and config[1] == kb2
+               and config[2] == a.rbat.step(w1, sen1)[1] and depth == 2]
+    assert len(reached) == 1 and targets[reached[0]] == Fraction(1, 10)
 
 
 def test_context_contains_instantiated_likelihood_contexts(coffee):

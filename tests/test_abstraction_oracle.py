@@ -4,17 +4,18 @@
 the knowledge base of every kept sequence, evaluates every context formula
 for every representative, and deduplicates and sorts on all entries.
 ``compute_types`` must give the same sequences, pruning, type order,
-witnesses, objective truths (``bitvec``) and knowledge bases; the
-subjective entries are functions of the knowledge bases.
+witnesses and objective truths (``bitvec``); the subjective entries are
+functions of the knowledge bases, which are the same for every
+representative.
 """
 
-import itertools
 import re
 from fractions import Fraction
 
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
+import beliefprog.kb as kb_mod
 from beliefprog import (BeliefProgError, IncompatibleSensingError,
                         build_graph, build_pomdp, compute_types, horizon_of,
                         parse_model, pomdp_fingerprint)
@@ -22,15 +23,32 @@ from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
                                     TypeAssignment, ground_action_universe,
                                     reps_from_init)
 from beliefprog.kb import (action_likelihood, eval_fluent_formula,
-                           eval_subjective, initial_kb, progress_kb,
-                           progress_world, real_bat)
+                           eval_subjective, initial_kb, oi_alternatives,
+                           progress_kb, progress_world, real_bat)
 from conftest import ROOT, random_model_text
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
 
-def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
-    """Reference: every sequence's KB and every entry computed up front."""
+class PlainStep:
+    """The real theory's step as the POMDP builder reads it from a Bat,
+    recomputed on every call, with nothing memoised or interned."""
+
+    def __init__(self, model):
+        self.model = model
+        self.bat = real_bat(model)
+
+    def step(self, w, t):
+        return action_likelihood(t, w, self.bat), progress_world(w, t, self.bat)
+
+    def branches(self, w, symbol, ctrl):
+        return tuple((t, like) for t in oi_alternatives(symbol, ctrl, self.model)
+                     if (like := action_likelihood(t, w, self.bat)) != 0)
+
+
+def eager_compute_types(model, k, reps, phi=None):
+    """Reference: every sequence's KB and every entry computed up front.
+    Returns the abstraction and the sequence -> observation map."""
     reps = list(dict.fromkeys(reps))
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
@@ -85,9 +103,6 @@ def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
         z, idx = key
         return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z), idx)
 
-    def step(w, t):
-        return action_likelihood(t, w, rbat), progress_world(w, t, rbat)
-
     by_key = {}  # key over all entries -> first type with it
     for rep_i, w0 in enumerate(reps):
         entries = dict(subj_entries)
@@ -102,8 +117,8 @@ def eager_compute_types(model, k, reps, phi=None) -> Abstraction:
             by_key[key] = TypeAssignment(
                 w0, tuple(entries[k2] for k2 in order if k2[1] in obj_idx))
     types = [by_key[key] for key in sorted(by_key)]
-    return Abstraction(context, universe, k, sequences, kb_of, types, pruned,
-                       step)
+    return Abstraction(context, universe, k, sequences, kb_of[()], types,
+                       pruned, PlainStep(model)), kb_of
 
 
 def assert_same_abstraction(lazy, eager):
@@ -111,14 +126,7 @@ def assert_same_abstraction(lazy, eager):
     assert lazy.pruned == eager.pruned
     assert [t.witness for t in lazy.types] == [t.witness for t in eager.types]
     assert [t.bitvec for t in lazy.types] == [t.bitvec for t in eager.types]
-    for z in eager.sequences:
-        assert z in lazy.kb_of
-        assert lazy.kb_of[z] == eager.kb_of[z], z
-    # pruned sequences stay out of the lazy mapping
-    for depth in range(eager.horizon + 1):
-        for z in itertools.product(eager.universe, repeat=depth):
-            assert (z in lazy.kb_of) == (z in eager.kb_of)
-            assert lazy.kb_of.get(z) == eager.kb_of.get(z)
+    assert lazy.kb0 == eager.kb0
 
 
 def _pomdp_or_error(model, graph, abstraction, tau):
@@ -131,7 +139,7 @@ def _pomdp_or_error(model, graph, abstraction, tau):
 
 def assert_same_pomdps(model, lazy, eager):
     """Each type's POMDP is the same whether its transitions come from the
-    memoised step or the eager oracle's plain one."""
+    real Bat's memoised step or the eager oracle's plain one."""
     graph = build_graph(model.program)
     for tl, te in zip(lazy.types, eager.types):
         assert _pomdp_or_error(model, graph, lazy, tl) == \
@@ -147,10 +155,10 @@ def test_coffee_p1_matches_eager(coffee_text, k):
     model = parse_model(_with_bound(coffee_text, k))
     phi = model.property_named("P1")
     reps = reps_from_init(model)
-    eager = eager_compute_types(model, k, reps, phi)
+    eager, kb_of = eager_compute_types(model, k, reps, phi)
     # from k=3 on the belief breaks down, first after
     # east(1, 1) sencfe(1) sencfe(0)
-    assert any(kb == BREAKDOWN for kb in eager.kb_of.values()) == (k >= 3)
+    assert any(kb == BREAKDOWN for kb in kb_of.values()) == (k >= 3)
     lazy = compute_types(model, k, reps, phi)
     assert_same_abstraction(lazy, eager)
     assert_same_pomdps(model, lazy, eager)
@@ -162,7 +170,7 @@ def test_choice_model_matches_eager():
     k = horizon_of(phi)
     reps = reps_from_init(model)
     lazy = compute_types(model, k, reps, phi)
-    eager = eager_compute_types(model, k, reps, phi)
+    eager, _ = eager_compute_types(model, k, reps, phi)
     assert_same_abstraction(lazy, eager)
     assert_same_pomdps(model, lazy, eager)
 
@@ -172,7 +180,7 @@ def test_random_models_match_eager(seed):
     model = parse_model(random_model_text(seed))
     reps = reps_from_init(model)
     lazy = compute_types(model, 2, reps)
-    eager = eager_compute_types(model, 2, reps)
+    eager, _ = eager_compute_types(model, 2, reps)
     assert_same_abstraction(lazy, eager)
     assert_same_pomdps(model, lazy, eager)
 
@@ -183,18 +191,28 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
     phi = model.property_named("P1")
     calls = []
 
-    def counting(kb, action):
-        calls.append(action)
-        return progress_kb(kb, action)
+    def counting(progress):
+        def counted(kb, action):
+            calls.append((kb, action))
+            return progress(kb, action)
+        return counted
 
-    monkeypatch.setattr(abstraction_mod, "progress_kb", counting)
+    # the two progressions progress_kb runs when its memo misses
+    for name in ("progress_kb_sensing", "progress_kb_stochastic"):
+        monkeypatch.setattr(kb_mod, name, counting(getattr(kb_mod, name)))
     a = compute_types(model, 5, reps_from_init(model), phi)
     assert calls == []
     graph = build_graph(model.program)
     pomdps = [build_pomdp(model, graph, a, tau) for tau in a.types]
-    used = {z for p in pomdps for z, _node in p.states if z is not None}
+    # each progression starts from the observation of a state the program
+    # reaches, and none is repeated
+    observed = {kb for p in pomdps for kb in p.observations}
+    assert calls and all(kb in observed for kb, _action in calls)
+    assert len(set(calls)) == len(calls)
     assert len(a.sequences) == 5348
-    assert 0 < len(calls) <= len(used)
+    # configurations merge sequences: 45 sequence-keyed states for type 0
+    assert [len(p.states) for p in pomdps] == [32, 18, 15]
+    assert len(calls) <= 32 + 18 + 15
 
 
 def test_sequence_budget_is_exact_at_its_bound(coffee, monkeypatch):
@@ -232,4 +250,4 @@ def test_type_order_follows_action_symbols_not_tree_order():
     lazy = compute_types(model, 1, reps)
     assert [str(t) for t in lazy.universe[:2]] == ["b(1)", "a(1)"]
     assert [t.witness["h"] for t in lazy.types] == [2, 0]
-    assert_same_abstraction(lazy, eager_compute_types(model, 1, reps))
+    assert_same_abstraction(lazy, eager_compute_types(model, 1, reps)[0])

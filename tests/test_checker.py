@@ -253,10 +253,10 @@ def _random_layered_pomdp(rng, k=3):
     for d, layer in enumerate(layers):
         for j in range(len(layer)):
             idx = len(p.states)
-            p.states.append(((("step",) * d), idx))
+            p.observations.append(_dummy_obs(counter))
+            p.states.append(((idx, p.observations[-1], None), d))
             p.transitions.append({})
             p.obs_of.append(counter)
-            p.observations.append(_dummy_obs(counter))
             p.labels.append(frozenset())
             layer[j] = idx
             counter += 1

@@ -26,6 +26,15 @@ def dist_of(kb, coffee):
 # ---------------------------------------------------------------------------
 # formula and world evaluation
 
+def test_world_hash_tells_minus_one_from_minus_two(coffee):
+    # CPython hashes the numbers -1 and -2 alike; two of coffee's three
+    # representatives are h=-1 and h=-2
+    minus_one, minus_two = make_world(coffee, [-1]), make_world(coffee, [-2])
+    assert minus_one != minus_two
+    assert hash(minus_one) != hash(minus_two)
+    assert hash(minus_one) == hash(make_world(coffee, [-1]))
+
+
 def test_eval_constraint_at_origin(coffee):
     w = make_world(coffee, [0])
     # initial theory: h <= 0

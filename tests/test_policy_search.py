@@ -144,12 +144,12 @@ def test_witness_is_the_first_optimal_policy_not_the_first_leaf(monkeypatch):
     # enumeration order and so is the witness.
     p = FinitePomdp(2)
     edges = {0: {"u0": 1, "u1": 2}, 1: {"u0": 3, "u1": 4}}
+    p.observations = [_dummy_obs(i) for i in range(5)]
     for s, obs in enumerate([1, 0, 2, 3, 4]):
-        p.states.append(((), s))
+        p.states.append(((s, p.observations[obs], None), (0, 1, 1, 2, 2)[s]))
         p.obs_of.append(obs)
         p.transitions.append({label: [(t, F(1))] for label, t in
                               edges.get(s, {"fail": s}).items()})
-    p.observations = [_dummy_obs(i) for i in range(5)]
     p.labels = [frozenset()] * 5
     p.agent_actions = {1: ("u0", "u1"), 0: ("u0", "u1"), 2: (), 3: (), 4: ()}
     psi = _until_on_observations(monkeypatch, p, left=set(range(5)), right={2, 4})

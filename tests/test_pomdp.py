@@ -7,7 +7,9 @@ from beliefprog import (LikelihoodContextError, ObservationUniformityError,
                         eval_subjective, horizon_of, make_world, parse_model,
                         pomdp_fingerprint, print_program)
 from beliefprog.abstraction import BREAKDOWN, reps_from_init
-from beliefprog.kb import GroundAction, likelihood_row, progress_world, real_bat
+from beliefprog.kb import (GroundAction, initial_kb, likelihood_row,
+                           next_observation, progress_kb, progress_world,
+                           real_bat)
 from beliefprog.parser import parse_subjective
 from conftest import COFFEE, ROOT, random_model_text
 
@@ -40,8 +42,11 @@ def test_structure_of_the_h0_pomdp(coffee, coffee_pomdps):
     east = p.transitions[p.initial]["east(1)"]
     assert sorted(prob for _, prob in east) == [F(1, 2), F(1, 2)]
     # the distinguished branch: after east(1,1), sencfe reads 1 with 1/10
-    s_e11 = next(i for i, (z, node) in enumerate(p.states)
-                 if z is not None and [str(t) for t in z] == ["east(1, 1)"])
+    rbat = abstraction.rbat
+    east11 = GroundAction("east", (F(1),), (F(1),))
+    config = (0, progress_kb(abstraction.kb0, east11),
+              rbat.step(make_world(coffee, [0]), east11)[1])
+    s_e11 = p.state_index[(config, 1)]
     sen = dict()
     for target, prob in p.transitions[s_e11]["sencfe"]:
         kb = p.observations[p.obs_of[target]]
@@ -115,9 +120,11 @@ def test_state_count_bounded(coffee, coffee_pomdps):
 def test_frontier_states_self_loop_fail(coffee_pomdps):
     _, pomdps = coffee_pomdps
     for p in pomdps:
-        for i, (z, node) in enumerate(p.states):
-            if z is not None and len(z) == p.k:
-                assert p.transitions[i] == {"fail": [(i, F(1))]}
+        frontier = [i for i, (config, depth) in enumerate(p.states)
+                    if config is not None and depth == p.k]
+        assert frontier
+        for i in frontier:
+            assert p.transitions[i] == {"fail": [(i, F(1))]}
 
 
 def test_horizon_zero_single_state(coffee):
@@ -149,7 +156,7 @@ def test_breakdown_branch_routed_to_sink():
     p = build_pomdp(m, graph, abstraction, abstraction.types[0])
     assert p.breakdown_states == 1
     targets = dict(p.transitions[p.initial]["sen"])
-    sink = next(i for i, (z, _) in enumerate(p.states) if z is None)
+    sink = p.state_index[(None, None)]
     assert targets[sink] == F(1, 2)
     assert p.labels[p.obs_of[sink]] == frozenset()
     # the sink absorbs
@@ -193,8 +200,10 @@ def test_ambiguous_same_action_transition_detected():
 
 def assert_transitions_are_witness_likelihoods(model, k, phi=None):
     """Every transition of every buildable type's POMDP is likelihood_row
-    at the witness's world after the state's sequence, merged by target;
-    breakdown branches go to the sink."""
+    at the witness's world after a sequence that reaches the state, merged
+    by target; breakdown branches go to the sink.  Worlds and observations
+    are progressed here along the sequences, and every state is reached by
+    one of them."""
     graph = build_graph(model.program)
     a = compute_types(model, k, reps_from_init(model), phi)
     rbat = real_bat(model)
@@ -204,27 +213,37 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
             p = build_pomdp(model, graph, a, tau)
         except (ObservationUniformityError, LikelihoodContextError):
             continue
-        for si, (z, node) in enumerate(p.states):
-            if z is None or len(z) == k:
+        seen = {p.initial}
+        # (sequence length, node, observation, world) of each walk
+        stack = [(0, 0, initial_kb(model), tau.witness)]
+        while stack:
+            depth, node, kb, w = stack.pop()
+            si = p.state_index[((node, kb, w), depth)]
+            seen.add(si)
+            if depth == k:
                 continue
-            w = tau.witness
-            for t in z:
-                w = progress_world(w, t, rbat)
-            for edge in enabled(graph, node, a.kb_of[z])[0]:
+            for edge in enabled(graph, node, kb)[0]:
                 prim = edge.prim
                 expected = {}
                 for value, weight in likelihood_row(prim.symbol, prim.args,
                                                     w, rbat):
                     if weight == 0:
                         continue
-                    z2 = z + (GroundAction(prim.symbol, prim.args, value),)
-                    key = (None, None) if a.kb_of[z2] is BREAKDOWN \
-                        else (z2, edge.target)
-                    target = p.state_index[key]
+                    t = GroundAction(prim.symbol, prim.args, value)
+                    kb2 = next_observation(kb, t)
+                    if kb2 is BREAKDOWN:
+                        target = p.state_index[(None, None)]
+                        seen.add(target)
+                    else:
+                        w2 = progress_world(w, t, rbat)
+                        target = p.state_index[((edge.target, kb2, w2),
+                                                depth + 1)]
+                        stack.append((depth + 1, edge.target, kb2, w2))
                     expected[target] = expected.get(target, F(0)) + weight
                 assert p.transitions[si][print_program(prim)] == \
                     sorted(expected.items())
                 checked += 1
+        assert seen == set(range(len(p.states)))
     return checked
 
 

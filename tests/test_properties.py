@@ -118,23 +118,24 @@ def test_incomplete_weights_are_caught():
         likelihood_row("a", (), make_world(m, [0]), real_bat(m))
 
 
-def _independent_reachability(model, graph, abstraction, witness):
+def _independent_reachability(model, graph, k, witness):
     """Forward reachability over (sequence, node) pairs written against the
-    graph and kb_of directly, sharing no code with the POMDP builder."""
+    graph, progressing worlds and observations itself and sharing no code
+    with the POMDP builder; returns (sequence, node) -> observation."""
     from beliefprog.abstraction import BREAKDOWN
-    from beliefprog.kb import action_likelihood, oi_alternatives, progress_world
+    from beliefprog.kb import (action_likelihood, next_observation,
+                               oi_alternatives, progress_world)
 
     rb = real_bat(model)
     world_at = {(): witness}
-    start = ((), 0)
-    seen = {start}
-    stack = [start]
+    obs_at = {(): initial_kb(model)}
+    seen = {((), 0): obs_at[()]}
+    stack = [((), 0)]
     while stack:
         z, node = stack.pop()
-        if len(z) == abstraction.horizon:
+        if len(z) == k:
             continue
-        kb = abstraction.kb_of[z]
-        live, _fin, _fail = enabled(graph, node, kb)
+        live, _fin, _fail = enabled(graph, node, obs_at[z])
         for e in live:
             for t in oi_alternatives(e.prim.symbol, e.prim.args, model):
                 if action_likelihood(t, world_at[z], rb) == 0:
@@ -142,24 +143,22 @@ def _independent_reachability(model, graph, abstraction, witness):
                 z2 = z + (t,)
                 if z2 not in world_at:
                     world_at[z2] = progress_world(world_at[z], t, rb)
-                if abstraction.kb_of.get(z2) == BREAKDOWN:
+                    obs_at[z2] = next_observation(obs_at[z], t)
+                if obs_at[z2] == BREAKDOWN:
                     continue
                 state = (z2, e.target)
                 if state not in seen:
-                    seen.add(state)
+                    seen[state] = obs_at[z2]
                     stack.append(state)
     return seen
 
 
-def _has_disagreement(model, graph, abstraction, witness):
-    from beliefprog.abstraction import BREAKDOWN
-
+def _has_disagreement(model, graph, k, witness):
     per_obs = {}
-    for z, node in _independent_reachability(model, graph, abstraction, witness):
-        if len(z) == abstraction.horizon:
+    for (z, node), kb in _independent_reachability(model, graph, k,
+                                                   witness).items():
+        if len(z) == k:
             continue
-        kb = abstraction.kb_of[z]
-        assert kb != BREAKDOWN
         live, is_final, _failing = enabled(graph, node, kb)
         actions = tuple([print_program(e.prim) for e in live]
                         + (["eps"] if is_final else []))
@@ -187,7 +186,7 @@ def test_observation_uniform_enabled_sets(model_factory, seed):
             # per-action ambiguity is a different rejection; not this property
             _mark("uniform-obs", False)
             return
-        assert built == (not _has_disagreement(model, graph, abstraction,
+        assert built == (not _has_disagreement(model, graph, 2,
                                                tau.witness))
     _mark("uniform-obs", True)
 

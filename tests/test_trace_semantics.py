@@ -16,6 +16,7 @@ import pytest
 from beliefprog import (BeliefProgError, estimate, eval_trace_formula,
                         make_world, parse_model, parse_trace_formula)
 from beliefprog.checker import trace_verdict
+import beliefprog.simulate as simulate
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
 from beliefprog.simulate import TraceRecord
@@ -146,6 +147,36 @@ def test_nested_probability_rejected_once_per_formula(sure_and_unsure):
                        match="nested probability operators cannot be "
                              "estimated on a single trace"):
         eval_trace_formula(psi, _record([sure], "final"))
+
+
+def test_estimate_rejects_a_nested_probability_before_any_trial(
+        sure_and_unsure, monkeypatch):
+    m, _, _ = sure_and_unsure
+    nested = POp(PropInterval(F(0), F(1)), XOp(TRUE))
+    psi = UntilOp(TRUE, And(parse_subjective("B(h = 0) = 0", m), nested), 1)
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the formula was checked")
+
+    monkeypatch.setattr(simulate, "run_trace", no_trial)
+    with pytest.raises(BeliefProgError, match="nested probability"):
+        estimate(m, psi, make_world(m, [0]), "first-enabled", 10, 0, 2)
+
+
+def test_estimate_checks_its_formula_once(sure_and_unsure, monkeypatch):
+    m, _, _ = sure_and_unsure
+    psi = parse_trace_formula("F<=2 B(h = 0) = 1", m)
+    seen = []
+    check = simulate._reject_nested_p
+
+    def counting(formula):
+        seen.append(formula)
+        check(formula)
+
+    monkeypatch.setattr(simulate, "_reject_nested_p", counting)
+    result = estimate(m, psi, make_world(m, [0]), "first-enabled", 50, 0, 2)
+    assert result.trials == 50
+    assert sum(formula is psi for formula in seen) == 1
 
 
 # ---------------------------------------------------------------------------
