@@ -14,8 +14,7 @@ from .errors import (BeliefProgError, Diagnostic, EvalError,
 from .kb import (EPSILON, FAILURE, GroundAction, KnowledgeBase, World,
                  action_likelihood, believed_bat, eval_fluent_formula,
                  eval_subjective, initial_kb, make_world, oi_alternatives,
-                 progress_kb, progress_kb_sensing, progress_kb_stochastic,
-                 progress_world, real_bat, trace_likelihood)
+                 progress_kb, progress_world, real_bat, trace_likelihood)
 from .pa import ProbAutomaton, encode, encode_text, oracle_accept_prob, soundness_check
 from .parser import (model_digest, parse_ground_action, parse_model,
                      parse_trace_formula)

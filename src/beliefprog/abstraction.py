@@ -8,13 +8,18 @@ action theory; subjective ones are evaluated against the progressed
 knowledge base, which is the same for every representative.  Types are
 therefore told apart by their objective entries alone.
 
-Each piece of work is done once per call: a (world, action) step, giving
-the real likelihood and the successor world, is the real Bat's memoised
-step, and the objective truths at a world are memoised.  No knowledge base
-is progressed here.  The abstraction hands on the real Bat and the initial
-knowledge base, from which the POMDP builder steps a type's configurations
-at the type witness's world, so real likelihoods are found in one place.
-The number of kept sequences is capped by SEQUENCE_BUDGET.
+The sequence tree is walked once, breadth first with children in action
+order, which is the key order: by length, then action by action.  Each
+kept sequence appends every representative's objective truths to that
+representative's key as it is kept, so no sequence is looked up or sorted
+afterwards.  Each piece of work is done once per call: a (world, action)
+step, giving the real likelihood and the successor world, is the real
+Bat's memoised step, and the objective truths at a world are memoised.
+No knowledge base is progressed here.  The abstraction hands on the real
+Bat and the initial knowledge base, from which the POMDP builder steps a
+type's configurations at the type witness's world, so real likelihoods are
+found in one place.  The number of kept sequences is capped by
+SEQUENCE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -257,8 +262,8 @@ SEQUENCE_BUDGET = 200_000
 @dataclass
 class TypeAssignment:
     witness: object  # representative World
-    # truths of the objective context formulas, sequences in
-    # _sequence_sort_key order
+    # truths of the objective context formulas, sequences in key order
+    # (by length, then action by action)
     bitvec: tuple
 
 
@@ -267,7 +272,7 @@ class Abstraction:
     context: ProgramContext
     universe: list
     horizon: int
-    sequences: list  # kept sequences (tuples of GroundAction), by tree order
+    sequences: list  # kept sequences (tuples of GroundAction), in key order
     kb0: object  # the initial KnowledgeBase
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
@@ -310,38 +315,6 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
 
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
-
-    # prefix tree over (A_P)^{<=k}, breadth first with children in universe
-    # order, so insertion order is tree order.  A branch is pruned once every
-    # representative reaches it with likelihood 0; a representative's world
-    # stays frozen after the step that killed it.
-    worlds_of = {(): reps}  # sequence -> world per representative
-    frontier = [((), reps, (True,) * len(reps))]
-    pruned = 0
-    for depth in range(k + 1):
-        _check_budget(k, len(worlds_of), len(frontier), k - depth)
-        if depth == k:
-            break
-        new_frontier = []
-        for z, worlds, live in frontier:
-            for t in universe:
-                succ, succ_live = [], []
-                for w, alive in zip(worlds, live):
-                    if alive:
-                        like, w = step(w, t)
-                        alive = like != 0
-                    succ.append(w)
-                    succ_live.append(alive)
-                if not any(succ_live):
-                    pruned += 1
-                    continue
-                z2 = z + (t,)
-                succ = tuple(succ)
-                worlds_of[z2] = succ
-                new_frontier.append((z2, succ, succ_live))
-        frontier = new_frontier
-    sequences = list(worlds_of)
-
     formulas = [context.formulas[i].formula
                 for i in context.objective_indices()]
     truths = {}  # world -> objective truths, in context index order
@@ -353,29 +326,60 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
                                     for f in formulas)
         return hit
 
-    # subjective truths are equal for every representative, so the
-    # objective ones alone decide type equality and order
-    key_order = sorted(sequences, key=_sequence_sort_key)
-    types = []
-    seen = set()
-    for rep, w0 in enumerate(reps):
-        key = tuple(itertools.chain.from_iterable(
-            objective(worlds_of[z][rep]) for z in key_order))
-        if key in seen:
-            continue
-        seen.add(key)
-        types.append(TypeAssignment(w0, key))
-    types.sort(key=lambda t: t.bitvec)
+    # prefix tree over (A_P)^{<=k}, breadth first with children sorted
+    # (GroundAction order: symbol, ctrl, unctrl), so sequences are kept in
+    # key order: by length, then action by action.  Each kept sequence
+    # appends every representative's objective truths to that
+    # representative's key, one tuple per sequence, flattened only for
+    # the keys that make types.  A branch is pruned once every
+    # representative reaches it with likelihood 0; a representative's
+    # world stays frozen after the step that killed it.  The deepest level
+    # is never expanded, so it is not kept as a frontier.  Subjective
+    # truths are equal for every representative, so the objective ones
+    # alone decide type equality and order.
+    children = sorted(universe)
+    keys = [[objective(w)] for w in reps]
+    sequences = [()]
+    frontier = [((), reps, (True,) * len(reps))]
+    pruned = 0
+    for depth in range(k + 1):
+        _check_budget(k, len(sequences), len(frontier), k - depth)
+        if depth == k:
+            break
+        new_frontier = []
+        for z, worlds, live in frontier:
+            for t in children:
+                succ, succ_live = [], []
+                for w, alive in zip(worlds, live):
+                    if alive:
+                        like, w = step(w, t)
+                        alive = like != 0
+                    succ.append(w)
+                    succ_live.append(alive)
+                if not any(succ_live):
+                    pruned += 1
+                    continue
+                z2 = z + (t,)
+                sequences.append(z2)
+                for key, w in zip(keys, succ):
+                    key.append(objective(w))
+                if depth + 1 < k:
+                    new_frontier.append((z2, succ, succ_live))
+        frontier = new_frontier
+
+    # the truth tuples have one length, so keys sort as their flattenings
+    first = {}  # key -> the first representative with it
+    for w0, key in zip(reps, keys):
+        first.setdefault(tuple(key), w0)
+    types = [TypeAssignment(first[key],
+                            tuple(itertools.chain.from_iterable(key)))
+             for key in sorted(first)]
 
     if pruned:
         log.info("pruned %d action sequences unreachable from every "
                  "representative", pruned)
     return Abstraction(context, universe, k, sequences, initial_kb(model),
                        types, pruned, rbat)
-
-
-def _sequence_sort_key(z):
-    return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z))
 
 
 # ---------------------------------------------------------------------------

@@ -256,18 +256,22 @@ def _render_simulate_text(report):
 
 
 def _parse_world(model, spec):
-    values = {f.name: Fraction(0) for f in model.fluents}
+    names = [f.name for f in model.fluents]
+    values = {}
     if spec:
         for part in spec.split(","):
             name, eq, value = part.partition("=")
             name = name.strip()
-            if name not in values:
+            if name not in names:
                 raise BeliefProgError(f"unknown fluent {name!r} in --world")
+            if name in values:
+                raise BeliefProgError(f"--world gives fluent {name!r} more "
+                                      "than once")
             if not eq:
                 raise BeliefProgError(f"--world entry {part.strip()!r} is "
                                       "not fluent=value")
             values[name] = _number(value, f"--world value of {name!r}")
-    return make_world(model, [values[f.name] for f in model.fluents])
+    return make_world(model, [values.get(name, 0) for name in names])
 
 
 def _number(text, where):

@@ -3,17 +3,18 @@
 Everything here works on arbitrary-precision rationals; there is no float
 anywhere in a semantic computation.  A knowledge base is a finite belief
 distribution over worlds paired with the action theory the agent believes,
-and progression follows the two update rules:
+and progression by t follows one update rule:
 
-  stochastic t:  f'(u) = sum over support u' of
-                 f(u') * sum over OI-alternatives a of t:
-                 L(a at u') * [u' progressed by a equals u]
+  f'(u) = sum over support u' of f(u') *
+          sum over a in the observed class of t:
+          L(a at u') * [u' progressed by a equals u]
 
-  sensing t:     f'(u) = f(u) * L(t at u) / eta      (Bayes)
-
-with L read from the believed likelihood tables.  The reserved actions
-eps and fail have likelihood 1, are OI only to themselves, and only touch
-the reserved fluents Final and Fail.
+with L read from the believed likelihood tables.  The observed class of a
+stochastic action is its OI-alternatives, whose likelihoods must sum to 1
+at every world; that of a sensing result is the result itself, and f' is
+divided by the normalizer eta = sum of f'(u) (Bayes).  The reserved
+actions eps and fail have likelihood 1, are OI only to themselves, and
+only touch the reserved fluents Final and Fail.
 
 Each Bat memoises its steps: the likelihood row per (symbol, ctrl, world),
 the (likelihood, successor) per (world, ground action), and the
@@ -461,72 +462,47 @@ def initial_kb(model) -> KnowledgeBase:
     return bat.intern_kb(KnowledgeBase(dist, bat))
 
 
-def progress_kb_stochastic(kb, action) -> KnowledgeBase:
-    bat = kb.bat
-    new = {}
-    total = ZERO
-    per_point_ok = True
-    for w, p in kb.dist.items():
-        point_mass = ZERO
-        for alt, like in bat.branches(w, action.symbol, action.ctrl):
-            point_mass += like
-            succ = bat.step(w, alt)[1]
-            new[succ] = new.get(succ, ZERO) + p * like
-        total += p * point_mass
-        if point_mass != 1:
-            per_point_ok = False
-    if total == 0:
-        raise IncompatibleActionError(
-            f"action {action} has zero believed likelihood on the whole support")
-    if not per_point_ok or total != 1:
-        raise LikelihoodSumError(
-            f"believed likelihoods of {action} are incomplete: "
-            f"total progressed mass {frac_str(total)}")
-    return bat.intern_kb(KnowledgeBase(new, bat))
-
-
-def progress_kb_sensing(kb, action) -> KnowledgeBase:
-    bat = kb.bat
-    new = {}
-    eta = ZERO
-    for w, p in kb.dist.items():
-        like = bat.likelihood_of(action, w)
-        if like == 0:
-            continue
-        succ = bat.step(w, action)[1]
-        new[succ] = new.get(succ, ZERO) + p * like
-        eta += p * like
-    if eta == 0:
-        raise IncompatibleSensingError(
-            f"sensing result {action} is believed impossible (normalizer 0)")
-    if eta != 1:
-        new = {w: p / eta for w, p in new.items()}
-    return bat.intern_kb(KnowledgeBase(new, bat))
-
-
 def progress_kb(kb, action) -> KnowledgeBase:
-    """Progress by one ground action, dispatching on its kind; the result
-    is memoised on, and interned by, the knowledge base's Bat."""
+    """Progress by one ground action: each world's mass follows every
+    action of the observed class, weighted by its believed likelihood.
+    The class is the action itself for a sensing result, eps and fail,
+    and every OI-alternative for a stochastic action.  The result is
+    memoised on, and interned by, the knowledge base's Bat."""
     bat = kb.bat
     key = (kb, action)
     hit = bat._progressed.get(key)
     if hit is not None:
         return hit
-    if action.symbol in (EPSILON_NAME, FAILURE_NAME):
-        new = {}
-        for w, p in kb.dist.items():
-            succ = bat.step(w, action)[1]
-            new[succ] = new.get(succ, ZERO) + p
-        hit = bat.intern_kb(KnowledgeBase(new, bat))
-    else:
+    sensing = False
+    if action.symbol not in (EPSILON_NAME, FAILURE_NAME):
         decl = bat.action_decl(action.symbol)
         if decl is None:
             raise EvalError(f"undeclared action {action.symbol!r}")
-        if decl.kind == "sensing":
-            hit = progress_kb_sensing(kb, action)
-        else:
-            hit = progress_kb_stochastic(kb, action)
-    bat._progressed[key] = hit
+        sensing = decl.kind == "sensing"
+    new = {}
+    eta = ZERO
+    for w, p in kb.dist.items():
+        for t, like in bat.branches(w, action.symbol, action.ctrl):
+            if sensing and t != action:
+                continue
+            succ = bat.step(w, t)[1]
+            new[succ] = new.get(succ, ZERO) + p * like
+            eta += p * like
+    if eta == 0:
+        if sensing:
+            raise IncompatibleSensingError(
+                f"sensing result {action} is believed impossible (normalizer 0)")
+        raise IncompatibleActionError(
+            f"action {action} has zero believed likelihood on the whole support")
+    # a world's alternatives take distinct entries of its likelihood row,
+    # so its mass is at most 1, and eta = 1 means every world kept all of it
+    if eta != 1:
+        if not sensing:
+            raise LikelihoodSumError(
+                f"believed likelihoods of {action} are incomplete: "
+                f"total progressed mass {frac_str(eta)}")
+        new = {w: p / eta for w, p in new.items()}
+    hit = bat._progressed[key] = bat.intern_kb(KnowledgeBase(new, bat))
     return hit
 
 

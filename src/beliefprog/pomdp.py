@@ -175,15 +175,17 @@ def _canonical_struct(p, model, formulas):
     # outcomes in declaration order; worlds are left out, so types whose
     # POMDPs differ only in their worlds serialise alike.  The breakdown
     # sink has node and depth -1.
+    shown = [(obs.render(model.fluent_order),
+              sorted(print_formula(formulas[j].formula) for j in labels))
+             for obs, labels in zip(p.observations, p.labels)]
     states = []
-    for i, (config, depth) in enumerate(p.states):
-        obs = p.obs_of[i]
+    for (config, depth), obs in zip(p.states, p.obs_of):
+        rendered, labels = shown[obs]
         states.append({
             "depth": -1 if config is None else depth,
             "node": -1 if config is None else config[0],
-            "observation": p.observations[obs].render(model.fluent_order),
-            "labels": sorted(print_formula(formulas[j].formula)
-                             for j in p.labels[obs]),
+            "observation": rendered,
+            "labels": labels,
         })
     transitions = sorted(
         (i, label, target, frac_str(prob))

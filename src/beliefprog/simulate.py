@@ -116,9 +116,9 @@ class TraceEngine:
     engine.
     """
 
-    def __init__(self, model, graph=None):
+    def __init__(self, model):
         self.model = model
-        self.graph = graph or build_graph(model.program)
+        self.graph = build_graph(model.program)
         self.rbat = real_bat(model)
         self.kb0 = initial_kb(model)
         self._enabled = {}
@@ -199,7 +199,7 @@ class TraceEngine:
 
 
 def run_trace(model, world0, policy, horizon, seed=0, trial=0,
-              graph=None, rng=None, engine=None) -> TraceRecord:
+              engine=None) -> TraceRecord:
     """Execute one trace.  policy is "first-enabled", "uniform-random", or
     a map from canonical observation strings to action labels ("eps" stops).
     """
@@ -209,8 +209,8 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
     if isinstance(policy, str) and policy not in (Strategy.FIRST_ENABLED,
                                                   Strategy.UNIFORM_RANDOM):
         raise BeliefProgError(f"unknown strategy {policy!r}")
-    engine = engine or TraceEngine(model, graph)
-    rng = rng or trial_rng(seed, trial)
+    engine = engine or TraceEngine(model)
+    rng = trial_rng(seed, trial)
     config = engine.config(0, engine.kb0, engine.rbat.intern(world0))
     actions = []
     kbs = [config.obs]
@@ -328,13 +328,13 @@ def hoeffding_half_width(n, confidence=0.95) -> float:
 
 
 def estimate(model, psi, world0, policy, trials, seed, horizon,
-             graph=None, engine=None) -> EstimateResult:
+             engine=None) -> EstimateResult:
     """Fraction of sampled traces satisfying the trace formula."""
     if trials < 1:
         raise BeliefProgError(f"trials must be at least 1, got {trials}")
     if horizon < 0:
         raise BeliefProgError(f"horizon must be at least 0, got {horizon}")
-    engine = engine or TraceEngine(model, graph)
+    engine = engine or TraceEngine(model)
     engine.admit(psi)
     successes = 0
     outcomes = {}

@@ -3,10 +3,10 @@
 ``eager_compute_types`` is the straightforward construction: it progresses
 the knowledge base of every kept sequence, evaluates every context formula
 for every representative, and deduplicates and sorts on all entries.
-``compute_types`` must give the same sequences, pruning, type order,
-witnesses and objective truths (``bitvec``); the subjective entries are
-functions of the knowledge bases, which are the same for every
-representative.
+``compute_types`` must give the same sequences (in key order: by length,
+then action by action), pruning, type order, witnesses and objective truths
+(``bitvec``); the subjective entries are functions of the knowledge bases,
+which are the same for every representative.
 """
 
 import re
@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
-import beliefprog.kb as kb_mod
 from beliefprog import (BeliefProgError, IncompatibleSensingError,
                         build_graph, build_pomdp, compute_types, horizon_of,
                         parse_model, pomdp_fingerprint)
@@ -121,8 +120,15 @@ def eager_compute_types(model, k, reps, phi=None):
                        pruned, PlainStep(model)), kb_of
 
 
+def _key_order(z):
+    # by length, then action by action on (symbol, ctrl, unctrl)
+    return len(z), [(t.symbol, t.ctrl, t.unctrl) for t in z]
+
+
 def assert_same_abstraction(lazy, eager):
-    assert lazy.sequences == eager.sequences
+    # the eager sequences are in universe-tree order; compute_types lists
+    # them in key order
+    assert lazy.sequences == sorted(eager.sequences, key=_key_order)
     assert lazy.pruned == eager.pruned
     assert [t.witness for t in lazy.types] == [t.witness for t in eager.types]
     assert [t.bitvec for t in lazy.types] == [t.bitvec for t in eager.types]
@@ -189,30 +195,29 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
                                                         monkeypatch):
     model = parse_model(_with_bound(coffee_text, 5))
     phi = model.property_named("P1")
-    calls = []
-
-    def counting(progress):
-        def counted(kb, action):
-            calls.append((kb, action))
-            return progress(kb, action)
-        return counted
-
-    # the two progressions progress_kb runs when its memo misses
-    for name in ("progress_kb_sensing", "progress_kb_stochastic"):
-        monkeypatch.setattr(kb_mod, name, counting(getattr(kb_mod, name)))
     a = compute_types(model, 5, reps_from_init(model), phi)
-    assert calls == []
+    # progress_kb memoises every progression it runs on the believed Bat
+    bat = a.kb0.bat
+    assert bat._progressed == {}
+    runs = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            runs.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(bat, "_progressed", Recording())
     graph = build_graph(model.program)
     pomdps = [build_pomdp(model, graph, a, tau) for tau in a.types]
     # each progression starts from the observation of a state the program
     # reaches, and none is repeated
     observed = {kb for p in pomdps for kb in p.observations}
-    assert calls and all(kb in observed for kb, _action in calls)
-    assert len(set(calls)) == len(calls)
+    assert runs and all(kb in observed for kb, _action in runs)
+    assert len(set(runs)) == len(runs) == len(bat._progressed)
     assert len(a.sequences) == 5348
     # configurations merge sequences: 45 sequence-keyed states for type 0
     assert [len(p.states) for p in pomdps] == [32, 18, 15]
-    assert len(calls) <= 32 + 18 + 15
+    assert len(runs) <= 32 + 18 + 15
 
 
 def test_sequence_budget_is_exact_at_its_bound(coffee, monkeypatch):

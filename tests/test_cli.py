@@ -306,11 +306,12 @@ def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
 @pytest.mark.parametrize("argv, message", [
     (("--world", "h=abc"), "--world value of 'h': 'abc' is not a number"),
     (("--world", "h"), "--world entry 'h' is not fluent=value"),
+    (("--world", "h=0,h=-2"), "--world gives fluent 'h' more than once"),
     (("--trials", "0"), "trials must be at least 1, got 0"),
     (("--trials", "-3"), "trials must be at least 1, got -3"),
     (("--horizon", "-2"), "horizon must be at least 0, got -2"),
-], ids=["world-not-a-number", "world-without-value", "trials-zero",
-        "trials-negative", "horizon-negative"])
+], ids=["world-not-a-number", "world-without-value", "world-repeated-fluent",
+        "trials-zero", "trials-negative", "horizon-negative"])
 def test_simulate_rejects_bad_values(capsys, argv, message):
     code, _, err = run(capsys, "simulate", MODEL, "--psi", "F<=2 B(h=2) = 1",
                        "--trials", "10", *argv)

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (EPSILON, FAILURE, IncompatibleSensingError,
-                        LikelihoodSumError, action_likelihood, believed_bat,
-                        eval_fluent_formula, eval_subjective, initial_kb,
-                        make_world, oi_alternatives, parse_ground_action,
-                        parse_model, progress_kb, progress_kb_sensing,
-                        progress_kb_stochastic, progress_world, real_bat,
-                        trace_likelihood)
+from beliefprog import (EPSILON, FAILURE, IncompatibleActionError,
+                        IncompatibleSensingError, LikelihoodSumError,
+                        action_likelihood, believed_bat, eval_fluent_formula,
+                        eval_subjective, initial_kb, make_world,
+                        oi_alternatives, parse_ground_action, parse_model,
+                        progress_kb, progress_world, real_bat,
+                        trace_likelihood, validate_restrictions)
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
 
@@ -111,26 +111,26 @@ def test_oi_alternatives(coffee):
 
 def test_stochastic_progression_spreads_uniform(coffee):
     kb = initial_kb(coffee)
-    kb1 = progress_kb_stochastic(kb, ga(coffee, "east(1, 1)"))
+    kb1 = progress_kb(kb, ga(coffee, "east(1, 1)"))
     assert dist_of(kb1, coffee) == {0: F(1, 4), 1: F(1, 2), 2: F(1, 4)}
 
 
 def test_sensing_positive_collapses_to_two(coffee):
     kb1 = progress_kb(initial_kb(coffee), ga(coffee, "east(1, 1)"))
-    kb2 = progress_kb_sensing(kb1, ga(coffee, "sencfe(1)"))
+    kb2 = progress_kb(kb1, ga(coffee, "sencfe(1)"))
     assert dist_of(kb2, coffee) == {2: F(1)}
 
 
 def test_sensing_negative_renormalizes(coffee):
     kb1 = progress_kb(initial_kb(coffee), ga(coffee, "east(1, 1)"))
-    kb3 = progress_kb_sensing(kb1, ga(coffee, "sencfe(0)"))
+    kb3 = progress_kb(kb1, ga(coffee, "sencfe(0)"))
     assert dist_of(kb3, coffee) == {0: F(1, 3), 1: F(2, 3)}
 
 
 def test_point_mass_spreads_to_half_half(coffee):
     # hand sum over the two OI alternatives of east(1, _) from h = 0
     kb = KnowledgeBase({make_world(coffee, [0]): F(1)}, believed_bat(coffee))
-    kb1 = progress_kb_stochastic(kb, ga(coffee, "east(1, 1)"))
+    kb1 = progress_kb(kb, ga(coffee, "east(1, 1)"))
     assert dist_of(kb1, coffee) == {0: F(1, 2), 1: F(1, 2)}
 
 
@@ -138,12 +138,12 @@ def test_sensing_from_initial_kb_is_incompatible(coffee):
     # believed-accurate sensor assigns zero likelihood to a positive reading
     # while no mass sits at 2
     with pytest.raises(IncompatibleSensingError):
-        progress_kb_sensing(initial_kb(coffee), ga(coffee, "sencfe(1)"))
+        progress_kb(initial_kb(coffee), ga(coffee, "sencfe(1)"))
 
 
 def test_flat_sensing_likelihood_is_identity(coffee):
     kb = initial_kb(coffee)
-    kb0 = progress_kb_sensing(kb, ga(coffee, "sencfe(0)"))
+    kb0 = progress_kb(kb, ga(coffee, "sencfe(0)"))
     assert kb0 == kb
 
 
@@ -171,6 +171,50 @@ def test_incomplete_believed_likelihoods_raise():
     # not a belief breakdown
     with pytest.raises(LikelihoodSumError):
         next_observation(initial_kb(m), parse_ground_action("a(0)", m))
+
+
+def test_zero_believed_likelihood_on_the_whole_support_is_incompatible():
+    # at x = 0 both outcomes are (0), so a(0, 0) reads the first weight, 0,
+    # at every world; the program runs only a(1), so validation passes
+    text = """
+        fluents h;
+        action a stochastic(x; y) {
+          outcomes: (x), (2 * x);
+          likelihood: case true: 0, 1;
+        }
+        ssa h { case a(x, y): h + y; default: h; }
+        belief { (0): 1 }
+        program { a(1) }
+    """
+    m = parse_model(text)
+    assert validate_restrictions(m) == []
+    t = parse_ground_action("a(0, 0)", m)
+    with pytest.raises(IncompatibleActionError, match="whole support"):
+        progress_kb(initial_kb(m), t)
+    # not a belief breakdown
+    with pytest.raises(IncompatibleActionError):
+        next_observation(initial_kb(m), t)
+
+
+def test_believed_mass_short_of_one_is_incomplete():
+    # at x = 0 both outcomes are (0), so a(0, 0) keeps only the first
+    # weight, 1/2, of each world's mass
+    text = """
+        fluents h;
+        action a stochastic(x; y) {
+          outcomes: (x), (2 * x);
+          likelihood: case true: 1/2, 1/2;
+        }
+        ssa h { case a(x, y): h + y; default: h; }
+        belief { (0): 1/3, (1): 2/3 }
+        program { a(1) }
+    """
+    m = parse_model(text)
+    assert validate_restrictions(m) == []
+    with pytest.raises(LikelihoodSumError,
+                       match=r"believed likelihoods of a\(0, 0\) are "
+                             r"incomplete: total progressed mass 1/2"):
+        progress_kb(initial_kb(m), parse_ground_action("a(0, 0)", m))
 
 
 def test_next_observation_folds_only_believed_impossible_sensing(coffee):
@@ -261,7 +305,7 @@ def test_progression_order_independent(coffee):
     kb_b = KnowledgeBase({make_world(coffee, [1]): F(1, 2),
                           make_world(coffee, [0]): F(1, 2)}, believed_bat(coffee))
     t = ga(coffee, "east(1, 1)")
-    assert progress_kb_stochastic(kb_a, t) == progress_kb_stochastic(kb_b, t)
+    assert progress_kb(kb_a, t) == progress_kb(kb_b, t)
 
 
 def test_deterministic_action_is_pushforward():
