@@ -6,8 +6,32 @@ real-world likelihoods at the (hidden) current world.  It never asserts
 verdicts; it reports estimates with a distribution-free (Hoeffding)
 confidence half-width so checker results can be cross-validated.
 
-Randomness is a counter-based Philox generator keyed by (seed, trial), so
-individual trials are reproducible and order-independent.
+Streams.  Trial t of seed s draws from its own counter-based stream: the
+Philox4x64-10 words of np.random.Philox with the 128-bit key
+[s mod 2^64, t] and the counter starting at 1, so trials are reproducible
+and order-independent.  trial_rng makes one 4-word block of many trials'
+streams at once.  An outcome draw takes one 64-bit word r and picks the
+first outcome i with r < cum_i * 2^64, compared as integers against the
+uint64 cut-offs ceil(cum_i * 2^64); no float enters.  A uniform-random
+choice among m takes 32-bit half-words exactly as
+Generator.integers(0, m) does: the low half of a fresh word first, its
+high half kept for the next choice, Lemire's multiply-and-reject, and no
+draw at all when m is 1.
+
+The lockstep walk.  The trials of an estimate step together over the
+configuration table, depth by depth.  Trials that stand at one
+configuration with one stream position and one verdict so far form a
+group: each step is taken once per group, and the group splits by its
+members' draws.  Groups are not keyed by path, so members' paths may
+differ; a group carries one representative path, on which
+eval_trace_formula decides every member once the group finishes.
+run_trace is the walk with one trial.  Trials run in chunks of _CHUNK in
+trial order, and a chunk makes a stream block only when the walk first
+reads it and drops it once every group has passed it: memory does not
+grow with the trial count, and the streams' share of it does not grow
+with the horizon.  When a step, a policy map or a verdict raises, the
+error of the lowest-numbered trial that met one is raised, as
+trial-by-trial runs would.
 """
 
 import math
@@ -25,37 +49,123 @@ from .program_graph import build_graph, enabled
 from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp, print_program
 
 _TWO64 = 2 ** 64
+_CHUNK = 1 << 14  # trials walked together
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed % _TWO64, trial % _TWO64]))
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products m * x, from 32-bit halves
+    (numpy has no 64x64->128-bit multiply)."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LOW32, x >> _SHIFT32
+    u = m1 * x0 + ((m0 * x0) >> _SHIFT32)
+    v = m0 * x1 + (u & _LOW32)
+    return m1 * x1 + (u >> _SHIFT32) + (v >> _SHIFT32), np.uint64(m) * x
 
 
-def sample_index(rng, weights) -> int:
-    """Draw an index from exact rational weights summing to 1.
+def trial_rng(seed, trials, block) -> np.ndarray:
+    """Words 4*block .. 4*block+3 of each trial's stream, one row per trial:
+    np.random.Philox(key=[seed mod 2^64, trial]).random_raw() as uint64."""
+    k1 = np.asarray(trials, dtype=np.uint64)
+    n = len(k1)
+    c0 = np.full(n, block + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % _TWO64)
+        if r:
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=1)
 
-    The uniform draw is a 64-bit integer compared against exact cumulative
-    fractions, so the choice itself involves no floating point.
-    """
-    return _sample_cum(rng, _cum_thresholds(weights))
+
+class _Streams:
+    """The words of one chunk of trials' streams, made a block at a time
+    when the walk first reads it."""
+
+    __slots__ = ("seed", "trials", "blocks")
+
+    def __init__(self, seed, trials):
+        self.seed = seed
+        self.trials = trials  # uint64 trial numbers; members index them
+        self.blocks = {}
+
+    def words(self, members, index):
+        """Word `index` of each member's stream."""
+        b = index >> 2
+        block = self.blocks.get(b)
+        if block is None:
+            block = self.blocks[b] = trial_rng(self.seed, self.trials, b)
+        return block[members, index & 3]
+
+    def release(self, index):
+        """Forget the blocks wholly before word `index`."""
+        for b in [b for b in self.blocks if 4 * b + 4 <= index]:
+            del self.blocks[b]
 
 
-def _cum_thresholds(weights):
-    # outcome i is chosen iff r/2^64 < cum_i, tested as r*den < num<<64
-    out = []
+def cut_offs(weights) -> np.ndarray:
+    """uint64 cut-offs ceil(cum_i * 2^64) of the outcomes before the last,
+    up to the first that no 64-bit word reaches."""
+    cuts = []
     cum = Fraction(0)
-    for w in weights:
+    for w in weights[:-1]:
         cum += w
-        out.append((cum.numerator << 64, cum.denominator))
-    return out
+        cut = -(-(cum.numerator << 64) // cum.denominator)
+        if cut >= _TWO64:
+            break
+        cuts.append(cut)
+    return np.array(cuts, dtype=np.uint64)
 
 
-def _sample_cum(rng, thresholds) -> int:
-    r = int(rng.integers(0, _TWO64, dtype=np.uint64))
-    for i, (num_shifted, den) in enumerate(thresholds):
-        if r * den < num_shifted:
-            return i
-    return len(thresholds) - 1
+def sample_outcomes(cuts, words) -> np.ndarray:
+    """The outcome each 64-bit word picks: the number of cut-offs at or
+    below it, that is the first i with word < cum_i * 2^64, or the last."""
+    return np.searchsorted(cuts, words, side="right")
+
+
+def _split(members, picks):
+    """(value, members) for each distinct value members picked."""
+    if len(members) == 1:
+        return [(int(picks[0]), members)]
+    values = np.unique(picks).tolist()
+    if len(values) == 1:
+        return [(values[0], members)]
+    return [(v, members[picks == v]) for v in values]
+
+
+def _uniform(streams, members, pos, half, m):
+    """Generator.integers(0, m) for each member at stream position
+    (pos, half): pos is the next fresh word, half the word whose high half
+    is pending, or -1.  Returns (members, choices, pos, half) parts, split
+    where Lemire's rejection made some members draw again."""
+    if m == 1:
+        return [(members, np.zeros(len(members), dtype=np.uint64), pos, half)]
+    threshold = (2 ** 32 - m) % m
+    parts = []
+    while True:
+        if half >= 0:
+            x = streams.words(members, half) >> _SHIFT32
+            half = -1
+        else:
+            x = streams.words(members, pos) & _LOW32
+            half = pos
+            pos += 1
+        product = x * np.uint64(m)
+        redraw = (product & _LOW32) < np.uint64(threshold)
+        if not redraw.any():
+            parts.append((members, product >> _SHIFT32, pos, half))
+            return parts
+        keep = ~redraw
+        if keep.any():
+            parts.append((members[keep], product[keep] >> _SHIFT32, pos, half))
+        members = members[redraw]
 
 
 @dataclass
@@ -94,7 +204,7 @@ class _Config:
 
 class _Move:
     """An enabled edge taken from one configuration: its really-possible
-    ground outcomes, their cumulative cut-offs and their successor entries
+    ground outcomes, their uint64 cut-offs and their successor entries
     (a _Config, BREAKDOWN, or None until first drawn)."""
 
     __slots__ = ("edge", "outcomes", "cuts", "succ")
@@ -102,16 +212,16 @@ class _Move:
     def __init__(self, edge, outcomes, cuts):
         self.edge = edge
         self.outcomes = outcomes  # ((ground action, real likelihood), ...)
-        self.cuts = cuts  # _cum_thresholds of the likelihoods
+        self.cuts = cuts  # cut_offs of the likelihoods
         self.succ = [None] * len(outcomes)
 
 
 class TraceEngine:
     """The configuration table of repeated trials over one model.
 
-    A configuration is (node, observation, world).  run_trace walks the
-    table, keyed by configuration, and fills a missing entry through the
-    five methods below; world steps and knowledge-base progressions are
+    A configuration is (node, observation, world).  The lockstep walk reads
+    the table, keyed by configuration, and fills a missing entry through
+    the five methods below; world steps and knowledge-base progressions are
     memoised in the real and believed Bat, so each is taken once per
     engine.
     """
@@ -142,10 +252,10 @@ class TraceEngine:
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
-        with cumulative sampling thresholds."""
+        with their sampling cut-offs."""
         prim = edge.prim
         weighted = self.rbat.branches(world, prim.symbol, prim.args)
-        return weighted, _cum_thresholds([p for _, p in weighted])
+        return weighted, cut_offs([p for _, p in weighted])
 
     def satisfies(self, obs, beta):
         key = (obs, id(beta))
@@ -198,76 +308,169 @@ class TraceEngine:
         return succ
 
 
-def run_trace(model, world0, policy, horizon, seed=0, trial=0,
-              engine=None) -> TraceRecord:
-    """Execute one trace.  policy is "first-enabled", "uniform-random", or
-    a map from canonical observation strings to action labels ("eps" stops).
-    """
-    if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
+# ---------------------------------------------------------------------------
+# the lockstep walk
+
+class _Prefix:
+    """A group's representative path: its last step, linked to the path
+    before it, with the likelihood num/den so far."""
+
+    __slots__ = ("parent", "action", "obs", "num", "den")
+
+    def __init__(self, parent, action, obs, num, den):
+        self.parent = parent
+        self.action = action
+        self.obs = obs
+        self.num = num
+        self.den = den
+
+    def record(self, world0, outcome):
+        actions, kbs = [], []
+        at = self
+        while at is not None:
+            kbs.append(at.obs)
+            actions.append(at.action)
+            at = at.parent
+        actions.pop()  # the start has no action
+        return TraceRecord(world0, actions[::-1], kbs[::-1], outcome,
+                           Fraction(self.num, self.den))
+
+
+def _start(engine, world0, policy):
+    """The configuration every trial starts from, once the initial world
+    and the policy are checked."""
+    if not all(eval_fluent_formula(c, world0)
+               for c in engine.model.init.constraints):
         raise BeliefProgError(f"initial world {world0!r} violates the "
                               "initial constraints")
     if isinstance(policy, str) and policy not in (Strategy.FIRST_ENABLED,
                                                   Strategy.UNIFORM_RANDOM):
         raise BeliefProgError(f"unknown strategy {policy!r}")
-    engine = engine or TraceEngine(model)
-    rng = trial_rng(seed, trial)
-    config = engine.config(0, engine.kb0, engine.rbat.intern(world0))
-    actions = []
-    kbs = [config.obs]
-    num = den = 1  # the trace likelihood num/den, normalised once at the end
-    outcome = "horizon-cut"
+    return engine.config(0, engine.kb0, engine.rbat.intern(world0))
 
-    while len(actions) < horizon:
-        if config.live is None:
-            engine._fill(config)
-        if config.is_failing:
-            outcome = "fail"
-            break
-        if policy == Strategy.FIRST_ENABLED:
-            if not config.live:
-                outcome = "final"
-                break
-            i = 0
-        elif policy == Strategy.UNIFORM_RANDOM:
-            n = len(config.live)
-            i = int(rng.integers(0, n + 1 if config.is_final else n))
-            if i == n:
-                outcome = "final"
-                break
-        else:
-            if config.labels is None:
-                engine._fill_labels(config)
-            label = policy.get(config.rendered)
-            if label in (None, "eps"):
-                if config.is_final:
-                    outcome = "final"
-                    break
-                if label is None and config.live:
-                    i = 0
+
+def _verdict(engine, psi, depth, obs):
+    """What the position at depth decides about psi (None: still open, or
+    no formula); a verdict that raises is kept as its error's class and
+    message, which eval_trace_formula raises again when the trace ends."""
+    if psi is None:
+        return None
+    try:
+        return trace_verdict(psi, depth, lambda beta: engine.satisfies(obs, beta))
+    except BeliefProgError as exc:
+        return (type(exc), str(exc))
+
+
+def _choices(engine, streams, config, policy, members, pos, half):
+    """The edge each member takes at config: (members, edge index or None
+    to stop, pos, half) parts."""
+    if policy == Strategy.FIRST_ENABLED:
+        return [(members, 0 if config.live else None, pos, half)]
+    if policy == Strategy.UNIFORM_RANDOM:
+        n = len(config.live)
+        parts = []
+        for part, picks, p, h in _uniform(streams, members, pos, half,
+                                          n + 1 if config.is_final else n):
+            parts.extend((chosen, i if i < n else None, p, h)
+                         for i, chosen in _split(part, picks))
+        return parts
+    if config.labels is None:
+        engine._fill_labels(config)
+    label = policy.get(config.rendered)
+    if label in (None, "eps"):
+        if config.is_final:
+            return [(members, None, pos, half)]
+        if label is None and config.live:
+            return [(members, 0, pos, half)]
+        raise BeliefProgError("policy stops at a non-final observation "
+                              f"{config.rendered}")
+    if label in config.labels:
+        return [(members, config.labels.index(label), pos, half)]
+    raise BeliefProgError(f"policy action {label!r} is not enabled at "
+                          f"{config.rendered}")
+
+
+def _lockstep(engine, start, policy, psi, horizon, streams):
+    """Walk every trial of `streams` from `start` for up to horizon steps.
+
+    Returns the finished groups as (prefix, outcome, members) and the
+    errors as (first member, exception); a member that meets an error
+    leaves its group."""
+    finished, errors = [], []
+    root = _Prefix(None, None, start.obs, 1, 1)
+    level = {(start, 0, -1, _verdict(engine, psi, 0, start.obs)):
+             ([np.arange(len(streams.trials))], root)}
+    for depth in range(horizon):
+        nxt = {}
+        for (config, pos, half, verdict), (parts, prefix) in level.items():
+            members = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            try:
+                if config.live is None:
+                    engine._fill(config)
+                if config.is_failing:
+                    finished.append((prefix, "fail", members))
+                    continue
+                choices = _choices(engine, streams, config, policy, members,
+                                   pos, half)
+            except BeliefProgError as exc:  # raised in trial order
+                errors.append((members.min(), exc))
+                continue
+            for chosen, i, p, h in choices:
+                if i is None:
+                    finished.append((prefix, "final", chosen))
+                    continue
+                try:
+                    move = config.moves[i] or engine._move(config, i)
+                except BeliefProgError as exc:
+                    errors.append((chosen.min(), exc))
+                    continue
+                if len(move.cuts) == 0:
+                    outcomes = [(0, chosen)]
                 else:
-                    raise BeliefProgError(
-                        "policy stops at a non-final observation "
-                        f"{config.rendered}")
-            elif label in config.labels:
-                i = config.labels.index(label)
-            else:
-                raise BeliefProgError(f"policy action {label!r} is not "
-                                      f"enabled at {config.rendered}")
-
-        move = config.moves[i] or engine._move(config, i)
-        j = _sample_cum(rng, move.cuts)
-        succ = move.succ[j] or engine._successor(config, move, j)
-        if succ is BREAKDOWN:
-            outcome = "belief-breakdown"
+                    draws = streams.words(chosen, p)
+                    outcomes = _split(chosen, sample_outcomes(move.cuts, draws))
+                for j, drawn in outcomes:
+                    try:
+                        succ = move.succ[j] or engine._successor(config, move, j)
+                    except BeliefProgError as exc:
+                        errors.append((drawn.min(), exc))
+                        continue
+                    if succ is BREAKDOWN:
+                        finished.append((prefix, "belief-breakdown", drawn))
+                        continue
+                    key = (succ, p + 1, h, verdict if verdict is not None
+                           else _verdict(engine, psi, depth + 1, succ.obs))
+                    entry = nxt.get(key)
+                    if entry is None:
+                        t, like = move.outcomes[j]
+                        nxt[key] = ([drawn], _Prefix(
+                            prefix, t, succ.obs, prefix.num * like.numerator,
+                            prefix.den * like.denominator))
+                    else:
+                        entry[0].append(drawn)
+        level = nxt
+        if not level:
             break
-        t, p = move.outcomes[j]
-        num *= p.numerator
-        den *= p.denominator
-        actions.append(t)
-        kbs.append(succ.obs)
-        config = succ
+        streams.release(min(h if h >= 0 else p for _, p, h, _ in level))
+    for parts, prefix in level.values():
+        finished.append((prefix, "horizon-cut",
+                         parts[0] if len(parts) == 1 else np.concatenate(parts)))
+    return finished, errors
 
-    return TraceRecord(world0, actions, kbs, outcome, Fraction(num, den))
+
+def run_trace(model, world0, policy, horizon, seed=0, trial=0,
+              engine=None) -> TraceRecord:
+    """Execute one trace.  policy is "first-enabled", "uniform-random", or
+    a map from canonical observation strings to action labels ("eps" stops).
+    """
+    engine = engine or TraceEngine(model)
+    start = _start(engine, world0, policy)
+    streams = _Streams(seed, np.array([trial % _TWO64], dtype=np.uint64))
+    finished, errors = _lockstep(engine, start, policy, None, horizon, streams)
+    if errors:
+        raise errors[0][1]
+    (prefix, outcome, _members), = finished
+    return prefix.record(world0, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +539,31 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
         raise BeliefProgError(f"horizon must be at least 0, got {horizon}")
     engine = engine or TraceEngine(model)
     engine.admit(psi)
+    start = _start(engine, world0, policy)
     successes = 0
-    outcomes = {}
-    for trial in range(trials):
-        record = run_trace(model, world0, policy, horizon, seed=seed,
-                           trial=trial, engine=engine)
-        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-        if eval_trace_formula(psi, record, engine):
-            successes += 1
+    first = {}  # outcome -> (first trial, count)
+    for chunk in range(0, trials, _CHUNK):
+        streams = _Streams(seed, np.arange(chunk, min(chunk + _CHUNK, trials),
+                                           dtype=np.uint64))
+        finished, errors = _lockstep(engine, start, policy, psi, horizon,
+                                     streams)
+        for prefix, outcome, members in finished:
+            try:
+                holds = eval_trace_formula(psi, prefix.record(world0, outcome),
+                                           engine)
+            except BeliefProgError as exc:  # raised in trial order
+                errors.append((members.min(), exc))
+                continue
+            if holds:
+                successes += len(members)
+            low, count = first.get(outcome, (trials, 0))
+            first[outcome] = (min(low, chunk + int(members.min())),
+                              count + len(members))
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+    # outcomes in the order of the first trial that ends each way
+    outcomes = {outcome: count for outcome, (_low, count)
+                in sorted(first.items(), key=lambda item: item[1][0])}
     return EstimateResult(successes / trials, hoeffding_half_width(trials),
                           successes, trials, horizon, outcomes,
                           decision_depth(psi) is not None)

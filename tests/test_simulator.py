@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
-from beliefprog import (BeliefProgError, IncompatibleActionError,
+from beliefprog import (BeliefProgError, EvalError, IncompatibleActionError,
                         IncompatibleSensingError, KnowledgeBase,
                         LikelihoodSumError, action_likelihood, believed_bat,
                         build_graph, enabled, estimate, eval_fluent_formula,
@@ -12,11 +14,12 @@ from beliefprog import (BeliefProgError, IncompatibleActionError,
                         parse_model, parse_trace_formula, progress_kb,
                         progress_world, real_bat, reps_from_init, run_trace)
 import beliefprog.kb as kb_mod
+import beliefprog.simulate as simulate
 from beliefprog.abstraction import program_prims
 from beliefprog.cli import main
 from beliefprog.kb import initial_kb
-from beliefprog.simulate import (TraceEngine, TraceRecord,
-                                 hoeffding_half_width, sample_index,
+from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
+                                 hoeffding_half_width, sample_outcomes,
                                  trial_rng)
 from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, frac_str,
                                print_program)
@@ -139,10 +142,10 @@ def test_outcome_frequencies_chi_square(coffee):
     alts = oi_alternatives("sencfe", (), coffee)
     weights = [action_likelihood(a, w, rb) for a in alts]
     n = 10_000
-    counts = [0] * len(alts)
-    for t in range(n):
-        rng = trial_rng(1234, t)
-        counts[sample_index(rng, weights)] += 1
+    # the first word of each trial's stream, as one outcome draw takes it
+    words = trial_rng(1234, np.arange(n), 0)[:, 0]
+    counts = np.bincount(sample_outcomes(cut_offs(weights), words),
+                         minlength=len(alts))
     expected = [float(wgt) * n for wgt in weights]
     result = stats.chisquare(counts, expected)
     assert result.pvalue > 0.001
@@ -155,9 +158,9 @@ def test_east_outcome_frequencies_chi_square(coffee):
     alts = oi_alternatives("east", (F(1),), coffee)
     weights = [action_likelihood(a, w, rb) for a in alts]
     n = 10_000
-    counts = [0] * len(alts)
-    for t in range(n):
-        counts[sample_index(trial_rng(99, t), weights)] += 1
+    words = trial_rng(99, np.arange(n), 0)[:, 0]
+    counts = np.bincount(sample_outcomes(cut_offs(weights), words),
+                         minlength=len(alts))
     assert stats.chisquare(counts, [n / 2, n / 2]).pvalue > 0.001
 
 
@@ -198,9 +201,11 @@ def test_globally_on_prefix(coffee):
 # the configuration table against a reference stepper
 #
 # reference_trace is the simulator's step loop as it was before the
-# configuration table and the Bat's step memo: every step evaluates the
-# guards, the real likelihoods, the knowledge-base update rules and the
-# world progression afresh through the unmemoised kb functions.
+# configuration table, the Bat's step memo and the lockstep walk: one trial
+# at a time, every step evaluates the guards, the real likelihoods, the
+# knowledge-base update rules and the world progression afresh through the
+# unmemoised kb functions, and draws from its own numpy Generator over
+# Philox, comparing each 64-bit word with exact Fraction cut-offs.
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
@@ -252,13 +257,30 @@ def reference_progress(kb, action):
     return KnowledgeBase(new, bat)
 
 
+def reference_rng(seed, trial):
+    key = np.array([seed % 2 ** 64, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def reference_index(rng, weights):
+    """The first outcome i with r < cum_i * 2^64 for a 64-bit word r, or
+    the last, decided in Fractions."""
+    r = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+    cum = F(0)
+    for i, w in enumerate(weights):
+        cum += w
+        if r < cum * 2 ** 64:
+            return i
+    return len(weights) - 1
+
+
 def reference_trace(model, world0, policy, horizon, seed, trial):
     if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
         raise BeliefProgError(f"initial world {world0!r} violates the "
                               "initial constraints")
     graph = build_graph(model.program)
     rbat = real_bat(model)
-    rng = trial_rng(seed, trial)
+    rng = reference_rng(seed, trial)
     kb = initial_kb(model)
     w = world0
     node = 0
@@ -306,7 +328,7 @@ def reference_trace(model, world0, policy, horizon, seed, trial):
             raise BeliefProgError(
                 f"{print_program(edge.prim)} has no really-possible outcome "
                 f"at {w!r}")
-        t, p = weighted[sample_index(rng, [p for _, p in weighted])]
+        t, p = weighted[reference_index(rng, [p for _, p in weighted])]
         try:
             next_kb = reference_progress(kb, t)
         except IncompatibleSensingError:
@@ -395,6 +417,237 @@ def test_configuration_table_matches_reference_random(seed):
                 _rotating_policy_map(model, records)]
     assert_steppers_agree(model, world0, policies, trials=6, horizon=4,
                           seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# streams and the lockstep walk
+
+@pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 63 + 5])
+def test_streams_equal_numpy_philox(seed):
+    trials = np.arange(200)
+    words = np.concatenate([trial_rng(seed, trials, block)
+                            for block in range(10)], axis=1)
+    assert words.dtype == np.uint64
+    for t in trials.tolist():
+        key = np.array([seed % 2 ** 64, t], dtype=np.uint64)
+        assert words[t].tolist() == \
+            np.random.Philox(key=key).random_raw(40).tolist(), t
+    # an outcome draw reads a word as a full-range integers() draw does
+    rng = reference_rng(seed, 3)
+    assert [int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+            for _ in range(12)] == words[3, :12].tolist()
+
+
+def test_seeds_key_their_streams_exactly():
+    # the key is [seed mod 2^64, trial] word for word: -1 is not seed 0,
+    # and 2^63 + 5 is not 2^63
+    trials = np.arange(4)
+    for a, b in ((-1, 0), (2 ** 63 + 5, 2 ** 63)):
+        assert (trial_rng(a, trials, 0) != trial_rng(b, trials, 0)).all()
+
+
+def _walk_draws(seed, trial, ops):
+    """The walk's draws on one trial's stream: a 64-bit outcome draw for
+    None, a uniform choice among m for m."""
+    streams = simulate._Streams(seed, np.array([trial], dtype=np.uint64))
+    member = np.array([0])
+    pos, half, out = 0, -1, []
+    for m in ops:
+        if m is None:
+            out.append(int(streams.words(member, pos)[0]))
+            pos += 1
+        else:
+            (_part, picks, pos, half), = simulate._uniform(
+                streams, member, pos, half, m)
+            out.append(int(picks[0]))
+    return out
+
+
+def test_uniform_draws_equal_generator_integers():
+    rnd = random.Random(5)
+    for case in range(300):
+        ops = [rnd.choice([None, 1, 2, 3, 4, 5, 6])
+               for _ in range(rnd.randint(1, 30))]
+        seed, trial = rnd.randrange(2 ** 64), rnd.randrange(1000)
+        rng = reference_rng(seed, trial)
+        expected = [int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+                    if m is None else int(rng.integers(0, m)) for m in ops]
+        assert _walk_draws(seed, trial, ops) == expected, case
+
+
+def lemire_model(halves, m):
+    """numpy's bounded draw of integers(0, m) for m < 2^32 over a stream of
+    32-bit draws (buffered_bounded_lemire_uint32)."""
+    rng = m - 1
+    product = next(halves) * m
+    leftover = product & 0xFFFFFFFF
+    if leftover < m:
+        threshold = (0xFFFFFFFF - rng) % m
+        while leftover < threshold:
+            product = next(halves) * m
+            leftover = product & 0xFFFFFFFF
+    return product >> 32
+
+
+def test_uniform_rejection_on_crafted_words(monkeypatch):
+    # m = 3 redraws exactly when a half-word is 0: trial 0 redraws once,
+    # trial 1 never, trial 2 three times in its first draw
+    crafted = np.array([
+        [9 << 32, 5, 0, 7 << 32, 11, 12, 13, 14],
+        [0x80000000 | 1 << 32, 0, 3, 4, 5, 6, 7, 8],
+        [0, 0xFFFFFFFF << 32, 0, 1, 2, 3, 4, 5],
+    ], dtype=np.uint64)
+    monkeypatch.setattr(simulate, "trial_rng", lambda seed, trials, block:
+                        crafted[:, 4 * block:4 * block + 4])
+    streams = simulate._Streams(0, np.arange(3, dtype=np.uint64))
+    got = [[] for _ in crafted]
+    groups = [(np.arange(3), 0, -1)]
+    for _ in range(4):
+        groups_after = []
+        for members, pos, half in groups:
+            for part, picks, p, h in simulate._uniform(streams, members,
+                                                       pos, half, 3):
+                for t, pick in zip(part.tolist(), picks.tolist()):
+                    got[t].append(pick)
+                groups_after.append((part, p, h))
+        groups = groups_after
+    assert len(groups) > 1  # the redraws split the trials
+    for t, words in enumerate(crafted.tolist()):
+        halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
+        assert got[t] == [lemire_model(halves, 3) for _ in range(4)], t
+
+
+def test_cut_offs_stay_in_uint64():
+    cuts = cut_offs([F(1, 3), F(1, 3), F(1, 3)])
+    assert cuts.dtype == np.uint64
+    first, second = cuts.tolist()
+    assert (first, second) == (-(-2 ** 64 // 3), -(-2 ** 65 // 3))
+    words = np.array([0, first - 1, first, second, 2 ** 64 - 1],
+                     dtype=np.uint64)
+    assert sample_outcomes(cuts, words).tolist() == [0, 0, 1, 2, 2]
+    # ceil(cum * 2^64) = 2^64 for a cum just short of 1: no word passes
+    # that outcome, so its cut-off and the later ones are left out
+    tiny = F(1, 2 ** 70)
+    assert cut_offs([F(1, 2), F(1, 2) - tiny, tiny]).tolist() == [2 ** 63]
+
+
+def _reference_estimate(model, psi, world0, policy, trials, seed, horizon):
+    successes, outcomes = 0, {}
+    for trial in range(trials):
+        record = reference_trace(model, world0, policy, horizon, seed, trial)
+        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
+        successes += eval_trace_formula(psi, record)
+    return successes, outcomes
+
+
+def test_estimate_over_chunks_equals_per_trial_reference(monkeypatch):
+    model = parse_model(CHOICE.read_text())
+    world0 = make_world(model, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
+    expected = _reference_estimate(model, psi, world0, "uniform-random",
+                                   150, 3, 6)
+    for chunk in (simulate._CHUNK, 64, 7):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        res = estimate(model, psi, world0, "uniform-random", 150, 3, 6)
+        assert (res.successes, res.outcomes) == expected, chunk
+
+
+def test_estimate_beyond_one_chunk_is_chunk_independent(coffee, monkeypatch):
+    psi = parse_trace_formula("F<=2 B(h = 2) = 1", coffee)
+    w0 = make_world(coffee, [0])
+    trials = simulate._CHUNK + 3000
+    whole = estimate(coffee, psi, w0, "first-enabled", trials, 8, 10)
+    monkeypatch.setattr(simulate, "_CHUNK", 5000)
+    parts = estimate(coffee, psi, w0, "first-enabled", trials, 8, 10)
+    assert (whole.successes, whole.outcomes) == \
+        (parts.successes, parts.outcomes)
+    assert list(whole.outcomes) == list(parts.outcomes)
+
+
+# a sensor that really answers 1 or 0 half the time each, believed
+# 3/4-accurate about h = 1: the belief walks with the readings
+WALK = """
+    fluents h;
+    action sen sensing(1, 0) {
+      likelihood: case true: 1/2, 1/2;
+    }
+    believed {
+      action sen { likelihood: case h = 1: 3/4, 1/4; default: 1/4, 3/4; }
+    }
+    belief { (0): 1/2, (1): 1/2 }
+    program { (sen)* }
+"""
+
+
+def test_first_error_is_the_lowest_trials(monkeypatch):
+    m = parse_model(WALK)
+    w0 = make_world(m, [0])
+    psi = parse_trace_formula("F<=8 B(h = 1) = 1", m)
+    # keep sensing everywhere the first 16 trials go, except six readings
+    # up or five down, where the map names an action the program lacks
+    records = [reference_trace(m, w0, "first-enabled", 10, 5, t)
+               for t in range(16)]
+    up, down = "{(0): 1/730, (1): 729/730}", "{(0): 243/244, (1): 1/244}"
+    policy = {kb.render(): "sen" for r in records for kb in r.kbs}
+    policy.update({up: "east", down: "east"})
+    errors = [(t, next(d for d, kb in enumerate(r.kbs)
+                       if kb.render() in (up, down)))
+              for t, r in enumerate(records)
+              if {up, down} & {kb.render() for kb in r.kbs[:10]}]
+    # the lowest erring trial is in the second chunk of 8, and the walk
+    # meets another error of that chunk first, at a smaller depth
+    (first, depth), (later, later_depth) = errors[:2]
+    assert 8 <= first < later < 16 and later_depth < depth
+    expected, met_first = (
+        _result(lambda: reference_trace(m, w0, policy, 10, 5, t))
+        for t in (first, later))
+    assert expected[0] is met_first[0] is BeliefProgError
+    assert expected[1] != met_first[1]
+    monkeypatch.setattr(simulate, "_CHUNK", 8)
+    with pytest.raises(BeliefProgError) as info:
+        estimate(m, psi, w0, policy, 40, 5, 10)
+    assert str(info.value) == expected[1]
+
+
+def test_a_trials_step_error_outranks_its_verdict_error():
+    # trial by trial, a trace ran to its end before its formula was read:
+    # trial 0's verdict divides by zero at its first reading of 1 (depth
+    # 1), and its second reading of 1 (depth 2) meets a policy error
+    m = parse_model(WALK)
+    w0 = make_world(m, [0])
+    psi = parse_trace_formula("F<=10 1 / (B(h = 1) - 3/4) > 100", m)
+    records = [reference_trace(m, w0, "first-enabled", 10, 0, t)
+               for t in range(8)]
+    up2 = "{(0): 1/10, (1): 9/10}"
+    assert [kb.render() for kb in records[0].kbs[1:3]] == \
+        ["{(0): 1/4, (1): 3/4}", up2]
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_trace_formula(psi, records[0])
+    with pytest.raises(EvalError, match="division by zero"):
+        estimate(m, psi, w0, "first-enabled", 50, 0, 10)
+    policy = {kb.render(): "sen" for r in records for kb in r.kbs}
+    policy[up2] = "east"
+    expected = _result(lambda: reference_trace(m, w0, policy, 10, 0, 0))
+    assert expected[0] is BeliefProgError
+    with pytest.raises(BeliefProgError) as info:
+        estimate(m, psi, w0, policy, 50, 0, 10)
+    assert (type(info.value), str(info.value)) == expected
+
+
+def test_estimate_checks_the_initial_world_once(coffee, monkeypatch):
+    calls = []
+    check = simulate.eval_fluent_formula
+
+    def counting(formula, world, *args):
+        calls.append(formula)
+        return check(formula, world, *args)
+
+    monkeypatch.setattr(simulate, "eval_fluent_formula", counting)
+    psi = parse_trace_formula("F<=2 B(h=2) = 1", coffee)
+    res = estimate(coffee, psi, make_world(coffee, [0]), "first-enabled",
+                   5000, 0, 10)
+    assert res.trials == 5000
+    assert len(calls) == len(coffee.init.constraints) == 1
 
 
 # ---------------------------------------------------------------------------

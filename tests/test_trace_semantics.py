@@ -158,7 +158,7 @@ def test_estimate_rejects_a_nested_probability_before_any_trial(
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran before the formula was checked")
 
-    monkeypatch.setattr(simulate, "run_trace", no_trial)
+    monkeypatch.setattr(simulate, "_lockstep", no_trial)
     with pytest.raises(BeliefProgError, match="nested probability"):
         estimate(m, psi, make_world(m, [0]), "first-enabled", 10, 0, 2)
 
