@@ -20,6 +20,16 @@ from .parser import (model_digest, parse_ground_action, parse_model,
                      parse_trace_formula)
 from .pomdp import FinitePomdp, build_pomdp, pomdp_fingerprint
 from .program_graph import CharGraph, build_graph, enabled
-from .simulate import TraceRecord, estimate, eval_trace_formula, run_trace
 from .syntax import ModelFile, print_model, print_program, print_state_formula
 from .validate import validate_restrictions
+
+# the simulator needs numpy and verify never samples, so these load on
+# first use (PEP 562)
+_SIMULATE_NAMES = ("TraceRecord", "estimate", "eval_trace_formula", "run_trace")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

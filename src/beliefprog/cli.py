@@ -23,7 +23,6 @@ from .parser import (model_digest, parse_ground_action, parse_model,
                      parse_trace_formula)
 from .pomdp import build_pomdp, pomdp_fingerprint, to_dot as pomdp_dot, to_json as pomdp_json
 from .program_graph import build_graph, to_dot as graph_dot
-from .simulate import estimate
 from .syntax import POp, frac_str, print_state_formula, print_trace_formula
 from .validate import validate_restrictions
 
@@ -201,6 +200,12 @@ def _render_verify_text(report):
     for w in report["warnings"]:
         lines.append(f"warning: {w}")
     return "\n".join(lines)
+
+
+def estimate(*args, **kwargs):
+    """simulate.estimate, imported on first call: verify never loads numpy."""
+    from .simulate import estimate as run
+    return run(*args, **kwargs)
 
 
 def cmd_simulate(args):

@@ -2,8 +2,13 @@
 
 Everything here works on arbitrary-precision rationals; there is no float
 anywhere in a semantic computation.  A knowledge base is a finite belief
-distribution over worlds paired with the action theory the agent believes,
-and progression by t follows one update rule:
+distribution over worlds paired with the action theory the agent believes.
+Its masses are integers over one denominator: world w has mass
+num[w] / den, den > 0 is the lcm of the masses' reduced denominators, and
+so gcd(den, *num.values()) == 1 and (den, num) is the one form of the
+distribution.  Progression and B(phi) add and multiply ints and build a
+Fraction only for a value they return; kb.dist is a read-only Fraction
+view, made on first use.  Progression by t follows one update rule:
 
   f'(u) = sum over support u' of f(u') *
           sum over a in the observed class of t:
@@ -17,11 +22,13 @@ actions eps and fail have likelihood 1, are OI only to themselves, and
 only touch the reserved fluents Final and Fail.
 
 Each Bat memoises its steps: the likelihood row per (symbol, ctrl, world),
-the (likelihood, successor) per (world, ground action), and the
-progression per (knowledge base, ground action).  It interns the worlds
-and knowledge bases it makes, so equal ones are one object and dicts
-keyed by them hit on identity.  A Bat is made per theory per run
-(real_bat, initial_kb), so no table outlives the run that filled it.
+the (likelihood, successor) and the integer moves of the observed class
+per (world, ground action), the truth of a fluent formula per (formula,
+world), and the progression per (knowledge base, ground action).  It
+interns the worlds and knowledge bases it makes, so equal ones are one
+object and dicts keyed by them hit on identity.  A Bat is made per theory
+per run (real_bat, initial_kb), so no table outlives the run that filled
+it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation and eval_subjective are the one
@@ -30,6 +37,8 @@ progression rule and the one truth rule for both.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import (EvalError, IncompatibleActionError,
                      IncompatibleSensingError, LikelihoodContextError,
@@ -143,6 +152,8 @@ class Bat:
         self._alternatives = {}  # (symbol, ctrl) -> oi_alternatives
         self._steps = {}  # (world, action) -> (likelihood, successor)
         self._branches = {}  # (world, symbol, ctrl) -> nonzero branches
+        self._moves = {}  # (world, action) -> moves
+        self._truth = {}  # id(phi) -> (phi, {world: bool})
         self._progressed = {}  # (kb, action) -> progressed kb
         self._worlds = {}  # intern tables: each maps a value to its
         self._kbs = {}  # one object
@@ -198,6 +209,37 @@ class Bat:
             hit = self._branches[key] = tuple(
                 (t, like) for t in alts
                 if (like := self.likelihood_of(t, world)) != 0)
+        return hit
+
+    def moves(self, world, action, sensing):
+        """(d, ((successor, k), ...)): each member of action's observed
+        class -- the action itself if sensing, else its OI-alternatives --
+        with nonzero likelihood k/d at world, in branches order, where d
+        is the lcm of their denominators.  Successors are computed only
+        for members of the class."""
+        key = (world, action)
+        hit = self._moves.get(key)
+        if hit is None:
+            kept = [(t, like) for t, like in
+                    self.branches(world, action.symbol, action.ctrl)
+                    if not sensing or t == action]
+            d = lcm(*(like.denominator for _, like in kept))
+            hit = self._moves[key] = (d, tuple(
+                (self.step(world, t)[1], like.numerator * (d // like.denominator))
+                for t, like in kept))
+        return hit
+
+    def holds(self, world, phi):
+        """eval_fluent_formula(phi, world), memoised per formula object.
+        The table keeps each formula it has met alive, so no two formulas
+        share an id, and deep formulas are never hashed."""
+        entry = self._truth.get(id(phi))
+        if entry is None:
+            entry = self._truth[id(phi)] = (phi, {})
+        table = entry[1]
+        hit = table.get(world)
+        if hit is None:
+            hit = table[world] = eval_fluent_formula(phi, world)
         return hit
 
 
@@ -397,22 +439,48 @@ def trace_likelihood(world, actions, bat) -> Fraction:
 # knowledge bases
 
 class KnowledgeBase:
-    """Finite belief distribution plus the believed action theory."""
+    """Finite belief distribution plus the believed action theory; world
+    w has mass num[w] / den, in lowest terms (see the module docstring).
+    KnowledgeBase(dist, bat) takes a {world: Fraction} mapping."""
 
-    __slots__ = ("dist", "bat", "_key", "_hash")
+    __slots__ = ("num", "den", "bat", "_key", "_hash", "_dist")
 
     def __init__(self, dist, bat):
-        self.dist = {w: p for w, p in dist.items() if p != 0}
+        masses = [(w, p) for w, p in dist.items() if p != 0]
+        den = lcm(*(p.denominator for _, p in masses))
+        self._set({w: p.numerator * (den // p.denominator) for w, p in masses},
+                  den, bat)
+
+    @classmethod
+    def _lowest(cls, num, den, bat):
+        """The knowledge base with masses num[w] / den, where no num[w] is
+        0 and gcd(den, *num.values()) == 1."""
+        kb = cls.__new__(cls)
+        kb._set(num, den, bat)
+        return kb
+
+    def _set(self, num, den, bat):
+        self.num = num
+        self.den = den
         self.bat = bat
-        self._key = frozenset(self.dist.items())
+        self._key = (den, frozenset(num.items()))
         self._hash = hash(self._key)
+        self._dist = None
+
+    @property
+    def dist(self):
+        """Read-only {world: Fraction mass}, made on first use."""
+        if self._dist is None:
+            self._dist = MappingProxyType(
+                {w: Fraction(n, self.den) for w, n in self.num.items()})
+        return self._dist
 
     @property
     def key(self):
         return self._key
 
     def total(self):
-        return sum(self.dist.values(), ZERO)
+        return Fraction(sum(self.num.values()), self.den)
 
     def __eq__(self, other):
         return self is other or \
@@ -426,7 +494,7 @@ class KnowledgeBase:
         order = fluent_order or self.bat.model.fluent_order
         shown = [n for n in order if n not in ("Final", "Fail")]
         shown += [n for n in ("Final", "Fail")
-                  if any(w[n] != 0 for w in self.dist)]
+                  if any(w[n] != 0 for w in self.num)]
         entries = sorted((w.vector(shown), p) for w, p in self.dist.items())
         body = ", ".join("(%s): %s" % (", ".join(frac_str(v) for v in vec),
                                        frac_str(p))
@@ -479,30 +547,38 @@ def progress_kb(kb, action) -> KnowledgeBase:
         if decl is None:
             raise EvalError(f"undeclared action {action.symbol!r}")
         sensing = decl.kind == "sensing"
+    # in integers: world w's moves have likelihoods k/d, so over the step's
+    # common denominator den * scale its successor gains num[w] * k * scale/d
+    moved = [(n, bat.moves(w, action, sensing)) for w, n in kb.num.items()]
+    scale = lcm(*(d for _, (d, _) in moved))
     new = {}
-    eta = ZERO
-    for w, p in kb.dist.items():
-        for t, like in bat.branches(w, action.symbol, action.ctrl):
-            if sensing and t != action:
-                continue
-            succ = bat.step(w, t)[1]
-            new[succ] = new.get(succ, ZERO) + p * like
-            eta += p * like
+    for n, (d, outs) in moved:
+        n *= scale // d
+        for succ, k in outs:
+            new[succ] = new.get(succ, 0) + n * k
+    eta = sum(new.values())
     if eta == 0:
         if sensing:
             raise IncompatibleSensingError(
                 f"sensing result {action} is believed impossible (normalizer 0)")
         raise IncompatibleActionError(
             f"action {action} has zero believed likelihood on the whole support")
+    den = kb.den * scale
     # a world's alternatives take distinct entries of its likelihood row,
-    # so its mass is at most 1, and eta = 1 means every world kept all of it
-    if eta != 1:
+    # so its mass is at most 1, and eta = den (mass 1) means every world
+    # kept all of it
+    if eta != den:
         if not sensing:
             raise LikelihoodSumError(
                 f"believed likelihoods of {action} are incomplete: "
-                f"total progressed mass {frac_str(eta)}")
-        new = {w: p / eta for w, p in new.items()}
-    hit = bat._progressed[key] = bat.intern_kb(KnowledgeBase(new, bat))
+                f"total progressed mass {frac_str(Fraction(eta, den))}")
+        den = eta
+    g = gcd(den, *new.values())
+    if g != 1:
+        new = {w: n // g for w, n in new.items()}
+        den //= g
+    hit = bat._progressed[key] = bat.intern_kb(
+        KnowledgeBase._lowest(new, den, bat))
     return hit
 
 
@@ -527,16 +603,20 @@ def _belief_value(e, kb) -> Fraction:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Bel):
-        return sum((p for w, p in kb.dist.items()
-                    if eval_fluent_formula(e.formula, w)), ZERO)
+        holds = kb.bat.holds
+        return Fraction(sum(n for w, n in kb.num.items()
+                            if holds(w, e.formula)), kb.den)
     if isinstance(e, Expect):
-        return sum((w[e.fluent] * p for w, p in kb.dist.items()), ZERO)
+        values = [(w[e.fluent], n) for w, n in kb.num.items()]
+        d = lcm(*(v.denominator for v, _ in values))
+        return Fraction(sum(v.numerator * (d // v.denominator) * n
+                            for v, n in values), d * kb.den)
     if isinstance(e, Conf):
         # belief that the fluent lies in [E - r, E + r]; see the ledger
         # note on the closed interval
         mean = _belief_value(Expect(e.fluent), kb)
-        return sum((p for w, p in kb.dist.items()
-                    if abs(w[e.fluent] - mean) <= e.radius), ZERO)
+        return Fraction(sum(n for w, n in kb.num.items()
+                            if abs(w[e.fluent] - mean) <= e.radius), kb.den)
     if isinstance(e, Neg):
         return -_belief_value(e.operand, kb)
     if isinstance(e, BinOp):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beliefprog
 from beliefprog.cli import main
-from conftest import COFFEE
+from conftest import COFFEE, ROOT
 
 MODEL = str(COFFEE)
 
@@ -353,3 +358,27 @@ def test_verify_rejects_non_numeric_reps_file_line(tmp_path, capsys):
                        "--reps", str(reps))
     assert code == 2
     assert err.strip() == f"error: {reps} line 2: 'x' is not a number"
+
+
+NO_NUMPY_ON_VERIFY = """
+import sys
+import beliefprog
+assert "numpy" not in sys.modules, "import beliefprog"
+from beliefprog import cli
+assert cli.main(["verify", "models/coffee.bp", "--property", "P1"]) == 1
+assert "numpy" not in sys.modules, "verify"
+from beliefprog import estimate, run_trace
+from beliefprog import simulate
+assert (estimate, run_trace) == (simulate.estimate, simulate.run_trace)
+"""
+
+
+def test_verify_never_imports_numpy():
+    # a fresh interpreter on the package these tests import
+    src = str(Path(beliefprog.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_ON_VERIFY],
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: VIOLATED" in proc.stdout

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,14 +16,14 @@ from beliefprog import (BeliefProgError, EvalError, IncompatibleActionError,
                         progress_world, real_bat, reps_from_init, run_trace)
 import beliefprog.kb as kb_mod
 import beliefprog.simulate as simulate
-from beliefprog.abstraction import program_prims
+from beliefprog.abstraction import ground_action_universe, program_prims
 from beliefprog.cli import main
 from beliefprog.kb import initial_kb
 from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
                                  hoeffding_half_width, sample_outcomes,
                                  trial_rng)
-from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, frac_str,
-                               print_program)
+from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, Bel, Cmp, Conf,
+                               Expect, FluentRef, Num, frac_str, print_program)
 from conftest import COFFEE, ROOT, random_model_text
 
 F = Fraction
@@ -417,6 +418,103 @@ def test_configuration_table_matches_reference_random(seed):
                 _rotating_policy_map(model, records)]
     assert_steppers_agree(model, world0, policies, trials=6, horizon=4,
                           seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the integer knowledge base against the Fraction rules
+
+def reference_belief_values(kb, fluent):
+    """B(fluent = v) for each value v in the support, E(fluent) and
+    Conf(fluent, 1), summed in Fractions over kb.dist."""
+    dist = kb.dist
+    mean = sum((w[fluent] * p for w, p in dist.items()), F(0))
+    bel = {v: sum((p for w, p in dist.items() if w[fluent] == v), F(0))
+           for v in {w[fluent] for w in dist}}
+    conf = sum((p for w, p in dist.items() if abs(w[fluent] - mean) <= 1), F(0))
+    return bel, mean, conf
+
+
+def assert_lowest_terms(kb):
+    assert kb.den > 0 and all(n > 0 for n in kb.num.values())
+    assert math.gcd(kb.den, *kb.num.values()) == 1
+    assert sum(kb.num.values()) == kb.den
+    fresh = KnowledgeBase(kb.dist, kb.bat)
+    assert fresh == kb and hash(fresh) == hash(kb)
+    assert fresh.num == kb.num and fresh.den == kb.den
+    fluent = kb.bat.model.fluents[0].name
+    bel, mean, conf = reference_belief_values(kb, fluent)
+    for v, mass in bel.items():
+        phi = Cmp("=", FluentRef(fluent), Num(v))
+        assert kb_mod._belief_value(Bel(phi), kb) == mass
+    assert kb_mod._belief_value(Expect(fluent), kb) == mean
+    assert kb_mod._belief_value(Conf(fluent, F(1)), kb) == conf
+
+
+def _progressed(progress, kb, action):
+    """progress(kb, action), or the class and message of what it raised."""
+    try:
+        return progress(kb, action)
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+
+
+def assert_progressions_match_reference(model, depth):
+    """Every knowledge base reachable within depth steps of the universe's
+    ground actions is in lowest terms, and progress_kb equals
+    reference_progress on every action there, result or error."""
+    universe = ground_action_universe(model)
+    frontier = [initial_kb(model)]
+    seen = set(frontier)
+    for _ in range(depth):
+        nxt = []
+        for kb in frontier:
+            assert_lowest_terms(kb)
+            for action in universe:
+                got = _progressed(progress_kb, kb, action)
+                assert got == _progressed(reference_progress, kb, action), \
+                    (kb, action)
+                if isinstance(got, KnowledgeBase) and got not in seen:
+                    seen.add(got)
+                    nxt.append(got)
+        frontier = nxt
+    for kb in frontier:
+        assert_lowest_terms(kb)
+    return len(seen)
+
+
+@pytest.mark.parametrize("path, depth, reached", [
+    (COFFEE, 6, 114), (CHOICE, 5, 170)], ids=["coffee", "coffee-choice"])
+def test_integer_progression_matches_reference(path, depth, reached):
+    model = parse_model(path.read_text())
+    assert assert_progressions_match_reference(model, depth) == reached
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_integer_progression_matches_reference_random(seed):
+    assert_progressions_match_reference(parse_model(random_model_text(seed)), 4)
+
+
+def test_rational_masses_and_values_in_lowest_terms(coffee):
+    bat = believed_bat(coffee)
+    worlds = [make_world(coffee, [v]) for v in (F(1, 2), F(-3, 4), 2)]
+    kb = KnowledgeBase({worlds[0]: F(1, 6), worlds[1]: F(1, 3),
+                        worlds[2]: F(1, 2)}, bat)
+    assert (kb.num, kb.den) == ({worlds[0]: 1, worlds[1]: 2, worlds[2]: 3}, 6)
+    assert_lowest_terms(kb)
+    assert KnowledgeBase({worlds[0]: F(2, 4), worlds[1]: F(0),
+                          worlds[2]: F(1, 2)}, bat).den == 2
+    with pytest.raises(TypeError):
+        kb.dist[worlds[0]] = F(1)
+
+
+def test_holds_never_shares_an_entry_between_formulas(coffee):
+    bat = believed_bat(coffee)
+    world = make_world(coffee, [2])
+    # each formula is dropped after one use, so without the table keeping
+    # it alive a later one could reuse its id
+    for v in [2, 3, 2, 1, 2] * 20:
+        phi = Cmp("=", FluentRef("h"), Num(F(v)))
+        assert bat.holds(world, phi) is (v == 2)
 
 
 # ---------------------------------------------------------------------------
