@@ -28,6 +28,7 @@ discharge itself, and every report restates that caveat.
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,6 +258,9 @@ def horizon_of(phi) -> int:
 # grows about 6x per step on models/coffee.bp: F<=7 keeps 178,847
 # sequences and F<=8 about a million.
 SEQUENCE_BUDGET = 200_000
+# Cap on the worlds of one representative box (reps_from_ranges); the type
+# walk steps every representative along every kept sequence.
+REPRESENTATIVE_BUDGET = 10_000
 
 
 @dataclass
@@ -306,11 +310,7 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
             "representative world(s) violate the initial constraints: "
             + ", ".join(repr(w) for w in rejected))
     rbat = real_bat(model)
-    deduped = []
-    for w in reps:
-        if w not in deduped:
-            deduped.append(rbat.intern(w))
-    reps = tuple(deduped)
+    reps = tuple(dict.fromkeys(rbat.intern(w) for w in reps))
     step = rbat.step
 
     context = ProgramContext(model, phi)
@@ -391,21 +391,25 @@ def reps_from_init(model):
 
 def reps_from_ranges(model, ranges):
     """Integer box per fluent, e.g. {"h": (-2, 0)}; fluents without a range
-    stay at 0.  A range naming no fluent of the model is an error."""
+    stay at 0.  A range naming no fluent of the model, an empty range and
+    a box of more than REPRESENTATIVE_BUDGET worlds are errors, raised
+    before any world is made."""
     names = {f.name for f in model.fluents}
     for name in ranges:
         if name not in names:
             raise RepresentativeError(
                 f"representative range for unknown fluent {name!r}")
-    axes = []
-    for f in model.fluents:
-        if f.name in ranges:
-            lo, hi = ranges[f.name]
-            if lo > hi:
-                raise RepresentativeError(f"empty range for {f.name!r}")
-            axes.append([Fraction(v) for v in range(int(lo), int(hi) + 1)])
-        else:
-            axes.append([Fraction(0)])
+    bounds = [ranges.get(f.name, (0, 0)) for f in model.fluents]
+    for f, (lo, hi) in zip(model.fluents, bounds):
+        if lo > hi:
+            raise RepresentativeError(f"empty range for {f.name!r}")
+    size = math.prod(int(hi) - int(lo) + 1 for lo, hi in bounds)
+    if size > REPRESENTATIVE_BUDGET:
+        raise RepresentativeError(
+            f"representative ranges make a box of {size} worlds, over the "
+            f"budget of {REPRESENTATIVE_BUDGET}")
+    axes = [[Fraction(v) for v in range(int(lo), int(hi) + 1)]
+            for lo, hi in bounds]
     return [make_world(model, vals) for vals in itertools.product(*axes)]
 
 

@@ -29,10 +29,17 @@ from .validate import validate_restrictions
 log = logging.getLogger("beliefprog")
 
 
-def _load_model(path):
+def _read_text(path):
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    model = parse_model(text)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BeliefProgError(f"{path}: not UTF-8 text ({exc.reason} at "
+                                  f"byte {exc.start})") from None
+
+
+def _load_model(path):
+    model = parse_model(_read_text(path))
     problems = validate_restrictions(model)
     if problems:
         raise BeliefProgError(
@@ -48,14 +55,13 @@ def _world_dict(model, world):
 def _resolve_reps(model, args):
     if getattr(args, "reps", None):
         worlds = []
-        with open(args.reps, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.split("//")[0].strip().strip("()")
-                if not line:
-                    continue
-                vals = [_number(v, f"{args.reps} line {number}")
-                        for v in line.replace(",", " ").split()]
-                worlds.append(make_world(model, vals))
+        for number, line in enumerate(_read_text(args.reps).split("\n"), 1):
+            line = line.split("//")[0].strip().strip("()")
+            if not line:
+                continue
+            vals = [_number(v, f"{args.reps} line {number}")
+                    for v in line.replace(",", " ").split()]
+            worlds.append(make_world(model, vals))
         return worlds, f"file {args.reps}"
     if getattr(args, "reps_range", None):
         ranges = {}
@@ -334,8 +340,7 @@ def cmd_export_pomdp(args):
 
 def cmd_encode_pa(args):
     from .pa import ProbAutomaton, encode_text
-    with open(args.automaton, encoding="utf-8") as fh:
-        pa = ProbAutomaton.from_json(fh.read())
+    pa = ProbAutomaton.from_json(_read_text(args.automaton))
     _write_output(args.output, encode_text(pa))
     return 0
 

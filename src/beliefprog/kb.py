@@ -21,14 +21,15 @@ divided by the normalizer eta = sum of f'(u) (Bayes).  The reserved
 actions eps and fail have likelihood 1, are OI only to themselves, and
 only touch the reserved fluents Final and Fail.
 
-Each Bat memoises its steps: the likelihood row per (symbol, ctrl, world),
-the (likelihood, successor) and the integer moves of the observed class
-per (world, ground action), the truth of a fluent formula per (formula,
-world), and the progression per (knowledge base, ground action).  It
-interns the worlds and knowledge bases it makes, so equal ones are one
-object and dicts keyed by them hit on identity.  A Bat is made per theory
-per run (real_bat, initial_kb), so no table outlives the run that filled
-it.
+Each Bat memoises its steps: the one likelihood memo, branches, per
+(world, symbol, ctrl); the (likelihood, successor) per (world, action);
+the integer moves and the successful progressions per (world or
+knowledge base, observed class), where a sensing result is its own class
+and any other action has its oi_class; and the truth of a fluent formula
+per (formula, world).  It interns the worlds and knowledge bases it
+makes, so equal ones are one object and dicts keyed by them hit on
+identity.  A Bat is made per theory per run (real_bat, initial_kb), so no
+table outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation and eval_subjective are the one
@@ -37,6 +38,7 @@ progression rule and the one truth rule for both.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -130,10 +132,14 @@ class GroundAction:
         return (self.symbol, self.ctrl, self.unctrl) < \
             (other.symbol, other.ctrl, other.unctrl)
 
+    @cached_property
+    def oi_class(self):
+        """symbol(ctrl, _), the key of this action's OI-alternatives."""
+        return GroundAction(self.symbol, self.ctrl, ()) if self.unctrl else self
+
 
 EPSILON = GroundAction(EPSILON_NAME, (), ())
 FAILURE = GroundAction(FAILURE_NAME, (), ())
-RESERVED = (EPSILON, FAILURE)
 
 
 class Bat:
@@ -148,13 +154,11 @@ class Bat:
         self.ssa = {rule.fluent: rule for rule in decl.ssa}
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
-        self._rows = {}  # (symbol, ctrl, world) -> likelihood_row
-        self._alternatives = {}  # (symbol, ctrl) -> oi_alternatives
-        self._steps = {}  # (world, action) -> (likelihood, successor)
         self._branches = {}  # (world, symbol, ctrl) -> nonzero branches
-        self._moves = {}  # (world, action) -> moves
+        self._steps = {}  # (world, action) -> (likelihood, successor)
+        self._moves = {}  # (world, observed class) -> moves
         self._truth = {}  # id(phi) -> (phi, {world: bool})
-        self._progressed = {}  # (kb, action) -> progressed kb
+        self._progressed = {}  # (kb, observed class) -> progressed kb
         self._worlds = {}  # intern tables: each maps a value to its
         self._kbs = {}  # one object
 
@@ -169,19 +173,24 @@ class Bat:
         """The one KnowledgeBase equal to kb that this theory hands out."""
         return self._kbs.setdefault(kb, kb)
 
-    def likelihood_of(self, action, world) -> Fraction:
-        """action_likelihood, reading the row memo."""
-        if action.symbol in (EPSILON_NAME, FAILURE_NAME):
-            return ONE
-        key = (action.symbol, action.ctrl, world)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = likelihood_row(action.symbol, action.ctrl,
-                                                   world, self)
-        for value, weight in row:
-            if value == action.unctrl:
-                return weight
-        return ZERO
+    def branches(self, world, symbol, ctrl):
+        """(ground action, likelihood) for each OI-alternative of
+        symbol(ctrl, _) with nonzero likelihood at world, in the order of
+        this theory's outcome list (for the real theory, that of
+        oi_alternatives)."""
+        key = (world, symbol, ctrl)
+        hit = self._branches.get(key)
+        if hit is None:
+            if symbol in (EPSILON_NAME, FAILURE_NAME):
+                hit = ((EPSILON if symbol == EPSILON_NAME else FAILURE, ONE),)
+            else:
+                weights = {}
+                for value, weight in likelihood_row(symbol, ctrl, world, self):
+                    weights.setdefault(value, weight)  # the first one counts
+                hit = tuple((GroundAction(symbol, ctrl, value), like)
+                            for value, like in weights.items() if like != 0)
+            self._branches[key] = hit
+        return hit
 
     def step(self, world, action):
         """(likelihood, successor world) of a ground action at a world; the
@@ -190,34 +199,23 @@ class Bat:
         key = (world, action)
         hit = self._steps.get(key)
         if hit is None:
+            # a loop: a generator would put action in a cell on every call
+            for t, like in self.branches(world, action.symbol, action.ctrl):
+                if t.unctrl == action.unctrl:
+                    break
+            else:
+                like = ZERO
             hit = self._steps[key] = (
-                self.likelihood_of(action, world),
-                self.intern(progress_world(world, action, self)))
-        return hit
-
-    def branches(self, world, symbol, ctrl):
-        """(ground action, likelihood) for each OI-alternative of
-        symbol(ctrl, _) with nonzero likelihood at world, in
-        oi_alternatives order."""
-        key = (world, symbol, ctrl)
-        hit = self._branches.get(key)
-        if hit is None:
-            alts = self._alternatives.get((symbol, ctrl))
-            if alts is None:
-                alts = self._alternatives[(symbol, ctrl)] = \
-                    oi_alternatives(symbol, ctrl, self.model)
-            hit = self._branches[key] = tuple(
-                (t, like) for t in alts
-                if (like := self.likelihood_of(t, world)) != 0)
+                like, self.intern(progress_world(world, action, self)))
         return hit
 
     def moves(self, world, action, sensing):
         """(d, ((successor, k), ...)): each member of action's observed
         class -- the action itself if sensing, else its OI-alternatives --
         with nonzero likelihood k/d at world, in branches order, where d
-        is the lcm of their denominators.  Successors are computed only
-        for members of the class."""
-        key = (world, action)
+        is the lcm of their denominators.  Kept per observed class;
+        successors are computed only for members of the class."""
+        key = (world, action if sensing else action.oi_class)
         hit = self._moves.get(key)
         if hit is None:
             kept = [(t, like) for t, like in
@@ -534,19 +532,19 @@ def progress_kb(kb, action) -> KnowledgeBase:
     """Progress by one ground action: each world's mass follows every
     action of the observed class, weighted by its believed likelihood.
     The class is the action itself for a sensing result, eps and fail,
-    and every OI-alternative for a stochastic action.  The result is
-    memoised on, and interned by, the knowledge base's Bat."""
+    and every OI-alternative for a stochastic action.  The result is kept
+    per observed class on, and interned by, the knowledge base's Bat."""
     bat = kb.bat
-    key = (kb, action)
-    hit = bat._progressed.get(key)
-    if hit is not None:
-        return hit
     sensing = False
     if action.symbol not in (EPSILON_NAME, FAILURE_NAME):
         decl = bat.action_decl(action.symbol)
         if decl is None:
             raise EvalError(f"undeclared action {action.symbol!r}")
         sensing = decl.kind == "sensing"
+    key = (kb, action if sensing else action.oi_class)
+    hit = bat._progressed.get(key)
+    if hit is not None:
+        return hit
     # in integers: world w's moves have likelihoods k/d, so over the step's
     # common denominator den * scale its successor gains num[w] * k * scale/d
     moved = [(n, bat.moves(w, action, sensing)) for w, n in kb.num.items()]

@@ -59,21 +59,29 @@ class ProbAutomaton:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        letters = tuple(data["letters"])
-        matrices = {
-            letter: tuple(tuple(Fraction(x) for x in row)
-                          for row in data["matrices"][letter])
-            for letter in letters
-        }
-        pa = ProbAutomaton(
-            n_states=int(data["states"]),
-            letters=letters,
-            matrices=matrices,
-            initial=int(data.get("initial", 0)),
-            accepting=frozenset(int(q) for q in data["accepting"]),
-            threshold=Fraction(data.get("threshold", "1/2")),
-        )
+        try:
+            data = json.loads(text)
+            letters = tuple(data["letters"])
+            matrices = {
+                letter: tuple(tuple(Fraction(x) for x in row)
+                              for row in data["matrices"][letter])
+                for letter in letters
+            }
+            pa = ProbAutomaton(
+                n_states=int(data["states"]),
+                letters=letters,
+                matrices=matrices,
+                initial=int(data.get("initial", 0)),
+                accepting=frozenset(int(q) for q in data["accepting"]),
+                threshold=Fraction(data.get("threshold", "1/2")),
+            )
+        except json.JSONDecodeError as exc:
+            raise BeliefProgError(f"automaton is not valid JSON: {exc}") from None
+        except KeyError as exc:
+            raise BeliefProgError(f"automaton has no entry {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BeliefProgError(f"automaton has a malformed value: {exc}") \
+                from None
         pa.validate()
         return pa
 

@@ -233,6 +233,8 @@ class TraceEngine:
         self.kb0 = initial_kb(model)
         self._enabled = {}
         self._beta = {}
+        # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
+        self._cuts = {}
         self._configs = {}  # (node, observation, world) -> _Config
         self._admitted = None  # the last trace formula admit accepted
 
@@ -252,10 +254,13 @@ class TraceEngine:
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
-        with their sampling cut-offs."""
+        with their sampling cut-offs, made once per row."""
         prim = edge.prim
         weighted = self.rbat.branches(world, prim.symbol, prim.args)
-        return weighted, cut_offs([p for _, p in weighted])
+        cuts = self._cuts.get(id(weighted))
+        if cuts is None:
+            cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
+        return weighted, cuts
 
     def satisfies(self, obs, beta):
         key = (obs, id(beta))

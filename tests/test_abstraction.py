@@ -5,6 +5,7 @@ import pytest
 from beliefprog import (InadmissiblePropertyError, build_graph, build_pomdp,
                         compute_types, ground_action_universe, horizon_of,
                         make_world, parse_model)
+from beliefprog import abstraction as abstraction_mod
 from beliefprog.abstraction import (BREAKDOWN, RepresentativeError, reps_auto,
                                     reps_from_init, reps_from_ranges)
 from beliefprog.kb import (eval_fluent_formula, next_observation,
@@ -171,3 +172,12 @@ def test_reps_helpers(coffee):
 def test_reps_from_ranges_rejects_an_unknown_fluent(coffee):
     with pytest.raises(RepresentativeError, match="unknown fluent 'zz'"):
         reps_from_ranges(coffee, {"h": (-2, 0), "zz": (-2, 0)})
+
+
+def test_reps_range_budget_is_exact_at_its_bound(coffee, monkeypatch):
+    assert len(reps_from_ranges(coffee, {"h": (-400, 0)})) == 401
+    monkeypatch.setattr(abstraction_mod, "REPRESENTATIVE_BUDGET", 3)
+    assert len(reps_from_ranges(coffee, {"h": (-2, 0)})) == 3
+    with pytest.raises(RepresentativeError, match="box of 4 worlds, over "
+                                                  "the budget of 3"):
+        reps_from_ranges(coffee, {"h": (-3, 0)})

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import beliefprog
+from beliefprog import abstraction as abstraction_mod
 from beliefprog.cli import main
 from conftest import COFFEE, ROOT
 
@@ -382,3 +383,68 @@ def test_verify_never_imports_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "verdict: VIOLATED" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed input files end as errors (exit 2), never as a traceback
+
+AUTOMATON = {"states": 2, "letters": ["a"],
+             "matrices": {"a": [["1/2", "1/2"], ["0", "1"]]},
+             "accepting": [1], "threshold": "3/4"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"states": 2,', "automaton is not valid JSON"),
+    (json.dumps({k: v for k, v in AUTOMATON.items() if k != "matrices"}),
+     "automaton has no entry 'matrices'"),
+    (json.dumps({**AUTOMATON, "threshold": "x"}),
+     "automaton has a malformed value"),
+], ids=["invalid-json", "missing-key", "bad-fraction"])
+def test_encode_pa_rejects_malformed_automaton(tmp_path, capsys, text, message):
+    automaton = tmp_path / "pa.json"
+    automaton.write_text(text)
+    code, _, err = run(capsys, "encode-pa", str(automaton))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_model_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.bp"
+    bad.write_bytes(COFFEE.read_bytes() + "// café\n".encode("latin-1"))
+    code, _, err = run(capsys, "verify", str(bad), "--property", "P1")
+    assert code == 2
+    assert err.strip().startswith(f"error: {bad}: not UTF-8 text")
+
+
+def test_non_utf8_reps_file_exit_2(tmp_path, capsys):
+    reps = tmp_path / "worlds.txt"
+    reps.write_bytes(b"(0)\n(-1) // \xff\n")
+    code, _, err = run(capsys, "verify", MODEL, "--property", "P1",
+                       "--reps", str(reps))
+    assert code == 2
+    assert err.strip().startswith(f"error: {reps}: not UTF-8 text")
+
+
+# a million worlds from three short ranges
+THREE_FLUENTS = """
+fluents a, b, c;
+belief { (0, 0, 0): 1 }
+program { }
+property P1 { P[>= 0](F<=1 B(a = 0) = 1) }
+"""
+
+
+def test_reps_range_box_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    def no_world(*args):
+        raise AssertionError("a world of the box was built")
+    monkeypatch.setattr(abstraction_mod, "make_world", no_world)
+    path = tmp_path / "m.bp"
+    path.write_text(THREE_FLUENTS)
+    code, _, err = run(capsys, "verify", str(path), "--property", "P1",
+                       "--reps-range", "a=0..99", "--reps-range", "b=0..99",
+                       "--reps-range", "c=0..99")
+    assert code == 2
+    assert err.strip() == ("error: representative ranges make a box of "
+                           "1000000 worlds, over the budget of "
+                           f"{abstraction_mod.REPRESENTATIVE_BUDGET}")

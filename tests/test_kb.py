@@ -11,6 +11,7 @@ from beliefprog import (EPSILON, FAILURE, IncompatibleActionError,
                         trace_likelihood, validate_restrictions)
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
+from conftest import ROOT
 
 F = Fraction
 
@@ -327,3 +328,51 @@ def test_deterministic_action_is_pushforward():
 def test_render_sorted(coffee):
     kb1 = progress_kb(initial_kb(coffee), ga(coffee, "east(1, 1)"))
     assert kb1.render() == "{(0): 1/4, (1): 1/2, (2): 1/4}"
+
+
+# ---------------------------------------------------------------------------
+# one step entry per observed class
+
+CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
+
+
+@pytest.fixture
+def choice():
+    return parse_model(CHOICE.read_text())
+
+
+def test_progression_is_kept_once_per_oi_class(choice):
+    kb = initial_kb(choice)
+    east, slip = oi_alternatives("east", (F(1),), choice)
+    first = progress_kb(kb, east)
+    assert progress_kb(kb, slip) is first
+    assert len(kb.bat._progressed) == 1
+
+
+def test_each_sensing_result_is_its_own_class(choice):
+    east = oi_alternatives("east", (F(1),), choice)[0]
+    kb = progress_kb(initial_kb(choice), east)
+    before = len(kb.bat._progressed)
+    sensed = {progress_kb(kb, t) for t in oi_alternatives("sencfe", (), choice)}
+    assert len(sensed) == 2
+    assert len(kb.bat._progressed) == before + 2
+
+
+def test_moves_are_kept_once_per_observed_class(choice):
+    bat = initial_kb(choice).bat
+    w = bat.intern(make_world(choice, [2]))
+    east, slip = oi_alternatives("east", (F(1),), choice)
+    assert bat.moves(w, slip, False) is bat.moves(w, east, False)
+    assert len(bat._moves) == 1
+    sense_one, sense_zero = oi_alternatives("sencfe", (), choice)
+    assert bat.moves(w, sense_one, True) != bat.moves(w, sense_zero, True)
+    assert len(bat._moves) == 3
+
+
+def test_failed_progression_is_not_kept_and_names_its_action(choice):
+    kb = initial_kb(choice)
+    sense_one = oi_alternatives("sencfe", (), choice)[0]
+    for _ in range(2):
+        with pytest.raises(IncompatibleSensingError, match=r"sencfe\(1\)"):
+            progress_kb(kb, sense_one)
+    assert kb.bat._progressed == {}

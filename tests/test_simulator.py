@@ -773,11 +773,35 @@ def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
     assert (report["successes"], report["outcomes"]) == (successes, outcomes)
 
 
+def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
+                                                           capsys):
+    # keyed per ground action, the believed Bat made 1898 progressions and
+    # 93 moves entries; each cut-offs row was made 3078 times over 36 rows
+    bats, rows = [], []
+    init = kb_mod.Bat.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        bats.append(self)
+
+    def recording_cut_offs(weights):
+        rows.append(weights)
+        return cut_offs(weights)
+    monkeypatch.setattr(kb_mod.Bat, "__init__", recording_init)
+    monkeypatch.setattr(simulate, "cut_offs", recording_cut_offs)
+    assert main(SIM_CHOICE) == 0
+    capsys.readouterr()
+    (believed,) = [b for b in bats if b.which == "believed"]
+    (real,) = [b for b in bats if b.which == "real"]
+    assert (len(believed._progressed), len(believed._moves)) == (1440, 63)
+    assert len(rows) == len(real._branches) == 36
+
+
 def test_cli_calls_share_no_step_table(monkeypatch, capsys):
     """Each cli.main call reads and fills only tables it made: no Bat or
     engine outlives the call that made it."""
     made, used = [], []
-    for cls, methods in ((kb_mod.Bat, ("step", "branches", "likelihood_of",
+    for cls, methods in ((kb_mod.Bat, ("step", "branches", "moves",
                                        "intern", "intern_kb")),
                          (TraceEngine, ("config",))):
         init = cls.__init__
