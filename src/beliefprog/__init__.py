@@ -18,7 +18,7 @@ from .kb import (EPSILON, FAILURE, GroundAction, KnowledgeBase, World,
 from .pa import ProbAutomaton, encode, encode_text, oracle_accept_prob, soundness_check
 from .parser import (model_digest, parse_ground_action, parse_model,
                      parse_trace_formula)
-from .pomdp import FinitePomdp, build_pomdp, pomdp_fingerprint
+from .pomdp import ConfigTable, FinitePomdp, build_pomdp, pomdp_fingerprint
 from .program_graph import CharGraph, build_graph, enabled
 from .syntax import ModelFile, print_model, print_program, print_state_formula
 from .validate import validate_restrictions

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import (BeliefProgError, InadmissiblePropertyError,
                      SequenceBudgetError)
 # BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
-from .kb import (BREAKDOWN, EPSILON, FAILURE,  # noqa: F401
+from .kb import (BREAKDOWN, EPSILON, FAILURE, ZERO,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
                  oi_alternatives, real_bat)
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
@@ -305,10 +305,11 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
         raise RepresentativeError("no representative initial worlds given")
     rejected = [w for w in reps
                 if not all(eval_fluent_formula(c, w) for c in model.init.constraints)]
-    if rejected:
+    if rejected:  # the count and the first three, on one short line
         raise RepresentativeError(
-            "representative world(s) violate the initial constraints: "
-            + ", ".join(repr(w) for w in rejected))
+            f"{len(rejected)} representative world(s) violate the initial "
+            "constraints: " + ", ".join(repr(w) for w in rejected[:3])
+            + (", ..." if len(rejected) > 3 else ""))
     rbat = real_bat(model)
     reps = tuple(dict.fromkeys(rbat.intern(w) for w in reps))
     step = rbat.step
@@ -353,7 +354,7 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
                 for w, alive in zip(worlds, live):
                     if alive:
                         like, w = step(w, t)
-                        alive = like != 0
+                        alive = like is not ZERO
                     succ.append(w)
                     succ_live.append(alive)
                 if not any(succ_live):

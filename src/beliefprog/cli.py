@@ -21,7 +21,8 @@ from .errors import BeliefProgError, InadmissiblePropertyError, ParseError
 from .kb import initial_kb, make_world, progress_kb
 from .parser import (model_digest, parse_ground_action, parse_model,
                      parse_trace_formula)
-from .pomdp import build_pomdp, pomdp_fingerprint, to_dot as pomdp_dot, to_json as pomdp_json
+from .pomdp import (ConfigTable, build_pomdp, pomdp_fingerprint,
+                    to_dot as pomdp_dot, to_json as pomdp_json)
 from .program_graph import build_graph, to_dot as graph_dot
 from .syntax import POp, frac_str, print_state_formula, print_trace_formula
 from .validate import validate_restrictions
@@ -107,7 +108,8 @@ def _build_abstraction(model, phi, args, timing, warnings):
     warnings.append(REP_CAVEAT + f" (representatives from {source})")
     t0 = time.perf_counter()
     graph = build_graph(model.program)
-    pomdps = [build_pomdp(model, graph, abstraction, tau, type_id=i)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
     timing["pomdps"] = time.perf_counter() - t0
     for p in pomdps:

@@ -155,6 +155,7 @@ class Bat:
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
         self._branches = {}  # (world, symbol, ctrl) -> nonzero branches
+        self._actions = {}  # (symbol, ctrl) -> {outcome value: GroundAction}
         self._steps = {}  # (world, action) -> (likelihood, successor)
         self._moves = {}  # (world, observed class) -> moves
         self._truth = {}  # id(phi) -> (phi, {world: bool})
@@ -183,19 +184,23 @@ class Bat:
         if hit is None:
             if symbol in (EPSILON_NAME, FAILURE_NAME):
                 hit = ((EPSILON if symbol == EPSILON_NAME else FAILURE, ONE),)
-            else:
+            else:  # each outcome's GroundAction is made once per theory
+                actions = self._actions.setdefault((symbol, ctrl), {})
                 weights = {}
                 for value, weight in likelihood_row(symbol, ctrl, world, self):
-                    weights.setdefault(value, weight)  # the first one counts
-                hit = tuple((GroundAction(symbol, ctrl, value), like)
-                            for value, like in weights.items() if like != 0)
+                    t = actions.get(value)
+                    if t is None:
+                        t = actions[value] = GroundAction(symbol, ctrl, value)
+                    weights.setdefault(t, weight)  # the first one counts
+                hit = tuple((t, like) for t, like in weights.items() if like != 0)
             self._branches[key] = hit
         return hit
 
     def step(self, world, action):
         """(likelihood, successor world) of a ground action at a world; the
         successor is interned and is computed even where the likelihood
-        is 0."""
+        is 0, and a likelihood of 0 is ZERO itself, so callers may test
+        it by identity."""
         key = (world, action)
         hit = self._steps.get(key)
         if hit is None:

@@ -1,25 +1,26 @@
-"""Finite POMDP construction for one type.
+"""The configuration table, and finite POMDP construction for one type.
 
-A state is a program configuration at a depth: ((graph node, observation,
-real world), depth), explored breadth first from (0, the initial
-knowledge base, the type witness) at depth 0.  A configuration's branches
-are the real likelihoods at its own world, read from the real Bat's
-memoised step; the type fixes the truth of every likelihood context along
-every sequence, so any world of the type gives the same weights.  The
-observation is progressed by next_observation and supplies the labels.
-Sequences that reach one configuration at one depth reach one state: the
-state's future depends only on the configuration, so the merge is exact.
+A configuration is a program position with the agent's observation, in a
+real world: (graph node, observation, world).  ConfigTable has one entry
+per configuration a run meets, and fills each part of an entry once: the
+enabled edges (evaluated once per (node, observation)), each edge's move
+(a row of the real Bat's branches at the entry's own world) and each
+outcome's successor entry or BREAKDOWN.  One table serves every type of a
+verify call, and simulate.TraceEngine extends it for sampling, so the
+successor rule lives here alone.
 
-Two deliberate conventions:
-
-  * branches whose real probability is 0 are omitted entirely;
-  * branches that are really possible but believed impossible (the Bayes
-    normalizer is 0) are routed to a distinguished "belief-breakdown" sink
-    observation with an empty label set, so the real probability mass is
-    still accounted for.
-
-Terminal (final/failing) states carry self-loops, keeping all paths
-infinite; frontier states at the horizon carry a fail self-loop.
+A POMDP state is a configuration at a depth, ((node, observation, world),
+depth): build_pomdp unrolls the table breadth first by depth from (0, the
+initial knowledge base, the type witness).  The type fixes the truth of
+every likelihood context along every sequence, so any world of the type
+gives the same weights.  Sequences that reach one configuration at one
+depth reach one state, which is exact: its future depends only on the
+configuration.  Branches whose real probability is 0 are omitted; really
+possible but believed impossible ones (the Bayes normalizer is 0) go to
+one "belief-breakdown" sink with an empty label set, so the real
+probability mass is still accounted for.  Terminal (final/failing)
+states carry self-loops, keeping all paths infinite; frontier states at
+the horizon carry a fail self-loop.
 """
 
 import json
@@ -36,6 +37,97 @@ log = logging.getLogger(__name__)
 
 _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
             "cyan", "magenta", "gray"]
+
+
+class Configuration:
+    """One entry of the table, filled by ConfigTable: fill sets live (the
+    enabled edges), is_final, is_failing and moves; labels waits for a
+    policy map or a POMDP state to read it."""
+
+    __slots__ = ("node", "obs", "world", "live", "is_final", "is_failing",
+                 "moves", "labels")
+
+    def __init__(self, node, obs, world):
+        self.node = node
+        self.obs = obs
+        self.world = world
+        self.live = self.moves = self.labels = None
+        self.is_final = self.is_failing = False
+
+
+class Move:
+    """An enabled edge taken from one configuration: its really-possible
+    outcomes ((ground action, real likelihood), ...), the cut-offs that
+    real_outcomes gave with them, and per outcome its successor or None."""
+
+    __slots__ = ("edge", "outcomes", "cuts", "succ")
+
+    def __init__(self, edge, outcomes, cuts):
+        self.edge = edge
+        self.outcomes = outcomes
+        self.cuts = cuts
+        self.succ = [None] * len(outcomes)
+
+
+class ConfigTable:
+    """The configurations of one run over a program graph, a real Bat and
+    an initial knowledge base, each filled once."""
+
+    def __init__(self, graph, rbat, kb0):
+        self.graph = graph
+        self.rbat = rbat
+        self.kb0 = kb0
+        self._enabled = {}  # (node, observation) -> enabled(...)
+        self._entries = {}  # (node, observation, world) -> Configuration
+
+    def entry(self, node, obs, world):
+        key = (node, obs, world)
+        hit = self._entries.get(key)
+        if hit is None:
+            hit = self._entries[key] = Configuration(node, obs, world)
+        return hit
+
+    def enabled_at(self, node, kb):
+        key = (node, kb)
+        hit = self._enabled.get(key)
+        if hit is None:
+            hit = self._enabled[key] = enabled(self.graph, node, kb)
+        return hit
+
+    def progress(self, kb, action):
+        return next_observation(kb, action, progress_kb)
+
+    def world_after(self, world, action):
+        return self.rbat.step(world, action)[1]
+
+    def real_outcomes(self, world, edge):
+        """The real branches row of an edge's primitive program at world,
+        and no cut-offs."""
+        prim = edge.prim
+        return self.rbat.branches(world, prim.symbol, prim.args), None
+
+    def fill(self, entry):
+        live, entry.is_final, entry.is_failing = \
+            self.enabled_at(entry.node, entry.obs)
+        entry.moves = [None] * len(live)
+        entry.live = live
+
+    def move(self, entry, i):
+        edge = entry.live[i]
+        move = entry.moves[i] = Move(edge, *self.real_outcomes(entry.world, edge))
+        return move
+
+    def successor(self, entry, move, j):
+        t = move.outcomes[j][0]
+        obs = self.progress(entry.obs, t)
+        succ = move.succ[j] = BREAKDOWN if obs is BREAKDOWN else self.entry(
+            move.edge.target, obs, self.world_after(entry.world, t))
+        return succ
+
+    def labels(self, entry):
+        if entry.labels is None:
+            entry.labels = [print_program(e.prim) for e in entry.live]
+        return entry.labels
 
 
 class FinitePomdp:
@@ -57,12 +149,7 @@ class FinitePomdp:
     # -- structure helpers -------------------------------------------------
 
     def action_labels(self):
-        seen = []
-        for t in self.transitions:
-            for label in t:
-                if label not in seen:
-                    seen.append(label)
-        return seen
+        return list(dict.fromkeys(label for t in self.transitions for label in t))
 
     def state_str(self, i):
         config, depth = self.states[i]
@@ -73,97 +160,81 @@ class FinitePomdp:
                                                    depth)
 
 
-def _add_state(p, key):
-    if key in p.state_index:
-        return p.state_index[key]
-    idx = len(p.states)
-    p.state_index[key] = idx
-    p.states.append(key)
-    p.transitions.append({})
-    p.obs_of.append(None)
-    return idx
-
-
-def build_pomdp(model, graph, abstraction, tau, type_id=None) -> FinitePomdp:
-    """Forward exploration of the reachable configurations by depth."""
+def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
+    """The table unrolled breadth first by depth from the type witness."""
     k = abstraction.horizon
     ctx = abstraction.context
-    rbat = abstraction.rbat
     p = FinitePomdp(k, type_id)
     # keyed by the observation itself: a KnowledgeBase caches its hash and
     # equal ones are one interned object, and BREAKDOWN is a singleton
     obs_index = {}
+    queue = deque()  # (state, its Configuration or BREAKDOWN)
 
-    def observation_of(kb):
-        index = obs_index.get(kb)
+    def state(entry, depth):
+        key = (None, None) if entry is BREAKDOWN else (
+            (entry.node, entry.obs, entry.world), depth)
+        index = p.state_index.get(key)
         if index is None:
-            index = obs_index[kb] = len(p.observations)
-            p.observations.append(kb)
-            # the breakdown label set is empty, even for a negation
-            p.labels.append(frozenset() if kb is BREAKDOWN else frozenset(
-                i for i in ctx.subjective_indices()
-                if eval_subjective(kb, ctx.formulas[i].formula)))
+            index = p.state_index[key] = len(p.states)
+            p.states.append(key)
+            p.transitions.append({})
+            queue.append((index, entry))
+            kb = BREAKDOWN if entry is BREAKDOWN else entry.obs
+            if kb not in obs_index:
+                obs_index[kb] = len(p.observations)
+                p.observations.append(kb)
+                # the breakdown label set is empty, even for a negation
+                p.labels.append(frozenset() if kb is BREAKDOWN else frozenset(
+                    i for i in ctx.subjective_indices()
+                    if eval_subjective(kb, ctx.formulas[i].formula)))
+            p.obs_of.append(obs_index[kb])
         return index
 
-    start = _add_state(p, ((0, abstraction.kb0, tau.witness), 0))
-    p.obs_of[start] = observation_of(abstraction.kb0)
-    queue = deque([start])
+    state(table.entry(0, table.kb0, tau.witness), 0)
     while queue:
-        si = queue.popleft()
-        config, depth = p.states[si]
-        if config is None:  # breakdown sink
-            p.transitions[si][FAILURE_NAME] = [(si, Fraction(1))]
-            continue
-        node, kb, world = config
+        si, entry = queue.popleft()
         trans = p.transitions[si]
-        choices = []
-        if depth == k:
+        depth = p.states[si][1]
+        if entry is BREAKDOWN or depth == k:  # the sink, or the frontier
             trans[FAILURE_NAME] = [(si, Fraction(1))]
-            p.agent_actions.setdefault(p.obs_of[si], None)
+            if entry is not BREAKDOWN:
+                p.agent_actions.setdefault(p.obs_of[si], None)
             continue
-        live, is_final, is_failing = enabled(graph, node, kb)
-        if is_final:
+        if entry.live is None:
+            table.fill(entry)
+        if entry.is_final:
             trans[EPSILON_NAME] = [(si, Fraction(1))]
-            choices.append(EPSILON_NAME)
-        for edge in live:
-            label = print_program(edge.prim)
+        labels = table.labels(entry)
+        for i, label in enumerate(labels):
             if label in trans:
                 raise LikelihoodContextError(
                     f"two enabled transitions share the action {label!r} at "
                     f"{p.state_str(si)}; per-action successor would be ambiguous")
+            move = entry.moves[i] or table.move(entry, i)
             branches = {}
-            for t, like in rbat.branches(world, edge.prim.symbol,
-                                         edge.prim.args):
-                kb2 = next_observation(kb, t, progress_kb)
+            for j, (t, like) in enumerate(move.outcomes):
+                succ = move.succ[j] or table.successor(entry, move, j)
                 # every breakdown branch goes to the one sink state
-                target = _add_state(p, (None, None) if kb2 is BREAKDOWN else (
-                    (edge.target, kb2, rbat.step(world, t)[1]), depth + 1))
-                if p.obs_of[target] is None:
-                    p.obs_of[target] = observation_of(kb2)
-                    queue.append(target)
-                    if kb2 is BREAKDOWN:
-                        p.breakdown_states += 1
-                        log.warning("belief-breakdown branch reached via %s "
-                                    "at %s", t, p.state_str(si))
+                if succ is BREAKDOWN and not p.breakdown_states:
+                    p.breakdown_states = 1
+                    log.warning("belief-breakdown branch reached via %s "
+                                "at %s", t, p.state_str(si))
+                target = state(succ, depth + 1)
                 branches[target] = branches.get(target, Fraction(0)) + like
             trans[label] = sorted(branches.items())
-            choices.append(label)
-        if not choices:
+        agent = tuple(labels) + ((EPSILON_NAME,) if entry.is_final else ())
+        if not agent:
             trans[FAILURE_NAME] = [(si, Fraction(1))]
         obs = p.obs_of[si]
         known = p.agent_actions.get(obs)
-        agent = tuple(c for c in choices if c != EPSILON_NAME) + \
-            ((EPSILON_NAME,) if EPSILON_NAME in choices else ())
-        if known is None or obs not in p.agent_actions:
+        if known is None:
             p.agent_actions[obs] = agent
         elif known != agent:
             raise ObservationUniformityError(
                 f"states sharing observation {obs} disagree on enabled "
                 f"actions: {known} vs {agent} at {p.state_str(si)}")
     # frontier-only observations never offer a choice
-    for obs, acts in list(p.agent_actions.items()):
-        if acts is None:
-            p.agent_actions[obs] = ()
+    p.agent_actions = {obs: acts or () for obs, acts in p.agent_actions.items()}
     return p
 
 

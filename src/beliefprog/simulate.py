@@ -19,19 +19,21 @@ high half kept for the next choice, Lemire's multiply-and-reject, and no
 draw at all when m is 1.
 
 The lockstep walk.  The trials of an estimate step together over the
-configuration table, depth by depth.  Trials that stand at one
-configuration with one stream position and one verdict so far form a
-group: each step is taken once per group, and the group splits by its
-members' draws.  Groups are not keyed by path, so members' paths may
-differ; a group carries one representative path, on which
-eval_trace_formula decides every member once the group finishes.
+configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
+the table build_pomdp unrolls, with what sampling adds: each real row's
+cut-offs, the memo of state-formula truths and the admitted trace formula.
+Trials that stand at one configuration with one stream position and one
+verdict so far form a group: each step is taken once per group, and the
+group splits by its members' draws.  Groups are not keyed by path, so
+members' paths may differ; a group carries one representative path, on
+which eval_trace_formula decides every member once the group finishes.
 run_trace is the walk with one trial.  Trials run in chunks of _CHUNK in
 trial order, and a chunk makes a stream block only when the walk first
-reads it and drops it once every group has passed it: memory does not
-grow with the trial count, and the streams' share of it does not grow
-with the horizon.  When a step, a policy map or a verdict raises, the
-error of the lowest-numbered trial that met one is raised, as
-trial-by-trial runs would.
+reads it and drops it once every group has passed it: memory does not grow
+with the trial count, and the streams' share of it does not grow with the
+horizon.  When a step, a policy map or a verdict raises, the error of the
+lowest-numbered trial that met one is raised, as trial-by-trial runs
+would.
 """
 
 import math
@@ -43,9 +45,10 @@ import numpy as np
 
 from .checker import decision_depth, obs_satisfies, trace_verdict
 from .errors import BeliefProgError
-from .kb import (BREAKDOWN, eval_fluent_formula, initial_kb,
-                 next_observation, progress_kb, real_bat)
-from .program_graph import build_graph, enabled
+from .kb import BREAKDOWN, eval_fluent_formula, initial_kb, real_bat
+from .pomdp import ConfigTable
+# enabled stays bound here for perfbench/spans.py, which wraps it by name
+from .program_graph import build_graph, enabled  # noqa: F401
 from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp, print_program
 
 _TWO64 = 2 ** 64
@@ -182,81 +185,34 @@ class Strategy:
     UNIFORM_RANDOM = "uniform-random"
 
 
-class _Config:
-    """One entry of the configuration table: a trace at a program node with
-    an observation, in a real world.  The enabled edges are filled when a
-    trace first stands here with steps left; each edge's move when it is
-    first chosen here."""
-
-    __slots__ = ("node", "obs", "world", "live", "is_final", "is_failing",
-                 "moves", "rendered", "labels")
-
-    def __init__(self, node, obs, world):
-        self.node = node
-        self.obs = obs
-        self.world = world
-        self.live = None  # enabled edges, once filled
-        self.is_final = self.is_failing = False
-        self.moves = None  # per live edge: _Move or None
-        # for policy maps: obs.render() and the live edges' labels
-        self.rendered = self.labels = None
-
-
-class _Move:
-    """An enabled edge taken from one configuration: its really-possible
-    ground outcomes, their uint64 cut-offs and their successor entries
-    (a _Config, BREAKDOWN, or None until first drawn)."""
-
-    __slots__ = ("edge", "outcomes", "cuts", "succ")
-
-    def __init__(self, edge, outcomes, cuts):
-        self.edge = edge
-        self.outcomes = outcomes  # ((ground action, real likelihood), ...)
-        self.cuts = cuts  # cut_offs of the likelihoods
-        self.succ = [None] * len(outcomes)
-
-
-class TraceEngine:
-    """The configuration table of repeated trials over one model.
-
-    A configuration is (node, observation, world).  The lockstep walk reads
-    the table, keyed by configuration, and fills a missing entry through
-    the five methods below; world steps and knowledge-base progressions are
-    memoised in the real and believed Bat, so each is taken once per
-    engine.
-    """
+class TraceEngine(ConfigTable):
+    """The configuration table of repeated trials over one model.  World
+    steps and knowledge-base progressions are memoised in the real and
+    believed Bat, so each is taken once per engine."""
 
     def __init__(self, model):
+        super().__init__(build_graph(model.program), real_bat(model),
+                         initial_kb(model))
         self.model = model
-        self.graph = build_graph(model.program)
-        self.rbat = real_bat(model)
-        self.kb0 = initial_kb(model)
-        self._enabled = {}
         self._beta = {}
         # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
         self._cuts = {}
-        self._configs = {}  # (node, observation, world) -> _Config
         self._admitted = None  # the last trace formula admit accepted
 
-    def enabled_at(self, node, kb):
-        key = (node, kb)
-        hit = self._enabled.get(key)
-        if hit is None:
-            hit = enabled(self.graph, node, kb)
-            self._enabled[key] = hit
-        return hit
-
-    def progress(self, kb, action):
-        return next_observation(kb, action, progress_kb)
-
-    def world_after(self, world, action):
-        return self.rbat.step(world, action)[1]
+    # the table's steps, bound on this class too, so that a wrapper set on
+    # TraceEngine (perfbench/spans.py) sees every call the table makes
+    enabled_at = ConfigTable.enabled_at
+    progress = ConfigTable.progress
+    world_after = ConfigTable.world_after
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
         with their sampling cut-offs, made once per row."""
-        prim = edge.prim
-        weighted = self.rbat.branches(world, prim.symbol, prim.args)
+        weighted, _ = super().real_outcomes(world, edge)
+        if not weighted:
+            raise BeliefProgError(
+                f"{print_program(edge.prim)} has no really-possible outcome "
+                f"at {world!r}")
         cuts = self._cuts.get(id(weighted))
         if cuts is None:
             cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
@@ -275,42 +231,6 @@ class TraceEngine:
         if psi is not self._admitted:
             _reject_nested_p(psi)
             self._admitted = psi
-
-    # -- filling the table --------------------------------------------------
-
-    def config(self, node, obs, world):
-        key = (node, obs, world)
-        hit = self._configs.get(key)
-        if hit is None:
-            hit = self._configs[key] = _Config(node, obs, world)
-        return hit
-
-    def _fill(self, config):
-        live, config.is_final, config.is_failing = \
-            self.enabled_at(config.node, config.obs)
-        config.moves = [None] * len(live)
-        config.live = live
-
-    def _fill_labels(self, config):
-        config.rendered = config.obs.render()
-        config.labels = [print_program(e.prim) for e in config.live]
-
-    def _move(self, config, i):
-        edge = config.live[i]
-        weighted, cuts = self.real_outcomes(config.world, edge)
-        if not weighted:
-            raise BeliefProgError(
-                f"{print_program(edge.prim)} has no really-possible outcome "
-                f"at {config.world!r}")
-        move = config.moves[i] = _Move(edge, weighted, cuts)
-        return move
-
-    def _successor(self, config, move, j):
-        t = move.outcomes[j][0]
-        obs = self.progress(config.obs, t)
-        succ = move.succ[j] = BREAKDOWN if obs is BREAKDOWN else \
-            self.config(move.edge.target, obs, self.world_after(config.world, t))
-        return succ
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +271,7 @@ def _start(engine, world0, policy):
     if isinstance(policy, str) and policy not in (Strategy.FIRST_ENABLED,
                                                   Strategy.UNIFORM_RANDOM):
         raise BeliefProgError(f"unknown strategy {policy!r}")
-    return engine.config(0, engine.kb0, engine.rbat.intern(world0))
+    return engine.entry(0, engine.kb0, engine.rbat.intern(world0))
 
 
 def _verdict(engine, psi, depth, obs):
@@ -366,33 +286,33 @@ def _verdict(engine, psi, depth, obs):
         return (type(exc), str(exc))
 
 
-def _choices(engine, streams, config, policy, members, pos, half):
-    """The edge each member takes at config: (members, edge index or None
+def _choices(engine, streams, entry, policy, members, pos, half):
+    """The edge each member takes at entry: (members, edge index or None
     to stop, pos, half) parts."""
     if policy == Strategy.FIRST_ENABLED:
-        return [(members, 0 if config.live else None, pos, half)]
+        return [(members, 0 if entry.live else None, pos, half)]
     if policy == Strategy.UNIFORM_RANDOM:
-        n = len(config.live)
+        n = len(entry.live)
         parts = []
         for part, picks, p, h in _uniform(streams, members, pos, half,
-                                          n + 1 if config.is_final else n):
+                                          n + 1 if entry.is_final else n):
             parts.extend((chosen, i if i < n else None, p, h)
                          for i, chosen in _split(part, picks))
         return parts
-    if config.labels is None:
-        engine._fill_labels(config)
-    label = policy.get(config.rendered)
+    rendered = entry.obs.render()
+    label = policy.get(rendered)
     if label in (None, "eps"):
-        if config.is_final:
+        if entry.is_final:
             return [(members, None, pos, half)]
-        if label is None and config.live:
+        if label is None and entry.live:
             return [(members, 0, pos, half)]
         raise BeliefProgError("policy stops at a non-final observation "
-                              f"{config.rendered}")
-    if label in config.labels:
-        return [(members, config.labels.index(label), pos, half)]
+                              f"{rendered}")
+    labels = engine.labels(entry)
+    if label in labels:
+        return [(members, labels.index(label), pos, half)]
     raise BeliefProgError(f"policy action {label!r} is not enabled at "
-                          f"{config.rendered}")
+                          f"{rendered}")
 
 
 def _lockstep(engine, start, policy, psi, horizon, streams):
@@ -407,15 +327,15 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
              ([np.arange(len(streams.trials))], root)}
     for depth in range(horizon):
         nxt = {}
-        for (config, pos, half, verdict), (parts, prefix) in level.items():
+        for (entry, pos, half, verdict), (parts, prefix) in level.items():
             members = parts[0] if len(parts) == 1 else np.concatenate(parts)
             try:
-                if config.live is None:
-                    engine._fill(config)
-                if config.is_failing:
+                if entry.live is None:
+                    engine.fill(entry)
+                if entry.is_failing:
                     finished.append((prefix, "fail", members))
                     continue
-                choices = _choices(engine, streams, config, policy, members,
+                choices = _choices(engine, streams, entry, policy, members,
                                    pos, half)
             except BeliefProgError as exc:  # raised in trial order
                 errors.append((members.min(), exc))
@@ -425,7 +345,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
                     finished.append((prefix, "final", chosen))
                     continue
                 try:
-                    move = config.moves[i] or engine._move(config, i)
+                    move = entry.moves[i] or engine.move(entry, i)
                 except BeliefProgError as exc:
                     errors.append((chosen.min(), exc))
                     continue
@@ -436,7 +356,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
                     outcomes = _split(chosen, sample_outcomes(move.cuts, draws))
                 for j, drawn in outcomes:
                     try:
-                        succ = move.succ[j] or engine._successor(config, move, j)
+                        succ = move.succ[j] or engine.successor(entry, move, j)
                     except BeliefProgError as exc:
                         errors.append((drawn.min(), exc))
                         continue
@@ -445,14 +365,14 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
                         continue
                     key = (succ, p + 1, h, verdict if verdict is not None
                            else _verdict(engine, psi, depth + 1, succ.obs))
-                    entry = nxt.get(key)
-                    if entry is None:
+                    group = nxt.get(key)
+                    if group is None:
                         t, like = move.outcomes[j]
                         nxt[key] = ([drawn], _Prefix(
                             prefix, t, succ.obs, prefix.num * like.numerator,
                             prefix.den * like.denominator))
                     else:
-                        entry[0].append(drawn)
+                        group[0].append(drawn)
         level = nxt
         if not level:
             break

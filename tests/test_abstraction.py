@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (InadmissiblePropertyError, build_graph, build_pomdp,
-                        compute_types, ground_action_universe, horizon_of,
-                        make_world, parse_model)
+from beliefprog import (ConfigTable, InadmissiblePropertyError, build_graph,
+                        build_pomdp, compute_types, ground_action_universe,
+                        horizon_of, make_world, parse_model)
 from beliefprog import abstraction as abstraction_mod
 from beliefprog.abstraction import (BREAKDOWN, RepresentativeError, reps_auto,
                                     reps_from_init, reps_from_ranges)
@@ -137,7 +137,8 @@ def test_breakdown_marked_for_belief_impossible_sequences(coffee):
     sen1 = next(t for t in a.universe if str(t) == "sencfe(1)")
     # the believed-accurate sensor reading 1 after east(1, 1) is believed
     # possible, so its configuration is a state and not the sink
-    p = build_pomdp(coffee, build_graph(coffee.program), a, a.types[0])
+    p = build_pomdp(ConfigTable(build_graph(coffee.program), a.rbat, a.kb0), a,
+                    a.types[0])
     w1 = a.rbat.step(reps[0], east11)[1]
     kb1 = next_observation(a.kb0, east11)
     kb2 = next_observation(kb1, sen1)

@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
-from beliefprog import (BeliefProgError, IncompatibleSensingError,
-                        build_graph, build_pomdp, compute_types, horizon_of,
-                        parse_model, pomdp_fingerprint)
+from beliefprog import (BeliefProgError, ConfigTable,
+                        IncompatibleSensingError, build_graph, build_pomdp,
+                        compute_types, horizon_of, parse_model,
+                        pomdp_fingerprint)
 from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
                                     TypeAssignment, ground_action_universe,
                                     reps_from_init)
@@ -137,7 +138,8 @@ def assert_same_abstraction(lazy, eager):
 
 def _pomdp_or_error(model, graph, abstraction, tau):
     try:
-        p = build_pomdp(model, graph, abstraction, tau)
+        p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                        abstraction, tau)
     except BeliefProgError as exc:
         return type(exc)
     return pomdp_fingerprint(p, model, abstraction)
@@ -208,7 +210,8 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
 
     monkeypatch.setattr(bat, "_progressed", Recording())
     graph = build_graph(model.program)
-    pomdps = [build_pomdp(model, graph, a, tau) for tau in a.types]
+    table = ConfigTable(graph, a.rbat, a.kb0)
+    pomdps = [build_pomdp(table, a, tau) for tau in a.types]
     # each progression starts from the observation of a state the program
     # reaches, and none is repeated
     observed = {kb for p in pomdps for kb in p.observations}

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from beliefprog import (InadmissiblePropertyError, build_graph, build_pomdp,
-                        check, compute_types, estimate, horizon_of, initial_kb,
-                        make_world, parse_ground_action, parse_trace_formula,
+from beliefprog import (ConfigTable, InadmissiblePropertyError, build_graph,
+                        build_pomdp, check, compute_types, estimate,
+                        horizon_of, initial_kb, make_world,
+                        parse_ground_action, parse_trace_formula,
                         pomdp_fingerprint, progress_kb)
 from beliefprog.pa import soundness_check
 from conftest import random_pa
@@ -42,7 +43,8 @@ def verification(coffee):
     reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
     t0 = time.perf_counter()
     abstraction = compute_types(coffee, horizon_of(phi), reps, phi)
-    pomdps = [build_pomdp(coffee, graph, abstraction, tau, type_id=i)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
     fingerprints = [pomdp_fingerprint(p, coffee, abstraction) for p in pomdps]
     elapsed = time.perf_counter() - t0

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (PolicyBudgetError, build_graph, build_pomdp, check,
-                        compute_types, enumerate_policies, make_world,
-                        parse_model, probability)
+from beliefprog import (ConfigTable, PolicyBudgetError, build_graph,
+                        build_pomdp, check, compute_types, enumerate_policies,
+                        make_world, parse_model, probability)
 from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
 from beliefprog.kb import KnowledgeBase, World, believed_bat
@@ -21,7 +21,8 @@ def coffee_setup(coffee):
     graph = build_graph(coffee.program)
     reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
     abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    pomdps = [build_pomdp(coffee, graph, abstraction, tau, type_id=i)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
     return abstraction, pomdps
 
@@ -152,7 +153,8 @@ def test_choice_gives_two_policies():
     m = parse_model(text)
     graph = build_graph(m.program)
     abstraction = compute_types(m, 1, [make_world(m, [0])], m.property_named("T"))
-    p = build_pomdp(m, graph, abstraction, abstraction.types[0])
+    p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
     assert policy_count(p) == 2
     probs = sorted(probability(p, pol, m.property_named("T").trace)
                    for pol in enumerate_policies(p))
@@ -171,7 +173,8 @@ def test_star_offers_stop_or_continue():
     m = parse_model(text)
     graph = build_graph(m.program)
     abstraction = compute_types(m, 1, [make_world(m, [0])], m.property_named("T"))
-    p = build_pomdp(m, graph, abstraction, abstraction.types[0])
+    p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
     assert policy_count(p) == 2
     labels = {frozenset(pol.values()) for pol in enumerate_policies(p)}
     assert labels == {frozenset({"s"}), frozenset({"eps"})}
@@ -190,7 +193,8 @@ def test_policy_budget_enforced(coffee, coffee_setup):
     m = parse_model(text)
     graph = build_graph(m.program)
     abstraction = compute_types(m, 2, [make_world(m, [0])], m.property_named("T"))
-    p = build_pomdp(m, graph, abstraction, abstraction.types[0])
+    p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
     assert policy_count(p) > 1
     with pytest.raises(PolicyBudgetError):
         list(enumerate_policies(p, cap=1))

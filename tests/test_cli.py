@@ -344,6 +344,18 @@ def test_verify_rejects_reps_range_naming_no_single_fluent(capsys, ranges,
     assert err.strip() == f"error: {message}"
 
 
+def test_verify_rejected_representatives_make_one_short_line(capsys):
+    # 3000 of the box's worlds violate h <= 0; listing them all made a
+    # 95 KB line
+    code, _, err = run(capsys, "verify", MODEL, "--property", "P1",
+                       "--reps-range", "h=-2..3000")
+    assert code == 2
+    assert err == (
+        "error: 3000 representative world(s) violate the initial "
+        "constraints: World(Fail=0, Final=0, h=1), World(Fail=0, Final=0, "
+        "h=2), World(Fail=0, Final=0, h=3), ...\n")
+
+
 def test_verify_rejects_non_integer_reps_range(capsys):
     code, _, err = run(capsys, "verify", MODEL, "--property", "P1",
                        "--reps-range", "h=a..0")

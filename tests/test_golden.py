@@ -1,10 +1,11 @@
 """Byte-for-byte golden outputs of verify, export-pomdp and seeded simulate.
 
 Each case runs cli.main in-process and compares its stdout with a file
-under tests/golden/; verify's timing block is dropped before the
-comparison.  A change that should leave every verdict, POMDP and seeded
-estimate as it was must pass this test unchanged.  To record the outputs
-of the current code (only where a change is meant to alter them):
+under tests/golden/ (`.dot` for export-pomdp --dot, `.json` otherwise);
+verify's timing block is dropped before the comparison.  A change that
+should leave every verdict, POMDP and seeded estimate as it was must pass
+this test unchanged.  To record the outputs of the current code (only
+where a change is meant to alter them):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -38,6 +39,10 @@ def _cases():
             cases[f"export-pomdp-{name}-type{t}"] = [
                 "export-pomdp", path, "--property", "P1", "--type", str(t),
                 "--json"]
+    for name in ("coffee", "choice"):
+        cases[f"export-pomdp-dot-{name}-type0"] = [
+            "export-pomdp", MODELS[name], "--property", "P1", "--type", "0",
+            "--dot"]
     for name, (policy, psi, trials) in SIMULATE.items():
         for seed in range(3):
             cases[f"simulate-{name}-seed{seed}"] = [
@@ -48,6 +53,10 @@ def _cases():
 
 
 CASES = _cases()
+
+
+def golden_file(name):
+    return GOLDEN / (name + (".dot" if "--dot" in CASES[name] else ".json"))
 
 
 def output(argv):
@@ -65,11 +74,11 @@ def output(argv):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    expected = golden_file(name).read_text(encoding="utf-8")
     assert output(CASES[name]) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
-        (GOLDEN / f"{name}.json").write_text(output(argv), encoding="utf-8")
+        golden_file(name).write_text(output(argv), encoding="utf-8")

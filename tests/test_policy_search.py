@@ -14,10 +14,11 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.checker as checker_mod
-from beliefprog import (LikelihoodContextError, ObservationUniformityError,
-                        PolicyBudgetError, build_graph, build_pomdp, check,
-                        compute_types, enumerate_policies, estimate,
-                        make_world, parse_model, probability)
+from beliefprog import (ConfigTable, LikelihoodContextError,
+                        ObservationUniformityError, PolicyBudgetError,
+                        build_graph, build_pomdp, check, compute_types,
+                        enumerate_policies, estimate, make_world, parse_model,
+                        probability)
 from beliefprog.checker import policy_count
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
@@ -58,10 +59,11 @@ def _pomdps(text, k, phi=None):
     graph = build_graph(model.program)
     reps = [make_world(model, vals) for vals in model.init.worlds]
     abstraction = compute_types(model, k, reps, phi)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     pomdps = []
     for i, tau in enumerate(abstraction.types):
         try:
-            pomdps.append(build_pomdp(model, graph, abstraction, tau, type_id=i))
+            pomdps.append(build_pomdp(table, abstraction, tau, type_id=i))
         except (ObservationUniformityError, LikelihoodContextError):
             continue
     return model, pomdps

@@ -1,15 +1,20 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from beliefprog import (LikelihoodContextError, ObservationUniformityError,
-                        build_graph, build_pomdp, compute_types, enabled,
-                        eval_subjective, horizon_of, make_world, parse_model,
-                        pomdp_fingerprint, print_program)
+from beliefprog import (ConfigTable, LikelihoodContextError,
+                        ObservationUniformityError, build_graph, build_pomdp,
+                        compute_types, enabled, eval_subjective, horizon_of,
+                        make_world, parse_model, pomdp_fingerprint,
+                        print_program)
 from beliefprog.abstraction import BREAKDOWN, reps_from_init
 from beliefprog.kb import (GroundAction, initial_kb, likelihood_row,
                            next_observation, progress_kb, progress_world,
                            real_bat)
+import beliefprog.cli as cli
+import beliefprog.pomdp as pomdp_mod
 from beliefprog.parser import parse_subjective
 from conftest import COFFEE, ROOT, random_model_text
 
@@ -21,9 +26,41 @@ def coffee_pomdps(coffee):
     graph = build_graph(coffee.program)
     reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
     abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    pomdps = [build_pomdp(coffee, graph, abstraction, tau, type_id=i)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
     return abstraction, pomdps
+
+
+def test_one_table_serves_every_type(monkeypatch, capsys):
+    """One verify call makes one configuration table for all its types:
+    the guards are evaluated once per distinct (node, observation), and
+    the filled table builds type 0's POMDP again, fingerprint for
+    fingerprint, without evaluating a guard."""
+    path = ROOT / "perfbench" / "models" / "coffee_choice.bp"
+    calls, builds = [], []
+
+    def counting_enabled(graph, node, kb):
+        calls.append((node, kb))
+        return enabled(graph, node, kb)
+
+    def recording_build(*args, **kwargs):
+        builds.append(args)
+        return build_pomdp(*args, **kwargs)
+    monkeypatch.setattr(pomdp_mod, "enabled", counting_enabled)
+    monkeypatch.setattr(cli, "build_pomdp", recording_build)
+    assert cli.main(["verify", str(path), "--property", "P1",
+                     "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    # a search per type made 67 calls
+    assert len(calls) == len(set(calls)) == 8
+    table, abstraction, tau = builds[0]
+    assert len(builds) == 3 and all(b[0] is table for b in builds)
+    rebuilt = build_pomdp(table, abstraction, tau, type_id=0)
+    assert len(calls) == 8
+    model = parse_model(path.read_text())
+    assert hashlib.sha256(pomdp_fingerprint(rebuilt, model, abstraction)
+                          ).hexdigest() == report["types"][0]["fingerprint"]
 
 
 def _type_with_witness(abstraction, pomdps, h):
@@ -74,8 +111,9 @@ def test_fingerprints_tau2_tau3_equal(coffee, coffee_pomdps):
 def test_fingerprint_deterministic(coffee, coffee_pomdps):
     abstraction, pomdps = coffee_pomdps
     graph = build_graph(coffee.program)
-    rebuilt = build_pomdp(coffee, graph, abstraction, abstraction.types[0],
-                          type_id=0)
+    rebuilt = build_pomdp(ConfigTable(graph, abstraction.rbat,
+                                      abstraction.kb0),
+                          abstraction, abstraction.types[0], type_id=0)
     assert pomdp_fingerprint(rebuilt, coffee, abstraction) == \
         pomdp_fingerprint(pomdps[0], coffee, abstraction)
 
@@ -132,7 +170,8 @@ def test_horizon_zero_single_state(coffee):
     reps = [make_world(coffee, [0])]
     beta = parse_subjective("B(h = 2) < 1", coffee)
     abstraction = compute_types(coffee, 0, reps, beta)
-    p = build_pomdp(coffee, graph, abstraction, abstraction.types[0])
+    p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
     assert len(p.states) == 1
     assert p.observations[p.obs_of[0]].render() == "{(0): 1/2, (1): 1/2}"
 
@@ -153,7 +192,8 @@ def test_breakdown_branch_routed_to_sink():
     m = parse_model(text)
     graph = build_graph(m.program)
     abstraction = compute_types(m, 1, [make_world(m, [0])], m.property_named("T"))
-    p = build_pomdp(m, graph, abstraction, abstraction.types[0])
+    p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
     assert p.breakdown_states == 1
     targets = dict(p.transitions[p.initial]["sen"])
     sink = p.state_index[(None, None)]
@@ -178,7 +218,8 @@ def test_observation_uniformity_violation_detected():
     graph = build_graph(m.program)
     abstraction = compute_types(m, 2, [make_world(m, [0])], m.property_named("T"))
     with pytest.raises(ObservationUniformityError):
-        build_pomdp(m, graph, abstraction, abstraction.types[0])
+        build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
 
 
 def test_ambiguous_same_action_transition_detected():
@@ -195,7 +236,8 @@ def test_ambiguous_same_action_transition_detected():
     graph = build_graph(m.program)
     abstraction = compute_types(m, 2, [make_world(m, [0])], m.property_named("T"))
     with pytest.raises(LikelihoodContextError):
-        build_pomdp(m, graph, abstraction, abstraction.types[0])
+        build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
+                    abstraction, abstraction.types[0])
 
 
 def assert_transitions_are_witness_likelihoods(model, k, phi=None):
@@ -210,7 +252,7 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
     checked = 0
     for tau in a.types:
         try:
-            p = build_pomdp(model, graph, a, tau)
+            p = build_pomdp(ConfigTable(graph, a.rbat, a.kb0), a, tau)
         except (ObservationUniformityError, LikelihoodContextError):
             continue
         seen = {p.initial}

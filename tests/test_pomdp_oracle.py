@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (BeliefProgError, LikelihoodContextError,
+from beliefprog import (BeliefProgError, ConfigTable, LikelihoodContextError,
                         ObservationUniformityError, build_graph, build_pomdp,
                         compute_types, enumerate_policies, horizon_of,
                         parse_model, probability)
@@ -26,13 +26,24 @@ from beliefprog.kb import (BREAKDOWN, action_likelihood, eval_subjective,
                            initial_kb, next_observation, oi_alternatives,
                            progress_world, real_bat)
 from beliefprog.parser import parse_subjective
-from beliefprog.pomdp import FinitePomdp, _add_state
+from beliefprog.pomdp import FinitePomdp
 from beliefprog.program_graph import enabled
 from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, TRUE, UntilOp,
                                print_program)
 from conftest import COFFEE, ROOT, random_model_text
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
+
+
+def _add_state(p, key):
+    if key in p.state_index:
+        return p.state_index[key]
+    idx = len(p.states)
+    p.state_index[key] = idx
+    p.states.append(key)
+    p.transitions.append({})
+    p.obs_of.append(None)
+    return idx
 
 
 def sequence_pomdp(model, graph, abstraction, tau):
@@ -127,9 +138,10 @@ def assert_builders_agree(model, k, reps, phi, psi):
     POMDPs (configuration-keyed, sequence-keyed)."""
     graph = build_graph(model.program)
     a = compute_types(model, k, reps, phi)
+    table = ConfigTable(graph, a.rbat, a.kb0)
     built = []
     for tau in a.types:
-        got, p = _outcome(lambda: build_pomdp(model, graph, a, tau), psi)
+        got, p = _outcome(lambda: build_pomdp(table, a, tau), psi)
         want, q = _outcome(lambda: sequence_pomdp(model, graph, a, tau), psi)
         assert got == want
         if p is not None:

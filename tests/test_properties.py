@@ -13,12 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (IncompatibleActionError, IncompatibleSensingError,
-                        LikelihoodContextError, ObservationUniformityError,
-                        PolicyBudgetError, build_graph, build_pomdp,
-                        compute_types, enumerate_policies,
-                        ground_action_universe, initial_kb, make_world,
-                        parse_model, probability, progress_kb)
+from beliefprog import (ConfigTable, IncompatibleActionError,
+                        IncompatibleSensingError, LikelihoodContextError,
+                        ObservationUniformityError, PolicyBudgetError,
+                        build_graph, build_pomdp, compute_types,
+                        enumerate_policies, ground_action_universe,
+                        initial_kb, make_world, parse_model, probability,
+                        progress_kb)
 from beliefprog.checker import obs_satisfies
 from beliefprog.kb import likelihood_row, real_bat
 from beliefprog.parser import parse_subjective
@@ -45,10 +46,11 @@ def _build(model, k=2):
     (observation disagreement, ambiguous action) are left out."""
     graph = build_graph(model.program)
     abstraction = compute_types(model, k, _reps(model))
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     pomdps = []
     for i, tau in enumerate(abstraction.types):
         try:
-            pomdps.append(build_pomdp(model, graph, abstraction, tau, type_id=i))
+            pomdps.append(build_pomdp(table, abstraction, tau, type_id=i))
         except (ObservationUniformityError, LikelihoodContextError):
             continue
     return graph, abstraction, pomdps
@@ -176,9 +178,10 @@ def test_observation_uniform_enabled_sets(model_factory, seed):
     model = model_factory(seed)
     graph = build_graph(model.program)
     abstraction = compute_types(model, 2, _reps(model))
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     for i, tau in enumerate(abstraction.types):
         try:
-            build_pomdp(model, graph, abstraction, tau, type_id=i)
+            build_pomdp(table, abstraction, tau, type_id=i)
             built = True
         except ObservationUniformityError:
             built = False

@@ -19,6 +19,7 @@ import beliefprog.simulate as simulate
 from beliefprog.abstraction import ground_action_universe, program_prims
 from beliefprog.cli import main
 from beliefprog.kb import initial_kb
+from beliefprog.pomdp import ConfigTable
 from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
                                  hoeffding_half_width, sample_outcomes,
                                  trial_rng)
@@ -799,11 +800,12 @@ def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
 
 def test_cli_calls_share_no_step_table(monkeypatch, capsys):
     """Each cli.main call reads and fills only tables it made: no Bat or
-    engine outlives the call that made it."""
+    configuration table (a simulate engine is one) outlives the call that
+    made it."""
     made, used = [], []
     for cls, methods in ((kb_mod.Bat, ("step", "branches", "moves",
                                        "intern", "intern_kb")),
-                         (TraceEngine, ("config",))):
+                         (ConfigTable, ("entry",))):
         init = cls.__init__
 
         def recording_init(self, *args, _init=init, **kwargs):
