@@ -10,7 +10,8 @@ from .errors import (BeliefProgError, Diagnostic, EvalError,
                      IncompatibleActionError, IncompatibleSensingError,
                      InadmissiblePropertyError, LikelihoodContextError,
                      LikelihoodSumError, ObservationUniformityError,
-                     ParseError, PolicyBudgetError, SequenceBudgetError)
+                     ParseError, PolicyBudgetError, SequenceBudgetError,
+                     StateBudgetError)
 from .kb import (EPSILON, FAILURE, GroundAction, KnowledgeBase, World,
                  action_likelihood, believed_bat, eval_fluent_formula,
                  eval_subjective, initial_kb, make_world, oi_alternatives,

@@ -8,24 +8,31 @@ action theory; subjective ones are evaluated against the progressed
 knowledge base, which is the same for every representative.  Types are
 therefore told apart by their objective entries alone.
 
-The sequence tree is walked once, breadth first with children in action
-order, which is the key order: by length, then action by action.  Each
-kept sequence appends every representative's objective truths to that
-representative's key as it is kept, so no sequence is looked up or sorted
-afterwards.  Each piece of work is done once per call: a (world, action)
-step, giving the real likelihood and the successor world, is the real
-Bat's memoised step, and the objective truths at a world are memoised.
-No knowledge base is progressed here.  The abstraction hands on the real
-Bat and the initial knowledge base, from which the POMDP builder steps a
-type's configurations at the type witness's world, so real likelihoods are
-found in one place.  The number of kept sequences is capped by
-SEQUENCE_BUDGET.
+The action tree is memoised as a DAG (ActionDag).  A node is the set of
+distinct (world, alive) states the representatives reach after a sequence,
+with the remaining depth; every sequence that reaches it has the same
+subtree, so each node is expanded once, with its children in action order,
+which is the key order: by length, then action by action.  The kept and
+pruned sequences are path counts over the DAG, and Abstraction.sequences
+is a lazy view that lists them.  Type keys are hash-consed, as the shared
+subgraphs of reduced ordered BDDs are (Bryant, 1986): a state's id at
+level 0 is that of its objective truths, and at level d that of the tuple
+of its level d-1 ids in the node's children.  A representative's key is
+its ids at levels 0..k, equal keys make one type, and the types are
+ordered by their truths in key order, found by descending two keys to the
+first leaf where they differ.  A (world, action) step is the real Bat's
+memoised step.  No knowledge base is progressed here.  The abstraction
+hands on the real Bat and the initial knowledge base, from which the
+POMDP builder steps a type's configurations at the type witness's world,
+so real likelihoods are found in one place.  The number of DAG nodes is
+capped by NODE_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
 discharge itself, and every report restates that caveat.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -254,21 +261,33 @@ def horizon_of(phi) -> int:
 # ---------------------------------------------------------------------------
 # types
 
-# Cap on the action sequences one type computation may keep.  The kept set
-# grows about 6x per step on models/coffee.bp: F<=7 keeps 178,847
-# sequences and F<=8 about a million.
-SEQUENCE_BUDGET = 200_000
-# Cap on the worlds of one representative box (reps_from_ranges); the type
-# walk steps every representative along every kept sequence.
+# Cap on the nodes of one type computation's action DAG.  On
+# models/coffee.bp P1 keeps 1.8e5 sequences over 352 nodes at F<=7, 2.2e8
+# over 1568 nodes at F<=11, and needs 9648 nodes at F<=21.
+NODE_BUDGET = 10_000
+# Cap on the worlds of one representative box (reps_from_ranges); every
+# node of the action DAG may hold a state per representative.
 REPRESENTATIVE_BUDGET = 10_000
 
 
-@dataclass
 class TypeAssignment:
-    witness: object  # representative World
-    # truths of the objective context formulas, sequences in key order
-    # (by length, then action by action)
-    bitvec: tuple
+    """One type: a representative world (witness), and bitvec, the truths
+    of the objective context formulas after every kept sequence, sequences
+    in key order (by length, then action by action), flattened.  bitvec is
+    a tuple, or a function that makes it the first time it is read."""
+
+    def __init__(self, witness, bitvec):
+        self.witness = witness
+        self._bitvec = bitvec
+
+    @property
+    def bitvec(self):
+        if callable(self._bitvec):
+            self._bitvec = tuple(self._bitvec())
+        return self._bitvec
+
+    def __repr__(self):
+        return f"TypeAssignment(witness={self.witness!r})"
 
 
 @dataclass
@@ -276,22 +295,176 @@ class Abstraction:
     context: ProgramContext
     universe: list
     horizon: int
-    sequences: list  # kept sequences (tuples of GroundAction), in key order
+    sequences: object  # kept sequences (tuples of GroundAction): len, iter
     kb0: object  # the initial KnowledgeBase
     types: list  # TypeAssignment, deduplicated, sorted by bitvec
     pruned: int  # sequences dropped because no representative can reach them
     rbat: object  # the real Bat whose steps made the types
 
 
-def _check_budget(k, kept, frontier, remaining):
-    # eps and fail have likelihood 1 at every world, so each frontier
-    # sequence keeps at least 2 + 4 + ... + 2**remaining descendants
-    floor = kept + frontier * (2 ** (remaining + 1) - 2)
-    if floor > SEQUENCE_BUDGET:
-        raise SequenceBudgetError(
-            f"type abstraction up to horizon {k} keeps at least {floor} "
-            f"action sequences, over the budget of {SEQUENCE_BUDGET}; "
-            "lower the property's step bound")
+class ActionDag:
+    """The action tree over (A_P)^{<=k} from a set of representative
+    worlds, memoised on its nodes.
+
+    A state is one representative's (world, alive), interned to an
+    integer; a representative's world stays frozen after the step that
+    killed it.  A node is the sorted tuple of the distinct states of the
+    representatives after a sequence, with the remaining depth, interned
+    to an integer.  Its kept children come in action order, each with the
+    position in the child of each of the node's states; a child where no
+    state is alive is pruned.  Every sequence that reaches a node has the
+    same subtree, so each node is expanded once, and a node's children
+    have larger ids than the node.
+    """
+
+    def __init__(self, rbat, universe, roots, k):
+        self.actions = sorted(universe)
+        self.k = k
+        self._step = rbat.step
+        self.worlds, self.alive = [], []  # per state
+        self._state_ids = {}
+        self._succ = []  # per state: its successor per action, once needed
+        self._node_ids = {}  # (states, remaining depth) -> node
+        # per node: its states, remaining depth, kept children
+        # [(action, child, positions)], and the kept and pruned sequences
+        # of its subtree (the sequence to the node included)
+        self.states, self.depth, self.children = [], [], []
+        self.count, self.pruned = [], []
+        self.root_states = [self._state(w, True) for w in roots]
+        self.root = self._node(tuple(sorted(self.root_states)), k)
+        lo = 0
+        for _ in range(k):  # the nodes of one depth are a range of ids
+            hi = len(self.states)
+            for n in range(lo, hi):
+                self._expand(n)
+            lo = hi
+        for n in reversed(range(len(self.states))):
+            for _t, c, _pos in self.children[n]:
+                self.count[n] += self.count[c]
+                self.pruned[n] += self.pruned[c]
+
+    def _state(self, world, alive):
+        s = self._state_ids.setdefault((world, alive), len(self.worlds))
+        if s == len(self.worlds):
+            self.worlds.append(world)
+            self.alive.append(alive)
+            self._succ.append(None)
+        return s
+
+    def _node(self, states, depth):
+        # the key is hashed once here; everything else is keyed by the id
+        n = self._node_ids.setdefault((states, depth), len(self.states))
+        if n == len(self.states):
+            if n == NODE_BUDGET:
+                raise SequenceBudgetError(
+                    f"type abstraction up to horizon {self.k} needs more "
+                    f"than {NODE_BUDGET} action DAG nodes, the budget; "
+                    "lower the property's step bound")
+            self.states.append(states)
+            self.depth.append(depth)
+            self.children.append([])
+            self.count.append(1)
+            self.pruned.append(0)
+        return n
+
+    def _successors(self, s):
+        hit = self._succ[s]
+        if hit is None:
+            if self.alive[s]:
+                w = self.worlds[s]
+                hit = []
+                for t in self.actions:
+                    like, w2 = self._step(w, t)
+                    hit.append(self._state(w2, like is not ZERO))
+                hit = tuple(hit)
+            else:
+                hit = (s,) * len(self.actions)
+            self._succ[s] = hit
+        return hit
+
+    def _expand(self, n):
+        alive, kids, depth = self.alive, self.children[n], self.depth[n] - 1
+        succ = zip(*map(self._successors, self.states[n]))
+        for t, col in zip(self.actions, succ):
+            states = tuple(sorted(set(col)))
+            if not any(alive[s] for s in states):
+                self.pruned[n] += 1
+                continue
+            pos = {s: i for i, s in enumerate(states)}
+            kids.append((t, self._node(states, depth),
+                         tuple(map(pos.__getitem__, col))))
+
+    def type_keys(self, truths):
+        """Each root's type key, and the hash-consed levels behind it.
+
+        A root's key is its ids at levels 0..k.  At level 0 a state's id
+        is that of truths(world); at level d its id is that of the tuple of
+        its level d-1 ids in the node's kept children.  levels[d] lists the
+        level-d tuples by id.  Two roots have equal keys exactly when they
+        agree on every objective truth after every kept sequence.
+        """
+        tables = [{} for _ in range(self.k + 1)]
+        t0 = tables[0]
+        leaf = {s: t0.setdefault(truths(self.worlds[s]), len(t0))
+                for s in set().union(*self.states)}  # states in some node
+        ids = [None] * len(self.states)  # per node: its ids per level
+        for n in reversed(range(len(self.states))):
+            at = [tuple(map(leaf.__getitem__, self.states[n]))]
+            kids = self.children[n]  # never empty: eps is always possible
+            for d in range(1, self.depth[n] + 1):
+                table = tables[d]
+                rows = zip(*(map(ids[c][d - 1].__getitem__, pos)
+                             for _t, c, pos in kids))
+                at.append(tuple([table.setdefault(row, len(table))
+                                 for row in rows]))
+            ids[n] = at
+        root = ids[self.root]
+        pos = {s: i for i, s in enumerate(self.states[self.root])}
+        keys = [tuple(level[pos[s]] for level in root)
+                for s in self.root_states]
+        return keys, [list(table) for table in tables]
+
+
+class KeptSequences:
+    """The kept action sequences, a lazy view of an ActionDag: len() is
+    their number, a memoised path count, and iteration lists them in key
+    order (by length, then action by action)."""
+
+    def __init__(self, dag):
+        self.dag = dag
+
+    def __len__(self):
+        return self.dag.count[self.dag.root]
+
+    def __iter__(self):
+        level = [((), self.dag.root)]
+        while level:
+            yield from (z for z, _n in level)
+            level = [(z + (t,), c) for z, n in level
+                     for t, c, _pos in self.dag.children[n]]
+
+
+def _compare_keys(levels, a, b):
+    # the bitvec order: at the first level where the ids differ, descend
+    # both in child order to the first leaf that differs
+    for d, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            for e in range(d, 0, -1):
+                x, y = next(pair for pair in zip(levels[e][x], levels[e][y])
+                            if pair[0] != pair[1])
+            return -1 if levels[0][x] < levels[0][y] else 1
+    return 0
+
+
+def _bitvec(levels, key):
+    bits = []
+    for d, x in enumerate(key):
+        row = [x]
+        for e in range(d, 0, -1):
+            row = [c for y in row for c in levels[e][y]]
+        for y in row:
+            bits.extend(levels[0][y])
+    return bits
 
 
 def compute_types(model, k, reps, phi=None) -> Abstraction:
@@ -312,75 +485,31 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
             + (", ..." if len(rejected) > 3 else ""))
     rbat = real_bat(model)
     reps = tuple(dict.fromkeys(rbat.intern(w) for w in reps))
-    step = rbat.step
 
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
     formulas = [context.formulas[i].formula
                 for i in context.objective_indices()]
-    truths = {}  # world -> objective truths, in context index order
-
-    def objective(w):
-        hit = truths.get(w)
-        if hit is None:
-            hit = truths[w] = tuple(eval_fluent_formula(f, w)
-                                    for f in formulas)
-        return hit
-
-    # prefix tree over (A_P)^{<=k}, breadth first with children sorted
-    # (GroundAction order: symbol, ctrl, unctrl), so sequences are kept in
-    # key order: by length, then action by action.  Each kept sequence
-    # appends every representative's objective truths to that
-    # representative's key, one tuple per sequence, flattened only for
-    # the keys that make types.  A branch is pruned once every
-    # representative reaches it with likelihood 0; a representative's
-    # world stays frozen after the step that killed it.  The deepest level
-    # is never expanded, so it is not kept as a frontier.  Subjective
-    # truths are equal for every representative, so the objective ones
-    # alone decide type equality and order.
-    children = sorted(universe)
-    keys = [[objective(w)] for w in reps]
-    sequences = [()]
-    frontier = [((), reps, (True,) * len(reps))]
-    pruned = 0
-    for depth in range(k + 1):
-        _check_budget(k, len(sequences), len(frontier), k - depth)
-        if depth == k:
-            break
-        new_frontier = []
-        for z, worlds, live in frontier:
-            for t in children:
-                succ, succ_live = [], []
-                for w, alive in zip(worlds, live):
-                    if alive:
-                        like, w = step(w, t)
-                        alive = like is not ZERO
-                    succ.append(w)
-                    succ_live.append(alive)
-                if not any(succ_live):
-                    pruned += 1
-                    continue
-                z2 = z + (t,)
-                sequences.append(z2)
-                for key, w in zip(keys, succ):
-                    key.append(objective(w))
-                if depth + 1 < k:
-                    new_frontier.append((z2, succ, succ_live))
-        frontier = new_frontier
-
-    # the truth tuples have one length, so keys sort as their flattenings
+    dag = ActionDag(rbat, universe, reps, k)
+    # subjective truths are equal for every representative, so the
+    # objective ones alone decide type equality and order
+    keys, levels = dag.type_keys(
+        lambda w: tuple(eval_fluent_formula(f, w) for f in formulas))
     first = {}  # key -> the first representative with it
     for w0, key in zip(reps, keys):
-        first.setdefault(tuple(key), w0)
+        first.setdefault(key, w0)
+    order = sorted(first, key=functools.cmp_to_key(
+        functools.partial(_compare_keys, levels)))
     types = [TypeAssignment(first[key],
-                            tuple(itertools.chain.from_iterable(key)))
-             for key in sorted(first)]
+                            functools.partial(_bitvec, levels, key))
+             for key in order]
 
+    pruned = dag.pruned[dag.root]
     if pruned:
         log.info("pruned %d action sequences unreachable from every "
                  "representative", pruned)
-    return Abstraction(context, universe, k, sequences, initial_kb(model),
-                       types, pruned, rbat)
+    return Abstraction(context, universe, k, KeptSequences(dag),
+                       initial_kb(model), types, pruned, rbat)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,11 @@ class PolicyBudgetError(BeliefProgError):
 
 
 class SequenceBudgetError(BeliefProgError):
-    """Type abstraction would keep more action sequences than its budget."""
+    """Type abstraction would build more action DAG nodes than its budget."""
+
+
+class StateBudgetError(BeliefProgError):
+    """A type's POMDP would have more states than its budget."""
 
 
 class ObservationUniformityError(BeliefProgError):

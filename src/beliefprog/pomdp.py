@@ -28,12 +28,18 @@ import logging
 from collections import deque
 from fractions import Fraction
 
-from .errors import LikelihoodContextError, ObservationUniformityError
+from .errors import (LikelihoodContextError, ObservationUniformityError,
+                     StateBudgetError)
 from .kb import BREAKDOWN, eval_subjective, next_observation, progress_kb
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula, print_program
 
 log = logging.getLogger(__name__)
+
+# Cap on the states of one type's POMDP.  On the choice model
+# (perfbench/models/coffee_choice.bp) type 0 has 6621 states at F<=8 and
+# 15900 at F<=9.
+STATE_BUDGET = 10_000
 
 _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
             "cyan", "magenta", "gray"]
@@ -175,6 +181,11 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
             (entry.node, entry.obs, entry.world), depth)
         index = p.state_index.get(key)
         if index is None:
+            if len(p.states) == STATE_BUDGET:
+                raise StateBudgetError(
+                    f"a type's POMDP up to horizon {k} has more than "
+                    f"{STATE_BUDGET} states, the budget; lower the "
+                    "property's step bound")
             index = p.state_index[key] = len(p.states)
             p.states.append(key)
             p.transitions.append({})

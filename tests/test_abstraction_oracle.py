@@ -21,7 +21,7 @@ from beliefprog import (BeliefProgError, ConfigTable,
                         pomdp_fingerprint)
 from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
                                     TypeAssignment, ground_action_universe,
-                                    reps_from_init)
+                                    reps_from_init, reps_from_ranges)
 from beliefprog.kb import (action_likelihood, eval_fluent_formula,
                            eval_subjective, initial_kb, oi_alternatives,
                            progress_kb, progress_world, real_bat)
@@ -129,7 +129,7 @@ def _key_order(z):
 def assert_same_abstraction(lazy, eager):
     # the eager sequences are in universe-tree order; compute_types lists
     # them in key order
-    assert lazy.sequences == sorted(eager.sequences, key=_key_order)
+    assert list(lazy.sequences) == sorted(eager.sequences, key=_key_order)
     assert lazy.pruned == eager.pruned
     assert [t.witness for t in lazy.types] == [t.witness for t in eager.types]
     assert [t.bitvec for t in lazy.types] == [t.bitvec for t in eager.types]
@@ -193,6 +193,45 @@ def test_random_models_match_eager(seed):
     assert_same_pomdps(model, lazy, eager)
 
 
+def _box_case(seed):
+    # a box of representatives: where an effect resets a fluent, or an
+    # action kills some of them, several reach one (world, alive) state
+    # and share every node below it
+    model = parse_model(random_model_text(seed))
+    reps = reps_from_ranges(model, {f.name: (-2, 2) for f in model.fluents})
+    return model, [w for w in reps if all(eval_fluent_formula(c, w)
+                                          for c in model.init.constraints)]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_models_with_merged_representatives_match_eager(seed):
+    model, reps = _box_case(seed)
+    lazy = compute_types(model, 3, reps)
+    eager, _ = eager_compute_types(model, 3, reps)
+    assert_same_abstraction(lazy, eager)
+
+
+def test_merged_representatives_occur():
+    # the cases above do merge: a node holds fewer states than there are
+    # representatives in 18 of the 100 models
+    merged = 0
+    for seed in range(100):
+        model, reps = _box_case(seed)
+        dag = compute_types(model, 3, reps).sequences.dag
+        merged += any(len(states) < len(reps) for states in dag.states)
+    assert merged == 18
+
+
+def test_401_representatives(coffee_text):
+    # coffee P1 at F<=5 from h = -400..0: every representative below -4
+    # keeps the key of h = -400, the first of them in box order
+    model = parse_model(_with_bound(coffee_text, 5))
+    reps = reps_from_ranges(model, {"h": (-400, 0)})
+    a = compute_types(model, 5, reps, model.property_named("P1"))
+    assert [t.witness["h"] for t in a.types] == [0, -1, -2, -3, -4, -400]
+    assert (len(a.sequences), a.pruned) == (5348, 341)
+
+
 def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
                                                         monkeypatch):
     model = parse_model(_with_bound(coffee_text, 5))
@@ -224,12 +263,14 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
 
 
 def test_sequence_budget_is_exact_at_its_bound(coffee, monkeypatch):
+    # the budget counts action DAG nodes: 14 for coffee P1 at F<=2
     reps = reps_from_init(coffee)
     phi = coffee.property_named("P1")
-    monkeypatch.setattr(abstraction_mod, "SEQUENCE_BUDGET", 32)
-    assert len(compute_types(coffee, 2, reps, phi).sequences) == 32
-    monkeypatch.setattr(abstraction_mod, "SEQUENCE_BUDGET", 31)
-    with pytest.raises(abstraction_mod.SequenceBudgetError, match="32"):
+    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 14)
+    assert len(compute_types(coffee, 2, reps, phi).sequences.dag.states) == 14
+    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 13)
+    with pytest.raises(abstraction_mod.SequenceBudgetError,
+                       match="more than 13 action DAG nodes"):
         compute_types(coffee, 2, reps, phi)
 
 

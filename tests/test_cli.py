@@ -8,6 +8,7 @@ import pytest
 
 import beliefprog
 from beliefprog import abstraction as abstraction_mod
+from beliefprog import pomdp as pomdp_mod
 from beliefprog.cli import main
 from conftest import COFFEE, ROOT
 
@@ -198,11 +199,21 @@ def test_duplicate_outcome_value_exit_2(tmp_path, coffee_text, capsys):
 
 
 def test_sequence_budget_exit_2(tmp_path, coffee_text, capsys):
+    # P1 at F<=30 needs 23076 action DAG nodes (F<=21 needs 9648)
     deep = tmp_path / "deep.bp"
-    deep.write_text(coffee_text.replace("F<=2 B(h = 2)", "F<=9 B(h = 2)"))
+    deep.write_text(coffee_text.replace("F<=2 B(h = 2)", "F<=30 B(h = 2)"))
     code, _, err = run(capsys, "verify", str(deep), "--property", "P1")
     assert code == 2
     assert "budget" in err
+
+
+def test_state_budget_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 5)
+    code, _, err = run(capsys, "verify", str(COFFEE), "--property", "P1")
+    assert code == 2
+    assert err.strip() == ("error: a type's POMDP up to horizon 2 has more "
+                           "than 5 states, the budget; lower the property's "
+                           "step bound")
 
 
 # believed weights of a(1/2) sum to 1/2: an error in the believed theory,

@@ -2,10 +2,12 @@
 
 Each case runs cli.main in-process and compares its stdout with a file
 under tests/golden/ (`.dot` for export-pomdp --dot, `.json` otherwise);
-verify's timing block is dropped before the comparison.  A change that
-should leave every verdict, POMDP and seeded estimate as it was must pass
-this test unchanged.  To record the outputs of the current code (only
-where a change is meant to alter them):
+verify's timing block is dropped before the comparison.  The `-F<k>`
+verify cases raise P1's step bound to k, where most nodes of the type DAG
+are shared (coffee at F<=6 keeps 30723 action sequences, the choice model
+at F<=5 keeps 22546).  A change that should leave every verdict, POMDP and
+seeded estimate as it was must pass this test unchanged.  To record the
+outputs of the current code (only where a change is meant to alter them):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +15,8 @@ where a change is meant to alter them):
 import contextlib
 import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,8 @@ MODELS = {name: str(ROOT / path) for name, path in (
 # the benchmark's simulate workloads (sim-coffee, sim-choice)
 SIMULATE = {"coffee": ("first-enabled", "F<=2 B(h=2) = 1", 5000),
             "choice": ("uniform-random", "F<=3 B(h = 2) = 1", 2000)}
+# verify at a raised step bound of P1: case -> (model, bound)
+BOUNDED = {"verify-coffee-F6": ("coffee", 6), "verify-choice-F5": ("choice", 5)}
 
 
 def _cases():
@@ -49,10 +55,27 @@ def _cases():
                 "simulate", MODELS[name], "--world", "h=0", "--policy", policy,
                 "--psi", psi, "--trials", str(trials), "--horizon", "10",
                 "--seed", str(seed), "--format", "json"]
+    for name, (model, _k) in BOUNDED.items():
+        cases[name] = ["verify", MODELS[model], "--property", "P1",
+                       "--format", "json"]
     return cases
 
 
 CASES = _cases()
+
+
+def argv_of(name, directory):
+    """The case's argv; a bounded case reads its model, with P1's step
+    bound raised, from a copy written to directory."""
+    argv = list(CASES[name])
+    if name in BOUNDED:
+        model, k = BOUNDED[name]
+        text = Path(MODELS[model]).read_text(encoding="utf-8")
+        path = Path(directory) / f"{name}.bp"
+        path.write_text(re.sub(r"(property P1 \{.*)F<=\d+", rf"\g<1>F<={k}",
+                               text), encoding="utf-8")
+        argv[1] = str(path)
+    return argv
 
 
 def golden_file(name):
@@ -73,12 +96,14 @@ def output(argv):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name):
+def test_output_matches_golden(name, tmp_path):
     expected = golden_file(name).read_text(encoding="utf-8")
-    assert output(CASES[name]) == expected
+    assert output(argv_of(name, tmp_path)) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
-        golden_file(name).write_text(output(argv), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        for name in sorted(CASES):
+            golden_file(name).write_text(output(argv_of(name, directory)),
+                                         encoding="utf-8")

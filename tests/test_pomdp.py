@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from beliefprog import (ConfigTable, LikelihoodContextError,
-                        ObservationUniformityError, build_graph, build_pomdp,
+                        ObservationUniformityError, StateBudgetError,
+                        build_graph, build_pomdp,
                         compute_types, enabled, eval_subjective, horizon_of,
                         make_world, parse_model, pomdp_fingerprint,
                         print_program)
@@ -116,6 +117,20 @@ def test_fingerprint_deterministic(coffee, coffee_pomdps):
                           abstraction, abstraction.types[0], type_id=0)
     assert pomdp_fingerprint(rebuilt, coffee, abstraction) == \
         pomdp_fingerprint(pomdps[0], coffee, abstraction)
+
+
+def test_state_budget_is_exact_at_its_bound(coffee, coffee_pomdps,
+                                            monkeypatch):
+    abstraction, pomdps = coffee_pomdps
+    table = ConfigTable(build_graph(coffee.program), abstraction.rbat,
+                        abstraction.kb0)
+    tau = abstraction.types[0]
+    assert len(pomdps[0].states) == 6
+    monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 6)
+    assert len(build_pomdp(table, abstraction, tau).states) == 6
+    monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 5)
+    with pytest.raises(StateBudgetError, match="more than 5 states"):
+        build_pomdp(table, abstraction, tau)
 
 
 def test_labels_recomputable_from_observations(coffee, coffee_pomdps):
