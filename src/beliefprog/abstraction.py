@@ -25,7 +25,7 @@ memoised step.  No knowledge base is progressed here.  The abstraction
 hands on the real Bat and the initial knowledge base, from which the
 POMDP builder steps a type's configurations at the type witness's world,
 so real likelihoods are found in one place.  The number of DAG nodes is
-capped by NODE_BUDGET.
+capped by NODE_BUDGET, and their summed sizes by SLOT_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
@@ -265,6 +265,10 @@ def horizon_of(phi) -> int:
 # models/coffee.bp P1 keeps 1.8e5 sequences over 352 nodes at F<=7, 2.2e8
 # over 1568 nodes at F<=11, and needs 9648 nodes at F<=21.
 NODE_BUDGET = 10_000
+# Cap on the summed sizes (distinct representative states) of the action
+# DAG's nodes, which the work grows with: coffee P1 sums 54,937 at F<=5
+# from h=-400..0, and 1,360,670 over 680 nodes at F<=8 from h=-2000..0.
+SLOT_BUDGET = 2_000_000
 # Cap on the worlds of one representative box (reps_from_ranges); every
 # node of the action DAG may hold a state per representative.
 REPRESENTATIVE_BUDGET = 10_000
@@ -325,6 +329,7 @@ class ActionDag:
         self._state_ids = {}
         self._succ = []  # per state: its successor per action, once needed
         self._node_ids = {}  # (states, remaining depth) -> node
+        self.slots = 0  # the nodes' summed sizes
         # per node: its states, remaining depth, kept children
         # [(action, child, positions)], and the kept and pruned sequences
         # of its subtree (the sequence to the node included)
@@ -360,6 +365,13 @@ class ActionDag:
                     f"type abstraction up to horizon {self.k} needs more "
                     f"than {NODE_BUDGET} action DAG nodes, the budget; "
                     "lower the property's step bound")
+            self.slots += len(states)
+            if self.slots > SLOT_BUDGET:
+                raise SequenceBudgetError(
+                    f"type abstraction up to horizon {self.k} needs more "
+                    f"than {SLOT_BUDGET} representative states summed over "
+                    "its action DAG nodes, the budget; lower the property's "
+                    "step bound or use fewer representatives")
             self.states.append(states)
             self.depth.append(depth)
             self.children.append([])

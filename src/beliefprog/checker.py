@@ -310,14 +310,15 @@ def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
             raise InadmissiblePropertyError(
                 f"POMDP horizon {pomdp.k} is smaller than the property "
                 f"horizon {k}")
+        policies = policy_count(pomdp)
         p_truth = {}
         sub_list = []
         for sub in p_subs:
             minimum, argmin, maximum, argmax, nodes = _search(
                 pomdp, sub.trace, policy_cap)
             log.info("type %s: %d proper policies, min %s and max %s after "
-                     "%d search nodes", type_id, policy_count(pomdp), minimum,
-                     maximum, nodes)
+                     "%d search nodes", type_id, policies, minimum, maximum,
+                     nodes)
             _recheck(pomdp, sub.trace, [(minimum, argmin), (maximum, argmax)])
             holds = sub.interval.contains(minimum) and \
                 sub.interval.contains(maximum)
@@ -326,7 +327,7 @@ def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
                                              argmax, holds))
         initial_kb = pomdp.observations[pomdp.obs_of[pomdp.initial]]
         type_holds = _eval_state(phi, p_truth, initial_kb)
-        verdict.per_type.append(TypeResult(type_id, policy_count(pomdp),
-                                           sub_list, type_holds))
+        verdict.per_type.append(TypeResult(type_id, policies, sub_list,
+                                           type_holds))
         verdict.holds = verdict.holds and type_holds
     return verdict

@@ -55,7 +55,8 @@ class PolicyBudgetError(BeliefProgError):
 
 
 class SequenceBudgetError(BeliefProgError):
-    """Type abstraction would build more action DAG nodes than its budget."""
+    """Type abstraction would build more action DAG nodes, or more
+    representative states summed over its nodes, than its budgets."""
 
 
 class StateBudgetError(BeliefProgError):

@@ -446,7 +446,7 @@ class KnowledgeBase:
     w has mass num[w] / den, in lowest terms (see the module docstring).
     KnowledgeBase(dist, bat) takes a {world: Fraction} mapping."""
 
-    __slots__ = ("num", "den", "bat", "_key", "_hash", "_dist")
+    __slots__ = ("num", "den", "bat", "_key", "_hash", "_dist", "_name")
 
     def __init__(self, dist, bat):
         masses = [(w, p) for w, p in dist.items() if p != 0]
@@ -468,7 +468,7 @@ class KnowledgeBase:
         self.bat = bat
         self._key = (den, frozenset(num.items()))
         self._hash = hash(self._key)
-        self._dist = None
+        self._dist = self._name = None
 
     @property
     def dist(self):
@@ -492,17 +492,19 @@ class KnowledgeBase:
     def __hash__(self):
         return self._hash
 
-    def render(self, fluent_order=None):
-        """Debug form: {val-vector: p/q, ...} sorted lexicographically."""
-        order = fluent_order or self.bat.model.fluent_order
-        shown = [n for n in order if n not in ("Final", "Fail")]
-        shown += [n for n in ("Final", "Fail")
-                  if any(w[n] != 0 for w in self.num)]
-        entries = sorted((w.vector(shown), p) for w, p in self.dist.items())
-        body = ", ".join("(%s): %s" % (", ".join(frac_str(v) for v in vec),
-                                       frac_str(p))
-                         for vec, p in entries)
-        return "{%s}" % body
+    def render(self):
+        """The observation's name, {val-vector: p/q, ...} sorted
+        lexicographically, made on first use and kept."""
+        if self._name is None:
+            order = self.bat.model.fluent_order
+            shown = [n for n in order if n not in ("Final", "Fail")]
+            shown += [n for n in ("Final", "Fail")
+                      if any(w[n] != 0 for w in self.num)]
+            entries = sorted((w.vector(shown), p) for w, p in self.dist.items())
+            self._name = "{%s}" % ", ".join(
+                "(%s): %s" % (", ".join(frac_str(v) for v in vec), frac_str(p))
+                for vec, p in entries)
+        return self._name
 
     def __repr__(self):
         return f"KnowledgeBase({self.render()})"
@@ -513,7 +515,7 @@ class _Breakdown:
 
     key = "belief-breakdown"
 
-    def render(self, fluent_order=None):
+    def render(self):
         return self.key
 
     def __repr__(self):

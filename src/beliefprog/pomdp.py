@@ -9,13 +9,13 @@ outcome's successor entry or BREAKDOWN.  One table serves every type of a
 verify call, and simulate.TraceEngine extends it for sampling, so the
 successor rule lives here alone.
 
-A POMDP state is a configuration at a depth, ((node, observation, world),
-depth): build_pomdp unrolls the table breadth first by depth from (0, the
-initial knowledge base, the type witness).  The type fixes the truth of
-every likelihood context along every sequence, so any world of the type
-gives the same weights.  Sequences that reach one configuration at one
-depth reach one state, which is exact: its future depends only on the
-configuration.  Branches whose real probability is 0 are omitted; really
+A POMDP state is a table entry at a depth, (Configuration, depth), so
+every type's POMDP over one table shares the entries: build_pomdp unrolls
+the table breadth first by depth from the entry (0, the initial knowledge
+base, the type witness).  The type fixes the truth of every likelihood
+context along every sequence, so any world of the type gives the same
+weights.  Sequences that reach one configuration at one depth reach one
+state, which is exact: its future depends only on the configuration.  Branches whose real probability is 0 are omitted; really
 possible but believed impossible ones (the Bayes normalizer is 0) go to
 one "belief-breakdown" sink with an empty label set, so the real
 probability mass is still accounted for.  Terminal (final/failing)
@@ -25,14 +25,13 @@ the horizon carry a fail self-loop.
 
 import json
 import logging
-from collections import deque
 from fractions import Fraction
 
 from .errors import (LikelihoodContextError, ObservationUniformityError,
                      StateBudgetError)
 from .kb import BREAKDOWN, eval_subjective, next_observation, progress_kb
 from .program_graph import enabled
-from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula, print_program
+from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula
 
 log = logging.getLogger(__name__)
 
@@ -46,18 +45,18 @@ _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
 
 
 class Configuration:
-    """One entry of the table, filled by ConfigTable: fill sets live (the
-    enabled edges), is_final, is_failing and moves; labels waits for a
-    policy map or a POMDP state to read it."""
+    """One entry of the table, the one object for its (node, obs, world),
+    filled by ConfigTable: fill sets live (the enabled edges), is_final,
+    is_failing and moves."""
 
     __slots__ = ("node", "obs", "world", "live", "is_final", "is_failing",
-                 "moves", "labels")
+                 "moves")
 
     def __init__(self, node, obs, world):
         self.node = node
         self.obs = obs
         self.world = world
-        self.live = self.moves = self.labels = None
+        self.live = self.moves = None
         self.is_final = self.is_failing = False
 
 
@@ -130,19 +129,15 @@ class ConfigTable:
             move.edge.target, obs, self.world_after(entry.world, t))
         return succ
 
-    def labels(self, entry):
-        if entry.labels is None:
-            entry.labels = [print_program(e.prim) for e in entry.live]
-        return entry.labels
-
 
 class FinitePomdp:
+    """One type's POMDP up to horizon k.  A state is a (Configuration,
+    depth) pair of the table it was built from, or the sink (None, None)."""
+
     def __init__(self, k, type_id=None):
         self.k = k
         self.type_id = type_id
-        # ((node, observation, world), depth) in build order; the sink is
-        # (None, None)
-        self.states = []
+        self.states = []  # in build order
         self.state_index = {}
         self.initial = 0
         self.transitions = []       # per state: {action label: [(target, prob)]}
@@ -158,12 +153,11 @@ class FinitePomdp:
         return list(dict.fromkeys(label for t in self.transitions for label in t))
 
     def state_str(self, i):
-        config, depth = self.states[i]
-        if config is None:
+        entry, depth = self.states[i]
+        if entry is None:
             return "<belief-breakdown>"
-        node, obs, world = config
-        return "<node %d | %s | %r | depth %d>" % (node, obs.render(), world,
-                                                   depth)
+        return "<node %d | %s | %r | depth %d>" % (
+            entry.node, entry.obs.render(), entry.world, depth)
 
 
 def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
@@ -174,11 +168,9 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
     # keyed by the observation itself: a KnowledgeBase caches its hash and
     # equal ones are one interned object, and BREAKDOWN is a singleton
     obs_index = {}
-    queue = deque()  # (state, its Configuration or BREAKDOWN)
 
     def state(entry, depth):
-        key = (None, None) if entry is BREAKDOWN else (
-            (entry.node, entry.obs, entry.world), depth)
+        key = (None, None) if entry is BREAKDOWN else (entry, depth)
         index = p.state_index.get(key)
         if index is None:
             if len(p.states) == STATE_BUDGET:
@@ -189,7 +181,6 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
             index = p.state_index[key] = len(p.states)
             p.states.append(key)
             p.transitions.append({})
-            queue.append((index, entry))
             kb = BREAKDOWN if entry is BREAKDOWN else entry.obs
             if kb not in obs_index:
                 obs_index[kb] = len(p.observations)
@@ -202,21 +193,20 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
         return index
 
     state(table.entry(0, table.kb0, tau.witness), 0)
-    while queue:
-        si, entry = queue.popleft()
+    # states are made in breadth-first order, so the list is the queue
+    for si, (entry, depth) in enumerate(p.states):
         trans = p.transitions[si]
-        depth = p.states[si][1]
-        if entry is BREAKDOWN or depth == k:  # the sink, or the frontier
+        if entry is None or depth == k:  # the sink, or the frontier
             trans[FAILURE_NAME] = [(si, Fraction(1))]
-            if entry is not BREAKDOWN:
+            if entry is not None:
                 p.agent_actions.setdefault(p.obs_of[si], None)
             continue
         if entry.live is None:
             table.fill(entry)
         if entry.is_final:
             trans[EPSILON_NAME] = [(si, Fraction(1))]
-        labels = table.labels(entry)
-        for i, label in enumerate(labels):
+        for i, edge in enumerate(entry.live):
+            label = edge.label
             if label in trans:
                 raise LikelihoodContextError(
                     f"two enabled transitions share the action {label!r} at "
@@ -233,7 +223,8 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
                 target = state(succ, depth + 1)
                 branches[target] = branches.get(target, Fraction(0)) + like
             trans[label] = sorted(branches.items())
-        agent = tuple(labels) + ((EPSILON_NAME,) if entry.is_final else ())
+        agent = tuple(e.label for e in entry.live) + (
+            (EPSILON_NAME,) if entry.is_final else ())
         if not agent:
             trans[FAILURE_NAME] = [(si, Fraction(1))]
         obs = p.obs_of[si]
@@ -252,20 +243,21 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _canonical_struct(p, model, formulas):
+def _canonical_struct(p, formulas):
     # states in build order, which is breadth first with edges and
     # outcomes in declaration order; worlds are left out, so types whose
     # POMDPs differ only in their worlds serialise alike.  The breakdown
     # sink has node and depth -1.
-    shown = [(obs.render(model.fluent_order),
-              sorted(print_formula(formulas[j].formula) for j in labels))
+    printed = {j: print_formula(formulas[j].formula)
+               for j in frozenset().union(*p.labels)}
+    shown = [(obs.render(), sorted(map(printed.__getitem__, labels)))
              for obs, labels in zip(p.observations, p.labels)]
     states = []
-    for (config, depth), obs in zip(p.states, p.obs_of):
+    for (entry, depth), obs in zip(p.states, p.obs_of):
         rendered, labels = shown[obs]
         states.append({
-            "depth": -1 if config is None else depth,
-            "node": -1 if config is None else config[0],
+            "depth": -1 if entry is None else depth,
+            "node": -1 if entry is None else entry.node,
             "observation": rendered,
             "labels": labels,
         })
@@ -283,12 +275,12 @@ def _canonical_struct(p, model, formulas):
 
 def pomdp_fingerprint(p, model, abstraction) -> bytes:
     """Canonical byte string of the structure."""
-    data = _canonical_struct(p, model, abstraction.context.formulas)
+    data = _canonical_struct(p, abstraction.context.formulas)
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
 def to_json(p, model, abstraction) -> str:
-    data = _canonical_struct(p, model, abstraction.context.formulas)
+    data = _canonical_struct(p, abstraction.context.formulas)
     data["type"] = p.type_id
     data["actions"] = p.action_labels()
     return json.dumps(data, indent=2, sort_keys=True)

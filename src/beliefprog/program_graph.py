@@ -65,15 +65,19 @@ def step_edges(delta):
 
 
 class Edge:
-    __slots__ = ("guard", "prim", "target")
+    """A guarded step to node target; label, the primitive's name printed
+    once, is the action of its POMDP transitions and policy choices."""
+
+    __slots__ = ("guard", "prim", "target", "label")
 
     def __init__(self, guard, prim, target):
         self.guard = guard
         self.prim = prim
         self.target = target
+        self.label = print_program(prim)
 
     def __repr__(self):
-        return f"Edge({print_formula(self.guard)}, {print_program(self.prim)}, {self.target})"
+        return f"Edge({print_formula(self.guard)}, {self.label}, {self.target})"
 
 
 class CharGraph:
@@ -135,7 +139,7 @@ def to_dot(graph) -> str:
     for i, out in enumerate(graph.edges):
         for e in out:
             label = "%s / %s" % (print_formula(e.guard).replace('"', r'\"'),
-                                 print_program(e.prim))
+                                 e.label)
             lines.append(f'  n{i} -> n{e.target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

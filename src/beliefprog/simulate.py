@@ -49,7 +49,7 @@ from .kb import BREAKDOWN, eval_fluent_formula, initial_kb, real_bat
 from .pomdp import ConfigTable
 # enabled stays bound here for perfbench/spans.py, which wraps it by name
 from .program_graph import build_graph, enabled  # noqa: F401
-from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp, print_program
+from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp
 
 _TWO64 = 2 ** 64
 _CHUNK = 1 << 14  # trials walked together
@@ -211,8 +211,7 @@ class TraceEngine(ConfigTable):
         weighted, _ = super().real_outcomes(world, edge)
         if not weighted:
             raise BeliefProgError(
-                f"{print_program(edge.prim)} has no really-possible outcome "
-                f"at {world!r}")
+                f"{edge.label} has no really-possible outcome at {world!r}")
         cuts = self._cuts.get(id(weighted))
         if cuts is None:
             cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
@@ -286,7 +285,7 @@ def _verdict(engine, psi, depth, obs):
         return (type(exc), str(exc))
 
 
-def _choices(engine, streams, entry, policy, members, pos, half):
+def _choices(streams, entry, policy, members, pos, half):
     """The edge each member takes at entry: (members, edge index or None
     to stop, pos, half) parts."""
     if policy == Strategy.FIRST_ENABLED:
@@ -308,9 +307,9 @@ def _choices(engine, streams, entry, policy, members, pos, half):
             return [(members, 0, pos, half)]
         raise BeliefProgError("policy stops at a non-final observation "
                               f"{rendered}")
-    labels = engine.labels(entry)
-    if label in labels:
-        return [(members, labels.index(label), pos, half)]
+    for i, edge in enumerate(entry.live):
+        if edge.label == label:
+            return [(members, i, pos, half)]
     raise BeliefProgError(f"policy action {label!r} is not enabled at "
                           f"{rendered}")
 
@@ -335,8 +334,8 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
                 if entry.is_failing:
                     finished.append((prefix, "fail", members))
                     continue
-                choices = _choices(engine, streams, entry, policy, members,
-                                   pos, half)
+                choices = _choices(streams, entry, policy, members, pos,
+                                   half)
             except BeliefProgError as exc:  # raised in trial order
                 errors.append((members.min(), exc))
                 continue

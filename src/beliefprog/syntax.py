@@ -247,7 +247,6 @@ class GloballyOp:
 @dataclass(frozen=True)
 class FluentDecl:
     name: str
-    role: str = "state"  # or "reserved"
 
 
 @dataclass(frozen=True)

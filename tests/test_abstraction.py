@@ -137,16 +137,17 @@ def test_breakdown_marked_for_belief_impossible_sequences(coffee):
     sen1 = next(t for t in a.universe if str(t) == "sencfe(1)")
     # the believed-accurate sensor reading 1 after east(1, 1) is believed
     # possible, so its configuration is a state and not the sink
-    p = build_pomdp(ConfigTable(build_graph(coffee.program), a.rbat, a.kb0), a,
-                    a.types[0])
+    table = ConfigTable(build_graph(coffee.program), a.rbat, a.kb0)
+    p = build_pomdp(table, a, a.types[0])
     w1 = a.rbat.step(reps[0], east11)[1]
     kb1 = next_observation(a.kb0, east11)
     kb2 = next_observation(kb1, sen1)
     assert kb2 != BREAKDOWN and kb2.render() == "{(2): 1}"
-    targets = dict(p.transitions[p.state_index[((0, kb1, w1), 1)]]["sencfe"])
-    reached = [i for i, (config, depth) in enumerate(p.states)
-               if config is not None and config[1] == kb2
-               and config[2] == a.rbat.step(w1, sen1)[1] and depth == 2]
+    targets = dict(p.transitions[p.state_index[(table.entry(0, kb1, w1), 1)]]
+                   ["sencfe"])
+    reached = [i for i, (entry, depth) in enumerate(p.states)
+               if entry is not None and entry.obs == kb2
+               and entry.world == a.rbat.step(w1, sen1)[1] and depth == 2]
     assert len(reached) == 1 and targets[reached[0]] == Fraction(1, 10)
 
 

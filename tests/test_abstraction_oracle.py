@@ -274,6 +274,20 @@ def test_sequence_budget_is_exact_at_its_bound(coffee, monkeypatch):
         compute_types(coffee, 2, reps, phi)
 
 
+def test_slot_budget_is_exact_at_its_bound(coffee, monkeypatch):
+    # the budget counts representative states summed over the action DAG's
+    # nodes: 42 over the 14 nodes of coffee P1 at F<=2 from the init worlds
+    reps = reps_from_init(coffee)
+    phi = coffee.property_named("P1")
+    monkeypatch.setattr(abstraction_mod, "SLOT_BUDGET", 42)
+    dag = compute_types(coffee, 2, reps, phi).sequences.dag
+    assert dag.slots == sum(map(len, dag.states)) == 42
+    monkeypatch.setattr(abstraction_mod, "SLOT_BUDGET", 41)
+    with pytest.raises(abstraction_mod.SequenceBudgetError,
+                       match="more than 41 representative states summed"):
+        compute_types(coffee, 2, reps, phi)
+
+
 ORDER_MODEL = """
 fluents h;
 action a stochastic(; y) {

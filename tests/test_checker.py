@@ -10,7 +10,7 @@ from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
 from beliefprog.kb import KnowledgeBase, World, believed_bat
 from beliefprog.parser import parse_subjective
-from beliefprog.pomdp import FinitePomdp
+from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import POp, PropInterval, TRUE, UntilOp, XOp
 
 F = Fraction
@@ -258,7 +258,7 @@ def _random_layered_pomdp(rng, k=3):
         for j in range(len(layer)):
             idx = len(p.states)
             p.observations.append(_dummy_obs(counter))
-            p.states.append(((idx, p.observations[-1], None), d))
+            p.states.append((Configuration(idx, p.observations[-1], None), d))
             p.transitions.append({})
             p.obs_of.append(counter)
             p.labels.append(frozenset())

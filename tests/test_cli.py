@@ -207,6 +207,16 @@ def test_sequence_budget_exit_2(tmp_path, coffee_text, capsys):
     assert "budget" in err
 
 
+def test_slot_budget_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(abstraction_mod, "SLOT_BUDGET", 41)
+    code, _, err = run(capsys, "verify", str(COFFEE), "--property", "P1")
+    assert code == 2
+    assert err.strip() == (
+        "error: type abstraction up to horizon 2 needs more than 41 "
+        "representative states summed over its action DAG nodes, the budget; "
+        "lower the property's step bound or use fewer representatives")
+
+
 def test_state_budget_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 5)
     code, _, err = run(capsys, "verify", str(COFFEE), "--property", "P1")

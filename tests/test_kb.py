@@ -227,8 +227,7 @@ def test_next_observation_folds_only_believed_impossible_sensing(coffee):
 
 
 def test_breakdown_is_one_observation(coffee):
-    assert BREAKDOWN.render() == BREAKDOWN.render(coffee.fluent_order) == \
-        "belief-breakdown"
+    assert BREAKDOWN.render() == BREAKDOWN.key == "belief-breakdown"
     assert BREAKDOWN != initial_kb(coffee) and initial_kb(coffee) != BREAKDOWN
     assert BREAKDOWN.key != initial_kb(coffee).key
     assert {BREAKDOWN: 1}[BREAKDOWN] == 1

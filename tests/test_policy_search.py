@@ -22,7 +22,7 @@ from beliefprog import (ConfigTable, LikelihoodContextError,
 from beliefprog.checker import policy_count
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
-from beliefprog.pomdp import FinitePomdp
+from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import TRUE, POp, PropInterval, UntilOp, XOp
 from conftest import COFFEE, ROOT, random_model_text
 from test_checker import _dummy_obs, _random_layered_pomdp
@@ -148,7 +148,8 @@ def test_witness_is_the_first_optimal_policy_not_the_first_leaf(monkeypatch):
     edges = {0: {"u0": 1, "u1": 2}, 1: {"u0": 3, "u1": 4}}
     p.observations = [_dummy_obs(i) for i in range(5)]
     for s, obs in enumerate([1, 0, 2, 3, 4]):
-        p.states.append(((s, p.observations[obs], None), (0, 1, 1, 2, 2)[s]))
+        p.states.append((Configuration(s, p.observations[obs], None),
+                         (0, 1, 1, 2, 2)[s]))
         p.obs_of.append(obs)
         p.transitions.append({label: [(t, F(1))] for label, t in
                               edges.get(s, {"fail": s}).items()})

@@ -11,9 +11,9 @@ from beliefprog import (ConfigTable, LikelihoodContextError,
                         make_world, parse_model, pomdp_fingerprint,
                         print_program)
 from beliefprog.abstraction import BREAKDOWN, reps_from_init
-from beliefprog.kb import (GroundAction, initial_kb, likelihood_row,
-                           next_observation, progress_kb, progress_world,
-                           real_bat)
+from beliefprog.kb import (GroundAction, KnowledgeBase, initial_kb,
+                           likelihood_row, next_observation, progress_kb,
+                           progress_world, real_bat)
 import beliefprog.cli as cli
 import beliefprog.pomdp as pomdp_mod
 from beliefprog.parser import parse_subjective
@@ -23,11 +23,16 @@ F = Fraction
 
 
 @pytest.fixture(scope="module")
-def coffee_pomdps(coffee):
+def coffee_table(coffee):
     graph = build_graph(coffee.program)
     reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
     abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    return abstraction, ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+
+
+@pytest.fixture(scope="module")
+def coffee_pomdps(coffee_table):
+    abstraction, table = coffee_table
     pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
     return abstraction, pomdps
@@ -64,6 +69,48 @@ def test_one_table_serves_every_type(monkeypatch, capsys):
                           ).hexdigest() == report["types"][0]["fingerprint"]
 
 
+def test_one_render_per_knowledge_base(monkeypatch, capsys):
+    """A knowledge base's name is made on first use and kept: a verify
+    call on the choice model, whose fingerprints, policy order and policy
+    maps all read the names, makes one for each of its 16 knowledge
+    bases."""
+    path = ROOT / "perfbench" / "models" / "coffee_choice.bp"
+    render = KnowledgeBase.render
+    made = []
+
+    def recording_render(kb):
+        if kb._name is None:
+            made.append(kb)
+        return render(kb)
+    monkeypatch.setattr(KnowledgeBase, "render", recording_render)
+    assert cli.main(["verify", str(path), "--property", "P1",
+                     "--format", "json"]) == 1
+    capsys.readouterr()
+    assert len(made) == len({kb.key for kb in made}) == 16
+
+
+def test_states_are_table_entries(coffee_table, coffee_pomdps):
+    """A state is the table's one entry for its configuration, at a depth;
+    the sink is (None, None).  Types built over one table share entry
+    objects."""
+    _, table = coffee_table
+    _, pomdps = coffee_pomdps
+    owners = {}  # entry -> the types whose POMDP has it
+    for t, p in enumerate(pomdps):
+        for i, (entry, depth) in enumerate(p.states):
+            assert p.state_index[(entry, depth)] == i
+            if entry is None:
+                assert depth is None
+                assert p.observations[p.obs_of[i]] is BREAKDOWN
+                continue
+            assert entry is table.entry(entry.node, entry.obs, entry.world)
+            assert p.observations[p.obs_of[i]] is entry.obs
+            owners.setdefault(entry, set()).add(t)
+    # 4 of the 12 configurations are states of more than one type
+    assert len(owners) == 12
+    assert sum(len(types) > 1 for types in owners.values()) == 4
+
+
 def _type_with_witness(abstraction, pomdps, h):
     for i, tau in enumerate(abstraction.types):
         if tau.witness["h"] == h:
@@ -71,7 +118,8 @@ def _type_with_witness(abstraction, pomdps, h):
     raise AssertionError
 
 
-def test_structure_of_the_h0_pomdp(coffee, coffee_pomdps):
+def test_structure_of_the_h0_pomdp(coffee, coffee_table, coffee_pomdps):
+    _, table = coffee_table
     abstraction, pomdps = coffee_pomdps
     p = _type_with_witness(abstraction, pomdps, 0)
     assert len(p.states) == 6
@@ -82,9 +130,9 @@ def test_structure_of_the_h0_pomdp(coffee, coffee_pomdps):
     # the distinguished branch: after east(1,1), sencfe reads 1 with 1/10
     rbat = abstraction.rbat
     east11 = GroundAction("east", (F(1),), (F(1),))
-    config = (0, progress_kb(abstraction.kb0, east11),
-              rbat.step(make_world(coffee, [0]), east11)[1])
-    s_e11 = p.state_index[(config, 1)]
+    entry = table.entry(0, progress_kb(abstraction.kb0, east11),
+                        rbat.step(make_world(coffee, [0]), east11)[1])
+    s_e11 = p.state_index[(entry, 1)]
     sen = dict()
     for target, prob in p.transitions[s_e11]["sencfe"]:
         kb = p.observations[p.obs_of[target]]
@@ -267,7 +315,8 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
     checked = 0
     for tau in a.types:
         try:
-            p = build_pomdp(ConfigTable(graph, a.rbat, a.kb0), a, tau)
+            table = ConfigTable(graph, a.rbat, a.kb0)
+            p = build_pomdp(table, a, tau)
         except (ObservationUniformityError, LikelihoodContextError):
             continue
         seen = {p.initial}
@@ -275,7 +324,7 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
         stack = [(0, 0, initial_kb(model), tau.witness)]
         while stack:
             depth, node, kb, w = stack.pop()
-            si = p.state_index[((node, kb, w), depth)]
+            si = p.state_index[(table.entry(node, kb, w), depth)]
             seen.add(si)
             if depth == k:
                 continue
@@ -293,8 +342,8 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
                         seen.add(target)
                     else:
                         w2 = progress_world(w, t, rbat)
-                        target = p.state_index[((edge.target, kb2, w2),
-                                                depth + 1)]
+                        target = p.state_index[
+                            (table.entry(edge.target, kb2, w2), depth + 1)]
                         stack.append((depth + 1, edge.target, kb2, w2))
                     expected[target] = expected.get(target, F(0)) + weight
                 assert p.transitions[si][print_program(prim)] == \
