@@ -45,9 +45,10 @@ from .errors import (BeliefProgError, InadmissiblePropertyError,
 from .kb import (BREAKDOWN, EPSILON, FAILURE, ZERO,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
                  oi_alternatives, real_bat)
+from .program_graph import program_prims
 from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
-                     Not, Num, Or, POp, ParamRef, Piecewise, Prim, Test,
-                     Seq, Choice, Star, Nil, UntilOp, XOp, print_formula)
+                     Not, Num, Or, POp, ParamRef, Piecewise, Test, Seq,
+                     Choice, Star, UntilOp, XOp, print_formula)
 
 log = logging.getLogger(__name__)
 
@@ -99,30 +100,6 @@ def _instantiate(formula, bindings):
         raise TypeError(f)
 
     return go(formula)
-
-
-def program_prims(delta):
-    """Primitive programs in source order, deduplicated."""
-    out = []
-
-    def walk(p):
-        if isinstance(p, Prim):
-            key = (p.symbol, p.args)
-            if key not in [(q.symbol, q.args) for q in out]:
-                out.append(p)
-        elif isinstance(p, Seq):
-            walk(p.first), walk(p.second)
-        elif isinstance(p, Choice):
-            walk(p.left), walk(p.right)
-        elif isinstance(p, Star):
-            walk(p.body)
-        elif isinstance(p, (Test, Nil)):
-            pass
-        else:
-            raise TypeError(p)
-
-    walk(delta)
-    return out
 
 
 def _tests_of(delta):

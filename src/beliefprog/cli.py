@@ -130,7 +130,7 @@ def cmd_verify(args):
         raise BeliefProgError(f"no property named {args.property!r} in the model")
     abstraction, graph, pomdps, reps, source = _build_abstraction(
         model, phi, args, timing, warnings)
-    fingerprints = [hashlib.sha256(pomdp_fingerprint(p, model, abstraction)).hexdigest()
+    fingerprints = [hashlib.sha256(pomdp_fingerprint(p, abstraction)).hexdigest()
                     for p in pomdps]
     t0 = time.perf_counter()
     verdict = check(pomdps, phi, policy_cap=args.policy_cap)
@@ -332,9 +332,9 @@ def cmd_export_pomdp(args):
                               f"(have {len(pomdps)})")
     p = pomdps[args.type]
     if args.dot:
-        _write_output(args.output, pomdp_dot(p, model))
+        _write_output(args.output, pomdp_dot(p))
     else:
-        _write_output(args.output, pomdp_json(p, model, abstraction))
+        _write_output(args.output, pomdp_json(p, abstraction))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

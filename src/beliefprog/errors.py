@@ -1,14 +1,23 @@
 """Exception types and diagnostics shared across the toolkit."""
 
-from dataclasses import dataclass
 
-
-@dataclass
 class Diagnostic:
-    code: str
-    message: str
-    line: int | None = None
-    col: int | None = None
+    """A coded message, at a source line and column when it has one."""
+
+    def __init__(self, code, message, line=None, col=None):
+        self.code = code
+        self.message = message
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"Diagnostic(code={self.code!r}, message={self.message!r}, "
+                f"line={self.line!r}, col={self.col!r})")
 
     def __str__(self):
         if self.line is not None:

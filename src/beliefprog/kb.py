@@ -36,7 +36,6 @@ is believed impossible; next_observation and eval_subjective are the one
 progression rule and the one truth rule for both.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -105,16 +104,23 @@ def make_world(model, user_values):
     return World(vals)
 
 
-@dataclass(frozen=True, eq=False)
 class GroundAction:
-    symbol: str
-    ctrl: tuple
-    unctrl: tuple
+    """Immutable action symbol with its controllable and uncontrollable
+    arguments."""
 
-    def __post_init__(self):
+    def __init__(self, symbol, ctrl, unctrl):
+        _set = object.__setattr__
+        _set(self, "symbol", symbol)
+        _set(self, "ctrl", ctrl)
+        _set(self, "unctrl", unctrl)
         # Fraction hashing is costly; these objects key many dicts
-        object.__setattr__(self, "_hash",
-                           hash((self.symbol, self.ctrl, self.unctrl)))
+        _set(self, "_hash", hash((symbol, ctrl, unctrl)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         return isinstance(other, GroundAction) and \
@@ -123,6 +129,10 @@ class GroundAction:
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (f"GroundAction(symbol={self.symbol!r}, ctrl={self.ctrl!r}, "
+                f"unctrl={self.unctrl!r})")
 
     def __str__(self):
         args = [frac_str(v) for v in self.ctrl + self.unctrl]
@@ -604,6 +614,13 @@ def next_observation(obs, action, progress=progress_kb):
 # ---------------------------------------------------------------------------
 # subjective evaluation
 
+def _expectation(fluent, kb) -> Fraction:
+    values = [(w[fluent], n) for w, n in kb.num.items()]
+    d = lcm(*(v.denominator for v, _ in values))
+    return Fraction(sum(v.numerator * (d // v.denominator) * n
+                        for v, n in values), d * kb.den)
+
+
 def _belief_value(e, kb) -> Fraction:
     if isinstance(e, Num):
         return e.value
@@ -612,14 +629,11 @@ def _belief_value(e, kb) -> Fraction:
         return Fraction(sum(n for w, n in kb.num.items()
                             if holds(w, e.formula)), kb.den)
     if isinstance(e, Expect):
-        values = [(w[e.fluent], n) for w, n in kb.num.items()]
-        d = lcm(*(v.denominator for v, _ in values))
-        return Fraction(sum(v.numerator * (d // v.denominator) * n
-                            for v, n in values), d * kb.den)
+        return _expectation(e.fluent, kb)
     if isinstance(e, Conf):
         # belief that the fluent lies in [E - r, E + r]; see the ledger
         # note on the closed interval
-        mean = _belief_value(Expect(e.fluent), kb)
+        mean = _expectation(e.fluent, kb)
         return Fraction(sum(n for w, n in kb.num.items()
                             if abs(w[e.fluent] - mean) <= e.radius), kb.den)
     if isinstance(e, Neg):

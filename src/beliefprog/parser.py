@@ -10,7 +10,6 @@ a parenthesized program or a test formula, and a formula atom starting with
 The parser saves the cursor, attempts the formula reading and falls back.
 """
 
-import hashlib
 import re
 from fractions import Fraction
 
@@ -1029,6 +1028,7 @@ def parse_model(text: str) -> ModelFile:
 
 
 def model_digest(m: ModelFile) -> str:
+    import hashlib  # on first use: parsing alone never needs it
     return hashlib.sha256(m.source.encode()).hexdigest()
 
 

@@ -273,20 +273,20 @@ def _canonical_struct(p, formulas):
     }
 
 
-def pomdp_fingerprint(p, model, abstraction) -> bytes:
+def pomdp_fingerprint(p, abstraction) -> bytes:
     """Canonical byte string of the structure."""
     data = _canonical_struct(p, abstraction.context.formulas)
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
-def to_json(p, model, abstraction) -> str:
+def to_json(p, abstraction) -> str:
     data = _canonical_struct(p, abstraction.context.formulas)
     data["type"] = p.type_id
     data["actions"] = p.action_labels()
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def to_dot(p, model) -> str:
+def to_dot(p) -> str:
     lines = ["digraph pomdp {", "  rankdir=LR;"]
     for i in range(len(p.states)):
         color = _PALETTE[p.obs_of[i] % len(_PALETTE)]

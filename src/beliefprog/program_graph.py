@@ -64,6 +64,30 @@ def step_edges(delta):
     raise TypeError(delta)
 
 
+def program_prims(delta):
+    """Primitive programs in source order, deduplicated."""
+    out = []
+
+    def walk(p):
+        if isinstance(p, Prim):
+            key = (p.symbol, p.args)
+            if key not in [(q.symbol, q.args) for q in out]:
+                out.append(p)
+        elif isinstance(p, Seq):
+            walk(p.first), walk(p.second)
+        elif isinstance(p, Choice):
+            walk(p.left), walk(p.right)
+        elif isinstance(p, Star):
+            walk(p.body)
+        elif isinstance(p, (Test, Nil)):
+            pass
+        else:
+            raise TypeError(p)
+
+    walk(delta)
+    return out
+
+
 class Edge:
     """A guarded step to node target; label, the primitive's name printed
     once, is the action of its POMDP transitions and policy choices."""

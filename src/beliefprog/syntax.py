@@ -6,8 +6,8 @@ sorts (fluent formulas and subjective formulas); the parser enforces the
 sort discipline.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 RESERVED_FLUENTS = ("Final", "Fail")
 EPSILON_NAME = "eps"
@@ -16,39 +16,134 @@ RESERVED_ACTIONS = (EPSILON_NAME, FAILURE_NAME)
 
 
 # ---------------------------------------------------------------------------
+# node base
+
+class loose:
+    """Default of a node field that equality and hashing ignore, such as a
+    source position: ``pos: tuple = loose(None)``."""
+
+    __slots__ = ("default",)
+
+    def __init__(self, default):
+        self.default = default
+
+
+# sets a field past the frozen __setattr__; writing the instance __dict__
+# instead would slow every later read of the node's fields
+_set = object.__setattr__
+
+
+class Node:
+    """Base of the AST classes: an immutable record of the fields its class
+    annotates, in order, built from positional or keyword arguments.
+
+    The fields are read once, when a subclass is defined, and no method is
+    generated.  Two nodes are equal when they are of one class and agree on
+    every field that is not `loose`, and equal nodes hash alike.  The repr
+    is the one ``dataclasses`` prints.
+    """
+
+    _fields = ()  # field names in declaration order
+    _defaults = {}  # field name -> default
+    _loose = ()  # fields that equality and hashing skip
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields, defaults = list(cls._fields), dict(cls._defaults)
+        skipped = list(cls._loose)
+        # since 3.10 a class's __annotations__ are its own, and empty when
+        # it annotates nothing; 3.14 evaluates them here on first access
+        for name in cls.__annotations__:
+            if name not in fields:
+                fields.append(name)
+            if name in cls.__dict__:
+                default = cls.__dict__[name]
+                if isinstance(default, loose):
+                    skipped.append(name)
+                    default = default.default
+                    setattr(cls, name, default)
+                defaults[name] = default
+        cls._fields, cls._defaults, cls._loose = tuple(fields), defaults, tuple(skipped)
+        # the class leads the key, so nodes of two classes never hash
+        # alike; an attrgetter is no descriptor, so self._key is the getter
+        cls._key = attrgetter(
+            "__class__", *(name for name in fields if name not in skipped))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._complete(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _complete(cls, args, kwargs):
+        """Every field's value, from positional then keyword arguments, then
+        the defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} "
+                            f"fields but {len(args)} were given")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got an unexpected or repeated "
+                            f"field {next(iter(kwargs))!r}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # arithmetic expressions
 
-@dataclass(frozen=True)
-class Num:
+class Num(Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class FluentRef:
+class FluentRef(Node):
     name: str
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = loose(None)
 
 
-@dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Node):
     name: str
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = loose(None)
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Node):
     op: str  # one of + - * /
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Node):
     operand: object
 
 
-@dataclass(frozen=True)
-class Piecewise:
+class Piecewise(Node):
     """Guarded cases evaluated top to bottom, with a mandatory default."""
 
     cases: tuple  # of (formula, expr) pairs
@@ -57,18 +152,15 @@ class Piecewise:
 
 # belief-expression atoms (only valid inside subjective formulas)
 
-@dataclass(frozen=True)
-class Bel:
+class Bel(Node):
     formula: object  # a fluent formula
 
 
-@dataclass(frozen=True)
-class Expect:
+class Expect(Node):
     fluent: str
 
 
-@dataclass(frozen=True)
-class Conf:
+class Conf(Node):
     fluent: str
     radius: Fraction
 
@@ -76,8 +168,7 @@ class Conf:
 # ---------------------------------------------------------------------------
 # formulas (shared node shapes for both sorts)
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Node):
     value: bool
 
 
@@ -85,26 +176,22 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Node):
     op: str  # = != < <= > >=
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     operand: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     left: object
     right: object
 
@@ -141,39 +228,33 @@ def neg(a):
 # ---------------------------------------------------------------------------
 # program expressions
 
-@dataclass(frozen=True)
-class Nil:
+class Nil(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Prim:
+class Prim(Node):
     """Primitive program: an action with its controllable arguments only."""
 
     symbol: str
     args: tuple  # of Fraction
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = loose(None)
 
 
-@dataclass(frozen=True)
-class Test:
+class Test(Node):
     cond: object  # subjective formula
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Node):
     first: object
     second: object
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     body: object
 
 
@@ -195,8 +276,7 @@ def seq(a, b):
 # ---------------------------------------------------------------------------
 # temporal properties
 
-@dataclass(frozen=True)
-class PropInterval:
+class PropInterval(Node):
     lo: Fraction
     hi: Fraction
     lo_open: bool = False
@@ -214,28 +294,24 @@ class PropInterval:
                                self.hi, ")" if self.hi_open else "]")
 
 
-@dataclass(frozen=True)
-class POp:
+class POp(Node):
     """Probability-threshold state formula P_I[trace]."""
 
     interval: PropInterval
     trace: object
 
 
-@dataclass(frozen=True)
-class XOp:
+class XOp(Node):
     arg: object  # state formula
 
 
-@dataclass(frozen=True)
-class UntilOp:
+class UntilOp(Node):
     left: object
     right: object
     bound: object = None  # int step bound, or None for unbounded
 
 
-@dataclass(frozen=True)
-class GloballyOp:
+class GloballyOp(Node):
     """Unbounded 'globally'; simulator-only, the checker rejects it."""
 
     arg: object
@@ -244,48 +320,41 @@ class GloballyOp:
 # ---------------------------------------------------------------------------
 # declarations and the model file
 
-@dataclass(frozen=True)
-class FluentDecl:
+class FluentDecl(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ActionDecl:
+class ActionDecl(Node):
     name: str
     kind: str  # "stochastic" | "sensing"
     ctrl: tuple  # controllable parameter names (empty for sensing)
     unctrl: tuple  # uncontrollable parameter names
 
 
-@dataclass(frozen=True)
-class LikelihoodRow:
+class LikelihoodRow(Node):
     context: object  # fluent formula, or None for the default row
     weights: tuple  # one expr per declared outcome
 
 
-@dataclass(frozen=True)
-class LikelihoodTable:
+class LikelihoodTable(Node):
     outcomes: tuple  # of tuples of exprs (uncontrollable values per outcome)
     rows: tuple  # of LikelihoodRow
 
 
-@dataclass(frozen=True)
-class SsaCase:
+class SsaCase(Node):
     action: str
     params: tuple  # case-local names bound to ctrl then unctrl arguments
     effect: object  # expr
-    pos: tuple = field(default=None, compare=False)
+    pos: tuple = loose(None)
 
 
-@dataclass(frozen=True)
-class SsaRule:
+class SsaRule(Node):
     fluent: str
     cases: tuple
     default: object  # expr, usually the fluent itself (frame)
 
 
-@dataclass(frozen=True)
-class BatDecl:
+class BatDecl(Node):
     ssa: tuple  # of SsaRule
     likelihood: tuple  # of (action name, LikelihoodTable)
 
@@ -302,14 +371,12 @@ class BatDecl:
         return None
 
 
-@dataclass(frozen=True)
-class InitTheory:
+class InitTheory(Node):
     constraints: tuple  # fluent formulas
     worlds: tuple  # of valuation tuples over the declared fluents
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(Node):
     fluents: tuple  # FluentDecl, user-declared only
     actions: tuple  # ActionDecl
     real_bat: BatDecl
@@ -318,7 +385,7 @@ class ModelFile:
     kb0: tuple  # of (valuation tuple, Fraction weight)
     program: object
     properties: tuple  # of (name, state formula)
-    source: str = field(default="", compare=False)
+    source: str = loose("")
 
     @property
     def fluent_order(self):

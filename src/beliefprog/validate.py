@@ -9,9 +9,9 @@ evaluation-time assertions in the progression code.
 
 from fractions import Fraction
 
-from .abstraction import program_prims
 from .errors import Diagnostic, EvalError
 from .kb import eval_expr
+from .program_graph import program_prims
 from .syntax import frac_str, print_program
 
 

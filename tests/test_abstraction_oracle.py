@@ -136,13 +136,13 @@ def assert_same_abstraction(lazy, eager):
     assert lazy.kb0 == eager.kb0
 
 
-def _pomdp_or_error(model, graph, abstraction, tau):
+def _pomdp_or_error(graph, abstraction, tau):
     try:
         p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
                         abstraction, tau)
     except BeliefProgError as exc:
         return type(exc)
-    return pomdp_fingerprint(p, model, abstraction)
+    return pomdp_fingerprint(p, abstraction)
 
 
 def assert_same_pomdps(model, lazy, eager):
@@ -150,8 +150,8 @@ def assert_same_pomdps(model, lazy, eager):
     real Bat's memoised step or the eager oracle's plain one."""
     graph = build_graph(model.program)
     for tl, te in zip(lazy.types, eager.types):
-        assert _pomdp_or_error(model, graph, lazy, tl) == \
-            _pomdp_or_error(model, graph, eager, te)
+        assert _pomdp_or_error(graph, lazy, tl) == \
+            _pomdp_or_error(graph, eager, te)
 
 
 def _with_bound(text, k):

@@ -46,7 +46,7 @@ def verification(coffee):
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
               for i, tau in enumerate(abstraction.types)]
-    fingerprints = [pomdp_fingerprint(p, coffee, abstraction) for p in pomdps]
+    fingerprints = [pomdp_fingerprint(p, abstraction) for p in pomdps]
     elapsed = time.perf_counter() - t0
     verdict = check(pomdps, phi)
     return abstraction, pomdps, fingerprints, verdict, elapsed

@@ -394,24 +394,58 @@ def test_verify_rejects_non_numeric_reps_file_line(tmp_path, capsys):
     assert err.strip() == f"error: {reps} line 2: 'x' is not a number"
 
 
-NO_NUMPY_ON_VERIFY = """
+IMPORT_SETS = """
+import importlib
 import sys
+at_start = set(sys.modules)
+
+
+def loaded():
+    return {m.split(".", 1)[1] for m in sys.modules if m.startswith("beliefprog.")}
+
+
 import beliefprog
+assert not loaded(), ("import beliefprog", loaded())
 assert "numpy" not in sys.modules, "import beliefprog"
+listed = set(dir(beliefprog))
+
+from beliefprog.parser import parse_model
+from beliefprog.program_graph import build_graph
+from beliefprog.validate import validate_restrictions
+with open("models/coffee.bp", encoding="utf-8") as fh:
+    model = parse_model(fh.read())
+assert not validate_restrictions(model)
+build_graph(model.program)
+assert loaded() == {"errors", "syntax", "parser", "kb", "program_graph",
+                    "validate"}, ("set-up", loaded())
+for name in ("dataclasses", "logging", "json", "numpy"):
+    assert name in at_start or name not in sys.modules, ("set-up", name)
+
 from beliefprog import cli
 assert cli.main(["verify", "models/coffee.bp", "--property", "P1"]) == 1
 assert "numpy" not in sys.modules, "verify"
 from beliefprog import estimate, run_trace
 from beliefprog import simulate
 assert (estimate, run_trace) == (simulate.estimate, simulate.run_trace)
+
+for module, names in beliefprog._EXPORTS.items():
+    owner = importlib.import_module("beliefprog." + module)
+    for name in names:
+        assert getattr(beliefprog, name) is getattr(owner, name), name
+        assert name in listed, ("dir", name)
+assert not hasattr(beliefprog, "no_such_name")
 """
 
 
-def test_verify_never_imports_numpy():
+def test_each_path_imports_only_what_it_uses():
+    """In a fresh interpreter: `import beliefprog` loads no submodule, the
+    set-up path (parse, validate, graph) loads six modules and neither
+    dataclasses, logging, json nor numpy, verify loads no numpy, and every
+    name the package exports loads from its module."""
     # a fresh interpreter on the package these tests import
     src = str(Path(beliefprog.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_ON_VERIFY],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SETS],
                           cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

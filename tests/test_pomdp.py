@@ -64,8 +64,7 @@ def test_one_table_serves_every_type(monkeypatch, capsys):
     assert len(builds) == 3 and all(b[0] is table for b in builds)
     rebuilt = build_pomdp(table, abstraction, tau, type_id=0)
     assert len(calls) == 8
-    model = parse_model(path.read_text())
-    assert hashlib.sha256(pomdp_fingerprint(rebuilt, model, abstraction)
+    assert hashlib.sha256(pomdp_fingerprint(rebuilt, abstraction)
                           ).hexdigest() == report["types"][0]["fingerprint"]
 
 
@@ -151,7 +150,7 @@ def test_per_state_action_mass_is_one(coffee_pomdps):
 def test_fingerprints_tau2_tau3_equal(coffee, coffee_pomdps):
     abstraction, pomdps = coffee_pomdps
     fps = {abstraction.types[i].witness["h"]:
-           pomdp_fingerprint(p, coffee, abstraction)
+           pomdp_fingerprint(p, abstraction)
            for i, p in enumerate(pomdps)}
     assert fps[-1] == fps[-2]
     assert fps[0] != fps[-1]
@@ -163,8 +162,8 @@ def test_fingerprint_deterministic(coffee, coffee_pomdps):
     rebuilt = build_pomdp(ConfigTable(graph, abstraction.rbat,
                                       abstraction.kb0),
                           abstraction, abstraction.types[0], type_id=0)
-    assert pomdp_fingerprint(rebuilt, coffee, abstraction) == \
-        pomdp_fingerprint(pomdps[0], coffee, abstraction)
+    assert pomdp_fingerprint(rebuilt, abstraction) == \
+        pomdp_fingerprint(pomdps[0], abstraction)
 
 
 def test_state_budget_is_exact_at_its_bound(coffee, coffee_pomdps,

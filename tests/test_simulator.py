@@ -16,10 +16,11 @@ from beliefprog import (BeliefProgError, EvalError, IncompatibleActionError,
                         progress_world, real_bat, reps_from_init, run_trace)
 import beliefprog.kb as kb_mod
 import beliefprog.simulate as simulate
-from beliefprog.abstraction import ground_action_universe, program_prims
+from beliefprog.abstraction import ground_action_universe
 from beliefprog.cli import main
 from beliefprog.kb import initial_kb
 from beliefprog.pomdp import ConfigTable
+from beliefprog.program_graph import program_prims
 from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
                                  hoeffding_half_width, sample_outcomes,
                                  trial_rng)
