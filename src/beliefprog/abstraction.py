@@ -46,9 +46,8 @@ from .kb import (BREAKDOWN, EPSILON, FAILURE, ZERO,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
                  oi_alternatives, real_bat)
 from .program_graph import program_prims
-from .syntax import (And, BinOp, BoolConst, Cmp, FluentRef, GloballyOp, Neg,
-                     Not, Num, Or, POp, ParamRef, Piecewise, Test, Seq,
-                     Choice, Star, UntilOp, XOp, print_formula)
+from .syntax import (And, BoolConst, Cmp, FluentRef, GloballyOp, Not, Num, Or,
+                     POp, ParamRef, Test, UntilOp, XOp, print_formula, walk)
 
 log = logging.getLogger(__name__)
 
@@ -70,54 +69,15 @@ class ContextFormula:
         return print_formula(self.formula)
 
 
-def _instantiate(formula, bindings):
+def _instantiate(node, bindings):
     """Substitute controllable parameters by ground values."""
-    def go_expr(e):
-        if isinstance(e, ParamRef):
-            return Num(bindings[e.name])
-        if isinstance(e, (Num, FluentRef)):
-            return e
-        if isinstance(e, Neg):
-            return Neg(go_expr(e.operand))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, go_expr(e.left), go_expr(e.right))
-        if isinstance(e, Piecewise):
-            return Piecewise(tuple((go(g), go_expr(v)) for g, v in e.cases),
-                             go_expr(e.default))
-        raise TypeError(e)
-
-    def go(f):
-        if isinstance(f, BoolConst):
-            return f
-        if isinstance(f, Cmp):
-            return Cmp(f.op, go_expr(f.left), go_expr(f.right))
-        if isinstance(f, Not):
-            return Not(go(f.operand))
-        if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, Or):
-            return Or(go(f.left), go(f.right))
-        raise TypeError(f)
-
-    return go(formula)
+    if isinstance(node, ParamRef):
+        return Num(bindings[node.name])
+    return node.map(lambda child: _instantiate(child, bindings))
 
 
 def _tests_of(delta):
-    out = []
-
-    def walk(p):
-        if isinstance(p, Test):
-            if p.cond not in out:
-                out.append(p.cond)
-        elif isinstance(p, Seq):
-            walk(p.first), walk(p.second)
-        elif isinstance(p, Choice):
-            walk(p.left), walk(p.right)
-        elif isinstance(p, Star):
-            walk(p.body)
-
-    walk(delta)
-    return out
+    return dict.fromkeys(node.cond for node in walk(delta) if isinstance(node, Test))
 
 
 def _subjective_leaves(phi, out):

@@ -26,7 +26,7 @@ from .abstraction import horizon_of
 from .errors import InadmissiblePropertyError, PolicyBudgetError
 from .kb import eval_subjective
 from .syntax import (And, GloballyOp, Not, POp, UntilOp, XOp,
-                     print_state_formula, print_trace_formula)
+                     print_trace_formula, walk)
 
 log = logging.getLogger(__name__)
 
@@ -250,20 +250,6 @@ class Verdict:
     holds: bool
     per_type: list = field(default_factory=list)
 
-    def render(self):
-        status = "holds" if self.holds else "violated"
-        return f"{print_state_formula(self.property_formula)}: {status}"
-
-
-def _collect_p_subformulas(phi, out):
-    if isinstance(phi, POp):
-        out.append(phi)
-    elif isinstance(phi, Not):
-        _collect_p_subformulas(phi.operand, out)
-    elif isinstance(phi, And):
-        _collect_p_subformulas(phi.left, out)
-        _collect_p_subformulas(phi.right, out)
-
 
 def _eval_state(phi, p_truth, initial_kb):
     if isinstance(phi, POp):
@@ -300,8 +286,7 @@ def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
     the program iff it holds in every type's POMDP.
     """
     k = horizon_of(phi)
-    p_subs = []
-    _collect_p_subformulas(phi, p_subs)
+    p_subs = [node for node in walk(phi) if isinstance(node, POp)]
     verdict = Verdict(phi, True)
 
     for position, pomdp in enumerate(pomdps):

@@ -10,17 +10,17 @@ a parenthesized program or a test formula, and a formula atom starting with
 The parser saves the cursor, attempts the formula reading and falls back.
 """
 
+import functools
 import re
 from fractions import Fraction
 
 from .errors import Diagnostic, ParseError
 from .syntax import (
-    And, ActionDecl, BatDecl, Bel, BinOp, BoolConst, Choice, Cmp, Conf,
-    Expect, FALSE, FluentDecl, FluentRef, GloballyOp, InitTheory,
-    LikelihoodRow, LikelihoodTable, ModelFile, Neg, Nil, Not, Num, Or, POp,
-    ParamRef, Piecewise, Prim, PropInterval, RESERVED_ACTIONS,
-    RESERVED_FLUENTS, Seq, SsaCase, SsaRule, Star, Test, TRUE, UntilOp,
-    XOp, seq,
+    And, ActionDecl, BatDecl, Bel, BinOp, Choice, Cmp, Conf, Expect, FALSE,
+    FluentDecl, FluentRef, GloballyOp, InitTheory, LikelihoodRow,
+    LikelihoodTable, ModelFile, Neg, Nil, Not, Num, Or, POp, ParamRef,
+    Piecewise, Prim, PropInterval, RESERVED_ACTIONS, RESERVED_FLUENTS,
+    SsaCase, SsaRule, Star, Test, TRUE, UntilOp, XOp, depth, seq,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -39,6 +39,11 @@ KEYWORDS = {
     "true", "false", "B", "Expect", "Conf",
     "P", "X", "F", "G", "U",
 }
+
+# nodes on the longest path of a parsed tree, counted from its root (the
+# ModelFile of a model); the bundled models reach 10.  Deeper trees would
+# exhaust the interpreter's stack in the recursive stages after parsing.
+MAX_DEPTH = 200
 
 
 class Token:
@@ -181,7 +186,7 @@ class Parser:
             if t.text in KEYWORDS:
                 self.fail(f"{t.text!r} cannot start an expression", t)
             self.advance()
-            return FluentRef(t.text, pos=(t.line, t.col))
+            return FluentRef(t.text, (t.line, t.col))
         self.fail(f"expected an expression, found {t.text!r}", t)
 
     def _piecewise(self):
@@ -329,7 +334,7 @@ class Parser:
                 while self.accept(","):
                     args.append(self.rational())
             self.expect(")")
-        return Prim(name.text, tuple(args), pos=(name.line, name.col))
+        return Prim(name.text, tuple(args), (name.line, name.col))
 
     def _while(self):
         self.expect_word("while")
@@ -604,7 +609,7 @@ class Parser:
             effect = self.expr()
             self.expect(";")
             cases.append(SsaCase(act.text, tuple(params), effect,
-                                 pos=(act.line, act.col)))
+                                 (act.line, act.col)))
         self.expect_word("default")
         self.expect(":")
         default = self.expr()
@@ -756,94 +761,62 @@ class _Resolver:
             self.actions[decl.name] = decl
         self.fluent_set = set(self.fluents) | set(RESERVED_FLUENTS)
 
-    def expr(self, e, params=(), allow_fluents=True, where=""):
+    def objective(self, node, params=(), allow_fluents=True, where=""):
         """Rewrite names to ParamRef/FluentRef and report unknowns."""
-        if isinstance(e, Num):
-            return e
-        if isinstance(e, (FluentRef, ParamRef)):
-            if e.name in params:
-                return ParamRef(e.name, pos=e.pos)
-            if e.name in self.fluent_set:
-                if not allow_fluents:
-                    self.p.error(f"fluent {e.name!r} not allowed in {where}",
-                                 code="not-rigid", pos=e.pos)
-                return FluentRef(e.name, pos=e.pos)
-            self.p.error(f"undeclared identifier {e.name!r}{where and ' in ' + where}",
-                         code="undeclared", pos=e.pos)
-            return e
-        if isinstance(e, Neg):
-            return Neg(self.expr(e.operand, params, allow_fluents, where))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, self.expr(e.left, params, allow_fluents, where),
-                         self.expr(e.right, params, allow_fluents, where))
-        if isinstance(e, Piecewise):
-            cases = tuple((self.fluent_formula(g, params, allow_fluents, where),
-                           self.expr(v, params, allow_fluents, where))
-                          for g, v in e.cases)
-            return Piecewise(cases, self.expr(e.default, params,
-                                              allow_fluents, where))
-        if isinstance(e, (Bel, Expect, Conf)):
-            self.p.error("belief operators are not allowed in objective "
-                         "expressions", code="sort")
-            return e
-        raise TypeError(e)
+        error = self.p.error
 
-    def fluent_formula(self, f, params=(), allow_fluents=True, where=""):
-        if isinstance(f, BoolConst):
-            return f
-        if isinstance(f, Cmp):
-            return Cmp(f.op, self.expr(f.left, params, allow_fluents, where),
-                       self.expr(f.right, params, allow_fluents, where))
-        if isinstance(f, Not):
-            return Not(self.fluent_formula(f.operand, params, allow_fluents, where))
-        if isinstance(f, And):
-            return And(self.fluent_formula(f.left, params, allow_fluents, where),
-                       self.fluent_formula(f.right, params, allow_fluents, where))
-        if isinstance(f, Or):
-            return Or(self.fluent_formula(f.left, params, allow_fluents, where),
-                      self.fluent_formula(f.right, params, allow_fluents, where))
-        raise TypeError(f)
+        def resolve(node):
+            if isinstance(node, Num):  # the most common leaf
+                return node
+            if isinstance(node, (FluentRef, ParamRef)):
+                if node.name in params:
+                    kind = ParamRef
+                elif node.name in self.fluent_set:
+                    if not allow_fluents:
+                        error(f"fluent {node.name!r} not allowed in {where}",
+                              code="not-rigid", pos=node.pos)
+                    kind = FluentRef
+                else:
+                    error(f"undeclared identifier {node.name!r}"
+                          f"{where and ' in ' + where}",
+                          code="undeclared", pos=node.pos)
+                    return node
+                return node if isinstance(node, kind) else kind(node.name, node.pos)
+            if isinstance(node, (Bel, Expect, Conf)):
+                error("belief operators are not allowed in objective "
+                      "expressions", code="sort")
+                return node
+            return node.map(resolve)
 
-    def belief_expr(self, e, where="test"):
-        if isinstance(e, Num):
-            return e
-        if isinstance(e, Bel):
-            return Bel(self.fluent_formula(e.formula, (), True, "belief operator"))
-        if isinstance(e, (Expect, Conf)):
-            name = e.fluent
-            if name not in self.fluent_set:
-                self.p.error(f"undeclared fluent {name!r} in {where}",
-                             code="undeclared")
-            return e
-        if isinstance(e, Neg):
-            return Neg(self.belief_expr(e.operand, where))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, self.belief_expr(e.left, where),
-                         self.belief_expr(e.right, where))
-        if isinstance(e, (FluentRef, ParamRef)):
-            self.p.error(f"fluent {e.name!r} must appear inside B/Expect/Conf "
-                         f"in a subjective formula", code="sort")
-            return e
-        raise TypeError(e)
+        return resolve(node)
 
-    def subjective(self, f, where="test"):
-        if isinstance(f, BoolConst):
-            return f
-        if isinstance(f, Cmp):
-            return Cmp(f.op, self.belief_expr(f.left, where),
-                       self.belief_expr(f.right, where))
-        if isinstance(f, Not):
-            return Not(self.subjective(f.operand, where))
-        if isinstance(f, And):
-            return And(self.subjective(f.left, where), self.subjective(f.right, where))
-        if isinstance(f, Or):
-            return Or(self.subjective(f.left, where), self.subjective(f.right, where))
-        raise TypeError(f)
+    def subjective(self, node, where="test"):
+        error = self.p.error
+
+        def resolve(node):
+            if isinstance(node, Bel):
+                return node.map(lambda f: self.objective(f, where="belief operator"))
+            if isinstance(node, (Expect, Conf)):
+                if node.fluent not in self.fluent_set:
+                    error(f"undeclared fluent {node.fluent!r} in {where}",
+                          code="undeclared")
+                return node
+            if isinstance(node, (FluentRef, ParamRef)):
+                error(f"fluent {node.name!r} must appear inside B/Expect/Conf "
+                      f"in a subjective formula", code="sort")
+                return node
+            if isinstance(node, Piecewise):
+                error("piecewise expressions are not allowed in a subjective "
+                      "formula", code="sort")
+                return node
+            return node.map(resolve)
+
+        return resolve(node)
 
     def likelihood_table(self, decl, table):
         ctrl = decl.ctrl
         outcomes = tuple(
-            tuple(self.expr(v, ctrl, allow_fluents=False, where="outcome values")
+            tuple(self.objective(v, ctrl, allow_fluents=False, where="outcome values")
                   for v in vec)
             for vec in table.outcomes)
         for vec in outcomes:
@@ -854,9 +827,9 @@ class _Resolver:
         rows = []
         for row in table.rows:
             ctx = None if row.context is None else \
-                self.fluent_formula(row.context, ctrl, True, "likelihood context")
-            weights = tuple(self.expr(w, ctrl, allow_fluents=False,
-                                      where="likelihood weights")
+                self.objective(row.context, ctrl, True, "likelihood context")
+            weights = tuple(self.objective(w, ctrl, allow_fluents=False,
+                                           where="likelihood weights")
                             for w in row.weights)
             rows.append(LikelihoodRow(ctx, weights))
         return LikelihoodTable(outcomes, tuple(rows))
@@ -885,55 +858,51 @@ class _Resolver:
                              f"parameters, expected {want}", code="arity", pos=c.pos)
                 continue
             cases.append(SsaCase(c.action, c.params,
-                                 self.expr(c.effect, c.params, True, "ssa effect")))
-        default = self.expr(rule.default, (), True, "ssa default")
+                                 self.objective(c.effect, c.params, True,
+                                                "ssa effect")))
+        default = self.objective(rule.default, (), True, "ssa default")
         return SsaRule(rule.fluent, tuple(cases), default)
 
     def program(self, p):
-        if isinstance(p, Nil):
-            return p
         if isinstance(p, Prim):
             decl = self.actions.get(p.symbol)
             if decl is None:
                 self.p.error(f"undeclared action {p.symbol!r} in program",
                              code="undeclared", pos=p.pos)
-                return p
-            want = len(decl.ctrl)
-            if len(p.args) != want:
-                self.p.error(f"{p.symbol!r} takes {want} controllable "
+            elif len(p.args) != len(decl.ctrl):
+                self.p.error(f"{p.symbol!r} takes {len(decl.ctrl)} controllable "
                              f"argument(s), got {len(p.args)}", code="arity",
                              pos=p.pos)
-            return Prim(p.symbol, p.args)
+            return p
         if isinstance(p, Test):
-            return Test(self.subjective(p.cond))
-        if isinstance(p, Star):
-            return Star(self.program(p.body))
-        if isinstance(p, Seq):
-            return Seq(self.program(p.first), self.program(p.second))
-        if isinstance(p, Choice):
-            return Choice(self.program(p.left), self.program(p.right))
-        raise TypeError(p)
+            return p.map(self.subjective)
+        return p.map(self.program)
 
     def state_formula(self, phi):
-        if isinstance(phi, POp):
-            return POp(phi.interval, self.trace_formula(phi.trace))
-        if isinstance(phi, Not):
-            return Not(self.state_formula(phi.operand))
-        if isinstance(phi, And):
-            return And(self.state_formula(phi.left), self.state_formula(phi.right))
+        """A state or trace formula: its P and temporal operators are kept,
+        its subjective leaves resolved."""
+        if isinstance(phi, (POp, Not, And, XOp, UntilOp, GloballyOp)):
+            return phi.map(self.state_formula)
         return self.subjective(phi, where="property")
 
-    def trace_formula(self, psi):
-        if isinstance(psi, XOp):
-            return XOp(self.state_formula(psi.arg))
-        if isinstance(psi, UntilOp):
-            return UntilOp(self.state_formula(psi.left),
-                           self.state_formula(psi.right), psi.bound)
-        if isinstance(psi, GloballyOp):
-            return GloballyOp(self.state_formula(psi.arg))
-        raise TypeError(psi)
+
+def _depth_bounded(parse):
+    """parse, with a tree deeper than MAX_DEPTH, or one too deep to parse
+    at all, raised as a ParseError of code nesting."""
+    @functools.wraps(parse)
+    def bounded(*args):
+        try:
+            tree = parse(*args)
+        except RecursionError:
+            tree = None
+        if tree is None or depth(tree) > MAX_DEPTH:
+            raise ParseError([Diagnostic(
+                "nesting", f"the input nests deeper than {MAX_DEPTH} levels")])
+        return tree
+    return bounded
 
 
+@_depth_bounded
 def parse_model(text: str) -> ModelFile:
     """Parse and resolve a model file, raising ParseError with diagnostics."""
     p = Parser(text)
@@ -996,7 +965,7 @@ def parse_model(text: str) -> ModelFile:
 
     n_fluents = len(r.fluents)
     init = init or InitTheory((), ())
-    init = InitTheory(tuple(r.fluent_formula(c, (), True, "init constraint")
+    init = InitTheory(tuple(r.objective(c, (), True, "init constraint")
                             for c in init.constraints), init.worlds)
     for w in init.worlds:
         if len(w) != n_fluents:
@@ -1032,6 +1001,7 @@ def model_digest(m: ModelFile) -> str:
     return hashlib.sha256(m.source.encode()).hexdigest()
 
 
+@_depth_bounded
 def parse_subjective(text: str, model: ModelFile):
     """Parse a standalone subjective formula (used by CLI flags)."""
     p = Parser(text)
@@ -1046,6 +1016,7 @@ def parse_subjective(text: str, model: ModelFile):
     return out
 
 
+@_depth_bounded
 def parse_trace_formula(text: str, model: ModelFile):
     """Parse a standalone trace formula such as "F<=2 B(h=2) = 1"."""
     p = Parser(text)
@@ -1054,7 +1025,7 @@ def parse_trace_formula(text: str, model: ModelFile):
         p.fail("trailing input after trace formula")
     r = _Resolver(p, [], list(model.actions))
     r.fluent_set = set(model.fluent_order)
-    out = r.trace_formula(psi)
+    out = r.state_formula(psi)
     if p.errors:
         raise ParseError(p.errors)
     return out

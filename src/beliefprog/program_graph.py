@@ -24,7 +24,7 @@ from collections import deque
 
 from .kb import eval_subjective
 from .syntax import (Choice, FALSE, Nil, Prim, Seq, Star, Test, TRUE, conj,
-                     disj, neg, print_formula, print_program, seq)
+                     disj, neg, print_formula, print_program, seq, walk)
 
 
 def fin_condition(delta):
@@ -66,26 +66,7 @@ def step_edges(delta):
 
 def program_prims(delta):
     """Primitive programs in source order, deduplicated."""
-    out = []
-
-    def walk(p):
-        if isinstance(p, Prim):
-            key = (p.symbol, p.args)
-            if key not in [(q.symbol, q.args) for q in out]:
-                out.append(p)
-        elif isinstance(p, Seq):
-            walk(p.first), walk(p.second)
-        elif isinstance(p, Choice):
-            walk(p.left), walk(p.right)
-        elif isinstance(p, Star):
-            walk(p.body)
-        elif isinstance(p, (Test, Nil)):
-            pass
-        else:
-            raise TypeError(p)
-
-    walk(delta)
-    return out
+    return list(dict.fromkeys(node for node in walk(delta) if isinstance(node, Prim)))
 
 
 class Edge:

@@ -49,7 +49,7 @@ from .kb import BREAKDOWN, eval_fluent_formula, initial_kb, real_bat
 from .pomdp import ConfigTable
 # enabled stays bound here for perfbench/spans.py, which wraps it by name
 from .program_graph import build_graph, enabled  # noqa: F401
-from .syntax import And, GloballyOp, Not, POp, UntilOp, XOp
+from .syntax import GloballyOp, POp, walk
 
 _TWO64 = 2 ** 64
 _CHUNK = 1 << 14  # trials walked together
@@ -401,12 +401,9 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
 # trace-formula evaluation on a finite record
 
 def _reject_nested_p(formula):
-    if isinstance(formula, POp):
+    if any(isinstance(node, POp) for node in walk(formula)):
         raise BeliefProgError("nested probability operators cannot be "
                               "estimated on a single trace")
-    if isinstance(formula, (Not, And, XOp, UntilOp, GloballyOp)):
-        for part in vars(formula).values():
-            _reject_nested_p(part)
 
 
 def eval_trace_formula(psi, record, engine=None) -> bool:

@@ -1,4 +1,5 @@
-"""Typed AST for model files plus the canonical pretty-printer.
+"""Typed AST for model files, the walk over a tree's nodes, and the
+canonical pretty-printer.
 
 All numeric literals are exact `fractions.Fraction` values; nothing in the
 AST ever holds a float.  Formula nodes are shared between the two formula
@@ -40,20 +41,24 @@ class Node:
     The fields are read once, when a subclass is defined, and no method is
     generated.  Two nodes are equal when they are of one class and agree on
     every field that is not `loose`, and equal nodes hash alike.  The repr
-    is the one ``dataclasses`` prints.
+    is the one ``dataclasses`` prints.  The fields that can hold child
+    nodes, alone or inside tuples, are those annotated neither `str`,
+    `Fraction` nor `bool` and not `loose`; `map`, `walk` and `depth` read
+    the tree's shape from them alone.
     """
 
     _fields = ()  # field names in declaration order
     _defaults = {}  # field name -> default
     _loose = ()  # fields that equality and hashing skip
+    _children = ()  # fields that can hold a child node, alone or in tuples
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         fields, defaults = list(cls._fields), dict(cls._defaults)
-        skipped = list(cls._loose)
+        skipped, children = list(cls._loose), list(cls._children)
         # since 3.10 a class's __annotations__ are its own, and empty when
         # it annotates nothing; 3.14 evaluates them here on first access
-        for name in cls.__annotations__:
+        for name, kind in cls.__annotations__.items():
             if name not in fields:
                 fields.append(name)
             if name in cls.__dict__:
@@ -63,7 +68,10 @@ class Node:
                     default = default.default
                     setattr(cls, name, default)
                 defaults[name] = default
+            if kind not in (str, Fraction, bool) and name not in skipped:
+                children.append(name)
         cls._fields, cls._defaults, cls._loose = tuple(fields), defaults, tuple(skipped)
+        cls._children = tuple(children)
         # the class leads the key, so nodes of two classes never hash
         # alike; an attrgetter is no descriptor, so self._key is the getter
         cls._key = attrgetter(
@@ -114,6 +122,67 @@ class Node:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def map(self, fn):
+        """This node with fn applied to each child node, also inside tuple
+        fields; loose fields are kept.  The node itself when no child
+        changed."""
+        changed = None
+        for name in self._children:
+            old = getattr(self, name)
+            if isinstance(old, Node):
+                new = fn(old)
+            elif isinstance(old, tuple):
+                new = _map_items(old, fn)
+            else:
+                continue
+            if new is not old:
+                changed = changed or {}
+                changed[name] = new
+        if changed is None:
+            return self
+        return self.__class__(*[changed.get(name, getattr(self, name))
+                                for name in self._fields])
+
+
+def _map_items(items, fn):
+    """A tuple with fn applied to the nodes in it, also in nested tuples;
+    the tuple itself when none changed."""
+    mapped = tuple(fn(item) if isinstance(item, Node)
+                   else _map_items(item, fn) if isinstance(item, tuple)
+                   else item for item in items)
+    if any(new is not old for new, old in zip(mapped, items)):
+        return mapped
+    return items
+
+
+def walk(node):
+    """Every node of the tree under node, in pre-order with children in
+    field order, without recursion."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Node):
+            yield item
+            stack.extend(getattr(item, name) for name in reversed(item._children))
+        elif isinstance(item, tuple):
+            stack.extend(reversed(item))
+
+
+def depth(node):
+    """The number of nodes on the longest path down from node, counted one
+    level at a time without recursion."""
+    levels, level = 0, [node]
+    while level:
+        levels += 1
+        below = [getattr(item, name) for item in level for name in item._children]
+        level = []
+        for item in below:  # grows by the items of tuple fields
+            if isinstance(item, Node):
+                level.append(item)
+            elif isinstance(item, tuple):
+                below.extend(item)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import beliefprog
 from beliefprog import abstraction as abstraction_mod
 from beliefprog import pomdp as pomdp_mod
 from beliefprog.cli import main
+from beliefprog.parser import MAX_DEPTH, parse_model
+from beliefprog.syntax import depth
 from conftest import COFFEE, ROOT
 
 MODEL = str(COFFEE)
@@ -224,6 +227,56 @@ def test_state_budget_exit_2(capsys, monkeypatch):
     assert err.strip() == ("error: a type's POMDP up to horizon 2 has more "
                            "than 5 states, the budget; lower the property's "
                            "step bound")
+
+
+P1 = "P[>= 1/20](F<=2 B(h = 2) = 1)"
+
+
+def _with_program(text, program):
+    return re.sub(r"program \{.*?\n\}", f"program {{ {program} }}", text,
+                  flags=re.S)
+
+
+# unless the nesting bound rejects it first, each of these exhausts the
+# interpreter's stack in one stage: the parser, seq(), the resolver,
+# print_state_formula, or hashing during the abstraction; the RecursionError
+# would exit 1, which reads as "violated"
+@pytest.mark.parametrize("deepen", [
+    lambda text: text.replace(P1, "!" * 1200 + P1),
+    lambda text: text.replace(P1, "!" * 700 + P1),
+    lambda text: text.replace(P1, "(" * 300 + P1 + ")" * 300),
+    lambda text: text.replace("h + y;", "h + " * 1200 + "y;"),
+    lambda text: _with_program(text, "sencfe; " * 1200 + "east(1)"),
+    lambda text: _with_program(text, "sencfe; " * 700 + "east(1)"),
+    lambda text: _with_program(text, " | ".join(["sencfe"] * 700)),
+], ids=["not1200", "not700", "parens300", "ssa1200", "seq1200", "seq700",
+        "choice700"])
+def test_deep_nesting_exit_2(tmp_path, coffee_text, capsys, deepen):
+    deep = tmp_path / "deep.bp"
+    deep.write_text(deepen(coffee_text))
+    code, _, err = run(capsys, "verify", str(deep), "--property", "P1")
+    assert code == 2
+    assert err == f"error: [nesting] the input nests deeper than {MAX_DEPTH} levels\n"
+
+
+def test_deep_trace_formula_exit_2(capsys):
+    code, _, err = run(capsys, "simulate", MODEL, "--world", "h=0",
+                       "--psi", "F<=2 " + "!" * 3000 + "B(h = 2) = 1")
+    assert code == 2
+    assert err == f"error: [nesting] the input nests deeper than {MAX_DEPTH} levels\n"
+
+
+def test_nesting_bound_is_exact_at_its_bound(tmp_path, coffee_text, capsys):
+    # a chain of k steps is a program k nodes deep, under the ModelFile
+    at_bound = _with_program(coffee_text, "sencfe; " * (MAX_DEPTH - 2) + "east(1)")
+    assert depth(parse_model(at_bound)) == MAX_DEPTH
+    model = tmp_path / "at_bound.bp"
+    model.write_text(at_bound)
+    code, out, err = run(capsys, "verify", str(model), "--property", "P1")
+    assert code == 1 and "verdict: VIOLATED" in out
+    model.write_text(at_bound.replace("sencfe; ", "sencfe; sencfe; ", 1))
+    code, _, err = run(capsys, "verify", str(model), "--property", "P1")
+    assert code == 2 and "[nesting]" in err
 
 
 # believed weights of a(1/2) sum to 1/2: an error in the believed theory,

@@ -4,7 +4,9 @@ import pytest
 
 from beliefprog import ParseError, parse_ground_action, parse_model
 from beliefprog import syntax as S
-from beliefprog.syntax import Choice, Nil, Num, Prim, Seq, Star, print_model
+from beliefprog.parser import MAX_DEPTH, parse_subjective
+from beliefprog.syntax import (Choice, Nil, Num, Prim, Seq, Star, depth,
+                               print_model)
 
 
 def test_coffee_model_shape(coffee):
@@ -190,3 +192,25 @@ def test_subjective_formula_requires_belief_wrapping():
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert any(d.code == "sort" for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize("section", [
+    "program { ({case h = 1: 1; default: 0} = 1)? }",
+    "program { ({case true: 1; default: 0} = 1)? }",
+    "program { } property Q { P[>= 1/2](F<=1 {case h = 1: 1; default: 0} = 1) }",
+])
+def test_piecewise_term_in_a_subjective_formula_is_a_sort_error(section):
+    with pytest.raises(ParseError) as err:
+        parse_model(f"fluents h; belief {{ (0): 1 }} {section}")
+    assert [d.code for d in err.value.diagnostics] == ["sort"]
+
+
+def test_standalone_formulas_are_depth_bounded(coffee):
+    # a subjective formula is its own root: n negations over a
+    # comparison B(h = 2) = 1 are n + 4 nodes deep
+    assert depth(parse_subjective("!" * (MAX_DEPTH - 4) + "B(h = 2) = 1", coffee)) \
+        == MAX_DEPTH
+    for n in (MAX_DEPTH - 3, 3000):
+        with pytest.raises(ParseError) as err:
+            parse_subjective("!" * n + "B(h = 2) = 1", coffee)
+        assert [d.code for d in err.value.diagnostics] == ["nesting"]

@@ -1,4 +1,5 @@
-"""The AST node base: construction, immutability, equality and repr."""
+"""The AST node base: construction, immutability, equality, repr and the
+walk over a node's children."""
 
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from beliefprog.errors import Diagnostic
 from beliefprog.kb import GroundAction
 from beliefprog.syntax import (FALSE, TRUE, And, Cmp, FluentRef, ModelFile,
-                               Nil, Num, Or, Prim, PropInterval, UntilOp)
+                               Nil, Not, Num, Or, Piecewise, Prim, PropInterval,
+                               SsaCase, UntilOp, depth, walk)
 
 F = Fraction
 
@@ -98,3 +100,40 @@ def test_reprs_match_the_dataclass_reprs():
 def test_diagnostics_compare_by_value():
     assert Diagnostic("arity", "x", 1, 2) == Diagnostic("arity", "x", 1, 2)
     assert Diagnostic("arity", "x", 1, 2) != Diagnostic("arity", "x", 1, 3)
+
+
+def test_walk_is_pre_order_and_enters_tuple_fields():
+    h, one, two = FluentRef("h"), Num(F(1)), Num(F(2))
+    guard = Cmp("=", h, one)
+    pw = Piecewise(((guard, two), (TRUE, one)), h)
+    top = And(Not(guard), Cmp("<", pw, two))
+    assert list(walk(top)) == [top, Not(guard), guard, h, one,
+                                Cmp("<", pw, two), pw, guard, h, one, two,
+                                TRUE, one, h, two]
+    assert list(walk(Prim("east", (F(1),)))) == [Prim("east", (F(1),))]
+    assert depth(top) == 5 and depth(h) == 1
+
+
+def test_walk_and_depth_of_a_deep_chain_do_not_recurse():
+    node = TRUE
+    for _ in range(10_000):
+        node = Not(node)
+    assert sum(1 for _ in walk(node)) == 10_001
+    assert depth(node) == 10_001
+
+
+def test_map_returns_the_node_itself_when_nothing_changed():
+    pw = Piecewise(((Cmp("=", FluentRef("h"), Num(F(1))), Num(F(2))),), Num(F(0)))
+    prim = Prim("east", (F(1),))
+    for node in (pw, prim, Nil(), UntilOp(TRUE, pw, 2)):
+        assert node.map(lambda child: child) is node
+
+
+def test_map_rebuilds_changed_children_and_keeps_loose_fields():
+    case = SsaCase("east", ("x", "y"), FluentRef("h", (4, 20)), pos=(4, 8))
+    one = Num(F(1))
+    mapped = case.map(lambda child: one)
+    assert mapped == SsaCase("east", ("x", "y"), one)
+    assert mapped.pos == (4, 8)
+    pw = Piecewise(((TRUE, FluentRef("h")),), Num(F(0)))
+    assert pw.map(lambda child: one) == Piecewise(((one, one),), one)
