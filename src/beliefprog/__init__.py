@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "abstraction": ("Abstraction", "ProgramContext", "TypeAssignment",
-                    "compute_types", "ground_action_universe", "horizon_of",
-                    "reps_auto", "reps_from_init", "reps_from_ranges"),
-    "checker": ("Verdict", "check", "enumerate_policies", "probability"),
+                    "compute_types", "ground_action_universe", "reps_auto",
+                    "reps_from_init", "reps_from_ranges"),
+    "checker": ("Verdict", "check", "enumerate_policies", "horizon_of",
+                "probability"),
     "errors": ("BeliefProgError", "Diagnostic", "EvalError",
                "IncompatibleActionError", "IncompatibleSensingError",
                "InadmissiblePropertyError", "LikelihoodContextError",

@@ -39,8 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BeliefProgError, InadmissiblePropertyError,
-                     SequenceBudgetError)
+from .errors import BeliefProgError, SequenceBudgetError
 # BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
 from .kb import (BREAKDOWN, EPSILON, FAILURE, ZERO,  # noqa: F401
                  eval_fluent_formula, initial_kb, make_world,
@@ -156,43 +155,6 @@ def ground_action_universe(model):
     out.append(EPSILON)
     out.append(FAILURE)
     return out
-
-
-def horizon_of(phi) -> int:
-    """Step bound required by a bounded state formula.
-
-    Raises InadmissiblePropertyError on unbounded until, globally, or a
-    nested probability operator.
-    """
-    def state(f, inside_p):
-        if isinstance(f, POp):
-            if inside_p:
-                raise InadmissiblePropertyError(
-                    "nested probability operators are not checker-admissible")
-            return trace(f.trace)
-        if isinstance(f, Not):
-            return state(f.operand, inside_p)
-        if isinstance(f, And):
-            return max(state(f.left, inside_p), state(f.right, inside_p))
-        return 0  # subjective leaf
-
-    def trace(psi):
-        if isinstance(psi, XOp):
-            state(psi.arg, True)
-            return 1
-        if isinstance(psi, GloballyOp):
-            raise InadmissiblePropertyError(
-                "unbounded globally is not checker-admissible")
-        if isinstance(psi, UntilOp):
-            if psi.bound is None:
-                raise InadmissiblePropertyError(
-                    "unbounded until is not checker-admissible")
-            state(psi.left, True)
-            state(psi.right, True)
-            return psi.bound
-        raise TypeError(psi)
-
-    return state(phi, False)
 
 
 # ---------------------------------------------------------------------------

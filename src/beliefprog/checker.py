@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .abstraction import horizon_of
 from .errors import InadmissiblePropertyError, PolicyBudgetError
 from .kb import eval_subjective
 from .syntax import (And, GloballyOp, Not, POp, UntilOp, XOp,
@@ -46,6 +45,26 @@ def decision_depth(psi):
     if isinstance(psi, XOp):
         return 1
     return psi.bound if isinstance(psi, UntilOp) else None
+
+
+def horizon_of(phi) -> int:
+    """Step bound required by a bounded state formula: the largest decision
+    depth of its P operators.  Raises InadmissiblePropertyError on the first
+    P, in walk order, whose trace is unbounded or holds a P."""
+    k = 0
+    for node in walk(phi):
+        if isinstance(node, POp):
+            last = decision_depth(node.trace)
+            if last is None:
+                raise InadmissiblePropertyError(
+                    "unbounded globally is not checker-admissible"
+                    if isinstance(node.trace, GloballyOp) else
+                    "unbounded until is not checker-admissible")
+            if any(isinstance(inner, POp) for inner in walk(node.trace)):
+                raise InadmissiblePropertyError(
+                    "nested probability operators are not checker-admissible")
+            k = max(k, last)
+    return k
 
 
 def trace_verdict(psi, depth, holds):

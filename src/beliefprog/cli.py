@@ -14,9 +14,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .abstraction import (compute_types, horizon_of, reps_auto,
-                          reps_from_init, reps_from_ranges)
-from .checker import DEFAULT_POLICY_CAP, check
+from .abstraction import (compute_types, reps_auto, reps_from_init,
+                          reps_from_ranges)
+from .checker import DEFAULT_POLICY_CAP, check, horizon_of
 from .errors import BeliefProgError, InadmissiblePropertyError, ParseError
 from .kb import initial_kb, make_world, progress_kb
 from .parser import (model_digest, parse_ground_action, parse_model,

@@ -32,13 +32,17 @@ identity.  A Bat is made per theory per run (real_bat, initial_kb), so no
 table outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
-is believed impossible; next_observation and eval_subjective are the one
-progression rule and the one truth rule for both.
+is believed impossible; next_observation is the one progression rule for
+both.  One evaluator, _value for terms and _truth for formulas, serves both
+sorts: at a World a term or formula is objective, and at an observation it
+is subjective, where B, Expect and Conf read the knowledge base and every
+comparison at BREAKDOWN is false.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import eq, ge, gt, le, lt, ne
 from types import MappingProxyType
 
 from .errors import (EvalError, IncompatibleActionError,
@@ -46,7 +50,7 @@ from .errors import (EvalError, IncompatibleActionError,
                      LikelihoodSumError)
 from .syntax import (And, Bel, BinOp, BoolConst, Cmp, Conf, Expect,
                      EPSILON_NAME, FAILURE_NAME, FluentRef, Neg, Not, Num,
-                     Or, ParamRef, Piecewise, frac_str)
+                     Or, ParamRef, Piecewise, arith, frac_str)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -252,7 +256,7 @@ class Bat:
         table = entry[1]
         hit = table.get(world)
         if hit is None:
-            hit = table[world] = eval_fluent_formula(phi, world)
+            hit = table[world] = _truth(phi, world, {})
         return hit
 
 
@@ -265,73 +269,96 @@ def believed_bat(model):
 
 
 # ---------------------------------------------------------------------------
-# expression and formula evaluation
+# expression and formula evaluation (both sorts; see the module docstring)
 
 def eval_expr(e, world, bindings=None) -> Fraction:
-    b = bindings or {}
-    return _eval(e, world, b)
+    return _value(e, world, bindings or {})
 
 
-def _eval(e, world, b):
-    if isinstance(e, Num):
+def eval_fluent_formula(phi, world, bindings=None) -> bool:
+    return _truth(phi, world, bindings or {})
+
+
+def eval_subjective(kb, alpha) -> bool:
+    """Truth of a subjective formula at an observation; at BREAKDOWN every
+    comparison is false and the boolean structure still applies."""
+    return _truth(alpha, kb, {})
+
+
+def _value(e, at, b) -> Fraction:
+    """The value of term e at a World or None (objective) or at a
+    KnowledgeBase (subjective), with parameters bound by b."""
+    cls = e.__class__
+    if cls is Num:
         return e.value
-    if isinstance(e, FluentRef):
-        v = world.get(e.name) if world is not None else None
+    subjective = at.__class__ is KnowledgeBase
+    if cls is FluentRef and not subjective:
+        v = at.get(e.name) if at is not None else None
         if v is None:
             raise EvalError(f"fluent {e.name!r} has no value in this context")
         return v
-    if isinstance(e, ParamRef):
+    if cls is Bel and subjective:
+        holds = at.bat.holds
+        return Fraction(sum(n for w, n in at.num.items()
+                            if holds(w, e.formula)), at.den)
+    if cls is BinOp:
+        value = arith(e.op, _value(e.left, at, b), _value(e.right, at, b))
+        if value is None:
+            raise EvalError("division by zero in a belief expression"
+                            if subjective else "division by zero")
+        return value
+    if cls is Neg:
+        return -_value(e.operand, at, b)
+    if subjective:
+        if cls is Expect:
+            return _expectation(e.fluent, at)
+        if cls is Conf:
+            # belief that the fluent lies in [E - r, E + r]; see the ledger
+            # note on the closed interval
+            mean = _expectation(e.fluent, at)
+            return Fraction(sum(n for w, n in at.num.items()
+                                if abs(w[e.fluent] - mean) <= e.radius), at.den)
+        raise TypeError(f"not a belief expression: {e!r}")
+    if cls is ParamRef:
         try:
             return b[e.name]
         except KeyError:
             raise EvalError(f"unbound parameter {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.operand, world, b)
-    if isinstance(e, BinOp):
-        left = _eval(e.left, world, b)
-        right = _eval(e.right, world, b)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero")
-        return left / right
-    if isinstance(e, Piecewise):
+    if cls is Piecewise:
         for guard, value in e.cases:
-            if eval_fluent_formula(guard, world, b):
-                return _eval(value, world, b)
-        return _eval(e.default, world, b)
+            if _truth(guard, at, b):
+                return _value(value, at, b)
+        return _value(e.default, at, b)
     raise TypeError(f"cannot evaluate {e!r} as an objective expression")
 
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def _expectation(fluent, kb) -> Fraction:
+    values = [(w[fluent], n) for w, n in kb.num.items()]
+    d = lcm(*(v.denominator for v, _ in values))
+    return Fraction(sum(v.numerator * (d // v.denominator) * n
+                        for v, n in values), d * kb.den)
 
 
-def eval_fluent_formula(phi, world, bindings=None) -> bool:
-    b = bindings or {}
-    if isinstance(phi, BoolConst):
+_CMP = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _truth(phi, at, b) -> bool:
+    """The truth of formula phi where _value evaluates its terms."""
+    cls = phi.__class__
+    if cls is Cmp:
+        return at is not BREAKDOWN and \
+            _CMP[phi.op](_value(phi.left, at, b), _value(phi.right, at, b))
+    if cls is Not:
+        return not _truth(phi.operand, at, b)
+    if cls is And:
+        return _truth(phi.left, at, b) and _truth(phi.right, at, b)
+    if cls is Or:
+        return _truth(phi.left, at, b) or _truth(phi.right, at, b)
+    if cls is BoolConst:
         return phi.value
-    if isinstance(phi, Cmp):
-        return _CMP[phi.op](_eval(phi.left, world, b), _eval(phi.right, world, b))
-    if isinstance(phi, Not):
-        return not eval_fluent_formula(phi.operand, world, b)
-    if isinstance(phi, And):
-        return eval_fluent_formula(phi.left, world, b) and \
-            eval_fluent_formula(phi.right, world, b)
-    if isinstance(phi, Or):
-        return eval_fluent_formula(phi.left, world, b) or \
-            eval_fluent_formula(phi.right, world, b)
-    raise TypeError(f"not a fluent formula: {phi!r}")
+    if at is None or at.__class__ is World:
+        raise TypeError(f"not a fluent formula: {phi!r}")
+    raise TypeError(f"not a subjective formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -610,63 +637,3 @@ def next_observation(obs, action, progress=progress_kb):
     except IncompatibleSensingError:
         return BREAKDOWN
 
-
-# ---------------------------------------------------------------------------
-# subjective evaluation
-
-def _expectation(fluent, kb) -> Fraction:
-    values = [(w[fluent], n) for w, n in kb.num.items()]
-    d = lcm(*(v.denominator for v, _ in values))
-    return Fraction(sum(v.numerator * (d // v.denominator) * n
-                        for v, n in values), d * kb.den)
-
-
-def _belief_value(e, kb) -> Fraction:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Bel):
-        holds = kb.bat.holds
-        return Fraction(sum(n for w, n in kb.num.items()
-                            if holds(w, e.formula)), kb.den)
-    if isinstance(e, Expect):
-        return _expectation(e.fluent, kb)
-    if isinstance(e, Conf):
-        # belief that the fluent lies in [E - r, E + r]; see the ledger
-        # note on the closed interval
-        mean = _expectation(e.fluent, kb)
-        return Fraction(sum(n for w, n in kb.num.items()
-                            if abs(w[e.fluent] - mean) <= e.radius), kb.den)
-    if isinstance(e, Neg):
-        return -_belief_value(e.operand, kb)
-    if isinstance(e, BinOp):
-        left = _belief_value(e.left, kb)
-        right = _belief_value(e.right, kb)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0:
-            raise EvalError("division by zero in a belief expression")
-        return left / right
-    raise TypeError(f"not a belief expression: {e!r}")
-
-
-def eval_subjective(kb, alpha) -> bool:
-    """Truth of a subjective formula at an observation; at BREAKDOWN every
-    comparison is false and the boolean structure still applies."""
-    if isinstance(alpha, BoolConst):
-        return alpha.value
-    if isinstance(alpha, Cmp):
-        if kb is BREAKDOWN:
-            return False
-        return _CMP[alpha.op](_belief_value(alpha.left, kb),
-                              _belief_value(alpha.right, kb))
-    if isinstance(alpha, Not):
-        return not eval_subjective(kb, alpha.operand)
-    if isinstance(alpha, And):
-        return eval_subjective(kb, alpha.left) and eval_subjective(kb, alpha.right)
-    if isinstance(alpha, Or):
-        return eval_subjective(kb, alpha.left) or eval_subjective(kb, alpha.right)
-    raise TypeError(f"not a subjective formula: {alpha!r}")

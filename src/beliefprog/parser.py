@@ -20,7 +20,8 @@ from .syntax import (
     FluentDecl, FluentRef, GloballyOp, InitTheory, LikelihoodRow,
     LikelihoodTable, ModelFile, Neg, Nil, Not, Num, Or, POp, ParamRef,
     Piecewise, Prim, PropInterval, RESERVED_ACTIONS, RESERVED_FLUENTS,
-    SsaCase, SsaRule, Star, Test, TRUE, UntilOp, XOp, depth, seq,
+    SsaCase, SsaRule, Star, Test, TRUE, UntilOp, XOp, arith, constant_value,
+    depth, seq,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -227,7 +228,7 @@ class Parser:
         """A constant arithmetic expression folded to an exact Fraction."""
         tok = self.peek()
         e = self.expr()
-        value = _fold_const(e)
+        value = constant_value(e)
         if value is None:
             self.fail("expected a rational constant", tok)
         return value
@@ -293,9 +294,14 @@ class Parser:
         return p
 
     def _pseq(self):
-        p = self._pstar()
+        # folded from the right, so that seq never re-walks the chain built
+        # so far: n steps make n - 1 Seq nodes
+        steps = [self._pstar()]
         while self.accept(";"):
-            p = seq(p, self._pstar())
+            steps.append(self._pstar())
+        p = steps.pop()
+        while steps:
+            p = seq(steps.pop(), p)
         return p
 
     def _pstar(self):
@@ -690,31 +696,11 @@ def _mk_binop(op, left, right):
     """Fold constant arithmetic while parsing so "1/2" and "0.5" land as one
     exact literal (division by a constant zero stays symbolic and fails at
     evaluation time, as specified)."""
-    if isinstance(left, Num) and isinstance(right, Num) \
-            and not (op == "/" and right.value == 0):
-        return Num({"+": left.value + right.value,
-                    "-": left.value - right.value,
-                    "*": left.value * right.value,
-                    "/": left.value / right.value if right.value else None}[op])
+    if isinstance(left, Num) and isinstance(right, Num):
+        value = arith(op, left.value, right.value)
+        if value is not None:
+            return Num(value)
     return BinOp(op, left, right)
-
-
-def _fold_const(e):
-    """Fold a parameter- and fluent-free expression to a Fraction, else None."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Neg):
-        v = _fold_const(e.operand)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        a, b = _fold_const(e.left), _fold_const(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "/" and b == 0:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b,
-                "/": a / b if b else None}[e.op]
-    return None
 
 
 def _interval_from_relop(op, r):

@@ -1,4 +1,5 @@
-"""Typed AST for model files, the walk over a tree's nodes, and the
+"""Typed AST for model files, the walk over a tree's nodes, the one
+arithmetic rule (arith, and constant_value, which folds by it), and the
 canonical pretty-printer.
 
 All numeric literals are exact `fractions.Fraction` values; nothing in the
@@ -217,6 +218,30 @@ class Piecewise(Node):
 
     cases: tuple  # of (formula, expr) pairs
     default: object
+
+
+def arith(op, a, b):
+    """a op b for op one of + - * /; None for a division by zero."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / b if b else None
+
+
+def constant_value(e):
+    """The value of a parameter- and fluent-free expression, else None."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Neg):
+        v = constant_value(e.operand)
+        return None if v is None else -v
+    if isinstance(e, BinOp):
+        a, b = constant_value(e.left), constant_value(e.right)
+        return None if a is None or b is None else arith(e.op, a, b)
+    return None
 
 
 # belief-expression atoms (only valid inside subjective formulas)

@@ -12,20 +12,18 @@ from fractions import Fraction
 from .errors import Diagnostic, EvalError
 from .kb import eval_expr
 from .program_graph import program_prims
-from .syntax import frac_str, print_program
+from .syntax import constant_value, frac_str, print_program
 
 
 def _const_weights(row):
-    from .parser import _fold_const
-    values = [_fold_const(w) for w in row.weights]
+    values = [constant_value(w) for w in row.weights]
     return values if all(v is not None for v in values) else None
 
 
 def _outcome_value(vec):
     """The outcome's constant value, or its expressions when a parameter
     occurs; equal results always denote the same outcome."""
-    from .parser import _fold_const
-    values = tuple(_fold_const(v) for v in vec)
+    values = tuple(constant_value(v) for v in vec)
     return tuple(vec) if None in values else values
 
 

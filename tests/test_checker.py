@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (ConfigTable, PolicyBudgetError, build_graph,
-                        build_pomdp, check, compute_types, enumerate_policies,
+from beliefprog import (ConfigTable, InadmissiblePropertyError,
+                        PolicyBudgetError, build_graph, build_pomdp, check,
+                        compute_types, enumerate_policies, horizon_of,
                         make_world, parse_model, probability)
 from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
@@ -219,6 +220,49 @@ def test_until_monotone_in_bound(coffee, coffee_setup):
               for k in range(3)]
     assert values == sorted(values)
     assert values[2] == F(1, 20)
+
+
+GLOBALLY = "unbounded globally is not checker-admissible"
+UNBOUNDED_UNTIL = "unbounded until is not checker-admissible"
+NESTED_P = "nested probability operators are not checker-admissible"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("P[>= 0](G B(h = 0) = 1)", GLOBALLY),
+    ("P[>= 0](B(h = 0) = 1 U B(h = 1) = 1)", UNBOUNDED_UNTIL),
+    ("P[>= 0](X P[>= 0](X B(h = 0) = 1))", NESTED_P),
+    ("P[>= 0](B(h = 0) = 1 U<=2 !P[>= 0](X B(h = 0) = 1))", NESTED_P),
+    # two faults: a P's own unbounded trace before the P inside it, and
+    # the first faulty P of the formula before a later one
+    ("P[>= 0](G P[>= 0](X B(h = 0) = 1))", GLOBALLY),
+    ("P[>= 0](F P[>= 0](X B(h = 0) = 1))", UNBOUNDED_UNTIL),
+    ("P[>= 0](X P[>= 0](G B(h = 0) = 1))", NESTED_P),
+    ("P[>= 0](G B(h = 0) = 1) & P[>= 0](F B(h = 0) = 1)", GLOBALLY),
+    ("P[>= 0](F B(h = 0) = 1) & P[>= 0](G B(h = 0) = 1)", UNBOUNDED_UNTIL),
+    ("P[>= 0](X B(h = 0) = 1) & !P[>= 0](F<=1 P[>= 0](G B(h = 0) = 1))",
+     NESTED_P),
+], ids=["globally", "until", "nested-under-X", "nested-under-U",
+        "globally-over-nested", "until-over-nested", "nested-over-inner-G",
+        "globally-first", "until-first", "nested-in-second-P"])
+def test_horizon_of_rejects_with_one_message(text, message):
+    m = parse_model(f"fluents h; belief {{ (0): 1 }} program {{ }} "
+                    f"property N {{ {text} }}")
+    with pytest.raises(InadmissiblePropertyError) as err:
+        horizon_of(m.property_named("N"))
+    assert str(err.value) == message
+
+
+def test_horizon_is_the_largest_step_bound():
+    m = parse_model("fluents h; belief { (0): 1 } program { } property N { "
+                    "P[>= 0](X B(h = 0) = 1) & !P[>= 0](F<=3 B(h = 0) = 1) }")
+    assert horizon_of(m.property_named("N")) == 3
+
+
+def test_probability_rejects_an_unbounded_trace(coffee, coffee_setup):
+    _, pomdps = coffee_setup
+    policy = next(enumerate_policies(pomdps[0]))
+    with pytest.raises(InadmissiblePropertyError, match="is not bounded"):
+        probability(pomdps[0], policy, coffee.property_named("P2").trace)
 
 
 def test_boolean_structure_of_state_formulas(coffee, coffee_setup):

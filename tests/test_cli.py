@@ -380,6 +380,22 @@ def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+BELIEF_DIVIDES_BY_ZERO = "F<=2 1 / (B(h = 2) - B(h = 2)) > 0"
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--property", "D"),
+    ("simulate", "--psi", BELIEF_DIVIDES_BY_ZERO),
+], ids=["verify", "simulate"])
+def test_belief_term_division_by_zero_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "m.bp"
+    path.write_text(COFFEE.read_text() +
+                    f"property D {{ P[>= 0]({BELIEF_DIVIDES_BY_ZERO}) }}\n")
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert err == "error: division by zero in a belief expression\n"
+
+
 # ---------------------------------------------------------------------------
 # malformed command-line values end as errors (exit 2) naming the value
 
@@ -474,6 +490,9 @@ assert loaded() == {"errors", "syntax", "parser", "kb", "program_graph",
 for name in ("dataclasses", "logging", "json", "numpy"):
     assert name in at_start or name not in sys.modules, ("set-up", name)
 
+import beliefprog.checker
+assert "abstraction" not in loaded(), ("checker", loaded())
+
 from beliefprog import cli
 assert cli.main(["verify", "models/coffee.bp", "--property", "P1"]) == 1
 assert "numpy" not in sys.modules, "verify"
@@ -493,8 +512,9 @@ assert not hasattr(beliefprog, "no_such_name")
 def test_each_path_imports_only_what_it_uses():
     """In a fresh interpreter: `import beliefprog` loads no submodule, the
     set-up path (parse, validate, graph) loads six modules and neither
-    dataclasses, logging, json nor numpy, verify loads no numpy, and every
-    name the package exports loads from its module."""
+    dataclasses, logging, json nor numpy, the checker loads no abstraction,
+    verify loads no numpy, and every name the package exports loads from
+    its module."""
     # a fresh interpreter on the package these tests import
     src = str(Path(beliefprog.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -6,7 +6,7 @@ from beliefprog import ParseError, parse_ground_action, parse_model
 from beliefprog import syntax as S
 from beliefprog.parser import MAX_DEPTH, parse_subjective
 from beliefprog.syntax import (Choice, Nil, Num, Prim, Seq, Star, depth,
-                               print_model)
+                               print_model, print_program)
 
 
 def test_coffee_model_shape(coffee):
@@ -132,6 +132,47 @@ def test_if_sugar():
     assert isinstance(m.program, Choice)
     assert isinstance(m.program.left, Seq)
     assert isinstance(m.program.left.first, S.Test)
+
+
+TWO_ACTIONS = """
+    fluents h;
+    action a stochastic(; y) { outcomes: (1); likelihood: case true: 1; }
+    action b stochastic(; y) { outcomes: (1); likelihood: case true: 1; }
+    belief { (0): 1 }
+"""
+
+
+def test_n_step_sequence_builds_n_minus_one_seq_nodes(monkeypatch):
+    made = []
+    build = Seq.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Seq, "__init__", counted)
+    steps = "; ".join(["a", "b"] * 30)
+    m = parse_model(TWO_ACTIONS + f"program {{ {steps} }}")
+    assert len(made) == 59
+    assert print_program(m.program) == steps
+
+
+def test_mixed_program_parses_to_one_right_chained_sequence():
+    m = parse_model(TWO_ACTIONS + """program {
+        a; (b; a); while B(h = 0) < 1 do a; b end;
+        if B(h = 0) >= 1 then b else (a; b); a end; b
+    }""")
+    a, b = Prim("a", ()), Prim("b", ())
+    bel = S.Bel(S.Cmp("=", S.FluentRef("h"), Num(Fraction(0))))
+    loop = S.Cmp("<", bel, Num(Fraction(1)))
+    cond = S.Cmp(">=", bel, Num(Fraction(1)))
+    expected = Seq(a, Seq(b, Seq(a, Seq(
+        Star(Seq(S.Test(loop), Seq(a, b))),
+        Seq(S.Test(S.Not(loop)),
+            Seq(Choice(Seq(S.Test(cond), b),
+                       Seq(S.Test(S.Not(cond)), Seq(a, Seq(b, a)))),
+                b))))))
+    assert m.program == expected
 
 
 def test_ground_action_parsing(coffee):

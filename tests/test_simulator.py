@@ -447,9 +447,9 @@ def assert_lowest_terms(kb):
     bel, mean, conf = reference_belief_values(kb, fluent)
     for v, mass in bel.items():
         phi = Cmp("=", FluentRef(fluent), Num(v))
-        assert kb_mod._belief_value(Bel(phi), kb) == mass
-    assert kb_mod._belief_value(Expect(fluent), kb) == mean
-    assert kb_mod._belief_value(Conf(fluent, F(1)), kb) == conf
+        assert kb_mod._value(Bel(phi), kb, {}) == mass
+    assert kb_mod._value(Expect(fluent), kb, {}) == mean
+    assert kb_mod._value(Conf(fluent, F(1)), kb, {}) == conf
 
 
 def _progressed(progress, kb, action):
