@@ -217,6 +217,8 @@ def estimate(*args, **kwargs):
 
 
 def cmd_simulate(args):
+    timing = {}
+    t0 = time.perf_counter()
     model = _load_model(args.model)
     if args.psi:
         psi = parse_trace_formula(args.psi, model)
@@ -231,8 +233,11 @@ def cmd_simulate(args):
     else:
         raise BeliefProgError("give --psi or --property")
     world = _parse_world(model, args.world)
+    timing["parse"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     result = estimate(model, psi, world, args.policy, args.trials,
                       args.seed, args.horizon)
+    timing["estimate"] = time.perf_counter() - t0
     report = {
         "model_digest": model_digest(model),
         "trace_formula": print_trace_formula(psi),
@@ -247,6 +252,7 @@ def cmd_simulate(args):
         "interval_95": list(result.interval),
         "outcomes": result.outcomes,
         "bounded": result.bounded,
+        "timing": timing,
     }
     if not result.bounded:
         report["note"] = ("unbounded formula estimated with a horizon "

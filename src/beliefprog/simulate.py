@@ -23,10 +23,18 @@ configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
 the table build_pomdp unrolls, with what sampling adds: each real row's
 cut-offs, the memo of state-formula truths and the admitted trace formula.
 Trials that stand at one configuration with one stream position and one
-verdict so far form a group: each step is taken once per group, and the
-group splits by its members' draws.  Groups are not keyed by path, so
-members' paths may differ; a group carries one representative path, on
-which eval_trace_formula decides every member once the group finishes.
+verdict so far form a group.  The live trials are two flat int arrays,
+their chunk-local numbers and their groups, and each depth is stepped once
+for all of them: a pass over the groups fills each entry and counts its
+choices; one vectorised draw makes every trial's choice, and only the
+trials that Lemire's rejection sends back draw again; a pass over the
+distinct (group, choice) pairs takes their moves; one comparison against
+the pairs' cut-offs, stacked in a matrix, makes every trial's outcome; and
+a pass over the distinct (pair, outcome, half-words read) codes makes the
+next depth's groups.  Groups are not keyed by path, so members' paths may
+differ; a group carries one representative path, on which
+eval_trace_formula decides every member once the group finishes, and a
+finished group keeps only its trial count and its least trial.
 run_trace is the walk with one trial.  Trials run in chunks of _CHUNK in
 trial order, and a chunk makes a stream block only when the walk first
 reads it and drops it once every group has passed it: memory does not grow
@@ -55,6 +63,7 @@ _TWO64 = 2 ** 64
 _CHUNK = 1 << 14  # trials walked together
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_ONE = np.uint64(1)
 # Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -96,16 +105,25 @@ class _Streams:
 
     def __init__(self, seed, trials):
         self.seed = seed
-        self.trials = trials  # uint64 trial numbers; members index them
+        self.trials = trials  # uint64 trial numbers, by chunk-local trial
         self.blocks = {}
 
-    def words(self, members, index):
-        """Word `index` of each member's stream."""
-        b = index >> 2
+    def _block(self, b):
         block = self.blocks.get(b)
         if block is None:
             block = self.blocks[b] = trial_rng(self.seed, self.trials, b)
-        return block[members, index & 3]
+        return block
+
+    def words(self, trials, index):
+        """Word `index` of each trial's stream: one index for all, or an
+        array with one per trial."""
+        if np.ndim(index) == 0:
+            index = int(index)
+            return self._block(index >> 2)[trials, index & 3]
+        low, high = int(index.min()) >> 2, int(index.max()) >> 2
+        words = self._block(low) if low == high else np.hstack(
+            [self._block(b) for b in range(low, high + 1)])
+        return words[trials, index - 4 * low]
 
     def release(self, index):
         """Forget the blocks wholly before word `index`."""
@@ -115,7 +133,8 @@ class _Streams:
 
 def cut_offs(weights) -> np.ndarray:
     """uint64 cut-offs ceil(cum_i * 2^64) of the outcomes before the last,
-    up to the first that no 64-bit word reaches."""
+    up to the first that no 64-bit word reaches.  No cut-off is 0, as
+    every cum_i is above 0."""
     cuts = []
     cum = Fraction(0)
     for w in weights[:-1]:
@@ -128,47 +147,54 @@ def cut_offs(weights) -> np.ndarray:
 
 
 def sample_outcomes(cuts, words) -> np.ndarray:
-    """The outcome each 64-bit word picks: the number of cut-offs at or
-    below it, that is the first i with word < cum_i * 2^64, or the last."""
-    return np.searchsorted(cuts, words, side="right")
+    """The outcome each 64-bit word picks: the number of its cut-offs at or
+    below it, that is the first i with word < cum_i * 2^64, or the last.
+    cuts is one row of cut-offs for every word, or a matrix with one row
+    per word padded with zeros; 0 - 1 wraps to the largest word, so no
+    padding counts."""
+    return np.count_nonzero(cuts - _ONE < words[:, None], axis=-1)
 
 
-def _split(members, picks):
-    """(value, members) for each distinct value members picked."""
-    if len(members) == 1:
-        return [(int(picks[0]), members)]
-    values = np.unique(picks).tolist()
-    if len(values) == 1:
-        return [(values[0], members)]
-    return [(v, members[picks == v]) for v in values]
+def _after(pos, half, k):
+    """Stream position (pos, half) once k more half-words are read."""
+    if k and half >= 0:
+        k, half = k - 1, -1
+    if k % 2:
+        return pos + k // 2 + 1, pos + k // 2
+    return pos + k // 2, half
 
 
-def _uniform(streams, members, pos, half, m):
-    """Generator.integers(0, m) for each member at stream position
+def _half_word(streams, trials, pos, half, r):
+    """The r-th 32-bit half-word that each trial reads from stream position
+    (pos, half): the pending high half first, then the low and high halves
+    of the words from pos on."""
+    fresh = r - (half >= 0)  # the fresh half-words read before it
+    w = streams.words(trials, np.where(fresh < 0, half, pos + fresh // 2))
+    return np.where(fresh % 2 == 1, w >> _SHIFT32, w & _LOW32)
+
+
+def _uniform(streams, trials, m, pos, half):
+    """Generator.integers(0, m) for each trial at stream position
     (pos, half): pos is the next fresh word, half the word whose high half
-    is pending, or -1.  Returns (members, choices, pos, half) parts, split
-    where Lemire's rejection made some members draw again."""
-    if m == 1:
-        return [(members, np.zeros(len(members), dtype=np.uint64), pos, half)]
-    threshold = (2 ** 32 - m) % m
-    parts = []
-    while True:
-        if half >= 0:
-            x = streams.words(members, half) >> _SHIFT32
-            half = -1
-        else:
-            x = streams.words(members, pos) & _LOW32
-            half = pos
-            pos += 1
-        product = x * np.uint64(m)
-        redraw = (product & _LOW32) < np.uint64(threshold)
-        if not redraw.any():
-            parts.append((members, product >> _SHIFT32, pos, half))
-            return parts
-        keep = ~redraw
-        if keep.any():
-            parts.append((members[keep], product[keep] >> _SHIFT32, pos, half))
-        members = members[redraw]
+    is pending, or -1.  m is an array with one count per trial; pos and
+    half are arrays too, or ints shared by every trial.  Returns each
+    trial's choice and the number of half-words it read, which is 0 where
+    m is 1.  One multiply covers every trial; only those that Lemire's
+    rejection sends back draw again."""
+    m = m.astype(np.uint64)
+    threshold = (np.uint64(2 ** 32) - m) % m
+    product = _half_word(streams, trials, pos, half, 0) * m
+    reads = (m > 1).astype(np.intp)
+    redo = np.flatnonzero((product & _LOW32) < threshold)
+    while len(redo):
+        again = _half_word(streams, trials[redo],
+                           pos[redo] if np.ndim(pos) else pos,
+                           half[redo] if np.ndim(half) else half,
+                           reads[redo]) * m[redo]
+        product[redo] = again
+        reads[redo] += 1
+        redo = redo[(again & _LOW32) < threshold[redo]]
+    return (product >> _SHIFT32).astype(np.intp), reads
 
 
 @dataclass
@@ -285,100 +311,204 @@ def _verdict(engine, psi, depth, obs):
         return (type(exc), str(exc))
 
 
-def _choices(streams, entry, policy, members, pos, half):
-    """The edge each member takes at entry: (members, edge index or None
-    to stop, pos, half) parts."""
+def _options(entry, policy):
+    """The edge index of each choice the policy leaves at entry, None for
+    stopping there."""
     if policy == Strategy.FIRST_ENABLED:
-        return [(members, 0 if entry.live else None, pos, half)]
+        return [0] if entry.live else [None]
     if policy == Strategy.UNIFORM_RANDOM:
-        n = len(entry.live)
-        parts = []
-        for part, picks, p, h in _uniform(streams, members, pos, half,
-                                          n + 1 if entry.is_final else n):
-            parts.extend((chosen, i if i < n else None, p, h)
-                         for i, chosen in _split(part, picks))
-        return parts
+        choices = list(range(len(entry.live)))
+        return choices + [None] if entry.is_final else choices
     rendered = entry.obs.render()
     label = policy.get(rendered)
     if label in (None, "eps"):
         if entry.is_final:
-            return [(members, None, pos, half)]
+            return [None]
         if label is None and entry.live:
-            return [(members, 0, pos, half)]
+            return [0]
         raise BeliefProgError("policy stops at a non-final observation "
                               f"{rendered}")
     for i, edge in enumerate(entry.live):
         if edge.label == label:
-            return [(members, i, pos, half)]
+            return [i]
     raise BeliefProgError(f"policy action {label!r} is not enabled at "
                           f"{rendered}")
+
+
+def _leave(gone, trial, to, *aligned):
+    """Record the trials that `to` sends to an exit e (to = -1 - e), and
+    drop them from trial, to and the arrays (or Nones) aligned with them."""
+    out = to < 0
+    gone.append((trial[out], -1 - to[out]))
+    keep = ~out
+    return [a if a is None else a[keep] for a in (trial, to, *aligned)]
 
 
 def _lockstep(engine, start, policy, psi, horizon, streams):
     """Walk every trial of `streams` from `start` for up to horizon steps.
 
-    Returns the finished groups as (prefix, outcome, members) and the
-    errors as (first member, exception); a member that meets an error
-    leaves its group."""
-    finished, errors = [], []
-    root = _Prefix(None, None, start.obs, 1, 1)
-    level = {(start, 0, -1, _verdict(engine, psi, 0, start.obs)):
-             ([np.arange(len(streams.trials))], root)}
+    Returns the finished groups as (prefix, outcome, count, least trial)
+    and the errors as (least trial, exception); a trial that meets an
+    error leaves its group."""
+    uniform = policy == Strategy.UNIFORM_RANDOM
+    trial = np.arange(len(streams.trials))  # the live trials, in order
+    gi = np.zeros(len(trial), dtype=np.intp)  # and their groups
+    groups = [(start, 0, -1, _verdict(engine, psi, 0, start.obs),
+               _Prefix(None, None, start.obs, 1, 1))]
+    exits = []  # (outcome, prefix) of a finish, or (None, exception)
+    gone = []  # (trials, their exit numbers) of the trials that left
+
+    def exit_to(outcome, what):
+        exits.append((outcome, what))
+        return -len(exits)
+
     for depth in range(horizon):
-        nxt = {}
-        for (entry, pos, half, verdict), (parts, prefix) in level.items():
-            members = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # each group's choices, option o being edges[o] (an edge index, or
+        # None to stop) of group owners[o], and the group's stream
+        # position once its trials have made their choice
+        left = len(exits)
+        first, counts, owners, edges, after = [], [], [], [], []
+        for g, (entry, pos, half, _, prefix) in enumerate(groups):
             try:
                 if entry.live is None:
                     engine.fill(entry)
-                if entry.is_failing:
-                    finished.append((prefix, "fail", members))
-                    continue
-                choices = _choices(streams, entry, policy, members, pos,
-                                   half)
+                choices = [] if entry.is_failing else _options(entry, policy)
             except BeliefProgError as exc:  # raised in trial order
-                errors.append((members.min(), exc))
+                choices, failed = [], exit_to(None, exc)
+            else:
+                failed = exit_to("fail", prefix) if entry.is_failing else 0
+            first.append(failed or len(edges))
+            counts.append(len(choices) or 1)
+            owners += [g] * len(choices)
+            edges += choices
+            after.append(_after(pos, half, 1) if uniform and len(choices) > 1
+                         else (pos, half))
+        to = np.array(first)[gi]
+        if len(exits) > left:
+            trial, to, gi = _leave(gone, trial, to, gi)
+        reads = None  # half-words each trial read, where one redrew
+        if uniform and len(trial):
+            spots = {(pos, half) for _, pos, half, _, _ in groups}
+            if len(spots) == 1:
+                (pos, half), = spots
+            else:
+                pos = np.array([pos for _, pos, _, _, _ in groups])[gi]
+                half = np.array([half for _, _, half, _, _ in groups])[gi]
+            picks, reads = _uniform(streams, trial, np.array(counts)[gi],
+                                    pos, half)
+            to += picks
+            if len(reads) == 0 or int(reads.max()) < 2:
+                reads = None
+
+        # the distinct (group, choice) pairs, a stop or an error leaving;
+        # each pair's cut-offs are a row of a matrix of the distinct rows
+        left = len(exits)
+        seen = np.zeros(len(edges), dtype=bool)
+        seen[to] = True
+        present = np.flatnonzero(seen).tolist()
+        target, pairs, row_of, rows = [], [], [], {}
+        for o in present:
+            g, i = owners[o], edges[o]
+            entry, _, _, _, prefix = groups[g]
+            if i is None:
+                target.append(exit_to("final", prefix))
                 continue
-            for chosen, i, p, h in choices:
-                if i is None:
-                    finished.append((prefix, "final", chosen))
-                    continue
-                try:
-                    move = entry.moves[i] or engine.move(entry, i)
-                except BeliefProgError as exc:
-                    errors.append((chosen.min(), exc))
-                    continue
-                if len(move.cuts) == 0:
-                    outcomes = [(0, chosen)]
-                else:
-                    draws = streams.words(chosen, p)
-                    outcomes = _split(chosen, sample_outcomes(move.cuts, draws))
-                for j, drawn in outcomes:
-                    try:
-                        succ = move.succ[j] or engine.successor(entry, move, j)
-                    except BeliefProgError as exc:
-                        errors.append((drawn.min(), exc))
-                        continue
-                    if succ is BREAKDOWN:
-                        finished.append((prefix, "belief-breakdown", drawn))
-                        continue
-                    key = (succ, p + 1, h, verdict if verdict is not None
-                           else _verdict(engine, psi, depth + 1, succ.obs))
-                    group = nxt.get(key)
-                    if group is None:
-                        t, like = move.outcomes[j]
-                        nxt[key] = ([drawn], _Prefix(
-                            prefix, t, succ.obs, prefix.num * like.numerator,
-                            prefix.den * like.denominator))
-                    else:
-                        group[0].append(drawn)
-        level = nxt
-        if not level:
+            try:
+                move = entry.moves[i] or engine.move(entry, i)
+            except BeliefProgError as exc:
+                target.append(exit_to(None, exc))
+                continue
+            target.append(len(pairs))
+            pairs.append((g, move))
+            r = rows.get(id(move.cuts))
+            if r is None:
+                r = rows[id(move.cuts)] = len(rows), move.cuts
+            row_of.append(r[0])
+        index = np.empty(len(edges), dtype=np.intp)
+        index[present] = target
+        to = index[to]
+        if len(exits) > left:
+            trial, to, gi, reads = _leave(gone, trial, to, gi, reads)
+
+        # one outcome draw for every trial, against its pair's row
+        width = max((len(row) for _, row in rows.values()), default=0)
+        j = 0
+        if width:
+            cuts = np.zeros((len(rows), width), dtype=np.uint64)
+            for r, row in rows.values():
+                cuts[r, :len(row)] = row
+            # the word after each trial's choice
+            if reads is None:
+                spots = {after[g][0] for g, _ in pairs}
+                at = spots.pop() if len(spots) == 1 else \
+                    np.array([pos for pos, _ in after])[gi]
+            else:
+                spread = int(reads.max()) + 1
+                at = np.array([_after(pos, half, k)[0]
+                               for _, pos, half, _, _ in groups
+                               for k in range(spread)])[gi * spread + reads]
+            j = sample_outcomes(cuts[np.array(row_of)[to]],
+                                streams.words(trial, at))
+
+        # the next groups, one per key (entry, stream position, verdict);
+        # the trials of one (pair, outcome, half-words read) code share it
+        left = len(exits)
+        kinds = width + 1
+        code = to * kinds + j
+        spread = 1
+        if reads is not None:
+            spread = int(reads.max()) + 1
+            code = code * spread + reads
+        seen = np.zeros(len(pairs) * kinds * spread, dtype=bool)
+        seen[code] = True
+        present = np.flatnonzero(seen).tolist()
+        target, level, nxt = [], {}, []
+        for c in present:
+            r, j = divmod(c // spread, kinds)
+            g, move = pairs[r]
+            entry, pos, half, verdict, prefix = groups[g]
+            pos, half = after[g] if reads is None else \
+                _after(pos, half, c % spread)
+            try:
+                succ = move.succ[j] or engine.successor(entry, move, j)
+            except BeliefProgError as exc:
+                target.append(exit_to(None, exc))
+                continue
+            if succ is BREAKDOWN:
+                target.append(exit_to("belief-breakdown", prefix))
+                continue
+            key = (succ, pos + 1, half, verdict if verdict is not None
+                   else _verdict(engine, psi, depth + 1, succ.obs))
+            n = level.get(key)
+            if n is None:
+                n = level[key] = len(nxt)
+                t, like = move.outcomes[j]
+                nxt.append(key + (_Prefix(
+                    prefix, t, succ.obs, prefix.num * like.numerator,
+                    prefix.den * like.denominator),))
+            target.append(n)
+        index = np.empty(len(seen), dtype=np.intp)
+        index[present] = target
+        gi = index[code]
+        if len(exits) > left:
+            trial, gi = _leave(gone, trial, gi)
+        groups = nxt
+        if not groups:
             break
-        streams.release(min(h if h >= 0 else p for _, p, h, _ in level))
-    for parts, prefix in level.values():
-        finished.append((prefix, "horizon-cut",
-                         parts[0] if len(parts) == 1 else np.concatenate(parts)))
+        streams.release(min(h if h >= 0 else p for _, p, h, _, _ in groups))
+    gone.append((trial, gi + len(exits)))
+    exits.extend(("horizon-cut", prefix) for *_, prefix in groups)
+
+    trials, ends = (np.concatenate(parts) for parts in zip(*gone))
+    counts = np.bincount(ends, minlength=len(exits)).tolist()
+    least = np.full(len(exits), len(streams.trials))
+    np.minimum.at(least, ends, trials)
+    finished, errors = [], []
+    for (outcome, what), count, low in zip(exits, counts, least.tolist()):
+        if outcome is None:
+            errors.append((low, what))
+        else:
+            finished.append((what, outcome, count, low))
     return finished, errors
 
 
@@ -393,7 +523,7 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
     finished, errors = _lockstep(engine, start, policy, None, horizon, streams)
     if errors:
         raise errors[0][1]
-    (prefix, outcome, _members), = finished
+    (prefix, outcome, _count, _least), = finished
     return prefix.record(world0, outcome)
 
 
@@ -468,18 +598,17 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
                                            dtype=np.uint64))
         finished, errors = _lockstep(engine, start, policy, psi, horizon,
                                      streams)
-        for prefix, outcome, members in finished:
+        for prefix, outcome, count, least in finished:
             try:
                 holds = eval_trace_formula(psi, prefix.record(world0, outcome),
                                            engine)
             except BeliefProgError as exc:  # raised in trial order
-                errors.append((members.min(), exc))
+                errors.append((least, exc))
                 continue
             if holds:
-                successes += len(members)
-            low, count = first.get(outcome, (trials, 0))
-            first[outcome] = (min(low, chunk + int(members.min())),
-                              count + len(members))
+                successes += count
+            low, total = first.get(outcome, (trials, 0))
+            first[outcome] = (min(low, chunk + least), total + count)
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
     # outcomes in the order of the first trial that ends each way

@@ -2,11 +2,12 @@
 
 Each case runs cli.main in-process and compares its stdout with a file
 under tests/golden/ (`.dot` for export-pomdp --dot, `.json` otherwise);
-verify's timing block is dropped before the comparison.  The `-F<k>`
-verify cases raise P1's step bound to k, where most nodes of the type DAG
-are shared (coffee at F<=6 keeps 30723 action sequences, the choice model
-at F<=5 keeps 22546).  A change that should leave every verdict, POMDP and
-seeded estimate as it was must pass this test unchanged.  To record the
+the timing block of verify and simulate is dropped before the comparison.
+The `-F<k>` verify cases raise P1's step bound to k, where most nodes of
+the type DAG are shared (coffee at F<=6 keeps 30723 action sequences, the
+choice model at F<=5 keeps 22546).  A change that should leave every
+verdict, POMDP and seeded estimate as it was must pass this test
+unchanged.  To record the
 outputs of the current code (only where a change is meant to alter them):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -83,12 +84,13 @@ def golden_file(name):
 
 
 def output(argv):
-    """stdout of one call, with verify's timing block dropped."""
+    """stdout of one call, with the timing block of verify and simulate
+    dropped."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(argv)
     text = buf.getvalue()
-    if argv[0] == "verify":
+    if argv[0] in ("verify", "simulate"):
         report = json.loads(text)
         del report["timing"]
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -277,13 +278,15 @@ def reference_index(rng, weights):
     return len(weights) - 1
 
 
-def reference_trace(model, world0, policy, horizon, seed, trial):
+def reference_trace(model, world0, policy, horizon, seed, trial, rng=None):
+    """One trace stepped by the rules themselves, drawing from rng, or
+    from trial's Philox stream of seed."""
     if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
         raise BeliefProgError(f"initial world {world0!r} violates the "
                               "initial constraints")
     graph = build_graph(model.program)
     rbat = real_bat(model)
-    rng = reference_rng(seed, trial)
+    rng = rng or reference_rng(seed, trial)
     kb = initial_kb(model)
     w = world0
     node = 0
@@ -557,8 +560,9 @@ def _walk_draws(seed, trial, ops):
             out.append(int(streams.words(member, pos)[0]))
             pos += 1
         else:
-            (_part, picks, pos, half), = simulate._uniform(
-                streams, member, pos, half, m)
+            picks, reads = simulate._uniform(streams, member, np.array([m]),
+                                             pos, half)
+            pos, half = simulate._after(pos, half, int(reads[0]))
             out.append(int(picks[0]))
     return out
 
@@ -573,6 +577,10 @@ def test_uniform_draws_equal_generator_integers():
         expected = [int(rng.integers(0, 2 ** 64, dtype=np.uint64))
                     if m is None else int(rng.integers(0, m)) for m in ops]
         assert _walk_draws(seed, trial, ops) == expected, case
+        key = np.array([seed, trial], dtype=np.uint64)
+        words = WordRng(np.random.Philox(key=key).random_raw(64).tolist())
+        assert [words.integers(0, 2 ** 64 if m is None else m)
+                for m in ops] == expected, case
 
 
 def lemire_model(halves, m):
@@ -589,9 +597,35 @@ def lemire_model(halves, m):
     return product >> 32
 
 
+class WordRng:
+    """Generator.integers over a given list of 64-bit words: a full-range
+    draw takes the next word, and integers(0, m) takes 32-bit half-words,
+    the low half of a word first and its high half kept for the next."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+        self.pending = None
+
+    def _halves(self):
+        while True:
+            if self.pending is None:
+                word = next(self.words)
+                self.pending = word >> 32
+                yield word & 0xFFFFFFFF
+            else:
+                half, self.pending = self.pending, None
+                yield half
+
+    def integers(self, low, high, dtype=None):
+        assert low == 0
+        if high == 2 ** 64:
+            return next(self.words)
+        return 0 if high == 1 else lemire_model(self._halves(), high)
+
+
 def test_uniform_rejection_on_crafted_words(monkeypatch):
-    # m = 3 redraws exactly when a half-word is 0: trial 0 redraws once,
-    # trial 1 never, trial 2 three times in its first draw
+    # m = 3 redraws exactly when a half-word is 0: in the first draw trial
+    # 0 redraws once, trial 1 never and trial 2 three times
     crafted = np.array([
         [9 << 32, 5, 0, 7 << 32, 11, 12, 13, 14],
         [0x80000000 | 1 << 32, 0, 3, 4, 5, 6, 7, 8],
@@ -600,21 +634,69 @@ def test_uniform_rejection_on_crafted_words(monkeypatch):
     monkeypatch.setattr(simulate, "trial_rng", lambda seed, trials, block:
                         crafted[:, 4 * block:4 * block + 4])
     streams = simulate._Streams(0, np.arange(3, dtype=np.uint64))
+    trials, m = np.arange(3), np.full(3, 3)
     got = [[] for _ in crafted]
-    groups = [(np.arange(3), 0, -1)]
-    for _ in range(4):
-        groups_after = []
-        for members, pos, half in groups:
-            for part, picks, p, h in simulate._uniform(streams, members,
-                                                       pos, half, 3):
-                for t, pick in zip(part.tolist(), picks.tolist()):
-                    got[t].append(pick)
-                groups_after.append((part, p, h))
-        groups = groups_after
-    assert len(groups) > 1  # the redraws split the trials
+    pos, half = 0, -1  # one position for all, then one per trial
+    for draw in range(4):
+        picks, reads = simulate._uniform(streams, trials, m, pos, half)
+        for t, pick in enumerate(picks.tolist()):
+            got[t].append(pick)
+        if draw == 0:
+            assert reads.tolist() == [2, 1, 4]
+        spots = [simulate._after(p, h, k) for p, h, k in
+                 zip(np.broadcast_to(pos, 3).tolist(),
+                     np.broadcast_to(half, 3).tolist(), reads.tolist())]
+        pos, half = (np.array(v) for v in zip(*spots))
+        if draw == 0:  # the redraws split the trials
+            assert spots == [(1, -1), (1, 0), (2, -1)]
     for t, words in enumerate(crafted.tolist()):
         halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
         assert got[t] == [lemire_model(halves, 3) for _ in range(4)], t
+
+
+def test_redraws_through_the_walk_equal_one_trial_walks(monkeypatch):
+    # crafted streams on the choice model, which picks one of three
+    # actions at each step (a uniform draw of half-words, then an outcome
+    # word): in the first step trials 0, 1, 2 and 4, one group, redraw 0,
+    # 1, 3 and 2 times, and in the second trial 3 redraws on the high half
+    # it kept, two words behind the next fresh word.  Trials 2 and 3 then
+    # take east, whose outcome differs between the word after the choice
+    # and the word before it.
+    model = parse_model(CHOICE.read_text())
+    world0 = make_world(model, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
+    words = np.random.default_rng(11).integers(0, 2 ** 64, size=(300, 40),
+                                               dtype=np.uint64)
+    words[:, :2] |= np.uint64(1 << 32 | 1)  # no half-word of 0 ...
+    high = np.uint64(0xFFFFFFFF << 32)
+    words[1, 0] &= high  # ... but where a redraw is wanted
+    words[2, :3] = [0, 0x80000000 << 32, 1 << 32 | 1]
+    words[3, 0] &= np.uint64(0xFFFFFFFF)
+    words[3, 2:4] = [0xC0000000 << 32 | 0x80000000, 1 << 32 | 1]
+    words[4, 0] = 0
+    monkeypatch.setattr(simulate, "trial_rng", lambda seed, trials, block:
+                        words[np.asarray(trials, dtype=np.intp),
+                              4 * block:4 * block + 4])
+    engine = TraceEngine(model)
+    records = []
+    for t in range(len(words)):
+        record = run_trace(model, world0, "uniform-random", 10, trial=t,
+                           engine=engine)
+        expected = reference_trace(model, world0, "uniform-random", 10, 0, t,
+                                   rng=WordRng(words[t].tolist()))
+        assert _result(lambda: record) == _result(lambda: expected), t
+        records.append(record)
+    assert [records[t].actions[depth].symbol
+            for t, depth in ((2, 0), (3, 1))] == ["east", "east"]
+    # outcomes in the order of the first trial that ends each way
+    expected = (sum(eval_trace_formula(psi, r) for r in records),
+                list(Counter(r.outcome for r in records).items()))
+    assert expected == (5, [("horizon-cut", 252), ("belief-breakdown", 6),
+                            ("final", 42)])
+    for chunk in (simulate._CHUNK, 7):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        res = estimate(model, psi, world0, "uniform-random", len(words), 0, 10)
+        assert (res.successes, list(res.outcomes.items())) == expected
 
 
 def test_cut_offs_stay_in_uint64():
@@ -625,6 +707,10 @@ def test_cut_offs_stay_in_uint64():
     words = np.array([0, first - 1, first, second, 2 ** 64 - 1],
                      dtype=np.uint64)
     assert sample_outcomes(cuts, words).tolist() == [0, 0, 1, 2, 2]
+    # one row per word, padded with zeros that no word passes
+    rows = np.array([[first, 0], [first, second], [first, second],
+                     [2 ** 63, 0], [0, 0]], dtype=np.uint64)
+    assert sample_outcomes(rows, words).tolist() == [0, 0, 1, 1, 0]
     # ceil(cum * 2^64) = 2^64 for a cum just short of 1: no word passes
     # that outcome, so its cut-off and the later ones are left out
     tiny = F(1, 2 ** 70)
