@@ -20,7 +20,7 @@ _EXPORTS = {
                "InadmissiblePropertyError", "LikelihoodContextError",
                "LikelihoodSumError", "ObservationUniformityError",
                "ParseError", "PolicyBudgetError", "SequenceBudgetError",
-               "StateBudgetError"),
+               "StateBudgetError", "TableBudgetError"),
     "kb": ("EPSILON", "FAILURE", "GroundAction", "KnowledgeBase", "World",
            "action_likelihood", "believed_bat", "eval_fluent_formula",
            "eval_subjective", "initial_kb", "make_world", "oi_alternatives",

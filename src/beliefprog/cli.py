@@ -130,8 +130,10 @@ def cmd_verify(args):
         raise BeliefProgError(f"no property named {args.property!r} in the model")
     abstraction, graph, pomdps, reps, source = _build_abstraction(
         model, phi, args, timing, warnings)
+    t0 = time.perf_counter()
     fingerprints = [hashlib.sha256(pomdp_fingerprint(p, abstraction)).hexdigest()
                     for p in pomdps]
+    timing["fingerprints"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     verdict = check(pomdps, phi, policy_cap=args.policy_cap)
     timing["check"] = time.perf_counter() - t0

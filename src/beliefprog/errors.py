@@ -72,5 +72,10 @@ class StateBudgetError(BeliefProgError):
     """A type's POMDP would have more states than its budget."""
 
 
+class TableBudgetError(BeliefProgError):
+    """The configuration table would hold more belief worlds, summed over
+    its configurations, than its budget."""
+
+
 class ObservationUniformityError(BeliefProgError):
     """States sharing an observation disagree on their enabled actions."""

@@ -25,11 +25,11 @@ Each Bat memoises its steps: the one likelihood memo, branches, per
 (world, symbol, ctrl); the (likelihood, successor) per (world, action);
 the integer moves and the successful progressions per (world or
 knowledge base, observed class), where a sensing result is its own class
-and any other action has its oi_class; and the truth of a fluent formula
-per (formula, world).  It interns the worlds and knowledge bases it
-makes, so equal ones are one object and dicts keyed by them hit on
-identity.  A Bat is made per theory per run (real_bat, initial_kb), so no
-table outlives the run that filled it.
+and any other action has its oi_class; and the truth of a formula per
+(formula, world or knowledge base).  It interns the worlds and knowledge
+bases it makes, so equal ones are one object and dicts keyed by them hit
+on identity.  A Bat is made per theory per run (real_bat, initial_kb), so
+no table outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -172,7 +172,7 @@ class Bat:
         self._actions = {}  # (symbol, ctrl) -> {outcome value: GroundAction}
         self._steps = {}  # (world, action) -> (likelihood, successor)
         self._moves = {}  # (world, observed class) -> moves
-        self._truth = {}  # id(phi) -> (phi, {world: bool})
+        self._truth = {}  # id(phi) -> (phi, {world or kb: bool})
         self._progressed = {}  # (kb, observed class) -> progressed kb
         self._worlds = {}  # intern tables: each maps a value to its
         self._kbs = {}  # one object
@@ -246,17 +246,17 @@ class Bat:
                 for t, like in kept))
         return hit
 
-    def holds(self, world, phi):
-        """eval_fluent_formula(phi, world), memoised per formula object.
-        The table keeps each formula it has met alive, so no two formulas
-        share an id, and deep formulas are never hashed."""
+    def holds(self, at, phi):
+        """_truth(phi, at) at a world or a knowledge base, memoised per
+        formula object.  The table keeps each formula it has met alive, so
+        no two formulas share an id, and deep formulas are never hashed."""
         entry = self._truth.get(id(phi))
         if entry is None:
             entry = self._truth[id(phi)] = (phi, {})
         table = entry[1]
-        hit = table.get(world)
+        hit = table.get(at)
         if hit is None:
-            hit = table[world] = _truth(phi, world, {})
+            hit = table[at] = _truth(phi, at, {})
         return hit
 
 
@@ -280,9 +280,11 @@ def eval_fluent_formula(phi, world, bindings=None) -> bool:
 
 
 def eval_subjective(kb, alpha) -> bool:
-    """Truth of a subjective formula at an observation; at BREAKDOWN every
-    comparison is false and the boolean structure still applies."""
-    return _truth(alpha, kb, {})
+    """Truth of a subjective formula at an observation, memoised by the
+    knowledge base's Bat; at BREAKDOWN every comparison is false."""
+    if kb is BREAKDOWN:
+        return _truth(alpha, kb, {})
+    return kb.bat.holds(kb, alpha)
 
 
 def _value(e, at, b) -> Fraction:

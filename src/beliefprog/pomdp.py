@@ -7,7 +7,10 @@ enabled edges (evaluated once per (node, observation)), each edge's move
 (a row of the real Bat's branches at the entry's own world) and each
 outcome's successor entry or BREAKDOWN.  One table serves every type of a
 verify call, and simulate.TraceEngine extends it for sampling, so the
-successor rule lives here alone.
+successor rule lives here alone.  The belief worlds summed over the
+entries' knowledge bases are capped by TABLE_BUDGET.  Guards and labels
+are read through kb.eval_subjective, whose truths the believed Bat keeps
+per knowledge base, so every node and every type shares them.
 
 A POMDP state is a table entry at a depth, (Configuration, depth), so
 every type's POMDP over one table shares the entries: build_pomdp unrolls
@@ -28,7 +31,7 @@ import logging
 from fractions import Fraction
 
 from .errors import (LikelihoodContextError, ObservationUniformityError,
-                     StateBudgetError)
+                     StateBudgetError, TableBudgetError)
 from .kb import BREAKDOWN, eval_subjective, next_observation, progress_kb
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula
@@ -39,6 +42,13 @@ log = logging.getLogger(__name__)
 # (perfbench/models/coffee_choice.bp) type 0 has 6621 states at F<=8 and
 # 15900 at F<=9.
 STATE_BUDGET = 10_000
+
+# Cap on the belief worlds summed over the configurations of one table,
+# each of which costs its knowledge base's support in every progression and
+# belief sum.  On the choice model, 100 uniform-random trials (seed 1, h=0)
+# reach 391,460 at --horizon 200 and 761,596 at 300; verifying P1 at F<=8
+# reaches 34,506.
+TABLE_BUDGET = 500_000
 
 _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
             "cyan", "magenta", "gray"]
@@ -84,11 +94,19 @@ class ConfigTable:
         self.kb0 = kb0
         self._enabled = {}  # (node, observation) -> enabled(...)
         self._entries = {}  # (node, observation, world) -> Configuration
+        self.support = 0  # belief worlds summed over the entries
 
     def entry(self, node, obs, world):
         key = (node, obs, world)
         hit = self._entries.get(key)
         if hit is None:
+            support = self.support + len(obs.num)
+            if support > TABLE_BUDGET:
+                raise TableBudgetError(
+                    f"the configurations reached hold more than {TABLE_BUDGET} "
+                    "belief worlds in all, the budget; lower --horizon or "
+                    "the property's step bound")
+            self.support = support
             hit = self._entries[key] = Configuration(node, obs, world)
         return hit
 

@@ -21,7 +21,8 @@ draw at all when m is 1.
 The lockstep walk.  The trials of an estimate step together over the
 configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
 the table build_pomdp unrolls, with what sampling adds: each real row's
-cut-offs, the memo of state-formula truths and the admitted trace formula.
+cut-offs and the admitted trace formula.  The believed Bat keeps the truth
+of every state formula at every knowledge base (kb.eval_subjective).
 Trials that stand at one configuration with one stream position and one
 verdict so far form a group.  The live trials are two flat int arrays,
 their chunk-local numbers and their groups, and each depth is stepped once
@@ -213,14 +214,14 @@ class Strategy:
 
 class TraceEngine(ConfigTable):
     """The configuration table of repeated trials over one model.  World
-    steps and knowledge-base progressions are memoised in the real and
-    believed Bat, so each is taken once per engine."""
+    steps, knowledge-base progressions and state-formula truths are
+    memoised in the real and believed Bat, so each is taken once per
+    engine."""
 
     def __init__(self, model):
         super().__init__(build_graph(model.program), real_bat(model),
                          initial_kb(model))
         self.model = model
-        self._beta = {}
         # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
         self._cuts = {}
         self._admitted = None  # the last trace formula admit accepted
@@ -243,13 +244,8 @@ class TraceEngine(ConfigTable):
             cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
         return weighted, cuts
 
-    def satisfies(self, obs, beta):
-        key = (obs, id(beta))
-        hit = self._beta.get(key)
-        if hit is None:
-            hit = obs_satisfies(obs, beta)
-            self._beta[key] = hit
-        return hit
+    def satisfies(self, obs, beta):  # a method for perfbench/spans.py
+        return obs_satisfies(obs, beta)
 
     def admit(self, psi):
         """Reject a trace formula with a nested P, once per formula."""

@@ -16,6 +16,7 @@ from beliefprog.syntax import depth
 from conftest import COFFEE, ROOT
 
 MODEL = str(COFFEE)
+CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
 
 def run(capsys, *argv):
@@ -227,6 +228,33 @@ def test_state_budget_exit_2(capsys, monkeypatch):
     assert err.strip() == ("error: a type's POMDP up to horizon 2 has more "
                            "than 5 states, the budget; lower the property's "
                            "step bound")
+
+
+def test_table_budget_is_exact_at_its_bound(capsys, monkeypatch):
+    # the configurations of 100 uniform-random trials of 20 steps on the
+    # choice model hold 9924 belief worlds in all; verifying coffee P1, 27
+    sim = ("simulate", str(CHOICE), "--world", "h=0", "--policy",
+           "uniform-random", "--trials", "100", "--seed", "1", "--horizon",
+           "20", "--psi", "F<=3 B(h = 2) = 1")
+    verify = ("verify", MODEL, "--property", "P1")
+    for argv, bound, code in ((sim, 9924, 0), (verify, 27, 1)):
+        monkeypatch.setattr(pomdp_mod, "TABLE_BUDGET", bound)
+        assert run(capsys, *argv)[0] == code
+        monkeypatch.setattr(pomdp_mod, "TABLE_BUDGET", bound - 1)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.strip() == (
+            f"error: the configurations reached hold more than {bound - 1} "
+            "belief worlds in all, the budget; lower --horizon or the "
+            "property's step bound")
+
+
+def test_verify_timing_names_every_stage(capsys):
+    code, out, _ = run(capsys, "verify", MODEL, "--property", "P1",
+                       "--format", "json")
+    assert code == 1
+    assert set(json.loads(out)["timing"]) == {
+        "parse", "types", "pomdps", "fingerprints", "check"}
 
 
 P1 = "P[>= 1/20](F<=2 B(h = 2) = 1)"

@@ -9,8 +9,11 @@ from beliefprog import (EPSILON, FAILURE, IncompatibleActionError,
                         oi_alternatives, parse_ground_action, parse_model,
                         progress_kb, progress_world, real_bat,
                         trace_likelihood, validate_restrictions)
+from beliefprog import kb as kb_mod
+from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
+from beliefprog.syntax import Bel
 from conftest import ROOT
 
 F = Fraction
@@ -375,3 +378,38 @@ def test_failed_progression_is_not_kept_and_names_its_action(choice):
         with pytest.raises(IncompatibleSensingError, match=r"sencfe\(1\)"):
             progress_kb(kb, sense_one)
     assert kb.bat._progressed == {}
+
+
+# ---------------------------------------------------------------------------
+# one memo for formula truths
+
+def _belief_sums(monkeypatch, *argv):
+    """The exit code of main(argv) and the number of B terms it sums at a
+    knowledge base."""
+    sums = [0]
+    value = kb_mod._value
+
+    def counted(e, at, b):
+        if e.__class__ is Bel and at.__class__ is KnowledgeBase:
+            sums[0] += 1
+        return value(e, at, b)
+
+    monkeypatch.setattr(kb_mod, "_value", counted)
+    return main(list(argv)), sums[0]
+
+
+def test_belief_sums_are_shared_by_types_nodes_and_trials(
+        tmp_path, monkeypatch, capsys):
+    # the choice model's guards, fin conditions and POMDP labels all hold
+    # B(h = 2); each is evaluated once per knowledge base, for every type
+    # and node (9055 sums at F<=8 when labels were evaluated per type and
+    # guards per node), and the simulator reads the same memo (2728 sums
+    # with a memo of its own)
+    choice8 = tmp_path / "choice8.bp"
+    choice8.write_text(CHOICE.read_text().replace("F<=3 B", "F<=8 B"))
+    assert _belief_sums(monkeypatch, "verify", str(choice8),
+                        "--property", "P1") == (1, 1794)
+    assert _belief_sums(monkeypatch, "simulate", str(CHOICE), "--world", "h=0",
+                        "--policy", "uniform-random", "--trials", "2000",
+                        "--seed", "1", "--horizon", "10",
+                        "--psi", "F<=3 B(h = 2) = 1") == (0, 1372)

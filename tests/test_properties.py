@@ -20,12 +20,14 @@ from beliefprog import (ConfigTable, IncompatibleActionError,
                         enumerate_policies, ground_action_universe,
                         initial_kb, make_world, parse_model, probability,
                         progress_kb)
-from beliefprog.checker import obs_satisfies
-from beliefprog.kb import likelihood_row, real_bat
+from beliefprog import kb as kb_mod
+from beliefprog.checker import horizon_of, obs_satisfies
+from beliefprog.kb import BREAKDOWN, eval_subjective, likelihood_row, real_bat
 from beliefprog.parser import parse_subjective
 from beliefprog.program_graph import enabled
+from beliefprog.simulate import TraceEngine, estimate
 from beliefprog.syntax import TRUE, UntilOp, print_model, print_program
-from conftest import random_model_text
+from conftest import COFFEE, ROOT, random_model_text
 
 N_CASES = 200
 
@@ -224,6 +226,53 @@ def test_until_probability_monotone_in_bound(model_factory, seed):
             assert values == sorted(values)
             ran = True
     _mark("monotone", ran)
+
+
+def _subjective_formulas(graph, context):
+    """Every guard and fin condition of graph, and every subjective formula
+    of the type context."""
+    return [e.guard for out in graph.edges for e in out] + graph.fin + [
+        context.formulas[i].formula for i in context.subjective_indices()]
+
+
+def _check_memo(kb0, formulas):
+    """eval_subjective, read twice at every knowledge base that kb0's Bat
+    has made and at BREAKDOWN, is kb._truth without the memo.  Returns the
+    number of knowledge bases."""
+    kbs = list(kb0.bat._kbs)
+    for at in kbs + [BREAKDOWN]:
+        for alpha in formulas:
+            truth = kb_mod._truth(alpha, at, {})
+            assert eval_subjective(at, alpha) == truth
+            assert eval_subjective(at, alpha) == truth
+    return len(kbs)
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_subjective_memo_matches_unmemoised_truth(model_factory, seed):
+    graph, abstraction, _pomdps = _build(model_factory(seed), k=3)
+    _check_memo(abstraction.kb0, _subjective_formulas(graph, abstraction.context))
+
+
+@pytest.mark.parametrize("path", [COFFEE, ROOT / "perfbench" / "models" /
+                                  "coffee_choice.bp"], ids=["coffee", "choice"])
+def test_subjective_memo_matches_unmemoised_truth_on_bundled_models(path):
+    """Over verify's POMDPs for P1 and a uniform-random estimate of its
+    trace formula."""
+    model = parse_model(path.read_text())
+    phi = model.property_named("P1")
+    graph = build_graph(model.program)
+    abstraction = compute_types(model, horizon_of(phi), _reps(model), phi)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    for tau in abstraction.types:
+        build_pomdp(table, abstraction, tau)
+    assert _check_memo(abstraction.kb0, _subjective_formulas(
+        graph, abstraction.context)) > 1
+    engine = TraceEngine(model)
+    estimate(model, phi.trace, make_world(model, [0]), "uniform-random", 200,
+             0, 10, engine)
+    assert _check_memo(engine.kb0, _subjective_formulas(
+        engine.graph, abstraction.context)) > 10
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
