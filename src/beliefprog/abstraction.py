@@ -9,29 +9,33 @@ knowledge base, which is the same for every representative.  Types are
 therefore told apart by their objective entries alone.
 
 The action tree is memoised as a DAG (ActionDag).  A node is the set of
-distinct (world, alive) states the representatives reach after a sequence,
-with the remaining depth; every sequence that reaches it has the same
-subtree, so each node is expanded once, with its children in action order,
-which is the key order: by length, then action by action.  The kept and
-pruned sequences are path counts over the DAG, and Abstraction.sequences
-is a lazy view that lists them.  Type keys are hash-consed, as the shared
-subgraphs of reduced ordered BDDs are (Bryant, 1986): a state's id at
-level 0 is that of its objective truths, and at level d that of the tuple
-of its level d-1 ids in the node's children.  A representative's key is
-its ids at levels 0..k, equal keys make one type, and the types are
-ordered by their truths in key order, found by descending two keys to the
-first leaf where they differ.  A (world, action) step is the real Bat's
-memoised step.  No knowledge base is progressed here.  The abstraction
-hands on the real Bat and the initial knowledge base, from which the
-POMDP builder steps a type's configurations at the type witness's world,
-so real likelihoods are found in one place.  The number of DAG nodes is
-capped by NODE_BUDGET, and their summed sizes by SLOT_BUDGET.
+distinct (world, alive) states the representatives reach after a sequence;
+every sequence that reaches it has the same subtree, whatever its length,
+so each set is one node, expanded once, with its children in action order,
+which is the key order: by length, then action by action.  Nodes are met
+breadth first, and a node first met k steps down is not expanded.  The
+kept and pruned sequences are path counts over the DAG to depth k, and
+Abstraction.sequences is a lazy view that lists them.  Type keys are
+hash-consed, as the shared subgraphs of reduced ordered BDDs are (Bryant,
+1986): a state's id at level 0 is that of its objective truths, and at
+level d that of the tuple of its level d-1 ids in the node's children;
+level d is made in one pass over the nodes first met within k - d steps.
+A representative's key is its ids at levels 0..k, equal keys make one
+type, and the types are ordered by their truths in key order, found by
+descending two keys to the first leaf where they differ.  A (world,
+action) step is the real Bat's memoised step.  No knowledge base is
+progressed here.  The abstraction hands on the real Bat and the initial
+knowledge base, from which the POMDP builder steps a type's configurations
+at the type witness's world, so real likelihoods are found in one place.
+The number of DAG nodes is capped by NODE_BUDGET, and their level-table
+slots (a node's size times its levels) by SLOT_BUDGET.
 
 Representatives are supplied by the user (or generated); completeness of
 the representative set is the one soundness obligation the tool cannot
 discharge itself, and every report restates that caveat.
 """
 
+import bisect
 import functools
 import itertools
 import logging
@@ -160,13 +164,16 @@ def ground_action_universe(model):
 # ---------------------------------------------------------------------------
 # types
 
-# Cap on the nodes of one type computation's action DAG.  On
-# models/coffee.bp P1 keeps 1.8e5 sequences over 352 nodes at F<=7, 2.2e8
-# over 1568 nodes at F<=11, and needs 9648 nodes at F<=21.
+# Cap on the nodes (distinct state sets) of one type computation's action
+# DAG.  On models/coffee.bp P1 keeps 1.8e5 sequences over 133 nodes at
+# F<=7, 2.2e8 over 412 nodes at F<=11, and needs 1132 nodes at F<=21 and
+# 1924 at F<=32; from h=-10..0 it needs 10660 at F<=30.
 NODE_BUDGET = 10_000
-# Cap on the summed sizes (distinct representative states) of the action
-# DAG's nodes, which the work grows with: coffee P1 sums 54,937 at F<=5
-# from h=-400..0, and 1,360,670 over 680 nodes at F<=8 from h=-2000..0.
+# Cap on the level-table slots of the action DAG, which the work and memory
+# grow with: a node holds an id per state at each of its levels 0..k - d,
+# d the depth where it is first met, so it costs its size times k - d + 1.
+# Coffee P1 sums 54,937 at F<=5 from h=-400..0, 77,705 at F<=32 from the
+# init worlds, and 1,360,670 over 271 nodes at F<=8 from h=-2000..0.
 SLOT_BUDGET = 2_000_000
 # Cap on the worlds of one representative box (reps_from_ranges); every
 # node of the action DAG may hold a state per representative.
@@ -212,12 +219,15 @@ class ActionDag:
     A state is one representative's (world, alive), interned to an
     integer; a representative's world stays frozen after the step that
     killed it.  A node is the sorted tuple of the distinct states of the
-    representatives after a sequence, with the remaining depth, interned
-    to an integer.  Its kept children come in action order, each with the
-    position in the child of each of the node's states; a child where no
-    state is alive is pruned.  Every sequence that reaches a node has the
-    same subtree, so each node is expanded once, and a node's children
-    have larger ids than the node.
+    representatives after a sequence, interned to an integer.  Its subtree
+    depends on that set alone, so a set met after sequences of several
+    lengths is one node, expanded once.  Nodes are met breadth first, and
+    first[n] is the length of the shortest sequence that reaches node n;
+    a node is expanded only if first[n] < k, so first never decreases
+    with the id.  A node's kept children come in action order, each with
+    the position in the child of each of the node's states; a child where
+    no state is alive is pruned.  A child may be an older node, or the
+    node itself, as under eps where every world is already final.
     """
 
     def __init__(self, rbat, universe, roots, k):
@@ -227,25 +237,31 @@ class ActionDag:
         self.worlds, self.alive = [], []  # per state
         self._state_ids = {}
         self._succ = []  # per state: its successor per action, once needed
-        self._node_ids = {}  # (states, remaining depth) -> node
-        self.slots = 0  # the nodes' summed sizes
-        # per node: its states, remaining depth, kept children
-        # [(action, child, positions)], and the kept and pruned sequences
-        # of its subtree (the sequence to the node included)
-        self.states, self.depth, self.children = [], [], []
-        self.count, self.pruned = [], []
+        self._node_ids = {}  # states -> node
+        self.slots = 0  # level-table slots: |states| * (k - first + 1)
+        # per node: its states, the depth where it is first met, its kept
+        # children [(action, child, positions)], and its pruned actions
+        self.states, self.first, self.children, self.cut = [], [], [], []
         self.root_states = [self._state(w, True) for w in roots]
-        self.root = self._node(tuple(sorted(self.root_states)), k)
-        lo = 0
-        for _ in range(k):  # the nodes of one depth are a range of ids
-            hi = len(self.states)
-            for n in range(lo, hi):
-                self._expand(n)
-            lo = hi
-        for n in reversed(range(len(self.states))):
-            for _t, c, _pos in self.children[n]:
-                self.count[n] += self.count[c]
-                self.pruned[n] += self.pruned[c]
+        self.root = self._node(tuple(sorted(self.root_states)), 0)
+        n = 0
+        while n < len(self.states) and self.first[n] < k:
+            self._expand(n)
+            n += 1
+        # the kept and pruned sequences of the subtree of depth r below
+        # each node met within k - r steps (the sequence to it included),
+        # for r = 0..k
+        count, pruned = [1] * len(self.states), [0] * len(self.states)
+        for r in range(1, k + 1):
+            kids = self.children[:self.met_within(k - r)]
+            count = [1 + sum(count[c] for _t, c, _pos in ch) for ch in kids]
+            pruned = [cut + sum(pruned[c] for _t, c, _pos in ch)
+                      for cut, ch in zip(self.cut, kids)]
+        self.kept, self.pruned = count[self.root], pruned[self.root]
+
+    def met_within(self, depth):
+        """The number of nodes first met within depth steps: ids below it."""
+        return bisect.bisect_right(self.first, depth)
 
     def _state(self, world, alive):
         s = self._state_ids.setdefault((world, alive), len(self.worlds))
@@ -255,27 +271,27 @@ class ActionDag:
             self._succ.append(None)
         return s
 
-    def _node(self, states, depth):
+    def _node(self, states, first):
         # the key is hashed once here; everything else is keyed by the id
-        n = self._node_ids.setdefault((states, depth), len(self.states))
+        n = self._node_ids.setdefault(states, len(self.states))
         if n == len(self.states):
             if n == NODE_BUDGET:
                 raise SequenceBudgetError(
                     f"type abstraction up to horizon {self.k} needs more "
                     f"than {NODE_BUDGET} action DAG nodes, the budget; "
                     "lower the property's step bound")
-            self.slots += len(states)
+            # the node holds a level-d id per state for d = 0..k - first
+            self.slots += len(states) * (self.k - first + 1)
             if self.slots > SLOT_BUDGET:
                 raise SequenceBudgetError(
                     f"type abstraction up to horizon {self.k} needs more "
                     f"than {SLOT_BUDGET} representative states summed over "
-                    "its action DAG nodes, the budget; lower the property's "
-                    "step bound or use fewer representatives")
+                    "the levels of its action DAG nodes, the budget; lower "
+                    "the property's step bound or use fewer representatives")
             self.states.append(states)
-            self.depth.append(depth)
+            self.first.append(first)
             self.children.append([])
-            self.count.append(1)
-            self.pruned.append(0)
+            self.cut.append(0)
         return n
 
     def _successors(self, s):
@@ -294,15 +310,15 @@ class ActionDag:
         return hit
 
     def _expand(self, n):
-        alive, kids, depth = self.alive, self.children[n], self.depth[n] - 1
+        alive, kids, first = self.alive, self.children[n], self.first[n] + 1
         succ = zip(*map(self._successors, self.states[n]))
         for t, col in zip(self.actions, succ):
             states = tuple(sorted(set(col)))
             if not any(alive[s] for s in states):
-                self.pruned[n] += 1
+                self.cut[n] += 1
                 continue
             pos = {s: i for i, s in enumerate(states)}
-            kids.append((t, self._node(states, depth),
+            kids.append((t, self._node(states, first),
                          tuple(map(pos.__getitem__, col))))
 
     def type_keys(self, truths):
@@ -310,26 +326,27 @@ class ActionDag:
 
         A root's key is its ids at levels 0..k.  At level 0 a state's id
         is that of truths(world); at level d its id is that of the tuple of
-        its level d-1 ids in the node's kept children.  levels[d] lists the
-        level-d tuples by id.  Two roots have equal keys exactly when they
-        agree on every objective truth after every kept sequence.
+        its level d-1 ids in the node's kept children.  Level d is made in
+        one pass over the nodes first met within k - d steps.  levels[d]
+        lists the level-d tuples by id.  Two roots have equal keys exactly
+        when they agree on every objective truth after every kept sequence.
         """
         tables = [{} for _ in range(self.k + 1)]
         t0 = tables[0]
         leaf = {s: t0.setdefault(truths(self.worlds[s]), len(t0))
                 for s in set().union(*self.states)}  # states in some node
-        ids = [None] * len(self.states)  # per node: its ids per level
-        for n in reversed(range(len(self.states))):
-            at = [tuple(map(leaf.__getitem__, self.states[n]))]
-            kids = self.children[n]  # never empty: eps is always possible
-            for d in range(1, self.depth[n] + 1):
-                table = tables[d]
-                rows = zip(*(map(ids[c][d - 1].__getitem__, pos)
+        ids = [tuple(map(leaf.__getitem__, states)) for states in self.states]
+        root = [ids[self.root]]  # the root's ids per level
+        for d in range(1, self.k + 1):
+            table, below = tables[d], ids
+            ids = []
+            # kids are never empty: eps is always possible
+            for kids in self.children[:self.met_within(self.k - d)]:
+                rows = zip(*(map(below[c].__getitem__, pos)
                              for _t, c, pos in kids))
-                at.append(tuple([table.setdefault(row, len(table))
-                                 for row in rows]))
-            ids[n] = at
-        root = ids[self.root]
+                ids.append(tuple([table.setdefault(row, len(table))
+                                  for row in rows]))
+            root.append(ids[self.root])
         pos = {s: i for i, s in enumerate(self.states[self.root])}
         keys = [tuple(level[pos[s]] for level in root)
                 for s in self.root_states]
@@ -338,21 +355,22 @@ class ActionDag:
 
 class KeptSequences:
     """The kept action sequences, a lazy view of an ActionDag: len() is
-    their number, a memoised path count, and iteration lists them in key
-    order (by length, then action by action)."""
+    their number, a path count to depth k, and iteration lists them in key
+    order (by length, then action by action), stopping at length k."""
 
     def __init__(self, dag):
         self.dag = dag
 
     def __len__(self):
-        return self.dag.count[self.dag.root]
+        return self.dag.kept
 
     def __iter__(self):
         level = [((), self.dag.root)]
-        while level:
+        for _ in range(self.dag.k):
             yield from (z for z, _n in level)
             level = [(z + (t,), c) for z, n in level
                      for t, c, _pos in self.dag.children[n]]
+        yield from (z for z, _n in level)
 
 
 def _compare_keys(levels, a, b):
@@ -415,7 +433,7 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
                             functools.partial(_bitvec, levels, key))
              for key in order]
 
-    pruned = dag.pruned[dag.root]
+    pruned = dag.pruned
     if pruned:
         log.info("pruned %d action sequences unreachable from every "
                  "representative", pruned)

@@ -64,8 +64,9 @@ class PolicyBudgetError(BeliefProgError):
 
 
 class SequenceBudgetError(BeliefProgError):
-    """Type abstraction would build more action DAG nodes, or more
-    representative states summed over its nodes, than its budgets."""
+    """Type abstraction would build more action DAG nodes (distinct state
+    sets), or more level-table slots (each node's representative states
+    times its levels), than its budgets."""
 
 
 class StateBudgetError(BeliefProgError):

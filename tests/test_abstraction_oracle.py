@@ -9,6 +9,7 @@ then action by action), pruning, type order, witnesses and objective truths
 which are the same for every representative.
 """
 
+import functools
 import re
 from fractions import Fraction
 
@@ -263,29 +264,238 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
 
 
 def test_sequence_budget_is_exact_at_its_bound(coffee, monkeypatch):
-    # the budget counts action DAG nodes: 14 for coffee P1 at F<=2
+    # the budget counts action DAG nodes, one per distinct state set: 9 for
+    # coffee P1 at F<=2 (DepthKeyedDag below makes 14)
     reps = reps_from_init(coffee)
     phi = coffee.property_named("P1")
-    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 14)
-    assert len(compute_types(coffee, 2, reps, phi).sequences.dag.states) == 14
-    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 13)
+    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 9)
+    assert len(compute_types(coffee, 2, reps, phi).sequences.dag.states) == 9
+    monkeypatch.setattr(abstraction_mod, "NODE_BUDGET", 8)
     with pytest.raises(abstraction_mod.SequenceBudgetError,
-                       match="more than 13 action DAG nodes"):
+                       match="more than 8 action DAG nodes"):
         compute_types(coffee, 2, reps, phi)
 
 
 def test_slot_budget_is_exact_at_its_bound(coffee, monkeypatch):
-    # the budget counts representative states summed over the action DAG's
-    # nodes: 42 over the 14 nodes of coffee P1 at F<=2 from the init worlds
+    # the budget counts level-table slots, a node's size times its levels
+    # 0..k - first: 42 over the 9 nodes of coffee P1 at F<=2 from the init
+    # worlds (3 x 3 at the root, 3 x 3 x 2 first met at depth 1, 5 x 3 at
+    # depth 2)
     reps = reps_from_init(coffee)
     phi = coffee.property_named("P1")
     monkeypatch.setattr(abstraction_mod, "SLOT_BUDGET", 42)
     dag = compute_types(coffee, 2, reps, phi).sequences.dag
-    assert dag.slots == sum(map(len, dag.states)) == 42
+    assert dag.first == [0, 1, 1, 1, 2, 2, 2, 2, 2]
+    assert dag.slots == sum(len(states) * (2 - first + 1) for states, first
+                            in zip(dag.states, dag.first)) == 42
     monkeypatch.setattr(abstraction_mod, "SLOT_BUDGET", 41)
     with pytest.raises(abstraction_mod.SequenceBudgetError,
                        match="more than 41 representative states summed"):
         compute_types(coffee, 2, reps, phi)
+
+
+# ---------------------------------------------------------------------------
+# the action DAG against its depth-keyed predecessor, at bounds the eager
+# walk cannot reach
+
+class DepthKeyedDag:
+    """Reference: the action DAG with a node per (state set, remaining
+    depth), each expanded and given its ids at levels 0..depth on its own.
+    A state set met at several depths is several nodes here."""
+
+    def __init__(self, rbat, universe, roots, k):
+        self.actions = sorted(universe)
+        self.k = k
+        self._step = rbat.step
+        self.worlds, self.alive = [], []  # per state
+        self._state_ids = {}
+        self._succ = []  # per state: its successor per action, once needed
+        self._node_ids = {}  # (states, remaining depth) -> node
+        # per node: its states, remaining depth, kept children
+        # [(action, child, positions)], and the kept and pruned sequences
+        # of its subtree (the sequence to the node included)
+        self.states, self.depth, self.children = [], [], []
+        self.count, self.pruned = [], []
+        self.root_states = [self._state(w, True) for w in roots]
+        self.root = self._node(tuple(sorted(self.root_states)), k)
+        lo = 0
+        for _ in range(k):  # the nodes of one depth are a range of ids
+            hi = len(self.states)
+            for n in range(lo, hi):
+                self._expand(n)
+            lo = hi
+        for n in reversed(range(len(self.states))):
+            for _t, c, _pos in self.children[n]:
+                self.count[n] += self.count[c]
+                self.pruned[n] += self.pruned[c]
+
+    def _state(self, world, alive):
+        s = self._state_ids.setdefault((world, alive), len(self.worlds))
+        if s == len(self.worlds):
+            self.worlds.append(world)
+            self.alive.append(alive)
+            self._succ.append(None)
+        return s
+
+    def _node(self, states, depth):
+        n = self._node_ids.setdefault((states, depth), len(self.states))
+        if n == len(self.states):
+            self.states.append(states)
+            self.depth.append(depth)
+            self.children.append([])
+            self.count.append(1)
+            self.pruned.append(0)
+        return n
+
+    def _successors(self, s):
+        hit = self._succ[s]
+        if hit is None:
+            if self.alive[s]:
+                w = self.worlds[s]
+                hit = []
+                for t in self.actions:
+                    like, w2 = self._step(w, t)
+                    hit.append(self._state(w2, like != 0))
+                hit = tuple(hit)
+            else:
+                hit = (s,) * len(self.actions)
+            self._succ[s] = hit
+        return hit
+
+    def _expand(self, n):
+        alive, kids, depth = self.alive, self.children[n], self.depth[n] - 1
+        succ = zip(*map(self._successors, self.states[n]))
+        for t, col in zip(self.actions, succ):
+            states = tuple(sorted(set(col)))
+            if not any(alive[s] for s in states):
+                self.pruned[n] += 1
+                continue
+            pos = {s: i for i, s in enumerate(states)}
+            kids.append((t, self._node(states, depth),
+                         tuple(map(pos.__getitem__, col))))
+
+    def type_keys(self, truths):
+        tables = [{} for _ in range(self.k + 1)]
+        t0 = tables[0]
+        leaf = {s: t0.setdefault(truths(self.worlds[s]), len(t0))
+                for s in set().union(*self.states)}
+        ids = [None] * len(self.states)  # per node: its ids per level
+        for n in reversed(range(len(self.states))):
+            at = [tuple(map(leaf.__getitem__, self.states[n]))]
+            kids = self.children[n]
+            for d in range(1, self.depth[n] + 1):
+                table = tables[d]
+                rows = zip(*(map(ids[c][d - 1].__getitem__, pos)
+                             for _t, c, pos in kids))
+                at.append(tuple([table.setdefault(row, len(table))
+                                 for row in rows]))
+            ids[n] = at
+        root = ids[self.root]
+        pos = {s: i for i, s in enumerate(self.states[self.root])}
+        keys = [tuple(level[pos[s]] for level in root)
+                for s in self.root_states]
+        return keys, [list(table) for table in tables]
+
+
+def _dag_types(dag_class, model, k, reps, phi, canon):
+    """The DAG, the partition of the representatives (each one's index of
+    the first with its key), and per type in type order its witness and
+    canonical key."""
+    rbat = real_bat(model)
+    reps = tuple(dict.fromkeys(rbat.intern(w) for w in reps))
+    context = ProgramContext(model, phi)
+    formulas = [context.formulas[i].formula
+                for i in context.objective_indices()]
+    dag = dag_class(rbat, ground_action_universe(model), reps, k)
+    keys, levels = dag.type_keys(
+        lambda w: tuple(eval_fluent_formula(f, w) for f in formulas))
+    first = {}  # key -> the first representative with it
+    for w0, key in zip(reps, keys):
+        first.setdefault(key, w0)
+    order = sorted(first, key=functools.cmp_to_key(
+        functools.partial(abstraction_mod._compare_keys, levels)))
+    partition = [keys.index(key) for key in keys]
+    return dag, partition, [(first[key], _canonical(levels, key, canon))
+                            for key in order]
+
+
+def _canonical(levels, key, canon):
+    """A key with its ids renumbered in canon, one table per level shared
+    by the DAGs compared: at level 0 by the truths, at level d by the row
+    of renumbered level d-1 ids.  Two keys get equal canonical keys
+    exactly when their levels are the same trees, so they expand to the
+    same bitvec, which at these bounds is too long to list."""
+    memo = {}
+
+    def renumber(d, x):
+        if (d, x) not in memo:
+            row = levels[d][x]
+            if d:
+                row = tuple(renumber(d - 1, y) for y in row)
+            memo[d, x] = canon[d].setdefault(row, len(canon[d]))
+        return memo[d, x]
+
+    return tuple(renumber(d, x) for d, x in enumerate(key))
+
+
+DAG_CASES = {
+    "coffee init F<=12": ("coffee", 12, None),
+    "coffee h=-60..0 F<=10": ("coffee", 10, (-60, 0)),
+    "choice init F<=8": ("choice", 8, None),
+    "choice h=-10..0 F<=6": ("choice", 6, (-10, 0)),
+}
+
+
+@pytest.mark.parametrize("case", DAG_CASES)
+def test_state_set_dag_matches_depth_keyed_dag(case, coffee_text):
+    name, k, box = DAG_CASES[case]
+    text = coffee_text if name == "coffee" else CHOICE.read_text()
+    model = parse_model(_with_bound(text, k))
+    phi = model.property_named("P1")
+    reps = (reps_from_init(model) if box is None
+            else reps_from_ranges(model, {"h": box}))
+    canon = [{} for _ in range(k + 1)]
+    dag, partition, types = _dag_types(
+        abstraction_mod.ActionDag, model, k, reps, phi, canon)
+    old, old_partition, old_types = _dag_types(
+        DepthKeyedDag, model, k, reps, phi, canon)
+    assert partition == old_partition
+    assert types == old_types
+    assert (dag.kept, dag.pruned) == (old.count[old.root],
+                                      old.pruned[old.root])
+    # one node per state set, fewer than the depth-keyed nodes
+    assert len(set(dag.states)) == len(dag.states) == len(set(old.states))
+    assert len(dag.states) < len(old.states)
+    a = compute_types(model, k, reps, phi)
+    assert [t.witness for t in a.types] == [w for w, _canon in types]
+    assert (len(a.sequences), a.pruned) == (dag.kept, dag.pruned)
+
+
+def test_state_set_dag_size(coffee_text):
+    # coffee P1 at F<=8 from the init worlds: 196 state sets, 548 (state
+    # set, depth) pairs, about a million kept sequences
+    model = parse_model(_with_bound(coffee_text, 8))
+    phi = model.property_named("P1")
+    reps = reps_from_init(model)
+    dag = compute_types(model, 8, reps, phi).sequences.dag
+    rbat = real_bat(model)
+    old = DepthKeyedDag(rbat, ground_action_universe(model),
+                        [rbat.intern(w) for w in reps], 8)
+    assert (len(dag.states), len(old.states)) == (196, 548)
+    assert dag.kept == old.count[old.root]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_kept_sequences_stop_at_the_bound(coffee_text, k):
+    # eps loops back to its own node, so the walk must stop at length k
+    model = parse_model(_with_bound(coffee_text, max(k, 1)))
+    a = compute_types(model, k, reps_from_init(model),
+                      model.property_named("P1"))
+    listed = list(a.sequences)
+    assert len(listed) == len(a.sequences)
+    assert max(map(len, listed)) == k
+    assert any(c == n for n, kids in enumerate(a.sequences.dag.children)
+               for _t, c, _pos in kids) == (k > 0)
 
 
 ORDER_MODEL = """

@@ -203,12 +203,16 @@ def test_duplicate_outcome_value_exit_2(tmp_path, coffee_text, capsys):
 
 
 def test_sequence_budget_exit_2(tmp_path, coffee_text, capsys):
-    # P1 at F<=30 needs 23076 action DAG nodes (F<=21 needs 9648)
+    # P1 at F<=30 from h = -10..0 needs 10660 action DAG nodes, over
+    # NODE_BUDGET (from the init worlds it needs 1780)
     deep = tmp_path / "deep.bp"
     deep.write_text(coffee_text.replace("F<=2 B(h = 2)", "F<=30 B(h = 2)"))
-    code, _, err = run(capsys, "verify", str(deep), "--property", "P1")
+    code, _, err = run(capsys, "verify", str(deep), "--property", "P1",
+                       "--reps-range", "h=-10..0")
     assert code == 2
-    assert "budget" in err
+    assert err.strip() == (
+        "error: type abstraction up to horizon 30 needs more than 10000 "
+        "action DAG nodes, the budget; lower the property's step bound")
 
 
 def test_slot_budget_exit_2(capsys, monkeypatch):
@@ -217,8 +221,9 @@ def test_slot_budget_exit_2(capsys, monkeypatch):
     assert code == 2
     assert err.strip() == (
         "error: type abstraction up to horizon 2 needs more than 41 "
-        "representative states summed over its action DAG nodes, the budget; "
-        "lower the property's step bound or use fewer representatives")
+        "representative states summed over the levels of its action DAG "
+        "nodes, the budget; lower the property's step bound or use fewer "
+        "representatives")
 
 
 def test_state_budget_exit_2(capsys, monkeypatch):
