@@ -3,12 +3,13 @@
 Everything here works on arbitrary-precision rationals; there is no float
 anywhere in a semantic computation.  A knowledge base is a finite belief
 distribution over worlds paired with the action theory the agent believes.
-Its masses are integers over one denominator: world w has mass
-num[w] / den, den > 0 is the lcm of the masses' reduced denominators, and
-so gcd(den, *num.values()) == 1 and (den, num) is the one form of the
-distribution.  Progression and B(phi) add and multiply ints and build a
-Fraction only for a value they return; kb.dist is a read-only Fraction
-view, made on first use.  Progression by t follows one update rule:
+Its masses are integers keyed by world id over one denominator: the
+world with id i has mass num[i] / den, den > 0 is the lcm of the masses'
+reduced denominators, and so gcd(den, *num.values()) == 1 and (den, num)
+is the one form of the distribution.  Progression and B(phi) add and
+multiply ints and build a Fraction only for a value they return; kb.dist
+is a read-only {World: Fraction} view, made on first use.  Progression by
+t follows one update rule:
 
   f'(u) = sum over support u' of f(u') *
           sum over a in the observed class of t:
@@ -21,15 +22,22 @@ divided by the normalizer eta = sum of f'(u) (Bayes).  The reserved
 actions eps and fail have likelihood 1, are OI only to themselves, and
 only touch the reserved fluents Final and Fail.
 
-Each Bat memoises its steps: the one likelihood memo, branches, per
-(world, symbol, ctrl); the (likelihood, successor) per (world, action);
-the integer moves and the successful progressions per (world or
-knowledge base, observed class), where a sensing result is its own class
-and any other action has its oi_class; and the truth of a formula per
-(formula, world or knowledge base).  It interns the worlds and knowledge
-bases it makes, so equal ones are one object and dicts keyed by them hit
-on identity.  A Bat is made per theory per run (real_bat, initial_kb), so
-no table outlives the run that filled it.
+Each Bat interns the worlds and knowledge bases it makes and gives each
+an integer id: world ids count up from 0 (Bat.worlds lists them) and
+knowledge-base ids down from -1, so one table may key both.  A World
+carries the Bat that interned it and its id there, and a Bat that meets
+another's World interns a copy, so no id means two worlds.
+KnowledgeBase(dist, bat) is the Bat's one knowledge base of that value;
+across Bats, knowledge bases and worlds compare and hash by value.  The
+Bat memoises its steps, keyed by ids: the one likelihood memo, branches,
+per (world id, symbol, ctrl); the (likelihood, successor) per (world id,
+action); the moves, successor ids with integer likelihoods, per (world
+id, observed class); the successful progressions per (kb id, observed
+class), where a sensing result is its own class and any other action has
+its oi_class; the truth of a formula per (formula object, world or kb
+id); and the value of a B term per (term, kb id), shared by equal terms.
+A Bat is made per theory per run (real_bat, initial_kb), so no table
+outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -57,9 +65,11 @@ ONE = Fraction(1)
 
 
 class World:
-    """Immutable total valuation of the declared fluents (incl. Final/Fail)."""
+    """Immutable total valuation of the declared fluents (incl. Final/Fail).
+    bat and id are the one Bat that interned it and its world id there,
+    None until then; equality and hashing ignore them."""
 
-    __slots__ = ("_vals", "_key", "_hash")
+    __slots__ = ("_vals", "_key", "_hash", "bat", "id")
 
     def __init__(self, values):
         self._vals = dict(values)
@@ -67,6 +77,7 @@ class World:
         # hash(-1) == hash(-2) in CPython, so the values are hashed by
         # their text: h=-1 and h=-2 must not collide
         self._hash = hash(tuple((name, str(v)) for name, v in self._key))
+        self.bat = self.id = None
 
     def __getitem__(self, name):
         return self._vals[name]
@@ -159,7 +170,8 @@ FAILURE = GroundAction(FAILURE_NAME, (), ())
 class Bat:
     """Runtime view of one basic action theory (real or believed), with
     the memo of its steps and the intern tables of its worlds and
-    knowledge bases."""
+    knowledge bases.  World ids count up from 0 and knowledge-base ids
+    down from -1, so one table may key both."""
 
     def __init__(self, model, which):
         decl = model.real_bat if which == "real" else model.believed_bat
@@ -168,32 +180,55 @@ class Bat:
         self.ssa = {rule.fluent: rule for rule in decl.ssa}
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
-        self._branches = {}  # (world, symbol, ctrl) -> nonzero branches
+        self._branches = {}  # (world id, symbol, ctrl) -> nonzero branches
         self._actions = {}  # (symbol, ctrl) -> {outcome value: GroundAction}
-        self._steps = {}  # (world, action) -> (likelihood, successor)
-        self._moves = {}  # (world, observed class) -> moves
-        self._truth = {}  # id(phi) -> (phi, {world or kb: bool})
-        self._progressed = {}  # (kb, observed class) -> progressed kb
-        self._worlds = {}  # intern tables: each maps a value to its
-        self._kbs = {}  # one object
+        self._steps = {}  # (world id, action) -> (likelihood, successor)
+        self._moves = {}  # (world id, observed class) -> moves
+        self._truth = {}  # id(phi) -> (phi, {world or kb id: bool})
+        self._belief = {}  # id(term) -> (term, {kb id: Fraction})
+        self._belief_of = {}  # B term -> the one table of the terms equal to it
+        self._progressed = {}  # (kb id, observed class) -> progressed kb
+        self.worlds = []  # world id -> World
+        self._kbs = []  # ~kb id -> KnowledgeBase
+        self._world_of = {}  # intern tables: each maps a value to its
+        self._kb_of = {}  # one object
 
     def action_decl(self, symbol):
         return self.actions.get(symbol)
 
     def intern(self, world):
-        """The one World equal to world that this theory hands out."""
-        return self._worlds.setdefault(world, world)
+        """The one World equal to world that this theory hands out, with
+        its id here; a copy if another theory interned world first."""
+        hit = self._world_of.get(world)
+        if hit is None:
+            hit = world if world.bat is None else World(world._vals)
+            hit.bat, hit.id = self, len(self.worlds)
+            self.worlds.append(hit)
+            self._world_of[hit] = hit
+        return hit
 
-    def intern_kb(self, kb):
-        """The one KnowledgeBase equal to kb that this theory hands out."""
-        return self._kbs.setdefault(kb, kb)
+    def intern_kb(self, num, den):
+        """The one KnowledgeBase of this theory with masses num[i] / den
+        over world ids i, where no num[i] is 0 and
+        gcd(den, *num.values()) == 1."""
+        key = (den, frozenset(num.items()))
+        hit = self._kb_of.get(key)
+        if hit is None:
+            hit = self._kb_of[key] = object.__new__(KnowledgeBase)
+            hit.num, hit.den, hit.bat, hit.key = num, den, self, key
+            hit.id = ~len(self._kbs)
+            hit._hash = hit._dist = hit._name = None
+            self._kbs.append(hit)
+        return hit
 
     def branches(self, world, symbol, ctrl):
         """(ground action, likelihood) for each OI-alternative of
         symbol(ctrl, _) with nonzero likelihood at world, in the order of
         this theory's outcome list (for the real theory, that of
         oi_alternatives)."""
-        key = (world, symbol, ctrl)
+        if world.bat is not self:
+            world = self.intern(world)
+        key = (world.id, symbol, ctrl)
         hit = self._branches.get(key)
         if hit is None:
             if symbol in (EPSILON_NAME, FAILURE_NAME):
@@ -215,7 +250,9 @@ class Bat:
         successor is interned and is computed even where the likelihood
         is 0, and a likelihood of 0 is ZERO itself, so callers may test
         it by identity."""
-        key = (world, action)
+        if world.bat is not self:
+            world = self.intern(world)
+        key = (world.id, action)
         hit = self._steps.get(key)
         if hit is None:
             # a loop: a generator would put action in a cell on every call
@@ -228,35 +265,54 @@ class Bat:
                 like, self.intern(progress_world(world, action, self)))
         return hit
 
-    def moves(self, world, action, sensing):
-        """(d, ((successor, k), ...)): each member of action's observed
-        class -- the action itself if sensing, else its OI-alternatives --
-        with nonzero likelihood k/d at world, in branches order, where d
-        is the lcm of their denominators.  Kept per observed class;
-        successors are computed only for members of the class."""
-        key = (world, action if sensing else action.oi_class)
+    def moves(self, i, cls):
+        """(d, ((successor id, k), ...)) at the world with id i: each
+        member of the observed class cls -- a sensing result itself, or
+        symbol(ctrl, _) for its OI-alternatives -- with nonzero likelihood
+        k/d there, in branches order, where d is the lcm of their
+        denominators.  Kept per observed class; successors are computed
+        only for members of the class."""
+        key = (i, cls)
         hit = self._moves.get(key)
         if hit is None:
+            world = self.worlds[i]
             kept = [(t, like) for t, like in
-                    self.branches(world, action.symbol, action.ctrl)
-                    if not sensing or t == action]
+                    self.branches(world, cls.symbol, cls.ctrl)
+                    if cls in (t, t.oi_class)]
             d = lcm(*(like.denominator for _, like in kept))
             hit = self._moves[key] = (d, tuple(
-                (self.step(world, t)[1], like.numerator * (d // like.denominator))
+                (self.step(world, t)[1].id,
+                 like.numerator * (d // like.denominator))
                 for t, like in kept))
         return hit
 
     def holds(self, at, phi):
-        """_truth(phi, at) at a world or a knowledge base, memoised per
-        formula object.  The table keeps each formula it has met alive, so
-        no two formulas share an id, and deep formulas are never hashed."""
+        """_truth(phi, at) at one of this theory's worlds or knowledge
+        bases, memoised per formula object and id.  The table keeps each
+        formula it has met alive, so no two formulas share an id, and
+        deep formulas are never hashed."""
         entry = self._truth.get(id(phi))
         if entry is None:
             entry = self._truth[id(phi)] = (phi, {})
         table = entry[1]
-        hit = table.get(at)
+        hit = table.get(at.id)
         if hit is None:
-            hit = table[at] = _truth(phi, at, {})
+            hit = table[at.id] = _truth(phi, at, {})
+        return hit
+
+    def belief(self, kb, term):
+        """The value of the B term at one of this theory's knowledge
+        bases, summed once per knowledge base and term value: each term
+        object is hashed once, to share the table of an equal term met
+        before, and kept alive as in holds."""
+        entry = self._belief.get(id(term))
+        if entry is None:
+            entry = self._belief[id(term)] = (
+                term, self._belief_of.setdefault(term, {}))
+        table = entry[1]
+        hit = table.get(kb.id)
+        if hit is None:
+            hit = table[kb.id] = _belief(kb, term.formula)
         return hit
 
 
@@ -300,9 +356,7 @@ def _value(e, at, b) -> Fraction:
             raise EvalError(f"fluent {e.name!r} has no value in this context")
         return v
     if cls is Bel and subjective:
-        holds = at.bat.holds
-        return Fraction(sum(n for w, n in at.num.items()
-                            if holds(w, e.formula)), at.den)
+        return at.bat.belief(at, e)
     if cls is BinOp:
         value = arith(e.op, _value(e.left, at, b), _value(e.right, at, b))
         if value is None:
@@ -318,8 +372,10 @@ def _value(e, at, b) -> Fraction:
             # belief that the fluent lies in [E - r, E + r]; see the ledger
             # note on the closed interval
             mean = _expectation(e.fluent, at)
-            return Fraction(sum(n for w, n in at.num.items()
-                                if abs(w[e.fluent] - mean) <= e.radius), at.den)
+            worlds = at.bat.worlds
+            return Fraction(sum(n for i, n in at.num.items()
+                                if abs(worlds[i][e.fluent] - mean) <= e.radius),
+                            at.den)
         raise TypeError(f"not a belief expression: {e!r}")
     if cls is ParamRef:
         try:
@@ -334,8 +390,17 @@ def _value(e, at, b) -> Fraction:
     raise TypeError(f"cannot evaluate {e!r} as an objective expression")
 
 
+def _belief(kb, phi) -> Fraction:
+    """B(phi) at a knowledge base: the mass of the worlds where phi holds,
+    each world's truth read from its Bat's memo."""
+    holds, worlds = kb.bat.holds, kb.bat.worlds
+    return Fraction(sum(n for i, n in kb.num.items()
+                        if holds(worlds[i], phi)), kb.den)
+
+
 def _expectation(fluent, kb) -> Fraction:
-    values = [(w[fluent], n) for w, n in kb.num.items()]
+    worlds = kb.bat.worlds
+    values = [(worlds[i][fluent], n) for i, n in kb.num.items()]
     d = lcm(*(v.denominator for v, _ in values))
     return Fraction(sum(v.numerator * (d // v.denominator) * n
                         for v, n in values), d * kb.den)
@@ -481,54 +546,43 @@ def trace_likelihood(world, actions, bat) -> Fraction:
 # knowledge bases
 
 class KnowledgeBase:
-    """Finite belief distribution plus the believed action theory; world
-    w has mass num[w] / den, in lowest terms (see the module docstring).
-    KnowledgeBase(dist, bat) takes a {world: Fraction} mapping."""
+    """Finite belief distribution plus the believed action theory; the
+    world with id i in bat has mass num[i] / den, in lowest terms (see the
+    module docstring).  KnowledgeBase(dist, bat) takes a {world: Fraction}
+    mapping and gives the Bat's one knowledge base of that value; id is
+    its id there, and key its value over world ids."""
 
-    __slots__ = ("num", "den", "bat", "_key", "_hash", "_dist", "_name")
+    __slots__ = ("num", "den", "bat", "id", "key", "_hash", "_dist", "_name")
 
-    def __init__(self, dist, bat):
-        masses = [(w, p) for w, p in dist.items() if p != 0]
+    def __new__(cls, dist, bat):
+        masses = [(bat.intern(w).id, p) for w, p in dist.items() if p != 0]
         den = lcm(*(p.denominator for _, p in masses))
-        self._set({w: p.numerator * (den // p.denominator) for w, p in masses},
-                  den, bat)
-
-    @classmethod
-    def _lowest(cls, num, den, bat):
-        """The knowledge base with masses num[w] / den, where no num[w] is
-        0 and gcd(den, *num.values()) == 1."""
-        kb = cls.__new__(cls)
-        kb._set(num, den, bat)
-        return kb
-
-    def _set(self, num, den, bat):
-        self.num = num
-        self.den = den
-        self.bat = bat
-        self._key = (den, frozenset(num.items()))
-        self._hash = hash(self._key)
-        self._dist = self._name = None
+        return bat.intern_kb(
+            {i: p.numerator * (den // p.denominator) for i, p in masses}, den)
 
     @property
     def dist(self):
         """Read-only {world: Fraction mass}, made on first use."""
         if self._dist is None:
+            worlds = self.bat.worlds
             self._dist = MappingProxyType(
-                {w: Fraction(n, self.den) for w, n in self.num.items()})
+                {worlds[i]: Fraction(n, self.den) for i, n in self.num.items()})
         return self._dist
-
-    @property
-    def key(self):
-        return self._key
 
     def total(self):
         return Fraction(sum(self.num.values()), self.den)
 
     def __eq__(self, other):
-        return self is other or \
-            isinstance(other, KnowledgeBase) and self._key == other._key
+        # equal knowledge bases of one Bat are one object
+        return self is other or isinstance(other, KnowledgeBase) and \
+            other.bat is not self.bat and self.dist == other.dist
 
     def __hash__(self):
+        # by world value, as world ids belong to one Bat; made on first use
+        if self._hash is None:
+            worlds = self.bat.worlds
+            self._hash = hash((self.den, frozenset(
+                (worlds[i], n) for i, n in self.num.items())))
         return self._hash
 
     def render(self):
@@ -538,7 +592,7 @@ class KnowledgeBase:
             order = self.bat.model.fluent_order
             shown = [n for n in order if n not in ("Final", "Fail")]
             shown += [n for n in ("Final", "Fail")
-                      if any(w[n] != 0 for w in self.num)]
+                      if any(w[n] != 0 for w in self.dist)]
             entries = sorted((w.vector(shown), p) for w, p in self.dist.items())
             self._name = "{%s}" % ", ".join(
                 "(%s): %s" % (", ".join(frac_str(v) for v in vec), frac_str(p))
@@ -569,9 +623,9 @@ def initial_kb(model) -> KnowledgeBase:
     bat = believed_bat(model)
     dist = {}
     for vals, weight in model.kb0:
-        w = bat.intern(make_world(model, vals))
+        w = make_world(model, vals)
         dist[w] = dist.get(w, ZERO) + weight
-    return bat.intern_kb(KnowledgeBase(dist, bat))
+    return KnowledgeBase(dist, bat)
 
 
 def progress_kb(kb, action) -> KnowledgeBase:
@@ -587,19 +641,22 @@ def progress_kb(kb, action) -> KnowledgeBase:
         if decl is None:
             raise EvalError(f"undeclared action {action.symbol!r}")
         sensing = decl.kind == "sensing"
-    key = (kb, action if sensing else action.oi_class)
+    cls = action if sensing else action.oi_class
+    key = (kb.id, cls)
     hit = bat._progressed.get(key)
     if hit is not None:
         return hit
-    # in integers: world w's moves have likelihoods k/d, so over the step's
-    # common denominator den * scale its successor gains num[w] * k * scale/d
-    moved = [(n, bat.moves(w, action, sensing)) for w, n in kb.num.items()]
-    scale = lcm(*(d for _, (d, _) in moved))
+    # in integers: world i's moves have likelihoods k/d, so over the step's
+    # common denominator den * scale its successor gains num[i] * k * scale/d
+    moves = bat.moves
+    moved = [(n, moves(i, cls)) for i, n in kb.num.items()]
+    scale = lcm(*[d for _, (d, _) in moved])
     new = {}
+    get = new.get
     for n, (d, outs) in moved:
         n *= scale // d
         for succ, k in outs:
-            new[succ] = new.get(succ, 0) + n * k
+            new[succ] = get(succ, 0) + n * k
     eta = sum(new.values())
     if eta == 0:
         if sensing:
@@ -619,10 +676,9 @@ def progress_kb(kb, action) -> KnowledgeBase:
         den = eta
     g = gcd(den, *new.values())
     if g != 1:
-        new = {w: n // g for w, n in new.items()}
+        new = {i: n // g for i, n in new.items()}
         den //= g
-    hit = bat._progressed[key] = bat.intern_kb(
-        KnowledgeBase._lowest(new, den, bat))
+    hit = bat._progressed[key] = bat.intern_kb(new, den)
     return hit
 
 

@@ -2,10 +2,11 @@
 
 A configuration is a program position with the agent's observation, in a
 real world: (graph node, observation, world).  ConfigTable has one entry
-per configuration a run meets, and fills each part of an entry once: the
-enabled edges (evaluated once per (node, observation)), each edge's move
-(a row of the real Bat's branches at the entry's own world) and each
-outcome's successor entry or BREAKDOWN.  One table serves every type of a
+per configuration a run meets, keyed by (node, knowledge-base id, world
+id) in the believed and real Bats, and fills each part of an entry once:
+the enabled edges (evaluated once per (node, knowledge-base id)), each
+edge's move (a row of the real Bat's branches at the entry's own world)
+and each outcome's successor entry or BREAKDOWN.  One table serves every type of a
 verify call, and simulate.TraceEngine extends it for sampling, so the
 successor rule lives here alone.  The belief worlds summed over the
 entries' knowledge bases are capped by TABLE_BUDGET.  Guards and labels
@@ -32,7 +33,8 @@ from fractions import Fraction
 
 from .errors import (LikelihoodContextError, ObservationUniformityError,
                      StateBudgetError, TableBudgetError)
-from .kb import BREAKDOWN, eval_subjective, next_observation, progress_kb
+from .kb import (BREAKDOWN, KnowledgeBase, eval_subjective, next_observation,
+                 progress_kb)
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula
 
@@ -92,12 +94,19 @@ class ConfigTable:
         self.graph = graph
         self.rbat = rbat
         self.kb0 = kb0
-        self._enabled = {}  # (node, observation) -> enabled(...)
-        self._entries = {}  # (node, observation, world) -> Configuration
+        self._enabled = {}  # (node, kb id) -> enabled(...)
+        self._entries = {}  # (node, kb id, world id) -> Configuration
         self.support = 0  # belief worlds summed over the entries
 
     def entry(self, node, obs, world):
-        key = (node, obs, world)
+        """The one entry of (node, obs, world), keyed by the ids of obs in
+        kb0's Bat and of world in rbat; a value of another Bat, or of none,
+        is first interned there."""
+        if obs.bat is not self.kb0.bat:
+            obs = KnowledgeBase(obs.dist, self.kb0.bat)
+        if world.bat is not self.rbat:
+            world = self.rbat.intern(world)
+        key = (node, obs.id, world.id)
         hit = self._entries.get(key)
         if hit is None:
             support = self.support + len(obs.num)
@@ -111,7 +120,7 @@ class ConfigTable:
         return hit
 
     def enabled_at(self, node, kb):
-        key = (node, kb)
+        key = (node, kb.id)
         hit = self._enabled.get(key)
         if hit is None:
             hit = self._enabled[key] = enabled(self.graph, node, kb)
@@ -183,8 +192,8 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
     k = abstraction.horizon
     ctx = abstraction.context
     p = FinitePomdp(k, type_id)
-    # keyed by the observation itself: a KnowledgeBase caches its hash and
-    # equal ones are one interned object, and BREAKDOWN is a singleton
+    # keyed by the observation's key: a knowledge base's is its value over
+    # its Bat's world ids, whose frozenset caches its hash
     obs_index = {}
 
     def state(entry, depth):
@@ -200,14 +209,14 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
             p.states.append(key)
             p.transitions.append({})
             kb = BREAKDOWN if entry is BREAKDOWN else entry.obs
-            if kb not in obs_index:
-                obs_index[kb] = len(p.observations)
+            if kb.key not in obs_index:
+                obs_index[kb.key] = len(p.observations)
                 p.observations.append(kb)
                 # the breakdown label set is empty, even for a negation
                 p.labels.append(frozenset() if kb is BREAKDOWN else frozenset(
                     i for i in ctx.subjective_indices()
                     if eval_subjective(kb, ctx.formulas[i].formula)))
-            p.obs_of.append(obs_index[kb])
+            p.obs_of.append(obs_index[kb.key])
         return index
 
     state(table.entry(0, table.kb0, tau.witness), 0)

@@ -33,11 +33,15 @@ CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
 class PlainStep:
     """The real theory's step as the POMDP builder reads it from a Bat,
-    recomputed on every call, with nothing memoised or interned."""
+    recomputed on every call, with nothing memoised; worlds are interned
+    only where the configuration table keys them."""
 
     def __init__(self, model):
         self.model = model
         self.bat = real_bat(model)
+
+    def intern(self, w):
+        return self.bat.intern(w)
 
     def step(self, w, t):
         return action_likelihood(t, w, self.bat), progress_world(w, t, self.bat)
@@ -254,7 +258,8 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
     pomdps = [build_pomdp(table, a, tau) for tau in a.types]
     # each progression starts from the observation of a state the program
     # reaches, and none is repeated
-    observed = {kb for p in pomdps for kb in p.observations}
+    observed = {kb.id for p in pomdps for kb in p.observations
+                if kb is not BREAKDOWN}
     assert runs and all(kb in observed for kb, _action in runs)
     assert len(set(runs)) == len(runs) == len(bat._progressed)
     assert len(a.sequences) == 5348

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from beliefprog.kb import KnowledgeBase, World, believed_bat
 from beliefprog.parser import parse_subjective
 from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import POp, PropInterval, TRUE, UntilOp, XOp
+from conftest import COFFEE
 
 F = Fraction
 
@@ -285,13 +287,17 @@ def test_boolean_structure_of_state_formulas(coffee, coffee_setup):
 # ---------------------------------------------------------------------------
 # independent oracle 2: value iteration on layered fully-observable models
 
+@functools.cache
+def _one_fluent_model():
+    return parse_model(COFFEE.read_text())
+
+
 def _dummy_obs(i):
     """Distinct point-mass knowledge bases to give every state its own
-    observation."""
-    from types import SimpleNamespace
-    bat = SimpleNamespace(model=SimpleNamespace(fluent_order=("h", "Final", "Fail")))
+    observation, each over a new believed Bat of a model whose one fluent
+    is h."""
     w = World({"h": F(i), "Final": F(0), "Fail": F(0)})
-    return KnowledgeBase({w: F(1)}, bat)
+    return KnowledgeBase({w: F(1)}, believed_bat(_one_fluent_model()))
 
 
 def _random_layered_pomdp(rng, k=3):

@@ -13,7 +13,7 @@ from beliefprog import kb as kb_mod
 from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
-from beliefprog.syntax import Bel
+from beliefprog.syntax import Bel, Cmp, Conf, Expect, FluentRef, Num
 from conftest import ROOT
 
 F = Fraction
@@ -362,12 +362,12 @@ def test_each_sensing_result_is_its_own_class(choice):
 
 def test_moves_are_kept_once_per_observed_class(choice):
     bat = initial_kb(choice).bat
-    w = bat.intern(make_world(choice, [2]))
+    w = bat.intern(make_world(choice, [2])).id
     east, slip = oi_alternatives("east", (F(1),), choice)
-    assert bat.moves(w, slip, False) is bat.moves(w, east, False)
+    assert bat.moves(w, slip.oi_class) is bat.moves(w, east.oi_class)
     assert len(bat._moves) == 1
     sense_one, sense_zero = oi_alternatives("sencfe", (), choice)
-    assert bat.moves(w, sense_one, True) != bat.moves(w, sense_zero, True)
+    assert bat.moves(w, sense_one) != bat.moves(w, sense_zero)
     assert len(bat._moves) == 3
 
 
@@ -381,35 +381,82 @@ def test_failed_progression_is_not_kept_and_names_its_action(choice):
 
 
 # ---------------------------------------------------------------------------
+# world and knowledge-base ids belong to one Bat
+
+def test_knowledge_base_rebuilt_on_a_fresh_bat_is_equal(choice):
+    kb = initial_kb(choice)
+    for term in ("east(1, 1)", "sencfe(0)", "east(1, 0)"):
+        kb = progress_kb(kb, ga(choice, term))
+    fresh = KnowledgeBase(kb.dist, believed_bat(choice))
+    assert fresh.bat is not kb.bat
+    assert fresh == kb and hash(fresh) == hash(kb)
+    assert fresh.render() == kb.render() == \
+        "{(0): 1/6, (1): 1/2, (2): 1/3}"
+    terms = [Bel(Cmp("=", FluentRef("h"), Num(F(v))))
+             for v in range(-2, 3)] + [Expect("h"), Conf("h", F(1, 2))]
+    assert [kb_mod._value(e, fresh, {}) for e in terms] == \
+        [kb_mod._value(e, kb, {}) for e in terms]
+    # an unequal knowledge base stays unequal across Bats
+    other = KnowledgeBase({w: F(1, 3) for w in kb.dist}, believed_bat(choice))
+    assert other != kb and kb != other
+
+
+def test_world_interned_by_both_bats_keeps_steps_and_truths_apart(choice):
+    real, believed = real_bat(choice), believed_bat(choice)
+    at_two, at_zero = make_world(choice, [2]), make_world(choice, [0])
+    # each Bat's first world gets its id 0: at_two in real, at_zero in
+    # believed, which then interns a copy of at_two under its own id
+    assert real.intern(at_two) is at_two
+    assert believed.intern(at_zero) is at_zero
+    assert at_two.id == at_zero.id == 0
+    copy = believed.intern(at_two)
+    assert copy is not at_two and copy == at_two and copy.bat is believed
+    assert (at_two.bat, at_two.id) == (real, 0)
+    sense_one = ga(choice, "sencfe(1)")
+    assert believed.step(at_zero, sense_one)[0] == 0
+    assert believed.step(at_two, sense_one)[0] == 1
+    assert real.step(at_two, sense_one)[0] == F(4, 5)
+    two = Cmp("=", FluentRef("h"), Num(F(2)))
+    assert believed.holds(at_zero, two) is False
+    assert believed.holds(copy, two) is True
+    assert real.holds(at_two, two) is True
+    # a knowledge base over real's world progresses on believed's steps
+    kb = KnowledgeBase({at_two: F(1)}, believed)
+    assert kb.bat is believed and progress_kb(kb, sense_one) is kb
+    with pytest.raises(IncompatibleSensingError):
+        progress_kb(kb, ga(choice, "sencfe(0)"))
+
+
+# ---------------------------------------------------------------------------
 # one memo for formula truths
 
 def _belief_sums(monkeypatch, *argv):
-    """The exit code of main(argv) and the number of B terms it sums at a
-    knowledge base."""
-    sums = [0]
-    value = kb_mod._value
+    """The exit code of main(argv), the number of B sums it makes at a
+    knowledge base, and the number of knowledge bases they are made at."""
+    at = []
+    belief = kb_mod._belief
 
-    def counted(e, at, b):
-        if e.__class__ is Bel and at.__class__ is KnowledgeBase:
-            sums[0] += 1
-        return value(e, at, b)
+    def counted(kb, phi):
+        at.append(kb.id)
+        return belief(kb, phi)
 
-    monkeypatch.setattr(kb_mod, "_value", counted)
-    return main(list(argv)), sums[0]
+    monkeypatch.setattr(kb_mod, "_belief", counted)
+    return main(list(argv)), len(at), len(set(at))
 
 
 def test_belief_sums_are_shared_by_types_nodes_and_trials(
         tmp_path, monkeypatch, capsys):
     # the choice model's guards, fin conditions and POMDP labels all hold
-    # B(h = 2); each is evaluated once per knowledge base, for every type
-    # and node (9055 sums at F<=8 when labels were evaluated per type and
-    # guards per node), and the simulator reads the same memo (2728 sums
-    # with a memo of its own)
+    # B(h = 2) in two term objects; it is summed once per knowledge base,
+    # for every type, node and term object (9055 sums at F<=8 when labels
+    # were evaluated per type and guards per node, 1794 with one sum per
+    # term object), and the simulator reads the same memo (2728 sums with
+    # a memo of its own, 1372 with one sum per term object)
     choice8 = tmp_path / "choice8.bp"
     choice8.write_text(CHOICE.read_text().replace("F<=3 B", "F<=8 B"))
     assert _belief_sums(monkeypatch, "verify", str(choice8),
-                        "--property", "P1") == (1, 1794)
+                        "--property", "P1") == (1, 598, 598)
     assert _belief_sums(monkeypatch, "simulate", str(CHOICE), "--world", "h=0",
                         "--policy", "uniform-random", "--trials", "2000",
                         "--seed", "1", "--horizon", "10",
-                        "--psi", "F<=3 B(h = 2) = 1") == (0, 1372)
+                        "--psi", "F<=3 B(h = 2) = 1") == (0, 678, 678)

@@ -26,7 +26,8 @@ from beliefprog.kb import BREAKDOWN, eval_subjective, likelihood_row, real_bat
 from beliefprog.parser import parse_subjective
 from beliefprog.program_graph import enabled
 from beliefprog.simulate import TraceEngine, estimate
-from beliefprog.syntax import TRUE, UntilOp, print_model, print_program
+from beliefprog.syntax import (TRUE, Bel, Cmp, FluentRef, Num, UntilOp,
+                               print_model, print_program, walk)
 from conftest import COFFEE, ROOT, random_model_text
 
 N_CASES = 200
@@ -252,6 +253,39 @@ def _check_memo(kb0, formulas):
 def test_subjective_memo_matches_unmemoised_truth(model_factory, seed):
     graph, abstraction, _pomdps = _build(model_factory(seed), k=3)
     _check_memo(abstraction.kb0, _subjective_formulas(graph, abstraction.context))
+
+
+def _unmemoised_belief(bat, kb, term):
+    """Bat.belief with no memo: the mass of kb.dist where the formula
+    holds, each world's truth found afresh."""
+    return sum((p for w, p in kb.dist.items()
+                if kb_mod._truth(term.formula, w, {})), Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+def test_belief_memo_matches_unmemoised_truth(model_factory, seed,
+                                              monkeypatch):
+    """Every B term of the model's subjective formulas, and B(f = v) and
+    B(f >= v) for every value v of a fluent f in a belief world, at every
+    knowledge base the believed Bat has made, read through its memos, is
+    _value with B summed afresh; so is the truth of every formula."""
+    model = model_factory(seed)
+    graph, abstraction, _pomdps = _build(model, k=3)
+    formulas = _subjective_formulas(graph, abstraction.context)
+    kbs = list(abstraction.kb0.bat._kbs)
+    terms = [e for alpha in formulas for e in walk(alpha) if isinstance(e, Bel)]
+    terms += [Bel(Cmp(op, FluentRef(f.name), Num(v)))
+              for f in model.fluents for op in ("=", ">=")
+              for v in sorted({w[f.name] for kb in kbs for w in kb.dist})]
+
+    def values():
+        return [([kb_mod._value(e, kb, {}) for e in terms],
+                 [kb_mod._truth(alpha, kb, {}) for alpha in formulas])
+                for kb in kbs]
+    memoised = values()
+    monkeypatch.setattr(kb_mod.Bat, "belief", _unmemoised_belief)
+    assert memoised == values()
+    _mark("belief memo", bool(terms))
 
 
 @pytest.mark.parametrize("path", [COFFEE, ROOT / "perfbench" / "models" /

@@ -504,7 +504,9 @@ def test_rational_masses_and_values_in_lowest_terms(coffee):
     worlds = [make_world(coffee, [v]) for v in (F(1, 2), F(-3, 4), 2)]
     kb = KnowledgeBase({worlds[0]: F(1, 6), worlds[1]: F(1, 3),
                         worlds[2]: F(1, 2)}, bat)
-    assert (kb.num, kb.den) == ({worlds[0]: 1, worlds[1]: 2, worlds[2]: 3}, 6)
+    # num is keyed by the Bat's world ids; read it by world
+    assert ({kb.bat.worlds[i]: n for i, n in kb.num.items()}, kb.den) == \
+        ({worlds[0]: 1, worlds[1]: 2, worlds[2]: 3}, 6)
     assert_lowest_terms(kb)
     assert KnowledgeBase({worlds[0]: F(2, 4), worlds[1]: F(0),
                           worlds[2]: F(1, 2)}, bat).den == 2
@@ -514,7 +516,7 @@ def test_rational_masses_and_values_in_lowest_terms(coffee):
 
 def test_holds_never_shares_an_entry_between_formulas(coffee):
     bat = believed_bat(coffee)
-    world = make_world(coffee, [2])
+    world = bat.intern(make_world(coffee, [2]))
     # each formula is dropped after one use, so without the table keeping
     # it alive a later one could reuse its id
     for v in [2, 3, 2, 1, 2] * 20:
