@@ -30,7 +30,7 @@ another's World interns a copy, so no id means two worlds.
 KnowledgeBase(dist, bat) is the Bat's one knowledge base of that value;
 across Bats, knowledge bases and worlds compare and hash by value.  The
 Bat memoises its steps, keyed by ids: the one likelihood memo, branches,
-per (world id, symbol, ctrl); the (likelihood, successor) per (world id,
+per (world id, oi_class); the (likelihood, successor) per (world id,
 action); the moves, successor ids with integer likelihoods, per (world
 id, observed class); the successful progressions per (kb id, observed
 class), where a sensing result is its own class and any other action has
@@ -180,8 +180,8 @@ class Bat:
         self.ssa = {rule.fluent: rule for rule in decl.ssa}
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
-        self._branches = {}  # (world id, symbol, ctrl) -> nonzero branches
-        self._actions = {}  # (symbol, ctrl) -> {outcome value: GroundAction}
+        self._branches = {}  # (world id, oi class) -> nonzero branches
+        self._actions = {}  # oi class -> {outcome value: GroundAction}
         self._steps = {}  # (world id, action) -> (likelihood, successor)
         self._moves = {}  # (world id, observed class) -> moves
         self._truth = {}  # id(phi) -> (phi, {world or kb id: bool})
@@ -221,20 +221,22 @@ class Bat:
             self._kbs.append(hit)
         return hit
 
-    def branches(self, world, symbol, ctrl):
-        """(ground action, likelihood) for each OI-alternative of
-        symbol(ctrl, _) with nonzero likelihood at world, in the order of
-        this theory's outcome list (for the real theory, that of
-        oi_alternatives)."""
+    def branches(self, world, cls):
+        """(ground action, likelihood) for each OI-alternative of the class
+        cls = symbol(ctrl, _) with nonzero likelihood at world, in the
+        order of this theory's outcome list (for the real theory, that of
+        oi_alternatives).  Keyed by cls, whose hash is cached, so no
+        Fraction is hashed."""
         if world.bat is not self:
             world = self.intern(world)
-        key = (world.id, symbol, ctrl)
+        key = (world.id, cls)
         hit = self._branches.get(key)
         if hit is None:
+            symbol, ctrl = cls.symbol, cls.ctrl
             if symbol in (EPSILON_NAME, FAILURE_NAME):
                 hit = ((EPSILON if symbol == EPSILON_NAME else FAILURE, ONE),)
             else:  # each outcome's GroundAction is made once per theory
-                actions = self._actions.setdefault((symbol, ctrl), {})
+                actions = self._actions.setdefault(cls, {})
                 weights = {}
                 for value, weight in likelihood_row(symbol, ctrl, world, self):
                     t = actions.get(value)
@@ -256,7 +258,7 @@ class Bat:
         hit = self._steps.get(key)
         if hit is None:
             # a loop: a generator would put action in a cell on every call
-            for t, like in self.branches(world, action.symbol, action.ctrl):
+            for t, like in self.branches(world, action.oi_class):
                 if t.unctrl == action.unctrl:
                     break
             else:
@@ -277,7 +279,7 @@ class Bat:
         if hit is None:
             world = self.worlds[i]
             kept = [(t, like) for t, like in
-                    self.branches(world, cls.symbol, cls.ctrl)
+                    self.branches(world, cls.oi_class)
                     if cls in (t, t.oi_class)]
             d = lcm(*(like.denominator for _, like in kept))
             hit = self._moves[key] = (d, tuple(

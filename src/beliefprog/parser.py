@@ -989,7 +989,9 @@ def model_digest(m: ModelFile) -> str:
 
 @_depth_bounded
 def parse_subjective(text: str, model: ModelFile):
-    """Parse a standalone subjective formula (used by CLI flags)."""
+    """Parse a standalone subjective formula over the model's fluents and
+    actions.  A library entry point: the CLI reads state formulas only
+    inside a model file or a --psi trace formula."""
     p = Parser(text)
     f = p.subjective_formula()
     if not p.at("eof"):

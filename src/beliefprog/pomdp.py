@@ -135,8 +135,7 @@ class ConfigTable:
     def real_outcomes(self, world, edge):
         """The real branches row of an edge's primitive program at world,
         and no cut-offs."""
-        prim = edge.prim
-        return self.rbat.branches(world, prim.symbol, prim.args), None
+        return self.rbat.branches(world, edge.cls), None
 
     def fill(self, entry):
         live, entry.is_final, entry.is_failing = \

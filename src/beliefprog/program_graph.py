@@ -22,7 +22,7 @@ rules:
 
 from collections import deque
 
-from .kb import eval_subjective
+from .kb import GroundAction, eval_subjective
 from .syntax import (Choice, FALSE, Nil, Prim, Seq, Star, Test, TRUE, conj,
                      disj, neg, print_formula, print_program, seq, walk)
 
@@ -71,15 +71,18 @@ def program_prims(delta):
 
 class Edge:
     """A guarded step to node target; label, the primitive's name printed
-    once, is the action of its POMDP transitions and policy choices."""
+    once, is the action of its POMDP transitions and policy choices, and
+    cls, the primitive's observed class symbol(args, _), keys its real
+    branches."""
 
-    __slots__ = ("guard", "prim", "target", "label")
+    __slots__ = ("guard", "prim", "target", "label", "cls")
 
     def __init__(self, guard, prim, target):
         self.guard = guard
         self.prim = prim
         self.target = target
         self.label = print_program(prim)
+        self.cls = GroundAction(prim.symbol, prim.args, ())
 
     def __repr__(self):
         return f"Edge({print_formula(self.guard)}, {self.label}, {self.target})"

@@ -10,37 +10,37 @@ Streams.  Trial t of seed s draws from its own counter-based stream: the
 Philox4x64-10 words of np.random.Philox with the 128-bit key
 [s mod 2^64, t] and the counter starting at 1, so trials are reproducible
 and order-independent.  trial_rng makes one 4-word block of many trials'
-streams at once.  An outcome draw takes one 64-bit word r and picks the
-first outcome i with r < cum_i * 2^64, compared as integers against the
-uint64 cut-offs ceil(cum_i * 2^64); no float enters.  A uniform-random
-choice among m takes 32-bit half-words exactly as
-Generator.integers(0, m) does: the low half of a fresh word first, its
-high half kept for the next choice, Lemire's multiply-and-reject, and no
-draw at all when m is 1.
+streams at once.  A draw among weighted options takes one 64-bit word r
+and picks the first option i with r < cum_i * 2^64, compared as integers
+against the uint64 cut-offs ceil(cum_i * 2^64); no float enters.  An
+outcome is drawn by its real likelihoods, and a uniform-random choice
+among m by weights 1/m, so it is floor(r * m / 2^64).  Each draw reads a
+word fixed by its depth d: under uniform-random, d's choice reads word 2d
+and its outcome word 2d + 1; under first-enabled and a policy map, which
+draw no choice, d's outcome reads word d.
 
 The lockstep walk.  The trials of an estimate step together over the
 configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
-the table build_pomdp unrolls, with what sampling adds: each real row's
-cut-offs and the admitted trace formula.  The believed Bat keeps the truth
-of every state formula at every knowledge base (kb.eval_subjective).
-Trials that stand at one configuration with one stream position and one
-verdict so far form a group.  The live trials are two flat int arrays,
+the table build_pomdp unrolls, with what sampling adds: the cut-offs of
+each real row and of each choice count, and the admitted trace formula.
+The believed Bat keeps the truth of every state formula at every knowledge
+base (kb.eval_subjective).  Trials that stand at one configuration with
+one verdict so far form a group.  The live trials are two flat int arrays,
 their chunk-local numbers and their groups, and each depth is stepped once
 for all of them: a pass over the groups fills each entry and counts its
-choices; one vectorised draw makes every trial's choice, and only the
-trials that Lemire's rejection sends back draw again; a pass over the
-distinct (group, choice) pairs takes their moves; one comparison against
-the pairs' cut-offs, stacked in a matrix, makes every trial's outcome; and
-a pass over the distinct (pair, outcome, half-words read) codes makes the
-next depth's groups.  Groups are not keyed by path, so members' paths may
-differ; a group carries one representative path, on which
+choices; one comparison against the choices' cut-offs makes every trial's
+choice; a pass over the distinct (group, choice) pairs takes their moves;
+one comparison against the pairs' cut-offs, stacked in a matrix, makes
+every trial's outcome; and a pass over the distinct (pair, outcome) codes
+makes the next depth's groups.  Groups are not keyed by path, so members'
+paths may differ; a group carries one representative path, on which
 eval_trace_formula decides every member once the group finishes, and a
-finished group keeps only its trial count and its least trial.
-run_trace is the walk with one trial.  Trials run in chunks of _CHUNK in
-trial order, and a chunk makes a stream block only when the walk first
-reads it and drops it once every group has passed it: memory does not grow
-with the trial count, and the streams' share of it does not grow with the
-horizon.  When a step, a policy map or a verdict raises, the error of the
+finished group keeps only its trial count and its least trial.  run_trace
+is the walk with one trial.  Trials run in chunks of _CHUNK in trial
+order, and a chunk makes a stream block only when the walk first reads it
+and drops it once the walk has passed it: memory does not grow with the
+trial count, and the streams' share of it does not grow with the horizon.
+When a step, a policy map or a verdict raises, the error of the
 lowest-numbered trial that met one is raised, as trial-by-trial runs
 would.
 """
@@ -116,15 +116,8 @@ class _Streams:
         return block
 
     def words(self, trials, index):
-        """Word `index` of each trial's stream: one index for all, or an
-        array with one per trial."""
-        if np.ndim(index) == 0:
-            index = int(index)
-            return self._block(index >> 2)[trials, index & 3]
-        low, high = int(index.min()) >> 2, int(index.max()) >> 2
-        words = self._block(low) if low == high else np.hstack(
-            [self._block(b) for b in range(low, high + 1)])
-        return words[trials, index - 4 * low]
+        """Word `index` of each trial's stream."""
+        return self._block(index >> 2)[trials, index & 3]
 
     def release(self, index):
         """Forget the blocks wholly before word `index`."""
@@ -156,48 +149,6 @@ def sample_outcomes(cuts, words) -> np.ndarray:
     return np.count_nonzero(cuts - _ONE < words[:, None], axis=-1)
 
 
-def _after(pos, half, k):
-    """Stream position (pos, half) once k more half-words are read."""
-    if k and half >= 0:
-        k, half = k - 1, -1
-    if k % 2:
-        return pos + k // 2 + 1, pos + k // 2
-    return pos + k // 2, half
-
-
-def _half_word(streams, trials, pos, half, r):
-    """The r-th 32-bit half-word that each trial reads from stream position
-    (pos, half): the pending high half first, then the low and high halves
-    of the words from pos on."""
-    fresh = r - (half >= 0)  # the fresh half-words read before it
-    w = streams.words(trials, np.where(fresh < 0, half, pos + fresh // 2))
-    return np.where(fresh % 2 == 1, w >> _SHIFT32, w & _LOW32)
-
-
-def _uniform(streams, trials, m, pos, half):
-    """Generator.integers(0, m) for each trial at stream position
-    (pos, half): pos is the next fresh word, half the word whose high half
-    is pending, or -1.  m is an array with one count per trial; pos and
-    half are arrays too, or ints shared by every trial.  Returns each
-    trial's choice and the number of half-words it read, which is 0 where
-    m is 1.  One multiply covers every trial; only those that Lemire's
-    rejection sends back draw again."""
-    m = m.astype(np.uint64)
-    threshold = (np.uint64(2 ** 32) - m) % m
-    product = _half_word(streams, trials, pos, half, 0) * m
-    reads = (m > 1).astype(np.intp)
-    redo = np.flatnonzero((product & _LOW32) < threshold)
-    while len(redo):
-        again = _half_word(streams, trials[redo],
-                           pos[redo] if np.ndim(pos) else pos,
-                           half[redo] if np.ndim(half) else half,
-                           reads[redo]) * m[redo]
-        product[redo] = again
-        reads[redo] += 1
-        redo = redo[(again & _LOW32) < threshold[redo]]
-    return (product >> _SHIFT32).astype(np.intp), reads
-
-
 @dataclass
 class TraceRecord:
     world0: object
@@ -224,6 +175,7 @@ class TraceEngine(ConfigTable):
         self.model = model
         # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
         self._cuts = {}
+        self._choices = {}  # n -> choice_cuts(n)
         self._admitted = None  # the last trace formula admit accepted
 
     # the table's steps, bound on this class too, so that a wrapper set on
@@ -243,6 +195,16 @@ class TraceEngine(ConfigTable):
         if cuts is None:
             cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
         return weighted, cuts
+
+    def choice_cuts(self, n):
+        """Row m, for m up to n, is the cut-offs of a uniform choice among
+        m options, padded with zeros as sample_outcomes reads a matrix."""
+        rows = self._choices.get(n)
+        if rows is None:
+            rows = self._choices[n] = np.zeros((n + 1, n - 1), np.uint64)
+            for m in range(2, n + 1):
+                rows[m, :m - 1] = cut_offs([Fraction(1, m)] * m)
+        return rows
 
     def satisfies(self, obs, beta):  # a method for perfbench/spans.py
         return obs_satisfies(obs, beta)
@@ -333,11 +295,11 @@ def _options(entry, policy):
 
 def _leave(gone, trial, to, *aligned):
     """Record the trials that `to` sends to an exit e (to = -1 - e), and
-    drop them from trial, to and the arrays (or Nones) aligned with them."""
+    drop them from trial, to and the arrays aligned with them."""
     out = to < 0
     gone.append((trial[out], -1 - to[out]))
     keep = ~out
-    return [a if a is None else a[keep] for a in (trial, to, *aligned)]
+    return [a[keep] for a in (trial, to, *aligned)]
 
 
 def _lockstep(engine, start, policy, psi, horizon, streams):
@@ -346,10 +308,12 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
     Returns the finished groups as (prefix, outcome, count, least trial)
     and the errors as (least trial, exception); a trial that meets an
     error leaves its group."""
-    uniform = policy == Strategy.UNIFORM_RANDOM
+    # the words each depth reads: a choice's and an outcome's under
+    # uniform-random, an outcome's alone under the other policies
+    stride = 2 if policy == Strategy.UNIFORM_RANDOM else 1
     trial = np.arange(len(streams.trials))  # the live trials, in order
     gi = np.zeros(len(trial), dtype=np.intp)  # and their groups
-    groups = [(start, 0, -1, _verdict(engine, psi, 0, start.obs),
+    groups = [(start, _verdict(engine, psi, 0, start.obs),
                _Prefix(None, None, start.obs, 1, 1))]
     exits = []  # (outcome, prefix) of a finish, or (None, exception)
     gone = []  # (trials, their exit numbers) of the trials that left
@@ -360,11 +324,10 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
 
     for depth in range(horizon):
         # each group's choices, option o being edges[o] (an edge index, or
-        # None to stop) of group owners[o], and the group's stream
-        # position once its trials have made their choice
+        # None to stop) of group owners[o]
         left = len(exits)
-        first, counts, owners, edges, after = [], [], [], [], []
-        for g, (entry, pos, half, _, prefix) in enumerate(groups):
+        first, counts, owners, edges = [], [], [], []
+        for g, (entry, _, prefix) in enumerate(groups):
             try:
                 if entry.live is None:
                     engine.fill(entry)
@@ -377,24 +340,12 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
             counts.append(len(choices) or 1)
             owners += [g] * len(choices)
             edges += choices
-            after.append(_after(pos, half, 1) if uniform and len(choices) > 1
-                         else (pos, half))
         to = np.array(first)[gi]
         if len(exits) > left:
             trial, to, gi = _leave(gone, trial, to, gi)
-        reads = None  # half-words each trial read, where one redrew
-        if uniform and len(trial):
-            spots = {(pos, half) for _, pos, half, _, _ in groups}
-            if len(spots) == 1:
-                (pos, half), = spots
-            else:
-                pos = np.array([pos for _, pos, _, _, _ in groups])[gi]
-                half = np.array([half for _, _, half, _, _ in groups])[gi]
-            picks, reads = _uniform(streams, trial, np.array(counts)[gi],
-                                    pos, half)
-            to += picks
-            if len(reads) == 0 or int(reads.max()) < 2:
-                reads = None
+        if stride == 2 and len(trial):
+            cuts = engine.choice_cuts(max(counts))[np.array(counts)[gi]]
+            to += sample_outcomes(cuts, streams.words(trial, 2 * depth))
 
         # the distinct (group, choice) pairs, a stop or an error leaving;
         # each pair's cut-offs are a row of a matrix of the distinct rows
@@ -405,7 +356,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
         target, pairs, row_of, rows = [], [], [], {}
         for o in present:
             g, i = owners[o], edges[o]
-            entry, _, _, _, prefix = groups[g]
+            entry, _, prefix = groups[g]
             if i is None:
                 target.append(exit_to("final", prefix))
                 continue
@@ -424,7 +375,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
         index[present] = target
         to = index[to]
         if len(exits) > left:
-            trial, to, gi, reads = _leave(gone, trial, to, gi, reads)
+            trial, to, gi = _leave(gone, trial, to, gi)
 
         # one outcome draw for every trial, against its pair's row
         width = max((len(row) for _, row in rows.values()), default=0)
@@ -433,38 +384,23 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
             cuts = np.zeros((len(rows), width), dtype=np.uint64)
             for r, row in rows.values():
                 cuts[r, :len(row)] = row
-            # the word after each trial's choice
-            if reads is None:
-                spots = {after[g][0] for g, _ in pairs}
-                at = spots.pop() if len(spots) == 1 else \
-                    np.array([pos for pos, _ in after])[gi]
-            else:
-                spread = int(reads.max()) + 1
-                at = np.array([_after(pos, half, k)[0]
-                               for _, pos, half, _, _ in groups
-                               for k in range(spread)])[gi * spread + reads]
+            word = stride * depth + stride - 1  # after the choice's, if any
             j = sample_outcomes(cuts[np.array(row_of)[to]],
-                                streams.words(trial, at))
+                                streams.words(trial, word))
 
-        # the next groups, one per key (entry, stream position, verdict);
-        # the trials of one (pair, outcome, half-words read) code share it
+        # the next groups, one per key (entry, verdict); the trials of one
+        # (pair, outcome) code share it
         left = len(exits)
         kinds = width + 1
         code = to * kinds + j
-        spread = 1
-        if reads is not None:
-            spread = int(reads.max()) + 1
-            code = code * spread + reads
-        seen = np.zeros(len(pairs) * kinds * spread, dtype=bool)
+        seen = np.zeros(len(pairs) * kinds, dtype=bool)
         seen[code] = True
         present = np.flatnonzero(seen).tolist()
         target, level, nxt = [], {}, []
         for c in present:
-            r, j = divmod(c // spread, kinds)
+            r, j = divmod(c, kinds)
             g, move = pairs[r]
-            entry, pos, half, verdict, prefix = groups[g]
-            pos, half = after[g] if reads is None else \
-                _after(pos, half, c % spread)
+            entry, verdict, prefix = groups[g]
             try:
                 succ = move.succ[j] or engine.successor(entry, move, j)
             except BeliefProgError as exc:
@@ -473,7 +409,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
             if succ is BREAKDOWN:
                 target.append(exit_to("belief-breakdown", prefix))
                 continue
-            key = (succ, pos + 1, half, verdict if verdict is not None
+            key = (succ, verdict if verdict is not None
                    else _verdict(engine, psi, depth + 1, succ.obs))
             n = level.get(key)
             if n is None:
@@ -491,7 +427,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams):
         groups = nxt
         if not groups:
             break
-        streams.release(min(h if h >= 0 else p for _, p, h, _, _ in groups))
+        streams.release(stride * (depth + 1))
     gone.append((trial, gi + len(exits)))
     exits.extend(("horizon-cut", prefix) for *_, prefix in groups)
 

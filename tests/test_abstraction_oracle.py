@@ -46,8 +46,9 @@ class PlainStep:
     def step(self, w, t):
         return action_likelihood(t, w, self.bat), progress_world(w, t, self.bat)
 
-    def branches(self, w, symbol, ctrl):
-        return tuple((t, like) for t in oi_alternatives(symbol, ctrl, self.model)
+    def branches(self, w, cls):
+        return tuple((t, like) for t in
+                     oi_alternatives(cls.symbol, cls.ctrl, self.model)
                      if (like := action_likelihood(t, w, self.bat)) != 0)
 
 

@@ -451,7 +451,8 @@ def test_belief_sums_are_shared_by_types_nodes_and_trials(
     # for every type, node and term object (9055 sums at F<=8 when labels
     # were evaluated per type and guards per node, 1794 with one sum per
     # term object), and the simulator reads the same memo (2728 sums with
-    # a memo of its own, 1372 with one sum per term object)
+    # a memo of its own, 1372 with one sum per term object, 678 per
+    # knowledge base when a choice read 32-bit half-words)
     choice8 = tmp_path / "choice8.bp"
     choice8.write_text(CHOICE.read_text().replace("F<=3 B", "F<=8 B"))
     assert _belief_sums(monkeypatch, "verify", str(choice8),
@@ -459,4 +460,4 @@ def test_belief_sums_are_shared_by_types_nodes_and_trials(
     assert _belief_sums(monkeypatch, "simulate", str(CHOICE), "--world", "h=0",
                         "--policy", "uniform-random", "--trials", "2000",
                         "--seed", "1", "--horizon", "10",
-                        "--psi", "F<=3 B(h = 2) = 1") == (0, 678, 678)
+                        "--psi", "F<=3 B(h = 2) = 1") == (0, 677, 677)

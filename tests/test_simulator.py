@@ -1,6 +1,5 @@
 import json
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import beliefprog.kb as kb_mod
 import beliefprog.simulate as simulate
 from beliefprog.abstraction import ground_action_universe
 from beliefprog.cli import main
-from beliefprog.kb import initial_kb
+from beliefprog.kb import GroundAction, initial_kb
 from beliefprog.pomdp import ConfigTable
 from beliefprog.program_graph import program_prims
 from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
@@ -208,8 +207,10 @@ def test_globally_on_prefix(coffee):
 # configuration table, the Bat's step memo and the lockstep walk: one trial
 # at a time, every step evaluates the guards, the real likelihoods, the
 # knowledge-base update rules and the world progression afresh through the
-# unmemoised kb functions, and draws from its own numpy Generator over
-# Philox, comparing each 64-bit word with exact Fraction cut-offs.
+# unmemoised kb functions, and compares each 64-bit word it draws with
+# exact Fraction cut-offs: under uniform-random it reads depth d's choice
+# from raw Philox word 2d and its outcome from word 2d + 1, and under the
+# other policies it draws from its own numpy Generator over Philox.
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
@@ -266,10 +267,9 @@ def reference_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def reference_index(rng, weights):
+def reference_index(r, weights):
     """The first outcome i with r < cum_i * 2^64 for a 64-bit word r, or
     the last, decided in Fractions."""
-    r = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
     cum = F(0)
     for i, w in enumerate(weights):
         cum += w
@@ -278,15 +278,23 @@ def reference_index(rng, weights):
     return len(weights) - 1
 
 
-def reference_trace(model, world0, policy, horizon, seed, trial, rng=None):
-    """One trace stepped by the rules themselves, drawing from rng, or
-    from trial's Philox stream of seed."""
+def reference_trace(model, world0, policy, horizon, seed, trial, words=None):
+    """One trace stepped by the rules themselves.  Under uniform-random,
+    depth d reads words 2d and 2d + 1 of `words`, or of trial's Philox
+    stream of seed; under the other policies, a numpy Generator over that
+    stream draws each outcome."""
     if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
         raise BeliefProgError(f"initial world {world0!r} violates the "
                               "initial constraints")
     graph = build_graph(model.program)
     rbat = real_bat(model)
-    rng = rng or reference_rng(seed, trial)
+    if policy == "uniform-random":
+        if words is None:
+            key = np.array([seed % 2 ** 64, trial], dtype=np.uint64)
+            words = np.random.Philox(key=key).random_raw(2 * horizon).tolist()
+    else:
+        rng = reference_rng(seed, trial)
+        words = None
     kb = initial_kb(model)
     w = world0
     node = 0
@@ -306,7 +314,9 @@ def reference_trace(model, world0, policy, horizon, seed, trial, rng=None):
                 return TraceRecord(world0, actions, kbs, "final", likelihood)
         elif policy == "uniform-random":
             options = list(live) + (["stop"] if is_final else [])
-            pick = options[int(rng.integers(0, len(options)))]
+            m = len(options)
+            pick = options[reference_index(words[2 * len(actions)],
+                                           [F(1, m)] * m)]
             if pick == "stop":
                 return TraceRecord(world0, actions, kbs, "final", likelihood)
             edge = pick
@@ -334,7 +344,9 @@ def reference_trace(model, world0, policy, horizon, seed, trial, rng=None):
             raise BeliefProgError(
                 f"{print_program(edge.prim)} has no really-possible outcome "
                 f"at {w!r}")
-        t, p = weighted[reference_index(rng, [p for _, p in weighted])]
+        r = int(rng.integers(0, 2 ** 64, dtype=np.uint64)) if words is None \
+            else words[2 * len(actions) + 1]
+        t, p = weighted[reference_index(r, [p for _, p in weighted])]
         try:
             next_kb = reference_progress(kb, t)
         except IncompatibleSensingError:
@@ -551,154 +563,105 @@ def test_seeds_key_their_streams_exactly():
         assert (trial_rng(a, trials, 0) != trial_rng(b, trials, 0)).all()
 
 
-def _walk_draws(seed, trial, ops):
-    """The walk's draws on one trial's stream: a 64-bit outcome draw for
-    None, a uniform choice among m for m."""
-    streams = simulate._Streams(seed, np.array([trial], dtype=np.uint64))
-    member = np.array([0])
-    pos, half, out = 0, -1, []
-    for m in ops:
-        if m is None:
-            out.append(int(streams.words(member, pos)[0]))
-            pos += 1
-        else:
-            picks, reads = simulate._uniform(streams, member, np.array([m]),
-                                             pos, half)
-            pos, half = simulate._after(pos, half, int(reads[0]))
-            out.append(int(picks[0]))
-    return out
+def arms_model(m):
+    """A program that chooses among m actions and stops: east(i) sets h
+    to i with certainty."""
+    arms = " | ".join(f"east({i})" for i in range(m))
+    return parse_model(f"""
+        fluents h;
+        action east stochastic(x; y) {{
+          outcomes: (x);
+          likelihood: case true: 1;
+        }}
+        ssa h {{ case east(x, y): y; default: h; }}
+        belief {{ (0): 1 }}
+        init {{ worlds: (0); }}
+        program {{ {arms} }}
+    """)
 
 
-def test_uniform_draws_equal_generator_integers():
-    rnd = random.Random(5)
-    for case in range(300):
-        ops = [rnd.choice([None, 1, 2, 3, 4, 5, 6])
-               for _ in range(rnd.randint(1, 30))]
-        seed, trial = rnd.randrange(2 ** 64), rnd.randrange(1000)
-        rng = reference_rng(seed, trial)
-        expected = [int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-                    if m is None else int(rng.integers(0, m)) for m in ops]
-        assert _walk_draws(seed, trial, ops) == expected, case
-        key = np.array([seed, trial], dtype=np.uint64)
-        words = WordRng(np.random.Philox(key=key).random_raw(64).tolist())
-        assert [words.integers(0, 2 ** 64 if m is None else m)
-                for m in ops] == expected, case
-
-
-def lemire_model(halves, m):
-    """numpy's bounded draw of integers(0, m) for m < 2^32 over a stream of
-    32-bit draws (buffered_bounded_lemire_uint32)."""
-    rng = m - 1
-    product = next(halves) * m
-    leftover = product & 0xFFFFFFFF
-    if leftover < m:
-        threshold = (0xFFFFFFFF - rng) % m
-        while leftover < threshold:
-            product = next(halves) * m
-            leftover = product & 0xFFFFFFFF
-    return product >> 32
-
-
-class WordRng:
-    """Generator.integers over a given list of 64-bit words: a full-range
-    draw takes the next word, and integers(0, m) takes 32-bit half-words,
-    the low half of a word first and its high half kept for the next."""
-
-    def __init__(self, words):
-        self.words = iter(words)
-        self.pending = None
-
-    def _halves(self):
-        while True:
-            if self.pending is None:
-                word = next(self.words)
-                self.pending = word >> 32
-                yield word & 0xFFFFFFFF
-            else:
-                half, self.pending = self.pending, None
-                yield half
-
-    def integers(self, low, high, dtype=None):
-        assert low == 0
-        if high == 2 ** 64:
-            return next(self.words)
-        return 0 if high == 1 else lemire_model(self._halves(), high)
-
-
-def test_uniform_rejection_on_crafted_words(monkeypatch):
-    # m = 3 redraws exactly when a half-word is 0: in the first draw trial
-    # 0 redraws once, trial 1 never and trial 2 three times
-    crafted = np.array([
-        [9 << 32, 5, 0, 7 << 32, 11, 12, 13, 14],
-        [0x80000000 | 1 << 32, 0, 3, 4, 5, 6, 7, 8],
-        [0, 0xFFFFFFFF << 32, 0, 1, 2, 3, 4, 5],
-    ], dtype=np.uint64)
-    monkeypatch.setattr(simulate, "trial_rng", lambda seed, trials, block:
-                        crafted[:, 4 * block:4 * block + 4])
-    streams = simulate._Streams(0, np.arange(3, dtype=np.uint64))
-    trials, m = np.arange(3), np.full(3, 3)
-    got = [[] for _ in crafted]
-    pos, half = 0, -1  # one position for all, then one per trial
-    for draw in range(4):
-        picks, reads = simulate._uniform(streams, trials, m, pos, half)
-        for t, pick in enumerate(picks.tolist()):
-            got[t].append(pick)
-        if draw == 0:
-            assert reads.tolist() == [2, 1, 4]
-        spots = [simulate._after(p, h, k) for p, h, k in
-                 zip(np.broadcast_to(pos, 3).tolist(),
-                     np.broadcast_to(half, 3).tolist(), reads.tolist())]
-        pos, half = (np.array(v) for v in zip(*spots))
-        if draw == 0:  # the redraws split the trials
-            assert spots == [(1, -1), (1, 0), (2, -1)]
-    for t, words in enumerate(crafted.tolist()):
-        halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
-        assert got[t] == [lemire_model(halves, 3) for _ in range(4)], t
-
-
-def test_redraws_through_the_walk_equal_one_trial_walks(monkeypatch):
-    # crafted streams on the choice model, which picks one of three
-    # actions at each step (a uniform draw of half-words, then an outcome
-    # word): in the first step trials 0, 1, 2 and 4, one group, redraw 0,
-    # 1, 3 and 2 times, and in the second trial 3 redraws on the high half
-    # it kept, two words behind the next fresh word.  Trials 2 and 3 then
-    # take east, whose outcome differs between the word after the choice
-    # and the word before it.
-    model = parse_model(CHOICE.read_text())
-    world0 = make_world(model, [0])
-    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
-    words = np.random.default_rng(11).integers(0, 2 ** 64, size=(300, 40),
-                                               dtype=np.uint64)
-    words[:, :2] |= np.uint64(1 << 32 | 1)  # no half-word of 0 ...
-    high = np.uint64(0xFFFFFFFF << 32)
-    words[1, 0] &= high  # ... but where a redraw is wanted
-    words[2, :3] = [0, 0x80000000 << 32, 1 << 32 | 1]
-    words[3, 0] &= np.uint64(0xFFFFFFFF)
-    words[3, 2:4] = [0xC0000000 << 32 | 0x80000000, 1 << 32 | 1]
-    words[4, 0] = 0
+def crafted_streams(monkeypatch, words):
+    """Make trial t's stream the row words[t]."""
     monkeypatch.setattr(simulate, "trial_rng", lambda seed, trials, block:
                         words[np.asarray(trials, dtype=np.intp),
                               4 * block:4 * block + 4])
+
+
+def test_uniform_choice_on_crafted_words(monkeypatch):
+    # a choice among m reads word 0 at depth 0: the word ceil(i * 2^64 / m)
+    # is the least that picks option i, so one below it picks i - 1
+    for m in range(2, 8):
+        model = arms_model(m)
+        cuts = [-(-(i << 64) // m) for i in range(1, m)]
+        draws = [(0, 0), (2 ** 64 - 1, m - 1)]
+        draws += [(cut, i) for i, cut in enumerate(cuts, 1)]
+        draws += [(cut - 1, i - 1) for i, cut in enumerate(cuts, 1)]
+        words = np.zeros((len(draws), 4), dtype=np.uint64)
+        words[:, 0] = [word for word, _ in draws]
+        crafted_streams(monkeypatch, words)
+        engine = TraceEngine(model)
+        for t, (word, pick) in enumerate(draws):
+            assert pick == word * m >> 64
+            record = run_trace(model, make_world(model, [0]), "uniform-random",
+                               1, trial=t, engine=engine)
+            assert record.actions[0].ctrl == (F(pick),), (m, word)
+
+
+def test_crafted_streams_through_the_walk_equal_one_trial_walks(monkeypatch):
+    # the choice model picks one of sencfe, east(1) and east(0) at each step
+    # from word 2d, and an outcome from word 2d + 1.  Trials 0-11 meet the
+    # choice's cut-offs at depth 0 or 1, and their east outcomes the cut-off
+    # 2^63: each word at a cut-off picks the later option, the word below
+    # it the earlier
+    model = parse_model(CHOICE.read_text())
+    world0 = make_world(model, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
+    words = np.random.default_rng(11).integers(0, 2 ** 64, size=(300, 20),
+                                               dtype=np.uint64)
+    third, two_thirds = -(-2 ** 64 // 3), -(-2 ** 65 // 3)
+    edges = [third - 1, third, two_thirds - 1, two_thirds, 0, 2 ** 64 - 1]
+    for t in range(12):
+        depth = t // 6
+        words[t, 2 * depth:2 * depth + 2] = [edges[t % 6],
+                                             2 ** 63 - 1 + t // 2 % 2]
+    crafted_streams(monkeypatch, words)
     engine = TraceEngine(model)
     records = []
     for t in range(len(words)):
         record = run_trace(model, world0, "uniform-random", 10, trial=t,
                            engine=engine)
         expected = reference_trace(model, world0, "uniform-random", 10, 0, t,
-                                   rng=WordRng(words[t].tolist()))
+                                   words=words[t].tolist())
         assert _result(lambda: record) == _result(lambda: expected), t
         records.append(record)
-    assert [records[t].actions[depth].symbol
-            for t, depth in ((2, 0), (3, 1))] == ["east", "east"]
+    assert [str(records[t].actions[0]) for t in range(6)] == [
+        "sencfe(0)", "east(1, 1)", "east(1, 0)", "east(0, -1)", "sencfe(0)",
+        "east(0, 0)"]
     # outcomes in the order of the first trial that ends each way
     expected = (sum(eval_trace_formula(psi, r) for r in records),
                 list(Counter(r.outcome for r in records).items()))
-    assert expected == (5, [("horizon-cut", 252), ("belief-breakdown", 6),
-                            ("final", 42)])
+    assert expected == (6, [("horizon-cut", 251), ("final", 44),
+                            ("belief-breakdown", 5)])
     for chunk in (simulate._CHUNK, 7):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         res = estimate(model, psi, world0, "uniform-random", len(words), 0, 10)
         assert (res.successes, list(res.outcomes.items())) == expected
+
+
+def test_uniform_choice_frequencies_chi_square():
+    # one walk of 10,000 trials, each choosing among three actions
+    model = arms_model(3)
+    engine = TraceEngine(model)
+    start = simulate._start(engine, make_world(model, [0]), "uniform-random")
+    n = 10_000
+    streams = simulate._Streams(2024, np.arange(n, dtype=np.uint64))
+    finished, errors = simulate._lockstep(engine, start, "uniform-random",
+                                          None, 1, streams)
+    assert not errors
+    counts = {prefix.action.ctrl: count for prefix, _, count, _ in finished}
+    assert sum(counts.values()) == n
+    observed = [counts.get((F(i),), 0) for i in range(3)]
+    assert stats.chisquare(observed, [n / 3] * 3).pvalue > 0.001
 
 
 def test_cut_offs_stay_in_uint64():
@@ -853,8 +816,8 @@ SIM_CHOICE = ["simulate", str(CHOICE), "--world", "h=0",
 
 @pytest.mark.parametrize("argv, successes, outcomes", [
     (SIM_COFFEE, 297, {"belief-breakdown": 190, "horizon-cut": 4810}),
-    (SIM_CHOICE, 47, {"belief-breakdown": 51, "final": 293,
-                      "horizon-cut": 1656}),
+    (SIM_CHOICE, 53, {"belief-breakdown": 50, "final": 288,
+                      "horizon-cut": 1662}),
 ], ids=["sim-coffee", "sim-choice"])
 def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
     # the benchmark's simulate workloads at seed 0
@@ -866,7 +829,8 @@ def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
 def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
                                                            capsys):
     # keyed per ground action, the believed Bat made 1898 progressions and
-    # 93 moves entries; each cut-offs row was made 3078 times over 36 rows
+    # 93 moves entries; each cut-offs row was made 3078 times over 36 rows.
+    # Two more rows are the cut-offs of choices among 2 and among 3
     bats, rows = [], []
     init = kb_mod.Bat.__init__
 
@@ -883,8 +847,22 @@ def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
     capsys.readouterr()
     (believed,) = [b for b in bats if b.which == "believed"]
     (real,) = [b for b in bats if b.which == "real"]
-    assert (len(believed._progressed), len(believed._moves)) == (1440, 63)
-    assert len(rows) == len(real._branches) == 36
+    assert (len(believed._progressed), len(believed._moves)) == (1474, 64)
+    assert len(rows) - 2 == len(real._branches) == 35
+
+
+def test_branches_are_keyed_by_world_id_and_observed_class():
+    # a key of Fractions would hash them on every lookup
+    model = parse_model(CHOICE.read_text())
+    engine = TraceEngine(model)
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
+    estimate(model, psi, make_world(model, [0]), "uniform-random", 2000, 0,
+             10, engine=engine)
+    for bat in (engine.rbat, engine.kb0.bat):
+        assert bat._branches
+        for key in bat._branches:
+            assert [type(part) for part in key] == [int, GroundAction], key
+            assert key[1].oi_class is key[1]
 
 
 def test_cli_calls_share_no_step_table(monkeypatch, capsys):
