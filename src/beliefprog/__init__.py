@@ -10,11 +10,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "abstraction": ("Abstraction", "ProgramContext", "TypeAssignment",
-                    "compute_types", "ground_action_universe", "reps_auto",
-                    "reps_from_init", "reps_from_ranges"),
-    "checker": ("Verdict", "check", "enumerate_policies", "horizon_of",
-                "probability"),
+    "abstraction": ("Abstraction", "ProgramContext", "compute_types",
+                    "ground_action_universe", "reps_auto", "reps_from_init",
+                    "reps_from_ranges"),
+    "checker": ("Verdict", "check", "horizon_of", "probability"),
     "errors": ("BeliefProgError", "Diagnostic", "EvalError",
                "IncompatibleActionError", "IncompatibleSensingError",
                "InadmissiblePropertyError", "LikelihoodContextError",
@@ -24,7 +23,7 @@ _EXPORTS = {
     "kb": ("EPSILON", "FAILURE", "GroundAction", "KnowledgeBase", "World",
            "action_likelihood", "believed_bat", "eval_fluent_formula",
            "eval_subjective", "initial_kb", "make_world", "oi_alternatives",
-           "progress_kb", "progress_world", "real_bat", "trace_likelihood"),
+           "progress_kb", "progress_world", "real_bat"),
     "pa": ("ProbAutomaton", "encode", "encode_text", "oracle_accept_prob",
            "soundness_check"),
     "parser": ("model_digest", "parse_ground_action", "parse_model",

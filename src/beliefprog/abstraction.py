@@ -15,18 +15,19 @@ so each set is one node, expanded once, with its children in action order,
 which is the key order: by length, then action by action.  Nodes are met
 breadth first, and a node first met k steps down is not expanded.  The
 kept and pruned sequences are path counts over the DAG to depth k, and
-Abstraction.sequences is a lazy view that lists them.  Type keys are
+Abstraction.sequences counts them without listing them.  Type keys are
 hash-consed, as the shared subgraphs of reduced ordered BDDs are (Bryant,
 1986): a state's id at level 0 is that of its objective truths, and at
 level d that of the tuple of its level d-1 ids in the node's children;
 level d is made in one pass over the nodes first met within k - d steps.
-A representative's key is its ids at levels 0..k, equal keys make one
-type, and the types are ordered by their truths in key order, found by
-descending two keys to the first leaf where they differ.  A (world,
-action) step is the real Bat's memoised step.  No knowledge base is
-progressed here.  The abstraction hands on the real Bat and the initial
+A representative's key is its ids at levels 0..k, and equal keys make
+one type.  A type is its witness, the first representative with its key;
+the types are ordered by their truths after the kept sequences in key
+order, found by descending two keys to the first leaf where they differ.
+A (world, action) step is the real Bat's memoised step.  No knowledge base
+is progressed here.  The abstraction hands on the real Bat and the initial
 knowledge base, from which the POMDP builder steps a type's configurations
-at the type witness's world, so real likelihoods are found in one place.
+at its witness world, so real likelihoods are found in one place.
 The number of DAG nodes is capped by NODE_BUDGET, and their level-table
 slots (a node's size times its levels) by SLOT_BUDGET.
 
@@ -180,34 +181,14 @@ SLOT_BUDGET = 2_000_000
 REPRESENTATIVE_BUDGET = 10_000
 
 
-class TypeAssignment:
-    """One type: a representative world (witness), and bitvec, the truths
-    of the objective context formulas after every kept sequence, sequences
-    in key order (by length, then action by action), flattened.  bitvec is
-    a tuple, or a function that makes it the first time it is read."""
-
-    def __init__(self, witness, bitvec):
-        self.witness = witness
-        self._bitvec = bitvec
-
-    @property
-    def bitvec(self):
-        if callable(self._bitvec):
-            self._bitvec = tuple(self._bitvec())
-        return self._bitvec
-
-    def __repr__(self):
-        return f"TypeAssignment(witness={self.witness!r})"
-
-
 @dataclass
 class Abstraction:
     context: ProgramContext
     universe: list
     horizon: int
-    sequences: object  # kept sequences (tuples of GroundAction): len, iter
+    sequences: object  # KeptSequences: len() counts the kept sequences
     kb0: object  # the initial KnowledgeBase
-    types: list  # TypeAssignment, deduplicated, sorted by bitvec
+    types: list  # one witness World per type, in type order
     pruned: int  # sequences dropped because no representative can reach them
     rbat: object  # the real Bat whose steps made the types
 
@@ -354,9 +335,8 @@ class ActionDag:
 
 
 class KeptSequences:
-    """The kept action sequences, a lazy view of an ActionDag: len() is
-    their number, a path count to depth k, and iteration lists them in key
-    order (by length, then action by action), stopping at length k."""
+    """The kept action sequences of an ActionDag: len() is their number,
+    a path count to depth k."""
 
     def __init__(self, dag):
         self.dag = dag
@@ -364,17 +344,10 @@ class KeptSequences:
     def __len__(self):
         return self.dag.kept
 
-    def __iter__(self):
-        level = [((), self.dag.root)]
-        for _ in range(self.dag.k):
-            yield from (z for z, _n in level)
-            level = [(z + (t,), c) for z, n in level
-                     for t, c, _pos in self.dag.children[n]]
-        yield from (z for z, _n in level)
-
 
 def _compare_keys(levels, a, b):
-    # the bitvec order: at the first level where the ids differ, descend
+    # the order of the objective truths after every kept sequence in key
+    # order, flattened: at the first level where the ids differ, descend
     # both in child order to the first leaf that differs
     for d, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -383,17 +356,6 @@ def _compare_keys(levels, a, b):
                             if pair[0] != pair[1])
             return -1 if levels[0][x] < levels[0][y] else 1
     return 0
-
-
-def _bitvec(levels, key):
-    bits = []
-    for d, x in enumerate(key):
-        row = [x]
-        for e in range(d, 0, -1):
-            row = [c for y in row for c in levels[e][y]]
-        for y in row:
-            bits.extend(levels[0][y])
-    return bits
 
 
 def compute_types(model, k, reps, phi=None) -> Abstraction:
@@ -428,10 +390,8 @@ def compute_types(model, k, reps, phi=None) -> Abstraction:
     for w0, key in zip(reps, keys):
         first.setdefault(key, w0)
     order = sorted(first, key=functools.cmp_to_key(
-        functools.partial(_compare_keys, levels)))
-    types = [TypeAssignment(first[key],
-                            functools.partial(_bitvec, levels, key))
-             for key in order]
+        lambda a, b: _compare_keys(levels, a, b)))
+    types = [first[key] for key in order]
 
     pruned = dag.pruned
     if pruned:

@@ -14,7 +14,9 @@ reaches before the formula is decided (the finite-horizon policy tree of
 a POMDP).  Each leaf of the search stands for every policy that agrees
 with its fixed choices, so the leaves partition the policy space and
 their values give the exact extremes; the policy cap bounds search nodes.
-enumerate_policies stays as the exhaustive oracle.
+The witness policies come first in one fixed order of the policy space:
+decision observations sorted by name (their rendering), each one's
+choices in declaration order, the earlier observations varying slowest.
 """
 
 import itertools
@@ -100,21 +102,6 @@ def policy_count(pomdp) -> int:
     return count
 
 
-def enumerate_policies(pomdp, cap=DEFAULT_POLICY_CAP):
-    """Yield proper policies as observation -> action maps, deterministic
-    order: observations sorted, actions in edge-declaration order."""
-    decisions = policy_space(pomdp)
-    count = policy_count(pomdp)
-    log.warning("enumerating %d proper polic%s over %d decision observation(s)",
-                count, "y" if count == 1 else "ies", len(decisions))
-    if cap is not None and count > cap:
-        raise PolicyBudgetError(
-            f"{count} proper policies exceed the enumeration cap {cap}")
-    observations = [obs for obs, _ in decisions]
-    for combo in itertools.product(*[choices for _, choices in decisions]):
-        yield dict(zip(observations, combo))
-
-
 def _action_at(pomdp, policy, state):
     trans = pomdp.transitions[state]
     choices = pomdp.agent_actions.get(pomdp.obs_of[state]) or ()
@@ -192,8 +179,9 @@ def _search(pomdp, psi, cap):
     policy_space order with choices in declaration order.  A leaf (no open
     mass, or the formula's decision depth) stands for every policy that
     agrees with its fixed choices, so the leaves partition the policy
-    space.  The witnesses are the first optimal policies in
-    enumerate_policies order: each leaf's first member takes the first
+    space.  The witnesses are the first optimal policies when policies are
+    ordered by their choice indices, observations sorted by name and
+    compared in that order: each leaf's first member takes the first
     choice wherever it fixed none, and the smallest such member wins."""
     last = _last_depth(psi)
     decisions = policy_space(pomdp)
@@ -238,7 +226,8 @@ def _search(pomdp, psi, cap):
 
 
 def _complete(decisions, fixed):
-    """The first policy in enumerate_policies order that agrees with fixed."""
+    """The first policy that agrees with fixed: each decision observation
+    not in fixed takes its first choice in declaration order."""
     return {obs: fixed.get(obs, choices[0]) for obs, choices in decisions}
 
 

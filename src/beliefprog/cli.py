@@ -109,8 +109,8 @@ def _build_abstraction(model, phi, args, timing, warnings):
     t0 = time.perf_counter()
     graph = build_graph(model.program)
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
-              for i, tau in enumerate(abstraction.types)]
+    pomdps = [build_pomdp(table, abstraction, witness, type_id=i)
+              for i, witness in enumerate(abstraction.types)]
     timing["pomdps"] = time.perf_counter() - t0
     for p in pomdps:
         if p.breakdown_states:
@@ -148,11 +148,11 @@ def cmd_verify(args):
         "pruned_sequences": abstraction.pruned,
         "types": [{
             "id": i,
-            "witness": _world_dict(model, tau.witness),
+            "witness": _world_dict(model, witness),
             "pomdp_states": len(pomdps[i].states),
             "pomdp_observations": len(pomdps[i].observations),
             "fingerprint": fingerprints[i],
-        } for i, tau in enumerate(abstraction.types)],
+        } for i, witness in enumerate(abstraction.types)],
         "distinct_pomdps": len(set(fingerprints)),
         "verdict": {
             "holds": verdict.holds,
@@ -371,11 +371,12 @@ def _emit(args, report, text_renderer):
 
 
 def _add_reps_flags(sub):
-    sub.add_argument("--reps", help="file with one representative world per line")
-    sub.add_argument("--reps-range", action="append",
-                     help="fluent=lo..hi integer box (repeatable)")
-    sub.add_argument("--reps-auto", action="store_true",
-                     help="derive representatives from constants in the model")
+    reps = sub.add_mutually_exclusive_group()
+    reps.add_argument("--reps", help="file with one representative world per line")
+    reps.add_argument("--reps-range", action="append",
+                      help="fluent=lo..hi integer box (repeatable)")
+    reps.add_argument("--reps-auto", action="store_true",
+                      help="derive representatives from constants in the model")
 
 
 def build_arg_parser():

@@ -532,18 +532,6 @@ def oi_alternatives(symbol, ctrl, model):
     return [GroundAction(symbol, tuple(ctrl), value) for value in values]
 
 
-def trace_likelihood(world, actions, bat) -> Fraction:
-    """l*(w, z): product of per-step likelihoods along the progressed worlds."""
-    total = ONE
-    w = world
-    for a in actions:
-        total *= action_likelihood(a, w, bat)
-        if total == 0:
-            return ZERO
-        w = progress_world(w, a, bat)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # knowledge bases
 

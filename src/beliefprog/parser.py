@@ -925,23 +925,20 @@ def parse_model(text: str) -> ModelFile:
                 p.error(f"believed override for undeclared action {name!r}",
                         tok, code="undeclared")
                 continue
-            base = like[name]
-            raw = LikelihoodTable(
-                tuple(outcomes) if outcomes is not None else base.outcomes,
-                tuple(rows))
             if outcomes is not None and decl.kind == "sensing":
                 p.error("sensing outcomes are fixed by the declaration", tok,
                         code="arity")
+            width = len(like[name].outcomes if outcomes is None else outcomes)
             for row in rows:
-                if len(row.weights) != len(raw.outcomes):
+                if len(row.weights) != width:
                     p.error(f"believed likelihood row for {name!r} has "
-                            f"{len(row.weights)} weights, expected "
-                            f"{len(raw.outcomes)}", tok, code="arity")
-            if outcomes is not None:
-                believed_like[name] = r.likelihood_table(decl, raw)
-            else:
-                resolved = r.likelihood_table(decl, raw)
-                believed_like[name] = LikelihoodTable(base.outcomes, resolved.rows)
+                            f"{len(row.weights)} weights, expected {width}",
+                            tok, code="arity")
+            table = r.likelihood_table(decl, LikelihoodTable(
+                () if outcomes is None else tuple(outcomes), tuple(rows)))
+            if outcomes is None:  # the real table's, resolved once above
+                table = LikelihoodTable(like[name].outcomes, table.rows)
+            believed_like[name] = table
         for rule in b_ssa:
             resolved = r.ssa_rule(rule)
             believed_ssa[resolved.fluent] = resolved

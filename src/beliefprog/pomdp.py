@@ -186,8 +186,9 @@ class FinitePomdp:
             entry.node, entry.obs.render(), entry.world, depth)
 
 
-def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
-    """The table unrolled breadth first by depth from the type witness."""
+def build_pomdp(table, abstraction, witness, type_id=None) -> FinitePomdp:
+    """The table unrolled breadth first by depth from a type's witness
+    world."""
     k = abstraction.horizon
     ctx = abstraction.context
     p = FinitePomdp(k, type_id)
@@ -218,7 +219,7 @@ def build_pomdp(table, abstraction, tau, type_id=None) -> FinitePomdp:
             p.obs_of.append(obs_index[kb.key])
         return index
 
-    state(table.entry(0, table.kb0, tau.witness), 0)
+    state(table.entry(0, table.kb0, witness), 0)
     # states are made in breadth-first order, so the list is the queue
     for si, (entry, depth) in enumerate(p.states):
         trans = p.transitions[si]

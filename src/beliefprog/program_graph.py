@@ -95,9 +95,6 @@ class CharGraph:
         self.fin = fin              # termination formula per node
         self.fail = fail            # failure formula per node
 
-    def node_count(self):
-        return len(self.nodes)
-
 
 def build_graph(delta) -> CharGraph:
     """Explore the subprogram closure of delta breadth-first."""

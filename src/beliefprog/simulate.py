@@ -155,7 +155,8 @@ class TraceRecord:
     actions: list
     kbs: list  # knowledge-base snapshots; len(kbs) == len(actions) + 1
     outcome: str  # final | fail | belief-breakdown | horizon-cut
-    trace_likelihood: Fraction
+    # l*(world0, actions), the product of the steps' real likelihoods
+    likelihood: Fraction
 
 
 class Strategy:

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from beliefprog import parse_model
+from beliefprog import (ConfigTable, PolicyBudgetError, action_likelihood,
+                        build_graph, build_pomdp, compute_types, make_world,
+                        parse_model, progress_world)
+from beliefprog.checker import DEFAULT_POLICY_CAP, policy_count, policy_space
 
 ROOT = Path(__file__).resolve().parent.parent
 COFFEE = ROOT / "models" / "coffee.bp"
@@ -18,6 +22,54 @@ def coffee_text():
 @pytest.fixture(scope="session")
 def coffee(coffee_text):
     return parse_model(coffee_text)
+
+
+@pytest.fixture(scope="module")
+def coffee_table(coffee):
+    """Coffee P1 at F<=2 from h = 0, -1, -2: its types and their table."""
+    graph = build_graph(coffee.program)
+    reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
+    abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
+    return abstraction, ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+
+
+@pytest.fixture(scope="module")
+def coffee_pomdps(coffee_table):
+    abstraction, table = coffee_table
+    return abstraction, [build_pomdp(table, abstraction, witness, type_id=i)
+                         for i, witness in enumerate(abstraction.types)]
+
+
+def pomdp_with_witness(abstraction, pomdps, h):
+    """The POMDP of the type whose witness world has this h."""
+    return next(p for w, p in zip(abstraction.types, pomdps) if w["h"] == h)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def enumerate_policies(pomdp, cap=DEFAULT_POLICY_CAP):
+    """Every proper policy as an observation -> action map, in the checker's
+    witness order: decision observations sorted by name, each one's choices
+    in declaration order, the earlier observations varying slowest."""
+    decisions, count = policy_space(pomdp), policy_count(pomdp)
+    if cap is not None and count > cap:
+        raise PolicyBudgetError(f"{count} proper policies exceed the cap {cap}")
+    observations = [obs for obs, _ in decisions]
+    for combo in itertools.product(*[choices for _, choices in decisions]):
+        yield dict(zip(observations, combo))
+
+
+def trace_likelihood(world, actions, bat):
+    """l*(w, z): the product of the per-step likelihoods along the
+    progressed worlds."""
+    total = Fraction(1)
+    for a in actions:
+        total *= action_likelihood(a, world, bat)
+        if total == 0:
+            return total
+        world = progress_world(world, a, bat)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from beliefprog.abstraction import (BREAKDOWN, RepresentativeError, reps_auto,
                                     reps_from_init, reps_from_ranges)
 from beliefprog.kb import (eval_fluent_formula, next_observation,
                            progress_world, real_bat)
+from conftest import trace_likelihood
 
 
 def test_ground_universe_coffee(coffee):
@@ -69,7 +71,7 @@ def test_three_types_for_coffee(coffee):
     reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
     a = compute_types(coffee, 2, reps, coffee.property_named("P1"))
     assert len(a.types) == 3
-    witnesses = sorted(t.witness["h"] for t in a.types)
+    witnesses = sorted(w["h"] for w in a.types)
     assert witnesses == [-2, -1, 0]
 
 
@@ -91,15 +93,21 @@ def test_empty_representatives_rejected(coffee):
 
 
 def test_type_soundness_by_reevaluation(coffee):
-    # a type's bit vector is the truth of every objective context formula
+    # a world's bit vector is the truth of every objective context formula
     # after every kept sequence, sequences by length and then action
-    # symbols; two representatives of the same type agree on all of it
+    # symbols; a sequence is kept when some representative reaches it with
+    # a nonzero likelihood.  Two representatives of one type agree on all
+    # of it, and the types come in ascending bit vector order
     reps = [make_world(coffee, [v]) for v in (0, -1, -2, -3)]
     a = compute_types(coffee, 2, reps, coffee.property_named("P1"))
     rb = real_bat(coffee)
     ctx = a.context
-    order = sorted(a.sequences, key=lambda z: (
-        len(z), [(t.symbol, t.ctrl, t.unctrl) for t in z]))
+    order = sorted((z for n in range(a.horizon + 1)
+                    for z in itertools.product(a.universe, repeat=n)
+                    if any(trace_likelihood(w, z, rb) for w in reps)),
+                   key=lambda z: (len(z), [(t.symbol, t.ctrl, t.unctrl)
+                                           for t in z]))
+    assert len(order) == len(a.sequences)
 
     def bitvec(w0):
         bits = []
@@ -113,9 +121,9 @@ def test_type_soundness_by_reevaluation(coffee):
 
     # -2 and -3 collapse into one type
     assert len(a.types) == 3
-    for tau in a.types:
-        assert bitvec(tau.witness) == tau.bitvec
-    assert {bitvec(w) for w in reps} == {tau.bitvec for tau in a.types}
+    vectors = [bitvec(w) for w in a.types]
+    assert vectors == sorted(set(vectors))  # distinct and ascending
+    assert {bitvec(w) for w in reps} == set(vectors)
     assert bitvec(reps[2]) == bitvec(reps[3])
 
 
@@ -126,7 +134,9 @@ def test_pruning_drops_zero_likelihood_sequences(coffee):
     # is pruned (1, subtree of 6 never enumerated) along with the four
     # depth-2 sequences ending in an impossible sencfe(1)
     assert a.pruned == 5
-    assert all(str(z[0]) != "sencfe(1)" for z in a.sequences if z)
+    dag = a.sequences.dag
+    assert "sencfe(1)" not in [str(t) for t, _c, _pos
+                               in dag.children[dag.root]]
     assert len(a.sequences) == 43 - 5 - 6
 
 

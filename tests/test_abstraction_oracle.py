@@ -3,10 +3,12 @@
 ``eager_compute_types`` is the straightforward construction: it progresses
 the knowledge base of every kept sequence, evaluates every context formula
 for every representative, and deduplicates and sorts on all entries.
-``compute_types`` must give the same sequences (in key order: by length,
-then action by action), pruning, type order, witnesses and objective truths
-(``bitvec``); the subjective entries are functions of the knowledge bases,
-which are the same for every representative.
+``compute_types`` must give the same numbers of kept and pruned sequences,
+witnesses and type order: ascending by the objective truths after the kept
+sequences in key order (by length, then action by action), flattened
+(``bitvec``), which the eager walk keeps per type.  The subjective entries
+are functions of the knowledge bases, which are the same for every
+representative.
 """
 
 import functools
@@ -21,8 +23,8 @@ from beliefprog import (BeliefProgError, ConfigTable,
                         compute_types, horizon_of, parse_model,
                         pomdp_fingerprint)
 from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
-                                    TypeAssignment, ground_action_universe,
-                                    reps_from_init, reps_from_ranges)
+                                    ground_action_universe, reps_from_init,
+                                    reps_from_ranges)
 from beliefprog.kb import (action_likelihood, eval_fluent_formula,
                            eval_subjective, initial_kb, oi_alternatives,
                            progress_kb, progress_world, real_bat)
@@ -54,7 +56,8 @@ class PlainStep:
 
 def eager_compute_types(model, k, reps, phi=None):
     """Reference: every sequence's KB and every entry computed up front.
-    Returns the abstraction and the sequence -> observation map."""
+    Returns the abstraction, the sequence -> observation map, and each
+    type's bitvec in type order."""
     reps = list(dict.fromkeys(reps))
     context = ProgramContext(model, phi)
     universe = ground_action_universe(model)
@@ -95,8 +98,7 @@ def eager_compute_types(model, k, reps, phi=None):
                         kb_of[z2] = BREAKDOWN
                 new_frontier.append(z2)
         frontier = new_frontier
-    sequences = sorted(worlds_of.keys(),
-                       key=lambda z: (len(z), [universe.index(t) for t in z]))
+    sequences = list(worlds_of)
 
     subj_entries = {}
     for z in sequences:
@@ -109,7 +111,7 @@ def eager_compute_types(model, k, reps, phi=None):
         z, idx = key
         return (len(z), tuple((t.symbol, t.ctrl, t.unctrl) for t in z), idx)
 
-    by_key = {}  # key over all entries -> first type with it
+    by_key = {}  # key over all entries -> (first witness, bitvec)
     for rep_i, w0 in enumerate(reps):
         entries = dict(subj_entries)
         for z in sequences:
@@ -120,32 +122,27 @@ def eager_compute_types(model, k, reps, phi=None):
         order = sorted(entries, key=entry_key)
         key = tuple(entries[k2] for k2 in order)
         if key not in by_key:
-            by_key[key] = TypeAssignment(
-                w0, tuple(entries[k2] for k2 in order if k2[1] in obj_idx))
+            by_key[key] = (w0, tuple(entries[k2] for k2 in order
+                                     if k2[1] in obj_idx))
     types = [by_key[key] for key in sorted(by_key)]
-    return Abstraction(context, universe, k, sequences, kb_of[()], types,
-                       pruned, PlainStep(model)), kb_of
+    return Abstraction(context, universe, k, sequences, kb_of[()],
+                       [w for w, _bits in types], pruned, PlainStep(model)), \
+        kb_of, [bits for _w, bits in types]
 
 
-def _key_order(z):
-    # by length, then action by action on (symbol, ctrl, unctrl)
-    return len(z), [(t.symbol, t.ctrl, t.unctrl) for t in z]
-
-
-def assert_same_abstraction(lazy, eager):
-    # the eager sequences are in universe-tree order; compute_types lists
-    # them in key order
-    assert list(lazy.sequences) == sorted(eager.sequences, key=_key_order)
+def assert_same_abstraction(lazy, eager, bitvecs):
+    assert len(lazy.sequences) == len(eager.sequences)
     assert lazy.pruned == eager.pruned
-    assert [t.witness for t in lazy.types] == [t.witness for t in eager.types]
-    assert [t.bitvec for t in lazy.types] == [t.bitvec for t in eager.types]
+    assert lazy.types == eager.types
+    # distinct types, in ascending bitvec order
+    assert bitvecs == sorted(set(bitvecs))
     assert lazy.kb0 == eager.kb0
 
 
-def _pomdp_or_error(graph, abstraction, tau):
+def _pomdp_or_error(graph, abstraction, witness):
     try:
         p = build_pomdp(ConfigTable(graph, abstraction.rbat, abstraction.kb0),
-                        abstraction, tau)
+                        abstraction, witness)
     except BeliefProgError as exc:
         return type(exc)
     return pomdp_fingerprint(p, abstraction)
@@ -169,12 +166,12 @@ def test_coffee_p1_matches_eager(coffee_text, k):
     model = parse_model(_with_bound(coffee_text, k))
     phi = model.property_named("P1")
     reps = reps_from_init(model)
-    eager, kb_of = eager_compute_types(model, k, reps, phi)
+    eager, kb_of, bitvecs = eager_compute_types(model, k, reps, phi)
     # from k=3 on the belief breaks down, first after
     # east(1, 1) sencfe(1) sencfe(0)
     assert any(kb == BREAKDOWN for kb in kb_of.values()) == (k >= 3)
     lazy = compute_types(model, k, reps, phi)
-    assert_same_abstraction(lazy, eager)
+    assert_same_abstraction(lazy, eager, bitvecs)
     assert_same_pomdps(model, lazy, eager)
 
 
@@ -184,8 +181,8 @@ def test_choice_model_matches_eager():
     k = horizon_of(phi)
     reps = reps_from_init(model)
     lazy = compute_types(model, k, reps, phi)
-    eager, _ = eager_compute_types(model, k, reps, phi)
-    assert_same_abstraction(lazy, eager)
+    eager, _, bitvecs = eager_compute_types(model, k, reps, phi)
+    assert_same_abstraction(lazy, eager, bitvecs)
     assert_same_pomdps(model, lazy, eager)
 
 
@@ -194,8 +191,8 @@ def test_random_models_match_eager(seed):
     model = parse_model(random_model_text(seed))
     reps = reps_from_init(model)
     lazy = compute_types(model, 2, reps)
-    eager, _ = eager_compute_types(model, 2, reps)
-    assert_same_abstraction(lazy, eager)
+    eager, _, bitvecs = eager_compute_types(model, 2, reps)
+    assert_same_abstraction(lazy, eager, bitvecs)
     assert_same_pomdps(model, lazy, eager)
 
 
@@ -213,8 +210,8 @@ def _box_case(seed):
 def test_random_models_with_merged_representatives_match_eager(seed):
     model, reps = _box_case(seed)
     lazy = compute_types(model, 3, reps)
-    eager, _ = eager_compute_types(model, 3, reps)
-    assert_same_abstraction(lazy, eager)
+    eager, _, bitvecs = eager_compute_types(model, 3, reps)
+    assert_same_abstraction(lazy, eager, bitvecs)
 
 
 def test_merged_representatives_occur():
@@ -234,7 +231,7 @@ def test_401_representatives(coffee_text):
     model = parse_model(_with_bound(coffee_text, 5))
     reps = reps_from_ranges(model, {"h": (-400, 0)})
     a = compute_types(model, 5, reps, model.property_named("P1"))
-    assert [t.witness["h"] for t in a.types] == [0, -1, -2, -3, -4, -400]
+    assert [w["h"] for w in a.types] == [0, -1, -2, -3, -4, -400]
     assert (len(a.sequences), a.pruned) == (5348, 341)
 
 
@@ -256,7 +253,7 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
     monkeypatch.setattr(bat, "_progressed", Recording())
     graph = build_graph(model.program)
     table = ConfigTable(graph, a.rbat, a.kb0)
-    pomdps = [build_pomdp(table, a, tau) for tau in a.types]
+    pomdps = [build_pomdp(table, a, witness) for witness in a.types]
     # each progression starts from the observation of a state the program
     # reaches, and none is repeated
     observed = {kb.id for p in pomdps for kb in p.observations
@@ -473,7 +470,7 @@ def test_state_set_dag_matches_depth_keyed_dag(case, coffee_text):
     assert len(set(dag.states)) == len(dag.states) == len(set(old.states))
     assert len(dag.states) < len(old.states)
     a = compute_types(model, k, reps, phi)
-    assert [t.witness for t in a.types] == [w for w, _canon in types]
+    assert a.types == [w for w, _canon in types]
     assert (len(a.sequences), a.pruned) == (dag.kept, dag.pruned)
 
 
@@ -493,13 +490,14 @@ def test_state_set_dag_size(coffee_text):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_kept_sequences_stop_at_the_bound(coffee_text, k):
-    # eps loops back to its own node, so the walk must stop at length k
+    # eps loops back to its own node, so the path count must stop at
+    # length k
     model = parse_model(_with_bound(coffee_text, max(k, 1)))
-    a = compute_types(model, k, reps_from_init(model),
-                      model.property_named("P1"))
-    listed = list(a.sequences)
-    assert len(listed) == len(a.sequences)
-    assert max(map(len, listed)) == k
+    reps, phi = reps_from_init(model), model.property_named("P1")
+    a = compute_types(model, k, reps, phi)
+    eager, _, _ = eager_compute_types(model, k, reps, phi)
+    assert len(a.sequences) == len(eager.sequences)
+    assert max(map(len, eager.sequences)) == k
     assert any(c == n for n, kids in enumerate(a.sequences.dag.children)
                for _t, c, _pos in kids) == (k > 0)
 
@@ -528,5 +526,6 @@ def test_type_order_follows_action_symbols_not_tree_order():
     reps = reps_from_init(model)
     lazy = compute_types(model, 1, reps)
     assert [str(t) for t in lazy.universe[:2]] == ["b(1)", "a(1)"]
-    assert [t.witness["h"] for t in lazy.types] == [2, 0]
-    assert_same_abstraction(lazy, eager_compute_types(model, 1, reps)[0])
+    assert [w["h"] for w in lazy.types] == [2, 0]
+    eager, _, bitvecs = eager_compute_types(model, 1, reps)
+    assert_same_abstraction(lazy, eager, bitvecs)

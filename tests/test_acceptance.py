@@ -44,8 +44,8 @@ def verification(coffee):
     t0 = time.perf_counter()
     abstraction = compute_types(coffee, horizon_of(phi), reps, phi)
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
-              for i, tau in enumerate(abstraction.types)]
+    pomdps = [build_pomdp(table, abstraction, witness, type_id=i)
+              for i, witness in enumerate(abstraction.types)]
     fingerprints = [pomdp_fingerprint(p, abstraction) for p in pomdps]
     elapsed = time.perf_counter() - t0
     verdict = check(pomdps, phi)
@@ -82,7 +82,7 @@ def test_criterion_3_type_abstraction(verification):
 
 def test_criterion_4_verification_verdict(verification):
     abstraction, _pomdps, _fps, verdict, _elapsed = verification
-    maxima = {abstraction.types[tr.type_id].witness["h"]:
+    maxima = {abstraction.types[tr.type_id]["h"]:
               (tr.subformulas[0].minimum, tr.subformulas[0].maximum)
               for tr in verdict.per_type}
     ok = (not verdict.holds

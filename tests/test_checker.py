@@ -6,35 +6,17 @@ import pytest
 
 from beliefprog import (ConfigTable, InadmissiblePropertyError,
                         PolicyBudgetError, build_graph, build_pomdp, check,
-                        compute_types, enumerate_policies, horizon_of,
-                        make_world, parse_model, probability)
+                        compute_types, horizon_of, make_world, parse_model,
+                        probability)
 from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
 from beliefprog.kb import KnowledgeBase, World, believed_bat
 from beliefprog.parser import parse_subjective
 from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import POp, PropInterval, TRUE, UntilOp, XOp
-from conftest import COFFEE
+from conftest import COFFEE, enumerate_policies, pomdp_with_witness
 
 F = Fraction
-
-
-@pytest.fixture(scope="module")
-def coffee_setup(coffee):
-    graph = build_graph(coffee.program)
-    reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
-    abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
-              for i, tau in enumerate(abstraction.types)]
-    return abstraction, pomdps
-
-
-def _pomdp_for(abstraction, pomdps, h):
-    for i, tau in enumerate(abstraction.types):
-        if tau.witness["h"] == h:
-            return pomdps[i]
-    raise AssertionError
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +73,8 @@ def _paths_oracle(pomdp, policy, psi, abstraction):
     return total
 
 
-def test_dp_matches_path_enumeration_on_coffee(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
+def test_dp_matches_path_enumeration_on_coffee(coffee, coffee_pomdps):
+    abstraction, pomdps = coffee_pomdps
     phi = coffee.property_named("P1")
     psi = phi.trace
     for p in pomdps:
@@ -101,35 +83,35 @@ def test_dp_matches_path_enumeration_on_coffee(coffee, coffee_setup):
                 _paths_oracle(p, policy, psi, abstraction)
 
 
-def test_tau1_probability_is_exactly_one_twentieth(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
-    p = _pomdp_for(abstraction, pomdps, 0)
+def test_tau1_probability_is_exactly_one_twentieth(coffee, coffee_pomdps):
+    abstraction, pomdps = coffee_pomdps
+    p = pomdp_with_witness(abstraction, pomdps, 0)
     phi = coffee.property_named("P1")
     policy = next(enumerate_policies(p))
     assert probability(p, policy, phi.trace) == F(1, 20)
 
 
-def test_verdict_p1_violated(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
+def test_verdict_p1_violated(coffee, coffee_pomdps):
+    abstraction, pomdps = coffee_pomdps
     verdict = check(pomdps, coffee.property_named("P1"))
     assert not verdict.holds
-    by_witness = {abstraction.types[tr.type_id].witness["h"]:
+    by_witness = {abstraction.types[tr.type_id]["h"]:
                   tr.subformulas[0] for tr in verdict.per_type}
     assert by_witness[0].minimum == by_witness[0].maximum == F(1, 20)
     assert by_witness[-1].maximum == 0
     assert by_witness[-2].maximum == 0
 
 
-def test_trivial_property_holds(coffee, coffee_setup):
-    _, pomdps = coffee_setup
+def test_trivial_property_holds(coffee, coffee_pomdps):
+    _, pomdps = coffee_pomdps
     phi = POp(PropInterval(F(0), F(1)), XOp(TRUE))
     verdict = check(pomdps, phi)
     assert verdict.holds
 
 
-def test_strict_threshold_fails_at_exact_value(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
-    p = _pomdp_for(abstraction, pomdps, 0)
+def test_strict_threshold_fails_at_exact_value(coffee, coffee_pomdps):
+    abstraction, pomdps = coffee_pomdps
+    p = pomdp_with_witness(abstraction, pomdps, 0)
     phi = coffee.property_named("P1")
     strict = POp(PropInterval(F(1, 20), F(1), lo_open=True), phi.trace)
     verdict = check([p], strict)
@@ -137,8 +119,8 @@ def test_strict_threshold_fails_at_exact_value(coffee, coffee_setup):
     assert verdict.per_type[0].subformulas[0].maximum == F(1, 20)
 
 
-def test_single_policy_for_each_coffee_type(coffee_setup):
-    _, pomdps = coffee_setup
+def test_single_policy_for_each_coffee_type(coffee_pomdps):
+    _, pomdps = coffee_pomdps
     for p in pomdps:
         assert policy_count(p) == 1
 
@@ -183,7 +165,7 @@ def test_star_offers_stop_or_continue():
     assert labels == {frozenset({"s"}), frozenset({"eps"})}
 
 
-def test_policy_budget_enforced(coffee, coffee_setup):
+def test_policy_budget_enforced(coffee, coffee_pomdps):
     text = """
         fluents h;
         action a stochastic(; y) { outcomes: (1); likelihood: case true: 1; }
@@ -200,11 +182,11 @@ def test_policy_budget_enforced(coffee, coffee_setup):
                     abstraction, abstraction.types[0])
     assert policy_count(p) > 1
     with pytest.raises(PolicyBudgetError):
-        list(enumerate_policies(p, cap=1))
+        check([p], m.property_named("T"), policy_cap=1)
 
 
-def test_forward_mass_conservation(coffee, coffee_setup):
-    _, pomdps = coffee_setup
+def test_forward_mass_conservation(coffee, coffee_pomdps):
+    _, pomdps = coffee_pomdps
     phi = coffee.property_named("P1")
     for p in pomdps:
         for policy in enumerate_policies(p):
@@ -213,9 +195,9 @@ def test_forward_mass_conservation(coffee, coffee_setup):
             assert masses and all(m == 1 for m in masses)
 
 
-def test_until_monotone_in_bound(coffee, coffee_setup):
-    abstraction, pomdps = coffee_setup
-    p = _pomdp_for(abstraction, pomdps, 0)
+def test_until_monotone_in_bound(coffee, coffee_pomdps):
+    abstraction, pomdps = coffee_pomdps
+    p = pomdp_with_witness(abstraction, pomdps, 0)
     beta = parse_subjective("B(h = 2) = 1", coffee)
     policy = next(enumerate_policies(p))
     values = [probability(p, policy, UntilOp(TRUE, beta, k))
@@ -260,18 +242,18 @@ def test_horizon_is_the_largest_step_bound():
     assert horizon_of(m.property_named("N")) == 3
 
 
-def test_probability_rejects_an_unbounded_trace(coffee, coffee_setup):
-    _, pomdps = coffee_setup
+def test_probability_rejects_an_unbounded_trace(coffee, coffee_pomdps):
+    _, pomdps = coffee_pomdps
     policy = next(enumerate_policies(pomdps[0]))
     with pytest.raises(InadmissiblePropertyError, match="is not bounded"):
         probability(pomdps[0], policy, coffee.property_named("P2").trace)
 
 
-def test_boolean_structure_of_state_formulas(coffee, coffee_setup):
+def test_boolean_structure_of_state_formulas(coffee, coffee_pomdps):
     from beliefprog.syntax import And, Not
-    abstraction, pomdps = coffee_setup
+    abstraction, pomdps = coffee_pomdps
     phi = coffee.property_named("P1")
-    p_tau1 = _pomdp_for(abstraction, pomdps, 0)
+    p_tau1 = pomdp_with_witness(abstraction, pomdps, 0)
     leaf = parse_subjective("B(true) = 1", coffee)
     # per type: phi holds exactly for tau1, so its negation holds exactly
     # for the other two; neither is valid over all types

@@ -467,6 +467,21 @@ def test_verify_rejects_reps_range_naming_no_single_fluent(capsys, ranges,
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("command", ["verify", "export-pomdp"])
+@pytest.mark.parametrize("flags", [
+    ["--reps-range", "h=-10..0", "--reps-auto"],
+    ["--reps", "reps.txt", "--reps-range", "h=-2..0"],
+    ["--reps-auto", "--reps", "reps.txt"],
+], ids=["range-auto", "file-range", "auto-file"])
+def test_representative_flags_exclude_each_other(capsys, command, flags):
+    # each flag picks the whole representative set; two of them is a
+    # usage error, not one silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, MODEL, "--property", "P1", *flags])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_rejected_representatives_make_one_short_line(capsys):
     # 3000 of the box's worlds violate h <= 0; listing them all made a
     # 95 KB line

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 def test_nil_graph():
     g = build_graph(Nil())
-    assert g.node_count() == 1
+    assert len(g.nodes) == 1
     assert g.edges[0] == []
     assert g.fin[0] == S.TRUE
     assert g.fail[0] == S.FALSE
@@ -18,7 +18,7 @@ def test_nil_graph():
 def test_single_action_graph():
     delta = Prim("east", (Fraction(1),))
     g = build_graph(delta)
-    assert g.node_count() == 2
+    assert len(g.nodes) == 2
     assert len(g.edges[0]) == 1
     e = g.edges[0][0]
     assert e.guard == S.TRUE and e.target == 1
@@ -30,7 +30,7 @@ def test_single_action_graph():
 def test_coffee_graph_two_loop_heads(coffee):
     g = build_graph(coffee.program)
     # outer-loop head (whole program) and inner-loop head
-    assert g.node_count() == 2
+    assert len(g.nodes) == 2
     outer = [(print_formula(e.guard), print_program(e.prim), e.target)
              for e in g.edges[0]]
     assert outer == [
@@ -87,7 +87,7 @@ def test_guard_partition_holds_on_reachable_kbs(coffee):
         kb = progress_kb(kb, parse_ground_action(term, coffee))
         seen.append(kb)
     for kb in seen:
-        for node in range(g.node_count()):
+        for node in range(len(g.nodes)):
             live, is_final, is_failing = enabled(g, node, kb)
             assert is_failing == (not live and not is_final)
 
@@ -97,7 +97,7 @@ def test_star_graph_nodes_bounded():
     prim = Prim("a", ())
     g_plain = build_graph(prim)
     g_star = build_graph(S.Star(prim))
-    assert g_star.node_count() <= g_plain.node_count() + 1
+    assert len(g_star.nodes) <= len(g_plain.nodes) + 1
 
 
 def test_choice_keeps_edge_order():

@@ -8,13 +8,13 @@ from beliefprog import (EPSILON, FAILURE, IncompatibleActionError,
                         eval_subjective, initial_kb, make_world,
                         oi_alternatives, parse_ground_action, parse_model,
                         progress_kb, progress_world, real_bat,
-                        trace_likelihood, validate_restrictions)
+                        validate_restrictions)
 from beliefprog import kb as kb_mod
 from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
 from beliefprog.syntax import Bel, Cmp, Conf, Expect, FluentRef, Num
-from conftest import ROOT
+from conftest import ROOT, trace_likelihood
 
 F = Fraction
 

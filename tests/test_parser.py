@@ -96,6 +96,24 @@ def test_arity_mismatch_in_program():
     assert any(d.code == "arity" for d in err.value.diagnostics)
 
 
+def test_believed_override_reports_real_outcome_once():
+    # an override without outcomes keeps the real table's, resolved once
+    text = """fluents h;
+action a stochastic(; y) {
+  outcomes: (h);
+  likelihood: case true: 1;
+}
+believed { action a { likelihood: case true: 1; } }
+belief { (0): 1 }
+program { a }
+"""
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert [(d.code, d.line, d.col) for d in err.value.diagnostics] == \
+        [("not-rigid", 3, 14)]
+    assert "fluent 'h' not allowed in outcome values" in str(err.value)
+
+
 def test_sensing_action_in_ssa_rejected():
     text = """
         fluents h;

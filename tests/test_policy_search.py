@@ -4,7 +4,7 @@ check decides min and max over every proper policy by one depth-first
 search that fixes a choice only where mass arrives.  Here its extremes,
 its witnesses (the first optimal policies in enumerate_policies order) and
 its policy count must equal a brute-force pass of probability over
-enumerate_policies, which stays as the oracle.
+enumerate_policies, the oracle in conftest.
 """
 
 import json
@@ -17,14 +17,13 @@ import beliefprog.checker as checker_mod
 from beliefprog import (ConfigTable, LikelihoodContextError,
                         ObservationUniformityError, PolicyBudgetError,
                         build_graph, build_pomdp, check, compute_types,
-                        enumerate_policies, estimate, make_world, parse_model,
-                        probability)
+                        estimate, make_world, parse_model, probability)
 from beliefprog.checker import policy_count
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
 from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import TRUE, POp, PropInterval, UntilOp, XOp
-from conftest import COFFEE, ROOT, random_model_text
+from conftest import COFFEE, ROOT, enumerate_policies, random_model_text
 from test_checker import _dummy_obs, _random_layered_pomdp
 from test_trace_semantics import _consistent
 
@@ -61,9 +60,9 @@ def _pomdps(text, k, phi=None):
     abstraction = compute_types(model, k, reps, phi)
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     pomdps = []
-    for i, tau in enumerate(abstraction.types):
+    for i, witness in enumerate(abstraction.types):
         try:
-            pomdps.append(build_pomdp(table, abstraction, tau, type_id=i))
+            pomdps.append(build_pomdp(table, abstraction, witness, type_id=i))
         except (ObservationUniformityError, LikelihoodContextError):
             continue
     return model, pomdps

@@ -17,25 +17,9 @@ from beliefprog.kb import (GroundAction, KnowledgeBase, initial_kb,
 import beliefprog.cli as cli
 import beliefprog.pomdp as pomdp_mod
 from beliefprog.parser import parse_subjective
-from conftest import COFFEE, ROOT, random_model_text
+from conftest import COFFEE, ROOT, pomdp_with_witness, random_model_text
 
 F = Fraction
-
-
-@pytest.fixture(scope="module")
-def coffee_table(coffee):
-    graph = build_graph(coffee.program)
-    reps = [make_world(coffee, [v]) for v in (0, -1, -2)]
-    abstraction = compute_types(coffee, 2, reps, coffee.property_named("P1"))
-    return abstraction, ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-
-
-@pytest.fixture(scope="module")
-def coffee_pomdps(coffee_table):
-    abstraction, table = coffee_table
-    pomdps = [build_pomdp(table, abstraction, tau, type_id=i)
-              for i, tau in enumerate(abstraction.types)]
-    return abstraction, pomdps
 
 
 def test_one_table_serves_every_type(monkeypatch, capsys):
@@ -60,9 +44,9 @@ def test_one_table_serves_every_type(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     # a search per type made 67 calls
     assert len(calls) == len(set(calls)) == 8
-    table, abstraction, tau = builds[0]
+    table, abstraction, witness = builds[0]
     assert len(builds) == 3 and all(b[0] is table for b in builds)
-    rebuilt = build_pomdp(table, abstraction, tau, type_id=0)
+    rebuilt = build_pomdp(table, abstraction, witness, type_id=0)
     assert len(calls) == 8
     assert hashlib.sha256(pomdp_fingerprint(rebuilt, abstraction)
                           ).hexdigest() == report["types"][0]["fingerprint"]
@@ -110,17 +94,10 @@ def test_states_are_table_entries(coffee_table, coffee_pomdps):
     assert sum(len(types) > 1 for types in owners.values()) == 4
 
 
-def _type_with_witness(abstraction, pomdps, h):
-    for i, tau in enumerate(abstraction.types):
-        if tau.witness["h"] == h:
-            return pomdps[i]
-    raise AssertionError
-
-
 def test_structure_of_the_h0_pomdp(coffee, coffee_table, coffee_pomdps):
     _, table = coffee_table
     abstraction, pomdps = coffee_pomdps
-    p = _type_with_witness(abstraction, pomdps, 0)
+    p = pomdp_with_witness(abstraction, pomdps, 0)
     assert len(p.states) == 6
     assert len(p.observations) == 4
     # initial state moves east with the half/half split
@@ -149,7 +126,7 @@ def test_per_state_action_mass_is_one(coffee_pomdps):
 
 def test_fingerprints_tau2_tau3_equal(coffee, coffee_pomdps):
     abstraction, pomdps = coffee_pomdps
-    fps = {abstraction.types[i].witness["h"]:
+    fps = {abstraction.types[i]["h"]:
            pomdp_fingerprint(p, abstraction)
            for i, p in enumerate(pomdps)}
     assert fps[-1] == fps[-2]
@@ -171,13 +148,13 @@ def test_state_budget_is_exact_at_its_bound(coffee, coffee_pomdps,
     abstraction, pomdps = coffee_pomdps
     table = ConfigTable(build_graph(coffee.program), abstraction.rbat,
                         abstraction.kb0)
-    tau = abstraction.types[0]
+    witness = abstraction.types[0]
     assert len(pomdps[0].states) == 6
     monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 6)
-    assert len(build_pomdp(table, abstraction, tau).states) == 6
+    assert len(build_pomdp(table, abstraction, witness).states) == 6
     monkeypatch.setattr(pomdp_mod, "STATE_BUDGET", 5)
     with pytest.raises(StateBudgetError, match="more than 5 states"):
-        build_pomdp(table, abstraction, tau)
+        build_pomdp(table, abstraction, witness)
 
 
 def test_labels_recomputable_from_observations(coffee, coffee_pomdps):
@@ -194,7 +171,7 @@ def test_labels_recomputable_from_observations(coffee, coffee_pomdps):
 
 def test_certainty_observation_carries_goal_label(coffee, coffee_pomdps):
     abstraction, pomdps = coffee_pomdps
-    p = _type_with_witness(abstraction, pomdps, 0)
+    p = pomdp_with_witness(abstraction, pomdps, 0)
     goal = parse_subjective("B(h = 2) = 1", coffee)
     idx = next(i for i, f in enumerate(abstraction.context.formulas)
                if f.formula == goal)
@@ -204,7 +181,7 @@ def test_certainty_observation_carries_goal_label(coffee, coffee_pomdps):
     assert p.observations[labeled[0]].render() == "{(2): 1}"
     # tau2/tau3 never reach it
     for h in (-1, -2):
-        q = _type_with_witness(abstraction, pomdps, h)
+        q = pomdp_with_witness(abstraction, pomdps, h)
         assert all(kb == BREAKDOWN or idx not in q.labels[i]
                    for i, kb in enumerate(q.observations))
 
@@ -212,7 +189,7 @@ def test_certainty_observation_carries_goal_label(coffee, coffee_pomdps):
 def test_state_count_bounded(coffee, coffee_pomdps):
     abstraction, pomdps = coffee_pomdps
     graph = build_graph(coffee.program)
-    bound = graph.node_count() * (len(abstraction.sequences) + 1)
+    bound = len(graph.nodes) * (len(abstraction.sequences) + 1)
     for p in pomdps:
         assert len(p.states) <= bound
 
@@ -312,15 +289,15 @@ def assert_transitions_are_witness_likelihoods(model, k, phi=None):
     a = compute_types(model, k, reps_from_init(model), phi)
     rbat = real_bat(model)
     checked = 0
-    for tau in a.types:
+    for witness in a.types:
         try:
             table = ConfigTable(graph, a.rbat, a.kb0)
-            p = build_pomdp(table, a, tau)
+            p = build_pomdp(table, a, witness)
         except (ObservationUniformityError, LikelihoodContextError):
             continue
         seen = {p.initial}
         # (sequence length, node, observation, world) of each walk
-        stack = [(0, 0, initial_kb(model), tau.witness)]
+        stack = [(0, 0, initial_kb(model), witness)]
         while stack:
             depth, node, kb, w = stack.pop()
             si = p.state_index[(table.entry(node, kb, w), depth)]

@@ -18,8 +18,7 @@ import pytest
 
 from beliefprog import (BeliefProgError, ConfigTable, LikelihoodContextError,
                         ObservationUniformityError, build_graph, build_pomdp,
-                        compute_types, enumerate_policies, horizon_of,
-                        parse_model, probability)
+                        compute_types, horizon_of, parse_model, probability)
 from beliefprog.abstraction import reps_from_init
 from beliefprog.checker import _search, policy_space
 from beliefprog.kb import (BREAKDOWN, action_likelihood, eval_subjective,
@@ -30,7 +29,7 @@ from beliefprog.pomdp import FinitePomdp
 from beliefprog.program_graph import enabled
 from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, TRUE, UntilOp,
                                print_program)
-from conftest import COFFEE, ROOT, random_model_text
+from conftest import COFFEE, ROOT, enumerate_policies, random_model_text
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
@@ -46,7 +45,7 @@ def _add_state(p, key):
     return idx
 
 
-def sequence_pomdp(model, graph, abstraction, tau):
+def sequence_pomdp(model, graph, abstraction, witness):
     """The breadth-first builder over (sequence, node) states."""
     k = abstraction.horizon
     ctx = abstraction.context
@@ -63,7 +62,7 @@ def sequence_pomdp(model, graph, abstraction, tau):
                 if eval_subjective(kb, ctx.formulas[i].formula)))
         return obs_index[kb]
 
-    world_at = {(): tau.witness}
+    world_at = {(): witness}
     obs_at = {(): initial_kb(model)}
     start = _add_state(p, ((), 0))
     p.obs_of[start] = observation_of(obs_at[()])
@@ -140,9 +139,9 @@ def assert_builders_agree(model, k, reps, phi, psi):
     a = compute_types(model, k, reps, phi)
     table = ConfigTable(graph, a.rbat, a.kb0)
     built = []
-    for tau in a.types:
-        got, p = _outcome(lambda: build_pomdp(table, a, tau), psi)
-        want, q = _outcome(lambda: sequence_pomdp(model, graph, a, tau), psi)
+    for witness in a.types:
+        got, p = _outcome(lambda: build_pomdp(table, a, witness), psi)
+        want, q = _outcome(lambda: sequence_pomdp(model, graph, a, witness), psi)
         assert got == want
         if p is not None:
             assert len(p.states) <= len(q.states)

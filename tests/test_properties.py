@@ -17,9 +17,8 @@ from beliefprog import (ConfigTable, IncompatibleActionError,
                         IncompatibleSensingError, LikelihoodContextError,
                         ObservationUniformityError, PolicyBudgetError,
                         build_graph, build_pomdp, compute_types,
-                        enumerate_policies, ground_action_universe,
-                        initial_kb, make_world, parse_model, probability,
-                        progress_kb)
+                        ground_action_universe, initial_kb, make_world,
+                        parse_model, probability, progress_kb)
 from beliefprog import kb as kb_mod
 from beliefprog.checker import horizon_of, obs_satisfies
 from beliefprog.kb import BREAKDOWN, eval_subjective, likelihood_row, real_bat
@@ -28,7 +27,7 @@ from beliefprog.program_graph import enabled
 from beliefprog.simulate import TraceEngine, estimate
 from beliefprog.syntax import (TRUE, Bel, Cmp, FluentRef, Num, UntilOp,
                                print_model, print_program, walk)
-from conftest import COFFEE, ROOT, random_model_text
+from conftest import COFFEE, ROOT, enumerate_policies, random_model_text
 
 N_CASES = 200
 
@@ -51,9 +50,9 @@ def _build(model, k=2):
     abstraction = compute_types(model, k, _reps(model))
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
     pomdps = []
-    for i, tau in enumerate(abstraction.types):
+    for i, witness in enumerate(abstraction.types):
         try:
-            pomdps.append(build_pomdp(table, abstraction, tau, type_id=i))
+            pomdps.append(build_pomdp(table, abstraction, witness, type_id=i))
         except (ObservationUniformityError, LikelihoodContextError):
             continue
     return graph, abstraction, pomdps
@@ -182,9 +181,9 @@ def test_observation_uniform_enabled_sets(model_factory, seed):
     graph = build_graph(model.program)
     abstraction = compute_types(model, 2, _reps(model))
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-    for i, tau in enumerate(abstraction.types):
+    for i, witness in enumerate(abstraction.types):
         try:
-            build_pomdp(table, abstraction, tau, type_id=i)
+            build_pomdp(table, abstraction, witness, type_id=i)
             built = True
         except ObservationUniformityError:
             built = False
@@ -192,8 +191,7 @@ def test_observation_uniform_enabled_sets(model_factory, seed):
             # per-action ambiguity is a different rejection; not this property
             _mark("uniform-obs", False)
             return
-        assert built == (not _has_disagreement(model, graph, 2,
-                                               tau.witness))
+        assert built == (not _has_disagreement(model, graph, 2, witness))
     _mark("uniform-obs", True)
 
 
@@ -298,8 +296,8 @@ def test_subjective_memo_matches_unmemoised_truth_on_bundled_models(path):
     graph = build_graph(model.program)
     abstraction = compute_types(model, horizon_of(phi), _reps(model), phi)
     table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
-    for tau in abstraction.types:
-        build_pomdp(table, abstraction, tau)
+    for witness in abstraction.types:
+        build_pomdp(table, abstraction, witness)
     assert _check_memo(abstraction.kb0, _subjective_formulas(
         graph, abstraction.context)) > 1
     engine = TraceEngine(model)

@@ -26,7 +26,7 @@ from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
                                  trial_rng)
 from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, Bel, Cmp, Conf,
                                Expect, FluentRef, Num, frac_str, print_program)
-from conftest import COFFEE, ROOT, random_model_text
+from conftest import COFFEE, ROOT, random_model_text, trace_likelihood
 
 F = Fraction
 
@@ -41,7 +41,7 @@ def test_reproducible_traces(coffee):
     for a, b in zip(first, second):
         assert a.actions == b.actions
         assert a.outcome == b.outcome
-        assert a.trace_likelihood == b.trace_likelihood
+        assert a.likelihood == b.likelihood
 
 
 def test_different_seeds_differ(coffee):
@@ -63,11 +63,11 @@ def test_kb_snapshots_match_functional_progression(coffee):
 
 
 def test_trace_likelihood_recorded(coffee):
-    from beliefprog import real_bat, trace_likelihood
+    from beliefprog import real_bat
     w0 = make_world(coffee, [0])
     for t in range(10):
         record = run_trace(coffee, w0, "first-enabled", 6, seed=9, trial=t)
-        assert record.trace_likelihood == \
+        assert record.likelihood == \
             trace_likelihood(w0, record.actions, real_bat(coffee))
         assert len(record.kbs) == len(record.actions) + 1
 
@@ -93,7 +93,7 @@ def test_empty_program_final_immediately():
                     "init { worlds: (0); }")
     record = run_trace(m, make_world(m, [0]), "first-enabled", 5)
     assert record.outcome == "final"
-    assert record.actions == [] and record.trace_likelihood == 1
+    assert record.actions == [] and record.likelihood == 1
 
 
 def test_estimate_of_true_is_one(coffee):
@@ -368,7 +368,7 @@ def _result(stepper):
         r = stepper()
     except Exception as exc:  # compared, not hidden
         return type(exc), str(exc)
-    return r.actions, r.kbs, r.outcome, r.trace_likelihood
+    return r.actions, r.kbs, r.outcome, r.likelihood
 
 
 def _rotating_policy_map(model, records):
