@@ -24,8 +24,7 @@ _EXPORTS = {
            "action_likelihood", "believed_bat", "eval_fluent_formula",
            "eval_subjective", "initial_kb", "make_world", "oi_alternatives",
            "progress_kb", "progress_world", "real_bat"),
-    "pa": ("ProbAutomaton", "encode", "encode_text", "oracle_accept_prob",
-           "soundness_check"),
+    "pa": ("ProbAutomaton", "encode", "encode_text"),
     "parser": ("model_digest", "parse_ground_action", "parse_model",
                "parse_trace_formula"),
     "pomdp": ("ConfigTable", "FinitePomdp", "build_pomdp", "pomdp_fingerprint"),

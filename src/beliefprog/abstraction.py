@@ -205,10 +205,11 @@ class ActionDag:
     lengths is one node, expanded once.  Nodes are met breadth first, and
     first[n] is the length of the shortest sequence that reaches node n;
     a node is expanded only if first[n] < k, so first never decreases
-    with the id.  A node's kept children come in action order, each with
-    the position in the child of each of the node's states; a child where
-    no state is alive is pruned.  A child may be an older node, or the
-    node itself, as under eps where every world is already final.
+    with the id.  A node's kept children come in action order, each as
+    (child, the position in the child of each of the node's states); a
+    child where no state is alive is pruned and counted in cut.  A child
+    may be an older node, or the node itself, as under eps where every
+    world is already final.
     """
 
     def __init__(self, rbat, universe, roots, k):
@@ -221,7 +222,7 @@ class ActionDag:
         self._node_ids = {}  # states -> node
         self.slots = 0  # level-table slots: |states| * (k - first + 1)
         # per node: its states, the depth where it is first met, its kept
-        # children [(action, child, positions)], and its pruned actions
+        # children [(child, positions)], and its pruned actions
         self.states, self.first, self.children, self.cut = [], [], [], []
         self.root_states = [self._state(w, True) for w in roots]
         self.root = self._node(tuple(sorted(self.root_states)), 0)
@@ -235,8 +236,8 @@ class ActionDag:
         count, pruned = [1] * len(self.states), [0] * len(self.states)
         for r in range(1, k + 1):
             kids = self.children[:self.met_within(k - r)]
-            count = [1 + sum(count[c] for _t, c, _pos in ch) for ch in kids]
-            pruned = [cut + sum(pruned[c] for _t, c, _pos in ch)
+            count = [1 + sum(count[c] for c, _pos in ch) for ch in kids]
+            pruned = [cut + sum(pruned[c] for c, _pos in ch)
                       for cut, ch in zip(self.cut, kids)]
         self.kept, self.pruned = count[self.root], pruned[self.root]
 
@@ -292,14 +293,13 @@ class ActionDag:
 
     def _expand(self, n):
         alive, kids, first = self.alive, self.children[n], self.first[n] + 1
-        succ = zip(*map(self._successors, self.states[n]))
-        for t, col in zip(self.actions, succ):
+        for col in zip(*map(self._successors, self.states[n])):
             states = tuple(sorted(set(col)))
             if not any(alive[s] for s in states):
                 self.cut[n] += 1
                 continue
             pos = {s: i for i, s in enumerate(states)}
-            kids.append((t, self._node(states, first),
+            kids.append((self._node(states, first),
                          tuple(map(pos.__getitem__, col))))
 
     def type_keys(self, truths):
@@ -324,7 +324,7 @@ class ActionDag:
             # kids are never empty: eps is always possible
             for kids in self.children[:self.met_within(self.k - d)]:
                 rows = zip(*(map(below[c].__getitem__, pos)
-                             for _t, c, pos in kids))
+                             for c, pos in kids))
                 ids.append(tuple([table.setdefault(row, len(table))
                                   for row in rows]))
             root.append(ids[self.root])

@@ -559,9 +559,6 @@ class KnowledgeBase:
                 {worlds[i]: Fraction(n, self.den) for i, n in self.num.items()})
         return self._dist
 
-    def total(self):
-        return Fraction(sum(self.num.values()), self.den)
-
     def __eq__(self, other):
         # equal knowledge bases of one Bat are one object
         return self is other or isinstance(other, KnowledgeBase) and \

@@ -3,9 +3,10 @@
 The encoding uses one fluent holding the current automaton state, one
 stochastic action per letter whose nature-chosen parameter carries the
 successor state, and likelihood contexts conditioning the transition row
-on the current state.  The module doubles as a corpus generator and as an
-independent oracle: belief in the accepting states after an encoded action
-sequence must equal the matrix-product acceptance probability exactly.
+on the current state.  The module is a corpus generator; the tests hold
+the independent oracle, which checks that belief in the accepting states
+after an encoded action sequence equals the matrix-product acceptance
+probability exactly.
 
 PA emptiness itself is undecidable; nothing here attempts to decide it.
 """
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BeliefProgError
-from .kb import eval_fluent_formula, initial_kb, oi_alternatives, progress_kb
 from .parser import parse_model
-from .syntax import Cmp, FALSE, FluentRef, Num, Or, frac_str
+from .syntax import frac_str
 
 
 @dataclass(frozen=True)
@@ -149,72 +149,3 @@ def encode(pa: ProbAutomaton):
     """The encoded model, parsed and resolved (round-trips the generator
     through the front end on purpose)."""
     return parse_model(encode_text(pa))
-
-
-def accepting_formula(pa: ProbAutomaton):
-    f = FALSE
-    for q in sorted(pa.accepting):
-        atom = Cmp("=", FluentRef("hs"), Num(Fraction(q + 1)))
-        f = atom if f == FALSE else Or(f, atom)
-    return f
-
-
-def oracle_accept_prob(pa: ProbAutomaton, word) -> Fraction:
-    """Row-vector times matrices, summed over accepting states."""
-    vec = [Fraction(0)] * pa.n_states
-    vec[pa.initial] = Fraction(1)
-    for letter in word:
-        m = pa.matrices[letter]
-        vec = [sum((vec[q] * m[q][q2] for q in range(pa.n_states)), Fraction(0))
-               for q2 in range(pa.n_states)]
-    return sum((vec[q] for q in pa.accepting), Fraction(0))
-
-
-@dataclass
-class SoundnessReport:
-    words_checked: int
-    all_equal: bool
-    first_divergence: tuple = None  # (word, kb belief, oracle value)
-
-    def render(self):
-        if self.all_equal:
-            return (f"checked {self.words_checked} words: knowledge-base "
-                    f"belief equals the matrix oracle exactly")
-        word, got, want = self.first_divergence
-        return (f"divergence at word {list(word)}: belief {frac_str(got)} "
-                f"vs oracle {frac_str(want)}")
-
-
-def soundness_check(pa: ProbAutomaton, max_len=8) -> SoundnessReport:
-    """Compare the progressed belief in accepting states against the matrix
-    oracle for every word up to max_len; the two sides are computed by
-    unrelated code paths."""
-    model = encode(pa)
-    formula = accepting_formula(pa)
-
-    def belief_in_accepting(kb):
-        total = Fraction(0)
-        for w, p in kb.dist.items():
-            if eval_fluent_formula(formula, w):
-                total += p
-        return total
-
-    step_actions = {
-        letter: oi_alternatives(action_name(letter), (), model)[0]
-        for letter in pa.letters
-    }
-
-    checked = 0
-    stack = [((), initial_kb(model))]
-    while stack:
-        word, kb = stack.pop()
-        got = belief_in_accepting(kb)
-        want = oracle_accept_prob(pa, word)
-        checked += 1
-        if got != want:
-            return SoundnessReport(checked, False, (word, got, want))
-        if len(word) < max_len:
-            for letter in pa.letters:
-                stack.append((word + (letter,),
-                              progress_kb(kb, step_actions[letter])))
-    return SoundnessReport(checked, True)

@@ -6,18 +6,21 @@ real-world likelihoods at the (hidden) current world.  It never asserts
 verdicts; it reports estimates with a distribution-free (Hoeffding)
 confidence half-width so checker results can be cross-validated.
 
-Streams.  Trial t of seed s draws from its own counter-based stream: the
-Philox4x64-10 words of np.random.Philox with the 128-bit key
-[s mod 2^64, t] and the counter starting at 1, so trials are reproducible
-and order-independent.  trial_rng makes one 4-word block of many trials'
-streams at once.  A draw among weighted options takes one 64-bit word r
-and picks the first option i with r < cum_i * 2^64, compared as integers
-against the uint64 cut-offs ceil(cum_i * 2^64); no float enters.  An
-outcome is drawn by its real likelihoods, and a uniform-random choice
-among m by weights 1/m, so it is floor(r * m / 2^64).  Each draw reads a
-word fixed by its depth d: under uniform-random, d's choice reads word 2d
-and its outcome word 2d + 1; under first-enabled and a policy map, which
-draw no choice, d's outcome reads word d.
+Streams.  Trial t of seed s reads a counter-based stream: its words
+4b .. 4b + 3 are the Philox4x64-10 block of the 128-bit key [s mod 2^64, 0]
+at the 256-bit counter [t + 1, b, 0, 0].  A seed is one key, and a trial
+and a block are a place in its counter (Salmon et al., SC 2011), so
+trial_rng makes block b of a run of consecutive trials in one call of
+numpy's C Philox, and a trial's words do not depend on the order of the
+trials or on the chunk size.  A draw among weighted options takes one
+64-bit word r and picks the first option i with r < cum_i * 2^64,
+compared as integers against the uint64 cut-offs ceil(cum_i * 2^64); no
+float enters.  An outcome is drawn by its real likelihoods, and a
+uniform-random choice among m by weights 1/m, so it is
+floor(r * m / 2^64).  Each draw reads a word fixed by its depth d: under
+uniform-random, d's choice reads word 2d and its outcome word 2d + 1;
+under first-enabled and a policy map, which draw no choice, d's outcome
+reads word d.
 
 The lockstep walk.  The trials of an estimate step together over the
 configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
@@ -62,40 +65,23 @@ from .syntax import GloballyOp, POp, walk
 
 _TWO64 = 2 ** 64
 _CHUNK = 1 << 14  # trials walked together
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 _ONE = np.uint64(1)
-# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-
-
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products m * x, from 32-bit halves
-    (numpy has no 64x64->128-bit multiply)."""
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & _LOW32, x >> _SHIFT32
-    u = m1 * x0 + ((m0 * x0) >> _SHIFT32)
-    v = m0 * x1 + (u & _LOW32)
-    return m1 * x1 + (u >> _SHIFT32) + (v >> _SHIFT32), np.uint64(m) * x
 
 
 def trial_rng(seed, trials, block) -> np.ndarray:
-    """Words 4*block .. 4*block+3 of each trial's stream, one row per trial:
-    np.random.Philox(key=[seed mod 2^64, trial]).random_raw() as uint64."""
-    k1 = np.asarray(trials, dtype=np.uint64)
-    n = len(k1)
-    c0 = np.full(n, block + 1, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % _TWO64)
-        if r:
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=1)
+    """Words 4*block .. 4*block+3 of each trial's stream, one row per trial,
+    for consecutive trials t0, t0 + 1, ...: np.random.Philox with the key
+    [seed mod 2^64, 0] and the counter [t0, block, 0, 0], which it steps
+    before each block it makes."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    n = len(trials)
+    first = trials[0]
+    if not np.array_equal(trials, first + np.arange(n, dtype=np.uint64)):
+        raise ValueError("trial_rng reads consecutive trials only")
+    key = np.array([seed % _TWO64, 0], dtype=np.uint64)
+    counter = np.array([first, block, 0, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=counter).random_raw(
+        4 * n).reshape(n, 4)
 
 
 class _Streams:
@@ -106,7 +92,7 @@ class _Streams:
 
     def __init__(self, seed, trials):
         self.seed = seed
-        self.trials = trials  # uint64 trial numbers, by chunk-local trial
+        self.trials = trials  # consecutive uint64 trial numbers
         self.blocks = {}
 
     def _block(self, b):

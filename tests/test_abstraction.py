@@ -135,8 +135,10 @@ def test_pruning_drops_zero_likelihood_sequences(coffee):
     # depth-2 sequences ending in an impossible sencfe(1)
     assert a.pruned == 5
     dag = a.sequences.dag
-    assert "sencfe(1)" not in [str(t) for t, _c, _pos
-                               in dag.children[dag.root]]
+    sen1 = next(t for t in dag.actions if str(t) == "sencfe(1)")
+    assert all(a.rbat.step(w, sen1)[0] == 0 for w in reps)
+    assert dag.cut[dag.root] == 1
+    assert len(dag.children[dag.root]) == len(dag.actions) - 1
     assert len(a.sequences) == 43 - 5 - 6
 
 

@@ -499,7 +499,7 @@ def test_kept_sequences_stop_at_the_bound(coffee_text, k):
     assert len(a.sequences) == len(eager.sequences)
     assert max(map(len, eager.sequences)) == k
     assert any(c == n for n, kids in enumerate(a.sequences.dag.children)
-               for _t, c, _pos in kids) == (k > 0)
+               for c, _pos in kids) == (k > 0)
 
 
 ORDER_MODEL = """

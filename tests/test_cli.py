@@ -237,12 +237,12 @@ def test_state_budget_exit_2(capsys, monkeypatch):
 
 def test_table_budget_is_exact_at_its_bound(capsys, monkeypatch):
     # the configurations of 100 uniform-random trials of 20 steps on the
-    # choice model hold 10423 belief worlds in all; verifying coffee P1, 27
+    # choice model hold 9699 belief worlds in all; verifying coffee P1, 27
     sim = ("simulate", str(CHOICE), "--world", "h=0", "--policy",
            "uniform-random", "--trials", "100", "--seed", "1", "--horizon",
            "20", "--psi", "F<=3 B(h = 2) = 1")
     verify = ("verify", MODEL, "--property", "P1")
-    for argv, bound, code in ((sim, 10423, 0), (verify, 27, 1)):
+    for argv, bound, code in ((sim, 9699, 0), (verify, 27, 1)):
         monkeypatch.setattr(pomdp_mod, "TABLE_BUDGET", bound)
         assert run(capsys, *argv)[0] == code
         monkeypatch.setattr(pomdp_mod, "TABLE_BUDGET", bound - 1)

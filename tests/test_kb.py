@@ -297,7 +297,7 @@ def test_progressed_distributions_normalized(coffee):
     kb = initial_kb(coffee)
     for term in ("east(1, 1)", "sencfe(0)", "east(1, 0)", "sencfe(0)"):
         kb = progress_kb(kb, ga(coffee, term))
-        assert kb.total() == 1
+        assert sum(kb.num.values()) == kb.den
         assert all(p > 0 for p in kb.dist.values())
 
 
@@ -452,7 +452,9 @@ def test_belief_sums_are_shared_by_types_nodes_and_trials(
     # were evaluated per type and guards per node, 1794 with one sum per
     # term object), and the simulator reads the same memo (2728 sums with
     # a memo of its own, 1372 with one sum per term object, 678 per
-    # knowledge base when a choice read 32-bit half-words)
+    # knowledge base when a choice read 32-bit half-words).  The 2000
+    # reference traces at seed 1 reach 700 distinct knowledge bases before
+    # depth 10, where the loop guard is read
     choice8 = tmp_path / "choice8.bp"
     choice8.write_text(CHOICE.read_text().replace("F<=3 B", "F<=8 B"))
     assert _belief_sums(monkeypatch, "verify", str(choice8),
@@ -460,4 +462,4 @@ def test_belief_sums_are_shared_by_types_nodes_and_trials(
     assert _belief_sums(monkeypatch, "simulate", str(CHOICE), "--world", "h=0",
                         "--policy", "uniform-random", "--trials", "2000",
                         "--seed", "1", "--horizon", "10",
-                        "--psi", "F<=3 B(h = 2) = 1") == (0, 677, 677)
+                        "--psi", "F<=3 B(h = 2) = 1") == (0, 700, 700)

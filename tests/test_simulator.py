@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -209,8 +210,9 @@ def test_globally_on_prefix(coffee):
 # knowledge-base update rules and the world progression afresh through the
 # unmemoised kb functions, and compares each 64-bit word it draws with
 # exact Fraction cut-offs: under uniform-random it reads depth d's choice
-# from raw Philox word 2d and its outcome from word 2d + 1, and under the
-# other policies it draws from its own numpy Generator over Philox.
+# from word 2d of the trial's stream and its outcome from word 2d + 1, and
+# under the other policies depth d's outcome from word d.  It reads the
+# stream from reference_rng, one numpy Philox per trial and block.
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
@@ -263,8 +265,15 @@ def reference_progress(kb, action):
 
 
 def reference_rng(seed, trial):
-    key = np.array([seed % 2 ** 64, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Trial's stream of seed, word by word: its words 4b .. 4b + 3 are the
+    block of numpy's Philox with the key [seed mod 2^64, 0] at the counter
+    [trial + 1, b, 0, 0] (numpy steps the counter it is given before each
+    block)."""
+    key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
+    for block in count():
+        counter = np.array([trial, block, 0, 0], dtype=np.uint64)
+        yield from np.random.Philox(key=key, counter=counter).random_raw(
+            4).tolist()
 
 
 def reference_index(r, weights):
@@ -280,21 +289,16 @@ def reference_index(r, weights):
 
 def reference_trace(model, world0, policy, horizon, seed, trial, words=None):
     """One trace stepped by the rules themselves.  Under uniform-random,
-    depth d reads words 2d and 2d + 1 of `words`, or of trial's Philox
-    stream of seed; under the other policies, a numpy Generator over that
-    stream draws each outcome."""
+    depth d reads words 2d and 2d + 1 of `words`, or of trial's stream of
+    seed; under the other policies, its outcome reads word d."""
     if not all(eval_fluent_formula(c, world0) for c in model.init.constraints):
         raise BeliefProgError(f"initial world {world0!r} violates the "
                               "initial constraints")
     graph = build_graph(model.program)
     rbat = real_bat(model)
-    if policy == "uniform-random":
-        if words is None:
-            key = np.array([seed % 2 ** 64, trial], dtype=np.uint64)
-            words = np.random.Philox(key=key).random_raw(2 * horizon).tolist()
-    else:
-        rng = reference_rng(seed, trial)
-        words = None
+    stride = 2 if policy == "uniform-random" else 1
+    if words is None:
+        words = list(islice(reference_rng(seed, trial), stride * horizon))
     kb = initial_kb(model)
     w = world0
     node = 0
@@ -344,8 +348,7 @@ def reference_trace(model, world0, policy, horizon, seed, trial, words=None):
             raise BeliefProgError(
                 f"{print_program(edge.prim)} has no really-possible outcome "
                 f"at {w!r}")
-        r = int(rng.integers(0, 2 ** 64, dtype=np.uint64)) if words is None \
-            else words[2 * len(actions) + 1]
+        r = words[stride * len(actions) + stride - 1]
         t, p = weighted[reference_index(r, [p for _, p in weighted])]
         try:
             next_kb = reference_progress(kb, t)
@@ -539,28 +542,91 @@ def test_holds_never_shares_an_entry_between_formulas(coffee):
 # ---------------------------------------------------------------------------
 # streams and the lockstep walk
 
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+LOW32 = np.uint64(0xFFFFFFFF)
+SHIFT32 = np.uint64(32)
+
+
+def mulhilo(m, x):
+    """High and low words of the 128-bit products m * x, from 32-bit halves
+    (numpy has no 64x64->128-bit multiply)."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & LOW32, x >> SHIFT32
+    u = m1 * x0 + ((m0 * x0) >> SHIFT32)
+    v = m0 * x1 + (u & LOW32)
+    return m1 * x1 + (u >> SHIFT32) + (v >> SHIFT32), np.uint64(m) * x
+
+
+def philox4x64(key, counter):
+    """The Philox4x64-10 blocks of the key (k0, k1) at the counters, written
+    from the spec: counter is the four counter words, each an array with
+    one entry per block, and the blocks are the rows of the result."""
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    for r in range(10):
+        k0, k1 = (np.uint64((k + r * w) % 2 ** 64)
+                  for k, w in zip(key, PHILOX_W))
+        hi0, lo0 = mulhilo(PHILOX_M[0], c0)
+        hi1, lo1 = mulhilo(PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=1)
+
+
 @pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 63 + 5])
 def test_streams_equal_numpy_philox(seed):
-    trials = np.arange(200)
-    words = np.concatenate([trial_rng(seed, trials, block)
-                            for block in range(10)], axis=1)
-    assert words.dtype == np.uint64
-    for t in trials.tolist():
-        key = np.array([seed % 2 ** 64, t], dtype=np.uint64)
-        assert words[t].tolist() == \
-            np.random.Philox(key=key).random_raw(40).tolist(), t
-    # an outcome draw reads a word as a full-range integers() draw does
-    rng = reference_rng(seed, 3)
-    assert [int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-            for _ in range(12)] == words[3, :12].tolist()
+    # trial t's block b is the Philox block of the key [seed mod 2^64, 0]
+    # at the counter [t + 1, b, 0, 0], in the first chunk and the second
+    n = 200
+    key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
+    zeros = np.zeros(n, dtype=np.uint64)
+    for start in (0, simulate._CHUNK):
+        trials = np.arange(start, start + n, dtype=np.uint64)
+        blocks = []
+        for block in range(10):
+            words = trial_rng(seed, trials, block)
+            assert words.dtype == np.uint64 and words.shape == (n, 4)
+            counters = (trials + 1, zeros + block, zeros, zeros)
+            assert words.tolist() == \
+                philox4x64(key.tolist(), counters).tolist()
+            for t in trials.tolist():
+                counter = np.array([t, block, 0, 0], dtype=np.uint64)
+                assert words[t - start].tolist() == np.random.Philox(
+                    key=key, counter=counter).random_raw(4).tolist(), \
+                    (t, block)
+            blocks.append(words)
+        words = np.concatenate(blocks, axis=1)
+        assert words[3].tolist() == \
+            list(islice(reference_rng(seed, start + 3), 40))
+        # a run of trials reads the same words as the runs it splits into
+        split = [trial_rng(seed, part, 1) for part in (trials[:7], trials[7:])]
+        assert words[:, 4:8].tolist() == np.concatenate(split).tolist()
+
+
+def test_streams_read_consecutive_trials_only():
+    for trials in ([0, 2], [3, 2], [5, 5]):
+        with pytest.raises(ValueError, match="consecutive"):
+            trial_rng(0, np.array(trials, dtype=np.uint64), 0)
+    # the last trial's counter word carries into the block's: numpy's
+    # counter is one 256-bit number
+    last = np.array([2 ** 64 - 1], dtype=np.uint64)
+    assert trial_rng(9, last, 2).tolist() == \
+        philox4x64((9, 0), ([0], [3], [0], [0])).tolist()
 
 
 def test_seeds_key_their_streams_exactly():
-    # the key is [seed mod 2^64, trial] word for word: -1 is not seed 0,
-    # and 2^63 + 5 is not 2^63
-    trials = np.arange(4)
+    # the key is [seed mod 2^64, 0] word for word: -1 is not seed 0, and
+    # 2^63 + 5 is not 2^63.  The key and the counter go to numpy as uint64
+    # arrays: a list of Python ints past 2^63 would pass through float64
+    trials = np.arange(4, dtype=np.uint64)
     for a, b in ((-1, 0), (2 ** 63 + 5, 2 ** 63)):
-        assert (trial_rng(a, trials, 0) != trial_rng(b, trials, 0)).all()
+        words = trial_rng(a, trials, 0)
+        assert (words != trial_rng(b, trials, 0)).all()
+        key = np.array([a % 2 ** 64, 0], dtype=np.uint64)
+        for t in trials.tolist():
+            counter = np.array([t, 0, 0, 0], dtype=np.uint64)
+            assert words[t].tolist() == np.random.Philox(
+                key=key, counter=counter).random_raw(4).tolist()
 
 
 def arms_model(m):
@@ -734,9 +800,10 @@ def test_first_error_is_the_lowest_trials(monkeypatch):
     m = parse_model(WALK)
     w0 = make_world(m, [0])
     psi = parse_trace_formula("F<=8 B(h = 1) = 1", m)
-    # keep sensing everywhere the first 16 trials go, except six readings
-    # up or five down, where the map names an action the program lacks
-    records = [reference_trace(m, w0, "first-enabled", 10, 5, t)
+    # keep sensing everywhere the first 16 trials of seed 34 go, except six
+    # readings up or five down, where the map names an action the program
+    # lacks (seed 34 is the least whose streams meet the errors below)
+    records = [reference_trace(m, w0, "first-enabled", 10, 34, t)
                for t in range(16)]
     up, down = "{(0): 1/730, (1): 729/730}", "{(0): 243/244, (1): 1/244}"
     policy = {kb.render(): "sen" for r in records for kb in r.kbs}
@@ -750,13 +817,13 @@ def test_first_error_is_the_lowest_trials(monkeypatch):
     (first, depth), (later, later_depth) = errors[:2]
     assert 8 <= first < later < 16 and later_depth < depth
     expected, met_first = (
-        _result(lambda: reference_trace(m, w0, policy, 10, 5, t))
+        _result(lambda: reference_trace(m, w0, policy, 10, 34, t))
         for t in (first, later))
     assert expected[0] is met_first[0] is BeliefProgError
     assert expected[1] != met_first[1]
     monkeypatch.setattr(simulate, "_CHUNK", 8)
     with pytest.raises(BeliefProgError) as info:
-        estimate(m, psi, w0, policy, 40, 5, 10)
+        estimate(m, psi, w0, policy, 40, 34, 10)
     assert str(info.value) == expected[1]
 
 
@@ -815,12 +882,13 @@ SIM_CHOICE = ["simulate", str(CHOICE), "--world", "h=0",
 
 
 @pytest.mark.parametrize("argv, successes, outcomes", [
-    (SIM_COFFEE, 297, {"belief-breakdown": 190, "horizon-cut": 4810}),
-    (SIM_CHOICE, 53, {"belief-breakdown": 50, "final": 288,
-                      "horizon-cut": 1662}),
+    (SIM_COFFEE, 237, {"belief-breakdown": 186, "horizon-cut": 4814}),
+    (SIM_CHOICE, 33, {"belief-breakdown": 50, "final": 273,
+                      "horizon-cut": 1677}),
 ], ids=["sim-coffee", "sim-choice"])
 def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
-    # the benchmark's simulate workloads at seed 0
+    # the benchmark's simulate workloads at seed 0, as _reference_estimate
+    # counts them trial by trial
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["successes"], report["outcomes"]) == (successes, outcomes)
@@ -828,9 +896,11 @@ def test_seed_zero_results_are_pinned(argv, successes, outcomes, capsys):
 
 def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
                                                            capsys):
-    # keyed per ground action, the believed Bat made 1898 progressions and
-    # 93 moves entries; each cut-offs row was made 3078 times over 36 rows.
-    # Two more rows are the cut-offs of choices among 2 and among 3
+    # the 2000 reference traces take 1521 distinct (knowledge base,
+    # observed class) steps, their knowledge bases' worlds 64 distinct
+    # (world, observed class) moves, and their real worlds 37 distinct
+    # (world, action) likelihood rows.  Each cut-offs row is made once; two
+    # more rows are the cut-offs of choices among 2 and among 3
     bats, rows = [], []
     init = kb_mod.Bat.__init__
 
@@ -847,8 +917,8 @@ def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
     capsys.readouterr()
     (believed,) = [b for b in bats if b.which == "believed"]
     (real,) = [b for b in bats if b.which == "real"]
-    assert (len(believed._progressed), len(believed._moves)) == (1474, 64)
-    assert len(rows) - 2 == len(real._branches) == 35
+    assert (len(believed._progressed), len(believed._moves)) == (1521, 64)
+    assert len(rows) - 2 == len(real._branches) == 37
 
 
 def test_branches_are_keyed_by_world_id_and_observed_class():
