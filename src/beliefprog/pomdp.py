@@ -58,16 +58,17 @@ _PALETTE = ["black", "blue", "green", "red", "orange", "purple", "brown",
 
 class Configuration:
     """One entry of the table, the one object for its (node, obs, world),
-    filled by ConfigTable: fill sets live (the enabled edges), is_final,
-    is_failing and moves."""
+    with its id, its index in the table's list; ConfigTable fills it: fill
+    sets live (the enabled edges), is_final, is_failing and moves."""
 
-    __slots__ = ("node", "obs", "world", "live", "is_final", "is_failing",
-                 "moves")
+    __slots__ = ("node", "obs", "world", "id", "live", "is_final",
+                 "is_failing", "moves")
 
-    def __init__(self, node, obs, world):
+    def __init__(self, node, obs, world, id=None):
         self.node = node
         self.obs = obs
         self.world = world
+        self.id = id
         self.live = self.moves = None
         self.is_final = self.is_failing = False
 
@@ -96,6 +97,7 @@ class ConfigTable:
         self.kb0 = kb0
         self._enabled = {}  # (node, kb id) -> enabled(...)
         self._entries = {}  # (node, kb id, world id) -> Configuration
+        self.configs = []  # every entry, by id
         self.support = 0  # belief worlds summed over the entries
 
     def entry(self, node, obs, world):
@@ -116,7 +118,9 @@ class ConfigTable:
                     "belief worlds in all, the budget; lower --horizon or "
                     "the property's step bound")
             self.support = support
-            hit = self._entries[key] = Configuration(node, obs, world)
+            hit = self._entries[key] = Configuration(node, obs, world,
+                                                     len(self.configs))
+            self.configs.append(hit)
         return hit
 
     def enabled_at(self, node, kb):

@@ -25,27 +25,33 @@ reads word d.
 The lockstep walk.  The trials of an estimate step together over the
 configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
 the table build_pomdp unrolls, with what sampling adds: the cut-offs of
-each real row and of each choice count, and the admitted trace formula.
-The believed Bat keeps the truth of every state formula at every knowledge
-base (kb.eval_subjective).  Trials that stand at one configuration with
-one verdict so far form a group.  The live trials are two flat int arrays,
-their chunk-local numbers and their groups, and each depth is stepped once
-for all of them: a pass over the groups fills each entry and counts its
-choices; one comparison against the choices' cut-offs makes every trial's
-choice; a pass over the distinct (group, choice) pairs takes their moves;
-one comparison against the pairs' cut-offs, stacked in a matrix, makes
-every trial's outcome; and a pass over the distinct (pair, outcome) codes
-makes the next depth's groups.  Groups are not keyed by path, so members'
-paths may differ; a group carries one representative path, on which
-eval_trace_formula decides every member once the group finishes, and a
-finished group keeps only its trial count and its least trial.  run_trace
-is the walk with one trial.  Trials run in chunks of _CHUNK in trial
-order, and a chunk makes a stream block only when the walk first reads it
-and drops it once the walk has passed it: memory does not grow with the
-trial count, and the streams' share of it does not grow with the horizon.
+each real row and of each choice count, the admitted trace formula, and
+flat arrays over the table's ids (per configuration its choice count and
+first move slot, per move slot its cut-offs row and first successor slot,
+per successor slot its configuration id).  The believed Bat keeps the
+truth of every state formula at every knowledge base
+(kb.eval_subjective).  Each live trial carries two integers, its
+configuration id and its verdict code (open, false, true, or an error's
+class and message), and each depth is a few numpy gathers over the flat
+arrays: its choice, one comparison against the choices' cut-offs; its
+move slot; its outcome, one comparison against the slots' cut-offs rows;
+its successor.  Python runs only for a configuration, move, successor or
+open verdict met for the first time, and fills each once per engine
+through the table's own methods; a configuration that a depth reaches
+is filled, and under first-enabled its first move taken, in the batch
+that reached it.  A trial keeps no history.  A finished trial belongs to
+the class of its outcome and its verdict, an open one included, as the
+tail that completes an open trace gives one answer whatever the trace's
+depth.  estimate walks the classes' least trials again, together,
+rebuilds their records, and judges each once with eval_trace_formula,
+which must give a decided class's carried verdict.  run_trace is that
+walk with one trial.  Trials run in chunks of _CHUNK in trial order, and
+a chunk makes a stream block only when the walk first reads it and drops
+it once the walk has passed it: memory does not grow with the trial
+count, and the streams' share of it does not grow with the horizon.
 When a step, a policy map or a verdict raises, the error of the
-lowest-numbered trial that met one is raised, as trial-by-trial runs
-would.
+lowest-numbered trial that met one is raised, a step error before a
+verdict error, as trial-by-trial runs would.
 """
 
 import math
@@ -85,25 +91,29 @@ def trial_rng(seed, trials, block) -> np.ndarray:
 
 
 class _Streams:
-    """The words of one chunk of trials' streams, made a block at a time
-    when the walk first reads it."""
+    """The words of some trials' streams, made a block at a time when the
+    walk first reads it: one trial_rng call per run of consecutive trials,
+    so one for a chunk."""
 
-    __slots__ = ("seed", "trials", "blocks")
+    __slots__ = ("seed", "trials", "runs", "blocks")
 
     def __init__(self, seed, trials):
         self.seed = seed
-        self.trials = trials  # consecutive uint64 trial numbers
+        self.trials = trials  # increasing uint64 trial numbers
+        self.runs = np.split(trials, np.flatnonzero(np.diff(trials) != 1) + 1)
         self.blocks = {}
 
     def _block(self, b):
         block = self.blocks.get(b)
         if block is None:
-            block = self.blocks[b] = trial_rng(self.seed, self.trials, b)
+            block = [trial_rng(self.seed, run, b) for run in self.runs]
+            block = self.blocks[b] = \
+                block[0] if len(block) == 1 else np.concatenate(block)
         return block
 
     def words(self, trials, index):
         """Word `index` of each trial's stream."""
-        return self._block(index >> 2)[trials, index & 3]
+        return self._block(index >> 2)[:, index & 3].take(trials)
 
     def release(self, index):
         """Forget the blocks wholly before word `index`."""
@@ -126,13 +136,15 @@ def cut_offs(weights) -> np.ndarray:
     return np.array(cuts, dtype=np.uint64)
 
 
-def sample_outcomes(cuts, words) -> np.ndarray:
-    """The outcome each 64-bit word picks: the number of its cut-offs at or
-    below it, that is the first i with word < cum_i * 2^64, or the last.
-    cuts is one row of cut-offs for every word, or a matrix with one row
-    per word padded with zeros; 0 - 1 wraps to the largest word, so no
-    padding counts."""
-    return np.count_nonzero(cuts - _ONE < words[:, None], axis=-1)
+def sample_outcomes(cuts, words, picked) -> np.ndarray:
+    """Add to the int array picked the outcome each 64-bit word picks: the
+    number of its cut-offs at or below it, that is the first i with word <
+    cum_i * 2^64, or the last; returns picked.  cuts is one row of cut-offs
+    for every word, or a matrix with one row per word padded with zeros;
+    0 - 1 wraps to the largest word, so no padding counts."""
+    for cut in cuts.T:  # one cut-off, or a column of one per word
+        picked += cut - _ONE < words
+    return picked
 
 
 @dataclass
@@ -150,11 +162,42 @@ class Strategy:
     UNIFORM_RANDOM = "uniform-random"
 
 
+# flat-array codes: a configuration not yet filled; a move not yet made,
+# or the stop; a successor not yet reached, or BREAKDOWN; a policy map's
+# pick not yet read
+UNFILLED = UNMADE = UNREACHED = UNPICKED = -1
+STOP = BROKE = -2
+
+
+def _grown(a, n, fill):
+    """a, or a copy of it padded with fill to at least n items, twice as
+    long as a at the least."""
+    if len(a) >= n:
+        return a
+    b = np.full(max(n, 2 * len(a)), fill, a.dtype)
+    b[:len(a)] = a
+    return b
+
+
 class TraceEngine(ConfigTable):
     """The configuration table of repeated trials over one model.  World
     steps, knowledge-base progressions and state-formula truths are
     memoised in the real and believed Bat, so each is taken once per
-    engine."""
+    engine.
+
+    The walk reads the table through flat arrays over ids.  A
+    configuration's choices are its live edges, then the stop when it is
+    final; one that fails has none.  Per configuration id: its choice
+    count (UNFILLED before it is filled) and the move slot of its first
+    choice.  Per move slot (first_move[c] + choice index): its row of
+    cut_rows (UNMADE before the move is taken, STOP for the stop) and the
+    slot of its first successor.  Per successor slot (first_succ[move
+    slot] + outcome index): its configuration id (UNREACHED before it is
+    reached, BROKE for BREAKDOWN).  Each move slot also records its
+    configuration id, and each successor slot its move slot.  fill_ids,
+    move_ids and reach_ids fill configurations, move slots and successor
+    slots through the table's own methods and write them there, a batch
+    at a time; the arrays grow by doubling."""
 
     def __init__(self, model):
         super().__init__(build_graph(model.program), real_bat(model),
@@ -162,14 +205,32 @@ class TraceEngine(ConfigTable):
         self.model = model
         # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
         self._cuts = {}
-        self._choices = {}  # n -> choice_cuts(n)
+        self._choices = np.zeros((2, 0), np.uint64)  # see choice_cuts
         self._admitted = None  # the last trace formula admit accepted
+        self.choices = np.full(16, UNFILLED, np.intp)
+        self.first_move = np.zeros(16, np.intp)
+        self.row = np.full(16, UNMADE, np.intp)
+        self.first_succ = np.zeros(16, np.intp)
+        self.succ = np.full(16, UNREACHED, np.intp)
+        self.slot_config = np.zeros(16, np.intp)
+        self.succ_slot = np.zeros(16, np.intp)
+        self.moves_made = self.succs_made = 0
+        # the distinct cut-offs rows, padded with zeros as sample_outcomes
+        # reads a matrix; id(cuts) -> its row
+        self.cut_rows = np.zeros((4, 0), np.uint64)
+        self._rows = {}
 
     # the table's steps, bound on this class too, so that a wrapper set on
     # TraceEngine (perfbench/spans.py) sees every call the table makes
     enabled_at = ConfigTable.enabled_at
     progress = ConfigTable.progress
     world_after = ConfigTable.world_after
+
+    def cover(self):
+        """Grow the arrays over configuration ids to every entry made."""
+        n = len(self.configs)
+        self.choices = _grown(self.choices, n, UNFILLED)
+        self.first_move = _grown(self.first_move, n, 0)
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
@@ -183,13 +244,122 @@ class TraceEngine(ConfigTable):
             cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
         return weighted, cuts
 
+    def fill_ids(self, ids, first_moves=False):
+        """Fill the configurations ids, and with first_moves take the move
+        of each one's first live edge (one that raises stays UNMADE);
+        returns {id: error} for each whose fill raised, which stays
+        UNFILLED."""
+        failed, filled, counts, first, owners = {}, [], [], [], []
+        firsts, stops = [], []  # the slots of first edges and of stops
+        made = self.moves_made
+        for c in ids:
+            entry = self.configs[c]
+            try:
+                if entry.live is None:
+                    self.fill(entry)
+            except BeliefProgError as exc:
+                failed[c] = exc
+                continue
+            slot, n = made + len(owners), len(entry.live)
+            filled.append(c)
+            counts.append(n + entry.is_final)
+            first.append(slot)
+            if n:
+                firsts.append(slot)
+            if entry.is_final:
+                stops.append(slot + n)
+            owners += [c] * counts[-1]
+        if filled:
+            self.moves_made += len(owners)
+            self.row = _grown(self.row, self.moves_made, UNMADE)
+            self.first_succ = _grown(self.first_succ, self.moves_made, 0)
+            self.slot_config = _grown(self.slot_config, self.moves_made, 0)
+            self.slot_config[made:self.moves_made] = owners
+            self.first_move[filled] = first
+            self.choices[filled] = counts
+            self.row[stops] = STOP
+        if first_moves and firsts:
+            self.move_ids(np.array(firsts, np.intp))
+        return failed
+
+    def move_ids(self, slots):
+        """Take the moves of the move slots; returns {slot: error} for
+        each whose move raised, which stays UNMADE."""
+        cs = self.slot_config.take(slots)
+        edges = slots - self.first_move.take(cs)
+        failed, made, rows, first, owners = {}, [], [], [], []
+        for slot, c, i in zip(slots.tolist(), cs.tolist(), edges.tolist()):
+            entry = self.configs[c]
+            try:
+                move = entry.moves[i] or self.move(entry, i)
+            except BeliefProgError as exc:
+                failed[slot] = exc
+                continue
+            r = self._rows.get(id(move.cuts))
+            if r is None:
+                r = self._rows[id(move.cuts)] = self._add_row(move.cuts)
+            made.append(slot)
+            rows.append(r)
+            first.append(self.succs_made + len(owners))
+            owners += [slot] * len(move.outcomes)
+        if made:
+            reached = self.succs_made
+            self.succs_made += len(owners)
+            self.succ = _grown(self.succ, self.succs_made, UNREACHED)
+            self.succ_slot = _grown(self.succ_slot, self.succs_made, 0)
+            self.succ_slot[reached:self.succs_made] = owners
+            self.first_succ[made] = first
+            self.row[made] = rows
+        return failed
+
+    def _add_row(self, cuts):
+        """The row of cut_rows that a new cut-offs row takes."""
+        r, rows = len(self._rows), self.cut_rows
+        (n, width) = rows.shape
+        if r == n or len(cuts) > width:
+            self.cut_rows = np.zeros((2 * n if r == n else n,
+                                      max(len(cuts), width)), np.uint64)
+            self.cut_rows[:r, :width] = rows[:r]
+        self.cut_rows[r, :len(cuts)] = cuts
+        return r
+
+    def reached_by(self, slots):
+        """The (configuration id, edge index, outcome index) of each
+        successor slot."""
+        moves = self.succ_slot.take(slots)
+        cs = self.slot_config.take(moves)
+        return zip(cs.tolist(), (moves - self.first_move.take(cs)).tolist(),
+                   (slots - self.first_succ.take(moves)).tolist())
+
+    def reach_ids(self, slots):
+        """Reach the successors of the successor slots; returns {slot:
+        error} for each whose successor raised, which stays UNREACHED."""
+        failed, reached, ids = {}, [], []
+        for a, (c, i, j) in zip(slots.tolist(), self.reached_by(slots)):
+            entry = self.configs[c]
+            move = entry.moves[i]
+            try:
+                succ = move.succ[j] or self.successor(entry, move, j)
+            except BeliefProgError as exc:
+                failed[a] = exc
+                continue
+            reached.append(a)
+            ids.append(BROKE if succ is BREAKDOWN else succ.id)
+        self.cover()
+        self.succ[reached] = ids
+        return failed
+
     def choice_cuts(self, n):
-        """Row m, for m up to n, is the cut-offs of a uniform choice among
-        m options, padded with zeros as sample_outcomes reads a matrix."""
-        rows = self._choices.get(n)
-        if rows is None:
-            rows = self._choices[n] = np.zeros((n + 1, n - 1), np.uint64)
-            for m in range(2, n + 1):
+        """A matrix whose row m, for m up to n or more, is the cut-offs of
+        a uniform choice among m options, padded with zeros as
+        sample_outcomes reads a matrix; each row is made once."""
+        rows = self._choices
+        if len(rows) <= n:
+            made = len(rows)
+            self._choices = np.zeros((n + 1, n - 1), np.uint64)
+            self._choices[:made, :rows.shape[1]] = rows
+            rows = self._choices
+            for m in range(max(made, 2), n + 1):
                 rows[m, :m - 1] = cut_offs([Fraction(1, m)] * m)
         return rows
 
@@ -206,29 +376,8 @@ class TraceEngine(ConfigTable):
 # ---------------------------------------------------------------------------
 # the lockstep walk
 
-class _Prefix:
-    """A group's representative path: its last step, linked to the path
-    before it, with the likelihood num/den so far."""
-
-    __slots__ = ("parent", "action", "obs", "num", "den")
-
-    def __init__(self, parent, action, obs, num, den):
-        self.parent = parent
-        self.action = action
-        self.obs = obs
-        self.num = num
-        self.den = den
-
-    def record(self, world0, outcome):
-        actions, kbs = [], []
-        at = self
-        while at is not None:
-            kbs.append(at.obs)
-            actions.append(at.action)
-            at = at.parent
-        actions.pop()  # the start has no action
-        return TraceRecord(world0, actions[::-1], kbs[::-1], outcome,
-                           Fraction(self.num, self.den))
+OUTCOMES = ("final", "fail", "belief-breakdown", "horizon-cut")
+FINAL, FAIL, BROKEN, CUT = range(4)
 
 
 def _start(engine, world0, policy):
@@ -245,190 +394,255 @@ def _start(engine, world0, policy):
 
 
 def _verdict(engine, psi, depth, obs):
-    """What the position at depth decides about psi (None: still open, or
-    no formula); a verdict that raises is kept as its error's class and
-    message, which eval_trace_formula raises again when the trace ends."""
-    if psi is None:
-        return None
+    """What the position at depth decides about psi (None: still open); a
+    verdict that raises is kept as its error's class and message, which
+    eval_trace_formula raises again on the trace."""
     try:
-        return trace_verdict(psi, depth, lambda beta: engine.satisfies(obs, beta))
+        return trace_verdict(psi, depth,
+                             lambda beta: engine.satisfies(obs, beta))
     except BeliefProgError as exc:
         return (type(exc), str(exc))
 
 
-def _options(entry, policy):
-    """The edge index of each choice the policy leaves at entry, None for
-    stopping there."""
-    if policy == Strategy.FIRST_ENABLED:
-        return [0] if entry.live else [None]
-    if policy == Strategy.UNIFORM_RANDOM:
-        choices = list(range(len(entry.live)))
-        return choices + [None] if entry.is_final else choices
+def _pick(entry, policy):
+    """The index of the choice a policy map makes at entry: a live edge's,
+    or the stop's after them."""
     rendered = entry.obs.render()
     label = policy.get(rendered)
     if label in (None, "eps"):
         if entry.is_final:
-            return [None]
+            return len(entry.live)
         if label is None and entry.live:
-            return [0]
+            return 0
         raise BeliefProgError("policy stops at a non-final observation "
                               f"{rendered}")
     for i, edge in enumerate(entry.live):
         if edge.label == label:
-            return [i]
+            return i
     raise BeliefProgError(f"policy action {label!r} is not enabled at "
                           f"{rendered}")
 
 
-def _leave(gone, trial, to, *aligned):
-    """Record the trials that `to` sends to an exit e (to = -1 - e), and
-    drop them from trial, to and the arrays aligned with them."""
-    out = to < 0
-    gone.append((trial[out], -1 - to[out]))
-    keep = ~out
-    return [a[keep] for a in (trial, to, *aligned)]
+class _Ends:
+    """How each trial of a walk ended: how (an index into OUTCOMES, or
+    -1 - e for the step error errors[e]), its verdict code (an index into
+    verdicts: 0 open, 1 false, 2 true, then the errors' (class,
+    message))."""
+
+    def __init__(self, n):
+        self.how = np.empty(n, np.intp)
+        self.verdict = np.empty(n, np.intp)
+        self.errors = []
+        self.verdicts = [None, False, True]
+
+    def failed(self, errors):
+        """The how code of each step error of {key: error}."""
+        codes = {}
+        for key, exc in errors.items():
+            self.errors.append(exc)
+            codes[key] = -len(self.errors)
+        return codes
+
+    def code(self, verdict):
+        if verdict is None:
+            return 0
+        if isinstance(verdict, tuple):
+            if verdict not in self.verdicts[3:]:
+                self.verdicts.append(verdict)
+            return self.verdicts.index(verdict, 3)
+        return 2 if verdict else 1
+
+    def leave(self, out, how, trial, cid, verdict, *aligned):
+        """End the trials in the mask out, each by how (one code, or one
+        per trial in out), and drop them from the arrays."""
+        t = trial[out]
+        self.how[t] = how
+        self.verdict[t] = verdict[out]
+        keep = np.flatnonzero(~out)
+        return [a.take(keep) for a in (trial, cid, verdict, *aligned)]
 
 
-def _lockstep(engine, start, policy, psi, horizon, streams):
-    """Walk every trial of `streams` from `start` for up to horizon steps.
+def _unmet(keys, table):
+    """The distinct keys whose entry in a flat table is -1: not yet
+    filled, made, reached or picked."""
+    seen = np.zeros(len(table), bool)
+    seen[keys] = True
+    present = np.flatnonzero(seen)
+    return present[table.take(present) == -1]
 
-    Returns the finished groups as (prefix, outcome, count, least trial)
-    and the errors as (least trial, exception); a trial that meets an
-    error leaves its group."""
+
+def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
+    """Walk every trial of `streams` from `start` for up to horizon steps,
+    judging psi on the way (None: no formula); returns their _Ends.  A
+    list `path` receives, for each depth, the live trials and the
+    successor slot each steps through."""
+    engine.cover()
+    uniform = policy == Strategy.UNIFORM_RANDOM
+    mapped = not isinstance(policy, str)
     # the words each depth reads: a choice's and an outcome's under
     # uniform-random, an outcome's alone under the other policies
-    stride = 2 if policy == Strategy.UNIFORM_RANDOM else 1
-    trial = np.arange(len(streams.trials))  # the live trials, in order
-    gi = np.zeros(len(trial), dtype=np.intp)  # and their groups
-    groups = [(start, _verdict(engine, psi, 0, start.obs),
-               _Prefix(None, None, start.obs, 1, 1))]
-    exits = []  # (outcome, prefix) of a finish, or (None, exception)
-    gone = []  # (trials, their exit numbers) of the trials that left
-
-    def exit_to(outcome, what):
-        exits.append((outcome, what))
-        return -len(exits)
+    stride = 2 if uniform else 1
+    n = len(streams.trials)
+    ends = _Ends(n)
+    trial = np.arange(n)  # the live trials, in order
+    cid = np.full(n, start.id)  # their configuration ids
+    v = np.zeros(n, np.intp)  # and their verdict codes
+    judging = psi is not None
+    if judging:
+        v[:] = ends.code(_verdict(engine, psi, 0, start.obs))
+    pick = np.full(len(engine.configs), UNPICKED)  # a policy map's choices
 
     for depth in range(horizon):
-        # each group's choices, option o being edges[o] (an edge index, or
-        # None to stop) of group owners[o]
-        left = len(exits)
-        first, counts, owners, edges = [], [], [], []
-        for g, (entry, _, prefix) in enumerate(groups):
-            try:
-                if entry.live is None:
-                    engine.fill(entry)
-                choices = [] if entry.is_failing else _options(entry, policy)
-            except BeliefProgError as exc:  # raised in trial order
-                choices, failed = [], exit_to(None, exc)
-            else:
-                failed = exit_to("fail", prefix) if entry.is_failing else 0
-            first.append(failed or len(edges))
-            counts.append(len(choices) or 1)
-            owners += [g] * len(choices)
-            edges += choices
-        to = np.array(first)[gi]
-        if len(exits) > left:
-            trial, to, gi = _leave(gone, trial, to, gi)
-        if stride == 2 and len(trial):
-            cuts = engine.choice_cuts(max(counts))[np.array(counts)[gi]]
-            to += sample_outcomes(cuts, streams.words(trial, 2 * depth))
+        # fill the configurations met for the first time; failing ones,
+        # which have no choice, end
+        choices = engine.choices.take(cid)
+        if choices.min() <= 0:
+            new = _unmet(cid, engine.choices)
+            if len(new):
+                failed = ends.failed(engine.fill_ids(new.tolist()))
+                choices = engine.choices.take(cid)
+                if failed:
+                    out = choices == UNFILLED
+                    trial, cid, v, choices = ends.leave(
+                        out, [failed[c] for c in cid[out].tolist()],
+                        trial, cid, v, choices)
+            out = choices == 0
+            if out.any():
+                trial, cid, v, choices = ends.leave(out, FAIL, trial, cid, v,
+                                                    choices)
+            if not len(trial):
+                break
 
-        # the distinct (group, choice) pairs, a stop or an error leaving;
-        # each pair's cut-offs are a row of a matrix of the distinct rows
-        left = len(exits)
-        seen = np.zeros(len(edges), dtype=bool)
-        seen[to] = True
-        present = np.flatnonzero(seen).tolist()
-        target, pairs, row_of, rows = [], [], [], {}
-        for o in present:
-            g, i = owners[o], edges[o]
-            entry, _, prefix = groups[g]
-            if i is None:
-                target.append(exit_to("final", prefix))
-                continue
-            try:
-                move = entry.moves[i] or engine.move(entry, i)
-            except BeliefProgError as exc:
-                target.append(exit_to(None, exc))
-                continue
-            target.append(len(pairs))
-            pairs.append((g, move))
-            r = rows.get(id(move.cuts))
-            if r is None:
-                r = rows[id(move.cuts)] = len(rows), move.cuts
-            row_of.append(r[0])
-        index = np.empty(len(edges), dtype=np.intp)
-        index[present] = target
-        to = index[to]
-        if len(exits) > left:
-            trial, to, gi = _leave(gone, trial, to, gi)
+        # each trial's choice, the move slot of a live edge or the stop;
+        # first-enabled takes a configuration's first
+        slot = engine.first_move.take(cid)
+        if uniform:
+            sample_outcomes(
+                engine.choice_cuts(int(choices.max())).take(choices, axis=0),
+                streams.words(trial, 2 * depth), slot)
+        elif mapped:
+            pick = _grown(pick, len(engine.configs), UNPICKED)
+            e = pick.take(cid)
+            if e.min() <= UNPICKED:  # an error is below UNPICKED
+                for c in _unmet(cid, pick).tolist():
+                    try:
+                        pick[c] = _pick(engine.configs[c], policy)
+                    except BeliefProgError as exc:
+                        pick[c] = ends.failed({c: exc})[c] + UNPICKED
+                e = pick.take(cid)
+                out = e < UNPICKED
+                if out.any():
+                    trial, cid, v, e, slot = ends.leave(
+                        out, e[out] - UNPICKED, trial, cid, v, e, slot)
+                    if not len(trial):
+                        break
+            slot += e
 
-        # one outcome draw for every trial, against its pair's row
-        width = max((len(row) for _, row in rows.values()), default=0)
-        j = 0
-        if width:
-            cuts = np.zeros((len(rows), width), dtype=np.uint64)
-            for r, row in rows.values():
-                cuts[r, :len(row)] = row
+        # take the moves made for the first time; a stop ends
+        row = engine.row.take(slot)
+        if row.min() < 0:
+            new = _unmet(slot, engine.row)
+            if len(new):
+                failed = ends.failed(engine.move_ids(new))
+                row = engine.row.take(slot)
+                if failed:
+                    out = row == UNMADE
+                    trial, cid, v, slot, row = ends.leave(
+                        out, [failed[s] for s in slot[out].tolist()],
+                        trial, cid, v, slot, row)
+            out = row == STOP
+            if out.any():
+                trial, cid, v, slot, row = ends.leave(out, FINAL, trial, cid,
+                                                      v, slot, row)
+            if not len(trial):
+                break
+
+        # one outcome draw for every trial, against its move's row
+        at = engine.first_succ.take(slot)
+        if engine.cut_rows.shape[1]:
             word = stride * depth + stride - 1  # after the choice's, if any
-            j = sample_outcomes(cuts[np.array(row_of)[to]],
-                                streams.words(trial, word))
+            sample_outcomes(engine.cut_rows.take(row, axis=0),
+                            streams.words(trial, word), at)
 
-        # the next groups, one per key (entry, verdict); the trials of one
-        # (pair, outcome) code share it
-        left = len(exits)
-        kinds = width + 1
-        code = to * kinds + j
-        seen = np.zeros(len(pairs) * kinds, dtype=bool)
-        seen[code] = True
-        present = np.flatnonzero(seen).tolist()
-        target, level, nxt = [], {}, []
-        for c in present:
-            r, j = divmod(c, kinds)
-            g, move = pairs[r]
-            entry, verdict, prefix = groups[g]
-            try:
-                succ = move.succ[j] or engine.successor(entry, move, j)
-            except BeliefProgError as exc:
-                target.append(exit_to(None, exc))
-                continue
-            if succ is BREAKDOWN:
-                target.append(exit_to("belief-breakdown", prefix))
-                continue
-            key = (succ, verdict if verdict is not None
-                   else _verdict(engine, psi, depth + 1, succ.obs))
-            n = level.get(key)
-            if n is None:
-                n = level[key] = len(nxt)
-                t, like = move.outcomes[j]
-                nxt.append(key + (_Prefix(
-                    prefix, t, succ.obs, prefix.num * like.numerator,
-                    prefix.den * like.denominator),))
-            target.append(n)
-        index = np.empty(len(seen), dtype=np.intp)
-        index[present] = target
-        gi = index[code]
-        if len(exits) > left:
-            trial, gi = _leave(gone, trial, gi)
-        groups = nxt
-        if not groups:
+        # reach the successors met for the first time; BREAKDOWN ends
+        nxt = engine.succ.take(at)
+        if nxt.min() < 0:
+            new = _unmet(at, engine.succ)
+            if len(new):
+                made = len(engine.configs)
+                failed = ends.failed(engine.reach_ids(new))
+                if depth + 1 < horizon:
+                    # every configuration made here is stood on next, and
+                    # under first-enabled its first edge is taken there:
+                    # fill it, and take that move, in this batch.  A fill
+                    # or move that raises here is left for that depth's
+                    # own fill or move to meet again and report
+                    engine.fill_ids(range(made, len(engine.configs)),
+                                    policy == Strategy.FIRST_ENABLED)
+                nxt = engine.succ.take(at)
+                if failed:
+                    out = nxt == UNREACHED
+                    trial, cid, v, at, nxt = ends.leave(
+                        out, [failed[a] for a in at[out].tolist()],
+                        trial, cid, v, at, nxt)
+            out = nxt == BROKE
+            if out.any():
+                trial, cid, v, at, nxt = ends.leave(out, BROKEN, trial, cid, v,
+                                                    at, nxt)
+
+        # the verdicts still open, judged once per configuration; once
+        # none is open, none opens again
+        if judging:
+            open_ = np.flatnonzero(v == 0)
+            judging = len(open_) > 0
+            if judging:
+                seen = np.zeros(len(engine.configs), bool)
+                seen[nxt[open_]] = True
+                present = np.flatnonzero(seen)
+                code = np.zeros(len(seen), np.intp)
+                code[present] = [
+                    ends.code(_verdict(engine, psi, depth + 1,
+                                       engine.configs[c].obs))
+                    for c in present.tolist()]
+                v[open_] = code.take(nxt[open_])
+        if path is not None:
+            path.append((trial, at))
+        cid = nxt
+        if not len(trial):
             break
         streams.release(stride * (depth + 1))
-    gone.append((trial, gi + len(exits)))
-    exits.extend(("horizon-cut", prefix) for *_, prefix in groups)
+    if len(trial):
+        ends.leave(np.ones(len(trial), bool), CUT, trial, cid, v)
+    return ends
 
-    trials, ends = (np.concatenate(parts) for parts in zip(*gone))
-    counts = np.bincount(ends, minlength=len(exits)).tolist()
-    least = np.full(len(exits), len(streams.trials))
-    np.minimum.at(least, ends, trials)
-    finished, errors = [], []
-    for (outcome, what), count, low in zip(exits, counts, least.tolist()):
-        if outcome is None:
-            errors.append((low, what))
-        else:
-            finished.append((what, outcome, count, low))
-    return finished, errors
+
+def _records(engine, start, world0, policy, horizon, seed, trials):
+    """The records of some trials, in increasing order, walked again
+    together from start; the first to meet an error raises it."""
+    if not trials:
+        return []
+    path = []
+    ends = _lockstep(engine, start, policy, None, horizon,
+                     _Streams(seed, np.array(trials, np.uint64)), path)
+    steps = [[] for _ in trials]  # each trial's successor slots
+    for live, at in path:
+        for k, a in zip(live.tolist(), at.tolist()):
+            steps[k].append(a)
+    records = []
+    for how, slots in zip(ends.how.tolist(), steps):
+        if how < 0:
+            raise ends.errors[-1 - how]
+        actions, kbs, num, den = [], [start.obs], 1, 1
+        for c, i, j in engine.reached_by(np.array(slots, np.intp)):
+            move = engine.configs[c].moves[i]
+            t, like = move.outcomes[j]
+            actions.append(t)
+            kbs.append(move.succ[j].obs)
+            num *= like.numerator
+            den *= like.denominator
+        records.append(TraceRecord(world0, actions, kbs, OUTCOMES[how],
+                                   Fraction(num, den)))
+    return records
 
 
 def run_trace(model, world0, policy, horizon, seed=0, trial=0,
@@ -438,12 +652,9 @@ def run_trace(model, world0, policy, horizon, seed=0, trial=0,
     """
     engine = engine or TraceEngine(model)
     start = _start(engine, world0, policy)
-    streams = _Streams(seed, np.array([trial % _TWO64], dtype=np.uint64))
-    finished, errors = _lockstep(engine, start, policy, None, horizon, streams)
-    if errors:
-        raise errors[0][1]
-    (prefix, outcome, _count, _least), = finished
-    return prefix.record(world0, outcome)
+    (record,) = _records(engine, start, world0, policy, horizon, seed,
+                         [trial % _TWO64])
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -510,29 +721,60 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
     engine = engine or TraceEngine(model)
     engine.admit(psi)
     start = _start(engine, world0, policy)
-    successes = 0
-    first = {}  # outcome -> (first trial, count)
+    classes = {}  # finishing class -> [least trial, trials]
+    errors = []  # (least trial, error) of the step errors
     for chunk in range(0, trials, _CHUNK):
         streams = _Streams(seed, np.arange(chunk, min(chunk + _CHUNK, trials),
                                            dtype=np.uint64))
-        finished, errors = _lockstep(engine, start, policy, psi, horizon,
-                                     streams)
-        for prefix, outcome, count, least in finished:
-            try:
-                holds = eval_trace_formula(psi, prefix.record(world0, outcome),
-                                           engine)
-            except BeliefProgError as exc:  # raised in trial order
-                errors.append((least, exc))
-                continue
-            if holds:
-                successes += count
-            low, total = first.get(outcome, (trials, 0))
-            first[outcome] = (min(low, chunk + least), total + count)
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-    # outcomes in the order of the first trial that ends each way
-    outcomes = {outcome: count for outcome, (_low, count)
-                in sorted(first.items(), key=lambda item: item[1][0])}
+        ends = _lockstep(engine, start, policy, psi, horizon, streams)
+        for key, low, count in _classes(ends):
+            classes.setdefault(key, [chunk + low, 0])[1] += count
+        erred = np.flatnonzero(ends.how < 0)
+        if len(erred):
+            errors.append((chunk + int(erred[0]),
+                           ends.errors[-1 - ends.how[erred[0]]]))
+        if errors or len(ends.verdicts) > 3:
+            break  # no later trial can raise first
+    # each class's least trial walked again, and its trace judged once
+    classes = sorted(classes.items(), key=lambda item: item[1][0])
+    records = _records(engine, start, world0, policy, horizon, seed,
+                       [least for _, (least, _count) in classes])
+    successes = 0
+    outcomes = {}  # in the order of the first trial that ends each way
+    for ((how, carried), (least, count)), record in zip(classes, records):
+        try:
+            judged = bool(eval_trace_formula(psi, record, engine))
+        except BeliefProgError as exc:  # raised in trial order
+            errors.append((least, exc))
+            judged = (type(exc), str(exc))
+        else:
+            successes += count if judged else 0
+            outcomes[OUTCOMES[how]] = outcomes.get(OUTCOMES[how], 0) + count
+        # eval_trace_formula stays the rule that decides
+        if carried is not None and judged != carried:
+            raise RuntimeError(f"trial {least} carried the verdict "
+                               f"{carried!r} but its trace gives {judged!r}")
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return EstimateResult(successes / trials, hoeffding_half_width(trials),
                           successes, trials, horizon, outcomes,
                           decision_depth(psi) is not None)
+
+
+def _classes(ends):
+    """The finishing classes of a walk's trials that met no step error,
+    (outcome, verdict), an open verdict (None) included: a trace formula
+    is X, U or G of state formulas, and the tail eval_trace_formula adds
+    after an open last position repeats that position's knowledge base,
+    or is BREAKDOWN, or is empty, so it gives one answer whatever the
+    trace's depth and last configuration (an X is open only at the
+    start).  Yields each class with its least trial and trial count."""
+    kinds = len(OUTCOMES)
+    ok = np.flatnonzero(ends.how >= 0)
+    # the key, verdict code * kinds + outcome, is small: count the keys,
+    # and scan for each one's least trial
+    key = ends.verdict.take(ok) * kinds + ends.how.take(ok)
+    counts = np.bincount(key)
+    for k in np.flatnonzero(counts).tolist():
+        yield ((k % kinds, ends.verdicts[k // kinds]),
+               int(ok[np.argmax(key == k)]), int(counts[k]))

@@ -148,8 +148,8 @@ def test_outcome_frequencies_chi_square(coffee):
     n = 10_000
     # the first word of each trial's stream, as one outcome draw takes it
     words = trial_rng(1234, np.arange(n), 0)[:, 0]
-    counts = np.bincount(sample_outcomes(cut_offs(weights), words),
-                         minlength=len(alts))
+    picked = sample_outcomes(cut_offs(weights), words, np.zeros(n, np.intp))
+    counts = np.bincount(picked, minlength=len(alts))
     expected = [float(wgt) * n for wgt in weights]
     result = stats.chisquare(counts, expected)
     assert result.pvalue > 0.001
@@ -163,8 +163,8 @@ def test_east_outcome_frequencies_chi_square(coffee):
     weights = [action_likelihood(a, w, rb) for a in alts]
     n = 10_000
     words = trial_rng(99, np.arange(n), 0)[:, 0]
-    counts = np.bincount(sample_outcomes(cut_offs(weights), words),
-                         minlength=len(alts))
+    picked = sample_outcomes(cut_offs(weights), words, np.zeros(n, np.intp))
+    counts = np.bincount(picked, minlength=len(alts))
     assert stats.chisquare(counts, [n / 2, n / 2]).pvalue > 0.001
 
 
@@ -614,6 +614,20 @@ def test_streams_read_consecutive_trials_only():
         philox4x64((9, 0), ([0], [3], [0], [0])).tolist()
 
 
+def test_scattered_trials_read_their_own_words():
+    # a records walk's trials are scattered: each run of consecutive ones
+    # takes one trial_rng call, and each trial reads its own stream
+    trials = np.array([3, 4, 9, 2000], dtype=np.uint64)
+    streams = simulate._Streams(7, trials)
+    assert [len(run) for run in streams.runs] == [2, 1, 1]
+    for index in (1, 6, 13):
+        own = [trial_rng(7, [t], index >> 2)[0, index & 3]
+               for t in trials.tolist()]
+        assert streams.words(np.arange(4), index).tolist() == own
+        assert streams.words(np.array([3, 1]), index).tolist() == \
+            [own[3], own[1]]
+
+
 def test_seeds_key_their_streams_exactly():
     # the key is [seed mod 2^64, 0] word for word: -1 is not seed 0, and
     # 2^63 + 5 is not 2^63.  The key and the counter go to numpy as uint64
@@ -721,12 +735,19 @@ def test_uniform_choice_frequencies_chi_square():
     start = simulate._start(engine, make_world(model, [0]), "uniform-random")
     n = 10_000
     streams = simulate._Streams(2024, np.arange(n, dtype=np.uint64))
-    finished, errors = simulate._lockstep(engine, start, "uniform-random",
-                                          None, 1, streams)
-    assert not errors
-    counts = {prefix.action.ctrl: count for prefix, _, count, _ in finished}
+    path = []
+    ends = simulate._lockstep(engine, start, "uniform-random", None, 1,
+                              streams, path)
+    assert not ends.errors
+    assert (ends.how == simulate.OUTCOMES.index("horizon-cut")).all()
+    # east(i) sets h to i, so the configuration a trial reaches names its
+    # arm
+    ((live, at),) = path
+    assert len(live) == n
+    counts = Counter(engine.configs[c].world["h"]
+                     for c in engine.succ.take(at).tolist())
     assert sum(counts.values()) == n
-    observed = [counts.get((F(i),), 0) for i in range(3)]
+    observed = [counts.get(F(i), 0) for i in range(3)]
     assert stats.chisquare(observed, [n / 3] * 3).pvalue > 0.001
 
 
@@ -737,11 +758,16 @@ def test_cut_offs_stay_in_uint64():
     assert (first, second) == (-(-2 ** 64 // 3), -(-2 ** 65 // 3))
     words = np.array([0, first - 1, first, second, 2 ** 64 - 1],
                      dtype=np.uint64)
-    assert sample_outcomes(cuts, words).tolist() == [0, 0, 1, 2, 2]
+    zeros = np.zeros(5, np.intp)
+    assert sample_outcomes(cuts, words, zeros.copy()).tolist() == \
+        [0, 0, 1, 2, 2]
+    # the picks add to the first option's index, as a move's first slot
+    assert sample_outcomes(cuts, words, np.arange(5)).tolist() == \
+        [0, 1, 3, 5, 6]
     # one row per word, padded with zeros that no word passes
     rows = np.array([[first, 0], [first, second], [first, second],
                      [2 ** 63, 0], [0, 0]], dtype=np.uint64)
-    assert sample_outcomes(rows, words).tolist() == [0, 0, 1, 1, 0]
+    assert sample_outcomes(rows, words, zeros).tolist() == [0, 0, 1, 1, 0]
     # ceil(cum * 2^64) = 2^64 for a cum just short of 1: no word passes
     # that outcome, so its cut-off and the later ones are left out
     tiny = F(1, 2 ** 70)
@@ -781,6 +807,80 @@ def test_estimate_beyond_one_chunk_is_chunk_independent(coffee, monkeypatch):
     assert list(whole.outcomes) == list(parts.outcomes)
 
 
+def _estimated(run):
+    """(successes, outcomes in first-trial order), or the class and message
+    of what run raised."""
+    try:
+        successes, outcomes = run()
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+    return successes, list(outcomes.items())
+
+
+# decided early, open at the horizon, open under G, raising where the
+# expectation is 0, open under an unbounded F, and X, which is open only
+# at the start
+RANDOM_PSIS = ["F<=2 B(f0 = 0) >= 1/2", "F<=6 Expect(f0) > 0",
+               "G B(f0 = 1) < 1", "F<=3 1 / Expect(f0) > 1",
+               "F !(B(f0 = 0) >= 1/2)", "X !(B(f0 = 0) = 1)"]
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_estimate_equals_per_trial_reference_random(seed, monkeypatch):
+    # finishing class by class gives each trial's verdict, outcome and
+    # error as running the trials one by one does
+    model = parse_model(random_model_text(seed))
+    world0 = reps_from_init(model)[0]
+    psi = parse_trace_formula(RANDOM_PSIS[seed % len(RANDOM_PSIS)], model)
+    records = []
+    for trial in range(6):
+        try:
+            records.append(reference_trace(model, world0, "uniform-random",
+                                           4, seed, trial))
+        except BeliefProgError:
+            pass
+    for policy in ["first-enabled", "uniform-random",
+                   _rotating_policy_map(model, records)]:
+        expected = _estimated(lambda: _reference_estimate(
+            model, psi, world0, policy, 12, seed, 4))
+        for chunk in (simulate._CHUNK, 7):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+
+            def run():
+                res = estimate(model, psi, world0, policy, 12, seed, 4)
+                return res.successes, res.outcomes
+            assert _estimated(run) == expected, (policy, chunk)
+
+
+def test_sim_choice_judges_each_finishing_class_once(monkeypatch, capsys):
+    # 1333 finished groups of the lockstep walk fall into five classes
+    calls = []
+    judge = simulate.eval_trace_formula
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return judge(*args, **kwargs)
+    monkeypatch.setattr(simulate, "eval_trace_formula", counting)
+    assert main(SIM_CHOICE) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["successes"], len(calls)) == (33, 5)
+
+
+def test_a_carried_verdict_that_its_trace_denies_raises(coffee, monkeypatch):
+    # eval_trace_formula stays the rule that decides: a walk that carries
+    # the wrong verdict is a fault, not a count
+    verdict = simulate._verdict
+
+    def flipped(*args):
+        v = verdict(*args)
+        return not v if isinstance(v, bool) else v
+    monkeypatch.setattr(simulate, "_verdict", flipped)
+    psi = parse_trace_formula("F<=2 B(h = 2) = 1", coffee)
+    with pytest.raises(RuntimeError, match="carried the verdict"):
+        estimate(coffee, psi, make_world(coffee, [0]), "first-enabled",
+                 200, 0, 10)
+
+
 # a sensor that really answers 1 or 0 half the time each, believed
 # 3/4-accurate about h = 1: the belief walks with the readings
 WALK = """
@@ -800,31 +900,66 @@ def test_first_error_is_the_lowest_trials(monkeypatch):
     m = parse_model(WALK)
     w0 = make_world(m, [0])
     psi = parse_trace_formula("F<=8 B(h = 1) = 1", m)
-    # keep sensing everywhere the first 16 trials of seed 34 go, except six
-    # readings up or five down, where the map names an action the program
-    # lacks (seed 34 is the least whose streams meet the errors below)
-    records = [reference_trace(m, w0, "first-enabled", 10, 34, t)
-               for t in range(16)]
-    up, down = "{(0): 1/730, (1): 729/730}", "{(0): 243/244, (1): 1/244}"
+    # a word below 2^63 reads 1 and walks the belief up, one at or above
+    # it reads 0 and walks it down.  Trials alternate their readings and
+    # never go far, except trial 9, which reads 1 six times from depth 0,
+    # and trial 12, which reads 0 five times: the map names an action the
+    # program lacks six readings up and five down
+    up, down = 2 ** 63 - 1, 2 ** 63
+    words = np.array([[up, down] * 6] * 16, dtype=np.uint64)
+    words[9, :6] = up
+    words[12, :5] = down
+    crafted_streams(monkeypatch, words)
+    records = [reference_trace(m, w0, "first-enabled", 10, 0, t,
+                               words=words[t].tolist()) for t in range(16)]
+    high, low = "{(0): 1/730, (1): 729/730}", "{(0): 243/244, (1): 1/244}"
     policy = {kb.render(): "sen" for r in records for kb in r.kbs}
-    policy.update({up: "east", down: "east"})
+    policy.update({high: "east", low: "east"})
     errors = [(t, next(d for d, kb in enumerate(r.kbs)
-                       if kb.render() in (up, down)))
+                       if kb.render() in (high, low)))
               for t, r in enumerate(records)
-              if {up, down} & {kb.render() for kb in r.kbs[:10]}]
+              if {high, low} & {kb.render() for kb in r.kbs[:10]}]
     # the lowest erring trial is in the second chunk of 8, and the walk
     # meets another error of that chunk first, at a smaller depth
-    (first, depth), (later, later_depth) = errors[:2]
+    (first, depth), (later, later_depth) = errors
     assert 8 <= first < later < 16 and later_depth < depth
     expected, met_first = (
-        _result(lambda: reference_trace(m, w0, policy, 10, 34, t))
+        _result(lambda: reference_trace(m, w0, policy, 10, 0, t,
+                                        words=words[t].tolist()))
         for t in (first, later))
     assert expected[0] is met_first[0] is BeliefProgError
     assert expected[1] != met_first[1]
     monkeypatch.setattr(simulate, "_CHUNK", 8)
     with pytest.raises(BeliefProgError) as info:
-        estimate(m, psi, w0, policy, 40, 34, 10)
+        estimate(m, psi, w0, policy, 16, 0, 10)
     assert str(info.value) == expected[1]
+
+
+def test_a_policy_maps_error_leaves_later_picks_to_be_read(monkeypatch):
+    # the map names an action the program lacks one reading up.  Trial 1
+    # meets that at depth 1; trial 2 meets it again at depth 3, where
+    # trial 0, after three readings down, stands where no pick was read
+    # yet and the map names nothing, so it stops
+    m = parse_model(WALK)
+    w0 = make_world(m, [0])
+    up, down = 2 ** 63 - 1, 2 ** 63
+    words = np.array([[down] * 12, [up] * 12, [down, up] + [up] * 10],
+                     dtype=np.uint64)
+    crafted_streams(monkeypatch, words)
+    policy = {"{(0): 1/2, (1): 1/2}": "sen", "{(0): 3/4, (1): 1/4}": "sen",
+              "{(0): 9/10, (1): 1/10}": "sen", "{(0): 1/4, (1): 3/4}": "east"}
+    engine = TraceEngine(m)
+    start = simulate._start(engine, w0, policy)
+    streams = simulate._Streams(0, np.arange(3, dtype=np.uint64))
+    ends = simulate._lockstep(engine, start, policy, None, 10, streams)
+    got = [simulate.OUTCOMES[h] if h >= 0 else str(ends.errors[-1 - h])
+           for h in ends.how.tolist()]
+    stopped, *erred = [
+        _result(lambda: reference_trace(m, w0, policy, 10, 0, t,
+                                        words=words[t].tolist()))
+        for t in range(3)]
+    assert (stopped[2], len(stopped[0])) == ("final", 3)
+    assert got == ["final"] + [message for _, message in erred]
 
 
 def test_a_trials_step_error_outranks_its_verdict_error():
