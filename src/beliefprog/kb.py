@@ -31,13 +31,15 @@ KnowledgeBase(dist, bat) is the Bat's one knowledge base of that value;
 across Bats, knowledge bases and worlds compare and hash by value.  The
 Bat memoises its steps, keyed by ids: the one likelihood memo, branches,
 per (world id, oi_class); the (likelihood, successor) per (world id,
-action); the moves, successor ids with integer likelihoods, per (world
-id, observed class); the successful progressions per (kb id, observed
-class), where a sensing result is its own class and any other action has
-its oi_class; the truth of a formula per (formula object, world or kb
-id); and the value of a B term per (term, kb id), shared by equal terms.
-A Bat is made per theory per run (real_bat, initial_kb), so no table
-outlives the run that filled it.
+action); the truth of a formula per (formula object, world or kb id); and
+the value of a B term per (term, kb id), shared by equal terms.  The
+steps of the belief update are kept in one ClassTable per observed class,
+where a sensing result is its own class and any other action has its
+oi_class: the successful progressions by kb id, and each world's moves,
+successor ids with integer likelihoods, in a list indexed by world id.
+Every member of a class, and every action equal to one, finds the class's
+table with one lookup.  A Bat is made per theory per run (real_bat,
+initial_kb), so no table outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -167,11 +169,34 @@ EPSILON = GroundAction(EPSILON_NAME, (), ())
 FAILURE = GroundAction(FAILURE_NAME, (), ())
 
 
+class ClassTable:
+    """The belief-update steps of one observed class cls in one Bat: the
+    successful progressions, kb id -> progressed knowledge base, and the
+    moves of each world (see Bat.moves) in rows, indexed by world id and
+    None until first read."""
+
+    __slots__ = ("cls", "sensing", "progressed", "rows")
+
+    def __init__(self, cls, sensing):
+        self.cls = cls
+        self.sensing = sensing
+        self.progressed = {}
+        self.rows = []
+
+    def cover(self, n):
+        """Lengthen rows to n world ids, as the Bat interns worlds."""
+        rows = self.rows
+        if len(rows) < n:
+            rows += [None] * (n - len(rows))
+
+
 class Bat:
     """Runtime view of one basic action theory (real or believed), with
     the memo of its steps and the intern tables of its worlds and
     knowledge bases.  World ids count up from 0 and knowledge-base ids
-    down from -1, so one table may key both."""
+    down from -1, so one table may key both.  The belief update keeps its
+    progressions and moves in one ClassTable per observed class, which
+    _tables maps every action met (and the class itself) to."""
 
     def __init__(self, model, which):
         decl = model.real_bat if which == "real" else model.believed_bat
@@ -183,11 +208,10 @@ class Bat:
         self._branches = {}  # (world id, oi class) -> nonzero branches
         self._actions = {}  # oi class -> {outcome value: GroundAction}
         self._steps = {}  # (world id, action) -> (likelihood, successor)
-        self._moves = {}  # (world id, observed class) -> moves
+        self._tables = {}  # action -> the ClassTable of its observed class
         self._truth = {}  # id(phi) -> (phi, {world or kb id: bool})
         self._belief = {}  # id(term) -> (term, {kb id: Fraction})
         self._belief_of = {}  # B term -> the one table of the terms equal to it
-        self._progressed = {}  # (kb id, observed class) -> progressed kb
         self.worlds = []  # world id -> World
         self._kbs = []  # ~kb id -> KnowledgeBase
         self._world_of = {}  # intern tables: each maps a value to its
@@ -267,22 +291,43 @@ class Bat:
                 like, self.intern(progress_world(world, action, self)))
         return hit
 
+    def class_table(self, action):
+        """The ClassTable of action's observed class: the action itself
+        for a sensing result, eps and fail, and its oi_class for any other
+        action.  Raises EvalError for an undeclared action."""
+        table = self._tables.get(action)
+        if table is None:
+            sensing = False
+            if action.symbol not in (EPSILON_NAME, FAILURE_NAME):
+                decl = self.action_decl(action.symbol)
+                if decl is None:
+                    raise EvalError(f"undeclared action {action.symbol!r}")
+                sensing = decl.kind == "sensing"
+            cls = action if sensing else action.oi_class
+            table = self._tables.get(cls)
+            if table is None:
+                table = self._tables[cls] = ClassTable(cls, sensing)
+            self._tables[action] = table
+        return table
+
     def moves(self, i, cls):
         """(d, ((successor id, k), ...)) at the world with id i: each
-        member of the observed class cls -- a sensing result itself, or
+        member of the observed class of cls -- a sensing result itself, or
         symbol(ctrl, _) for its OI-alternatives -- with nonzero likelihood
         k/d there, in branches order, where d is the lcm of their
-        denominators.  Kept per observed class; successors are computed
-        only for members of the class."""
-        key = (i, cls)
-        hit = self._moves.get(key)
+        denominators.  Kept as row i of the class's table; successors are
+        computed only for members of the class."""
+        table = self.class_table(cls)
+        table.cover(len(self.worlds))
+        rows = table.rows
+        hit = rows[i]
         if hit is None:
-            world = self.worlds[i]
+            cls, world = table.cls, self.worlds[i]
             kept = [(t, like) for t, like in
                     self.branches(world, cls.oi_class)
                     if cls in (t, t.oi_class)]
             d = lcm(*(like.denominator for _, like in kept))
-            hit = self._moves[key] = (d, tuple(
+            hit = rows[i] = (d, tuple(
                 (self.step(world, t)[1].id,
                  like.numerator * (d // like.denominator))
                 for t, like in kept))
@@ -620,23 +665,19 @@ def progress_kb(kb, action) -> KnowledgeBase:
     action of the observed class, weighted by its believed likelihood.
     The class is the action itself for a sensing result, eps and fail,
     and every OI-alternative for a stochastic action.  The result is kept
-    per observed class on, and interned by, the knowledge base's Bat."""
+    in the class's table on, and interned by, the knowledge base's Bat."""
     bat = kb.bat
-    sensing = False
-    if action.symbol not in (EPSILON_NAME, FAILURE_NAME):
-        decl = bat.action_decl(action.symbol)
-        if decl is None:
-            raise EvalError(f"undeclared action {action.symbol!r}")
-        sensing = decl.kind == "sensing"
-    cls = action if sensing else action.oi_class
-    key = (kb.id, cls)
-    hit = bat._progressed.get(key)
+    table = bat._tables.get(action)
+    if table is None:
+        table = bat.class_table(action)
+    hit = table.progressed.get(kb.id)
     if hit is not None:
         return hit
+    table.cover(len(bat.worlds))
+    rows, moves, cls = table.rows, bat.moves, table.cls
     # in integers: world i's moves have likelihoods k/d, so over the step's
     # common denominator den * scale its successor gains num[i] * k * scale/d
-    moves = bat.moves
-    moved = [(n, moves(i, cls)) for i, n in kb.num.items()]
+    moved = [(n, rows[i] or moves(i, cls)) for i, n in kb.num.items()]
     scale = lcm(*[d for _, (d, _) in moved])
     new = {}
     get = new.get
@@ -645,6 +686,7 @@ def progress_kb(kb, action) -> KnowledgeBase:
         for succ, k in outs:
             new[succ] = get(succ, 0) + n * k
     eta = sum(new.values())
+    sensing = table.sensing
     if eta == 0:
         if sensing:
             raise IncompatibleSensingError(
@@ -665,7 +707,7 @@ def progress_kb(kb, action) -> KnowledgeBase:
     if g != 1:
         new = {i: n // g for i, n in new.items()}
         den //= g
-    hit = bat._progressed[key] = bat.intern_kb(new, den)
+    hit = table.progressed[kb.id] = bat.intern_kb(new, den)
     return hit
 
 

@@ -1019,9 +1019,11 @@ def parse_trace_formula(text: str, model: ModelFile):
 def parse_ground_action(text: str, model: ModelFile):
     """Parse a ground action term like "east(1,1)", "sencfe(0)" or "eps".
 
-    Arguments fill the controllable then the uncontrollable parameters.
+    Arguments fill the controllable then the uncontrollable parameters;
+    the uncontrollable ones must be an outcome the action declares at its
+    controllable ones (a sensing result, for a sensing action).
     """
-    from .kb import EPSILON, FAILURE, GroundAction
+    from .kb import EPSILON, FAILURE, GroundAction, oi_alternatives
 
     p = Parser(text)
     t = p.expect("ident", "expected an action name")
@@ -1049,4 +1051,11 @@ def parse_ground_action(text: str, model: ModelFile):
                                      f"{name!r} takes {want} argument(s), got {len(args)}",
                                      t.line, t.col)])
     n_ctrl = len(decl.ctrl)
-    return GroundAction(name, tuple(args[:n_ctrl]), tuple(args[n_ctrl:]))
+    action = GroundAction(name, tuple(args[:n_ctrl]), tuple(args[n_ctrl:]))
+    declared = oi_alternatives(name, action.ctrl, model)
+    if action not in declared:
+        raise ParseError([Diagnostic(
+            "undeclared-outcome",
+            f"{action} is not a declared outcome; {name} declares "
+            + ", ".join(str(t) for t in declared), t.line, t.col)])
+    return action

@@ -576,7 +576,11 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
                     # under first-enabled its first edge is taken there:
                     # fill it, and take that move, in this batch.  A fill
                     # or move that raises here is left for that depth's
-                    # own fill or move to meet again and report
+                    # own fill or move to meet again and report.  Against
+                    # the lazy fill alone (perfbench, 10 alternating pairs
+                    # of 10 s runs, 2-vCPU host) this batch cut sim-coffee
+                    # call_s from 15.11 to 14.56 ms (8 of 10 pairs), and
+                    # left sim-choice as it was (74.2 and 74.0 ms, 5 of 10)
                     engine.fill_ids(range(made, len(engine.configs)),
                                     policy == Strategy.FIRST_ENABLED)
                 nxt = engine.succ.take(at)

@@ -14,6 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 COFFEE = ROOT / "models" / "coffee.bp"
 
 
+def step_counts(bat):
+    """(progressions, moves) kept in a Bat's class tables, counting each
+    table once although every action met keys it."""
+    tables = {id(t): t for t in bat._tables.values()}.values()
+    return (sum(len(t.progressed) for t in tables),
+            sum(row is not None for t in tables for row in t.rows))
+
+
 @pytest.fixture(scope="session")
 def coffee_text():
     return COFFEE.read_text()

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import beliefprog.abstraction as abstraction_mod
+import beliefprog.kb as kb_mod
 from beliefprog import (BeliefProgError, ConfigTable,
                         IncompatibleSensingError, build_graph, build_pomdp,
                         compute_types, horizon_of, parse_model,
@@ -28,7 +29,7 @@ from beliefprog.abstraction import (BREAKDOWN, Abstraction, ProgramContext,
 from beliefprog.kb import (action_likelihood, eval_fluent_formula,
                            eval_subjective, initial_kb, oi_alternatives,
                            progress_kb, progress_world, real_bat)
-from conftest import ROOT, random_model_text
+from conftest import ROOT, random_model_text, step_counts
 
 CHOICE = ROOT / "perfbench" / "models" / "coffee_choice.bp"
 
@@ -240,17 +241,28 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
     model = parse_model(_with_bound(coffee_text, 5))
     phi = model.property_named("P1")
     a = compute_types(model, 5, reps_from_init(model), phi)
-    # progress_kb memoises every progression it runs on the believed Bat
+    # progress_kb memoises every progression it runs on the believed Bat,
+    # in the table of its observed class
     bat = a.kb0.bat
-    assert bat._progressed == {}
+    assert step_counts(bat) == (0, 0)
     runs = []
 
     class Recording(dict):
+        def __init__(self, cls):
+            super().__init__()
+            self.cls = cls
+
         def __setitem__(self, key, value):
-            runs.append(key)
+            runs.append((key, self.cls))
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(bat, "_progressed", Recording())
+    init = kb_mod.ClassTable.__init__
+
+    def recording_init(self, cls, sensing):
+        init(self, cls, sensing)
+        self.progressed = Recording(cls)
+
+    monkeypatch.setattr(kb_mod.ClassTable, "__init__", recording_init)
     graph = build_graph(model.program)
     table = ConfigTable(graph, a.rbat, a.kb0)
     pomdps = [build_pomdp(table, a, witness) for witness in a.types]
@@ -259,7 +271,7 @@ def test_pomdp_build_progresses_only_reachable_sequences(coffee_text,
     observed = {kb.id for p in pomdps for kb in p.observations
                 if kb is not BREAKDOWN}
     assert runs and all(kb in observed for kb, _action in runs)
-    assert len(set(runs)) == len(runs) == len(bat._progressed)
+    assert len(set(runs)) == len(runs) == step_counts(bat)[0]
     assert len(a.sequences) == 5348
     # configurations merge sequences: 45 sequence-keyed states for type 0
     assert [len(p.states) for p in pomdps] == [32, 18, 15]

@@ -48,6 +48,18 @@ def test_progress_incompatible_sensing_is_an_error(capsys):
     assert "believed impossible" in err
 
 
+@pytest.mark.parametrize("term, declared", [
+    ("east(1,5)", "east declares east(1, 1), east(1, 0)"),
+    ("sencfe(7)", "sencfe declares sencfe(1), sencfe(0)")],
+    ids=["stochastic", "sensing"])
+def test_progress_rejects_an_undeclared_outcome(capsys, term, declared):
+    code, out, err = run(capsys, "progress", MODEL, term)
+    assert code == 2
+    assert "after" not in out
+    assert "[undeclared-outcome]" in err and declared in err
+    assert "believed impossible" not in err
+
+
 def test_verify_p1_violated_exit_1(capsys):
     code, out, _ = run(capsys, "verify", MODEL, "--property", "P1",
                        "--reps-range", "h=-2..0")

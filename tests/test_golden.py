@@ -59,6 +59,13 @@ def _cases():
     for name, (model, _k) in BOUNDED.items():
         cases[name] = ["verify", MODELS[model], "--property", "P1",
                        "--format", "json"]
+    # a long horizon, where knowledge-base denominators reach 79 bits,
+    # past int64
+    policy, psi, _trials = SIMULATE["choice"]
+    cases["simulate-choice-h100"] = [
+        "simulate", MODELS["choice"], "--world", "h=0", "--policy", policy,
+        "--psi", psi, "--trials", "100", "--horizon", "100", "--seed", "1",
+        "--format", "json"]
     return cases
 
 

@@ -14,7 +14,7 @@ from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
 from beliefprog.syntax import Bel, Cmp, Conf, Expect, FluentRef, Num
-from conftest import ROOT, trace_likelihood
+from conftest import ROOT, step_counts, trace_likelihood
 
 F = Fraction
 
@@ -92,8 +92,9 @@ def test_east_likelihood_uniform(coffee):
     w = make_world(coffee, [0])
     assert action_likelihood(ga(coffee, "east(1, 0)"), w, rb) == F(1, 2)
     assert action_likelihood(ga(coffee, "east(1, 1)"), w, rb) == F(1, 2)
-    # unctrl value outside the declared outcomes
-    assert action_likelihood(ga(coffee, "east(1, 7)"), w, rb) == 0
+    # unctrl value outside the declared outcomes, which the parser rejects
+    undeclared = kb_mod.GroundAction("east", (F(1),), (F(7),))
+    assert action_likelihood(undeclared, w, rb) == 0
 
 
 def test_reserved_actions_have_likelihood_one(coffee):
@@ -348,16 +349,21 @@ def test_progression_is_kept_once_per_oi_class(choice):
     east, slip = oi_alternatives("east", (F(1),), choice)
     first = progress_kb(kb, east)
     assert progress_kb(kb, slip) is first
-    assert len(kb.bat._progressed) == 1
+    table = kb.bat.class_table(east)
+    assert kb.bat.class_table(slip) is table
+    assert table.cls == east.oi_class and table.progressed == {kb.id: first}
+    assert step_counts(kb.bat)[0] == 1
 
 
 def test_each_sensing_result_is_its_own_class(choice):
     east = oi_alternatives("east", (F(1),), choice)[0]
     kb = progress_kb(initial_kb(choice), east)
-    before = len(kb.bat._progressed)
-    sensed = {progress_kb(kb, t) for t in oi_alternatives("sencfe", (), choice)}
+    before = step_counts(kb.bat)[0]
+    results = oi_alternatives("sencfe", (), choice)
+    sensed = {progress_kb(kb, t) for t in results}
     assert len(sensed) == 2
-    assert len(kb.bat._progressed) == before + 2
+    assert step_counts(kb.bat)[0] == before + 2
+    assert [kb.bat.class_table(t).cls for t in results] == results
 
 
 def test_moves_are_kept_once_per_observed_class(choice):
@@ -365,10 +371,54 @@ def test_moves_are_kept_once_per_observed_class(choice):
     w = bat.intern(make_world(choice, [2])).id
     east, slip = oi_alternatives("east", (F(1),), choice)
     assert bat.moves(w, slip.oi_class) is bat.moves(w, east.oi_class)
-    assert len(bat._moves) == 1
+    assert bat.moves(w, slip) is bat.moves(w, east.oi_class)
+    assert step_counts(bat)[1] == 1
     sense_one, sense_zero = oi_alternatives("sencfe", (), choice)
     assert bat.moves(w, sense_one) != bat.moves(w, sense_zero)
-    assert len(bat._moves) == 3
+    assert step_counts(bat)[1] == 3
+
+
+def test_a_world_interned_after_its_rows_were_sized_gets_its_row(choice):
+    kb = initial_kb(choice)
+    bat = kb.bat
+    east = oi_alternatives("east", (F(1),), choice)[0]
+    table = bat.class_table(east)
+    progress_kb(kb, east)
+    sized = len(table.rows)
+    # the progression interned its successors after sizing the rows, and
+    # h = 7 is further on
+    late = bat.intern(make_world(choice, [7]))
+    assert sized < late.id
+    after = progress_kb(KnowledgeBase({late: F(1)}, bat), east)
+    row = table.rows[late.id]
+    assert row is not None and bat.moves(late.id, east) is row
+    fresh = believed_bat(choice)
+    assert after == progress_kb(
+        KnowledgeBase({make_world(choice, [7]): F(1)}, fresh), east)
+    # Bat.moves lengthens the rows too; successor ids belong to each Bat
+    later = bat.intern(make_world(choice, [9]))
+    assert len(table.rows) <= later.id
+
+    def moved(b, world):
+        d, outs = b.moves(b.intern(world).id, east)
+        return d, [(b.worlds[i], k) for i, k in outs]
+    assert moved(bat, later) == moved(fresh, make_world(choice, [9]))
+    assert table.rows[later.id] is not None
+
+
+def test_an_equal_action_object_reaches_the_same_progression(choice):
+    kb = initial_kb(choice)
+    bat = kb.bat
+    world = bat.worlds[next(iter(kb.num))]
+    east = oi_alternatives("east", (F(1),), choice)[0]
+    own = {str(t): t for t, _ in bat.branches(world, east.oi_class)}
+    own = own["east(1, 0)"]
+    parsed = parse_ground_action("east(1,0)", choice)
+    assert parsed == own and parsed is not own
+    first = progress_kb(kb, own)
+    assert progress_kb(kb, parsed) is first
+    assert bat.class_table(parsed) is bat.class_table(own)
+    assert step_counts(bat)[0] == 1
 
 
 def test_failed_progression_is_not_kept_and_names_its_action(choice):
@@ -377,7 +427,8 @@ def test_failed_progression_is_not_kept_and_names_its_action(choice):
     for _ in range(2):
         with pytest.raises(IncompatibleSensingError, match=r"sencfe\(1\)"):
             progress_kb(kb, sense_one)
-    assert kb.bat._progressed == {}
+    assert kb.bat.class_table(sense_one).progressed == {}
+    assert step_counts(kb.bat)[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,13 @@ def test_ground_action_parsing(coffee):
         parse_ground_action("east(1)", coffee)
     with pytest.raises(ParseError):
         parse_ground_action("west(1, 1)", coffee)
+    # an outcome is declared per controllable argument: east(x, _) has x
+    # and x - 1
+    assert parse_ground_action("east(3, 2)", coffee).unctrl == (Fraction(2),)
+    with pytest.raises(ParseError, match=r"east\(3, 1\) is not a declared "
+                                         r"outcome; east declares east\(3, 3\), "
+                                         r"east\(3, 2\)"):
+        parse_ground_action("east(3, 1)", coffee)
 
 
 def test_roundtrip_fixed_point(coffee_text):

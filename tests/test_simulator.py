@@ -27,7 +27,8 @@ from beliefprog.simulate import (TraceEngine, TraceRecord, cut_offs,
                                  trial_rng)
 from beliefprog.syntax import (EPSILON_NAME, FAILURE_NAME, Bel, Cmp, Conf,
                                Expect, FluentRef, Num, frac_str, print_program)
-from conftest import COFFEE, ROOT, random_model_text, trace_likelihood
+from conftest import (COFFEE, ROOT, random_model_text, step_counts,
+                      trace_likelihood)
 
 F = Fraction
 
@@ -1052,7 +1053,7 @@ def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
     capsys.readouterr()
     (believed,) = [b for b in bats if b.which == "believed"]
     (real,) = [b for b in bats if b.which == "real"]
-    assert (len(believed._progressed), len(believed._moves)) == (1521, 64)
+    assert step_counts(believed) == (1521, 64)
     assert len(rows) - 2 == len(real._branches) == 37
 
 
