@@ -37,9 +37,12 @@ steps of the belief update are kept in one ClassTable per observed class,
 where a sensing result is its own class and any other action has its
 oi_class: the successful progressions by kb id, and each world's moves,
 successor ids with integer likelihoods, in a list indexed by world id.
-Every member of a class, and every action equal to one, finds the class's
-table with one lookup.  A Bat is made per theory per run (real_bat,
-initial_kb), so no table outlives the run that filled it.
+The rows of a class share one denominator, the table's scale, which grows
+to the lcm of every filled row's own, so a progression adds n * k over the
+support with no lcm of its own.  Every member of a class, and every action
+equal to one, finds the class's table with one lookup.  A Bat is made per
+theory per run (real_bat, initial_kb), so no table outlives the run that
+filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -173,21 +176,41 @@ class ClassTable:
     """The belief-update steps of one observed class cls in one Bat: the
     successful progressions, kb id -> progressed knowledge base, and the
     moves of each world (see Bat.moves) in rows, indexed by world id and
-    None until first read."""
+    None until first read.  Every filled row is over one denominator for
+    the class, scale, the lcm of the filled rows' own: a row whose
+    denominator does not divide scale makes it grow, and the filled rows
+    are scaled up once."""
 
-    __slots__ = ("cls", "sensing", "progressed", "rows")
+    __slots__ = ("cls", "sensing", "progressed", "rows", "scale")
 
     def __init__(self, cls, sensing):
         self.cls = cls
         self.sensing = sensing
         self.progressed = {}
         self.rows = []
+        self.scale = 1
 
     def cover(self, n):
         """Lengthen rows to n world ids, as the Bat interns worlds."""
         rows = self.rows
         if len(rows) < n:
             rows += [None] * (n - len(rows))
+
+    def put(self, i, weighted):
+        """Fill row i from ((successor id, likelihood), ...); returns it."""
+        scale, rows = self.scale, self.rows
+        d = lcm(*(like.denominator for _, like in weighted))
+        if scale % d:
+            grown = lcm(scale, d)
+            f = grown // scale
+            for j, row in enumerate(rows):
+                if row:
+                    rows[j] = tuple((succ, k * f) for succ, k in row)
+            self.scale = scale = grown
+        row = rows[i] = tuple(
+            (succ, like.numerator * (scale // like.denominator))
+            for succ, like in weighted)
+        return row
 
 
 class Bat:
@@ -311,27 +334,21 @@ class Bat:
         return table
 
     def moves(self, i, cls):
-        """(d, ((successor id, k), ...)) at the world with id i: each
-        member of the observed class of cls -- a sensing result itself, or
+        """((successor id, k), ...) at the world with id i: each member of
+        the observed class of cls -- a sensing result itself, or
         symbol(ctrl, _) for its OI-alternatives -- with nonzero likelihood
-        k/d there, in branches order, where d is the lcm of their
-        denominators.  Kept as row i of the class's table; successors are
-        computed only for members of the class."""
+        k / scale there, in branches order, where scale is the class
+        table's.  Kept as row i of that table."""
         table = self.class_table(cls)
         table.cover(len(self.worlds))
-        rows = table.rows
-        hit = rows[i]
-        if hit is None:
+        row = table.rows[i]
+        if row is None:  # successors only for members of the class
             cls, world = table.cls, self.worlds[i]
-            kept = [(t, like) for t, like in
-                    self.branches(world, cls.oi_class)
-                    if cls in (t, t.oi_class)]
-            d = lcm(*(like.denominator for _, like in kept))
-            hit = rows[i] = (d, tuple(
-                (self.step(world, t)[1].id,
-                 like.numerator * (d // like.denominator))
-                for t, like in kept))
-        return hit
+            row = table.put(i, [
+                (self.step(world, t)[1].id, like)
+                for t, like in self.branches(world, cls.oi_class)
+                if cls in (t, t.oi_class)])
+        return row
 
     def holds(self, at, phi):
         """_truth(phi, at) at one of this theory's worlds or knowledge
@@ -568,10 +585,17 @@ def oi_alternatives(symbol, ctrl, model):
         raise EvalError(f"undeclared action {symbol!r}")
     bindings = dict(zip(decl.ctrl, ctrl))
     values = []
-    for bat_decl in (model.real_bat, model.believed_bat):
+    for which, bat_decl in (("real", model.real_bat),
+                            ("believed", model.believed_bat)):
         table = bat_decl.likelihood_for(symbol)
-        for vec in table.outcomes:
-            value = tuple(eval_expr(v, None, bindings) for v in vec)
+        for i, vec in enumerate(table.outcomes, 1):
+            try:
+                value = tuple(eval_expr(v, None, bindings) for v in vec)
+            except EvalError as exc:  # worded as validate's outcome-eval
+                raise EvalError(
+                    f"outcome {i} of {symbol!r} cannot be evaluated at "
+                    f"{GroundAction(symbol, tuple(ctrl), ())}: {exc} "
+                    f"({which})") from None
             if value not in values:
                 values.append(value)
     return [GroundAction(symbol, tuple(ctrl), value) for value in values]
@@ -674,16 +698,16 @@ def progress_kb(kb, action) -> KnowledgeBase:
     if hit is not None:
         return hit
     table.cover(len(bat.worlds))
-    rows, moves, cls = table.rows, bat.moves, table.cls
-    # in integers: world i's moves have likelihoods k/d, so over the step's
-    # common denominator den * scale its successor gains num[i] * k * scale/d
-    moved = [(n, rows[i] or moves(i, cls)) for i, n in kb.num.items()]
-    scale = lcm(*[d for _, (d, _) in moved])
+    rows, num = table.rows, kb.num
+    for i in num:
+        if rows[i] is None:  # a new row may scale the filled ones up
+            bat.moves(i, table.cls)
+    # in integers: world i's moves have likelihoods k / scale, so over the
+    # step's denominator den * scale its successor gains num[i] * k
     new = {}
     get = new.get
-    for n, (d, outs) in moved:
-        n *= scale // d
-        for succ, k in outs:
+    for i, n in num.items():
+        for succ, k in rows[i]:
             new[succ] = get(succ, 0) + n * k
     eta = sum(new.values())
     sensing = table.sensing
@@ -693,7 +717,7 @@ def progress_kb(kb, action) -> KnowledgeBase:
                 f"sensing result {action} is believed impossible (normalizer 0)")
         raise IncompatibleActionError(
             f"action {action} has zero believed likelihood on the whole support")
-    den = kb.den * scale
+    den = kb.den * table.scale
     # a world's alternatives take distinct entries of its likelihood row,
     # so its mass is at most 1, and eta = den (mass 1) means every world
     # kept all of it

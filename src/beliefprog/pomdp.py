@@ -5,10 +5,16 @@ real world: (graph node, observation, world).  ConfigTable has one entry
 per configuration a run meets, keyed by (node, knowledge-base id, world
 id) in the believed and real Bats, and fills each part of an entry once:
 the enabled edges (evaluated once per (node, knowledge-base id)), each
-edge's move (a row of the real Bat's branches at the entry's own world)
-and each outcome's successor entry or BREAKDOWN.  One table serves every type of a
-verify call, and simulate.TraceEngine extends it for sampling, so the
-successor rule lives here alone.  The belief worlds summed over the
+edge's move and each outcome's successor entry or BREAKDOWN.  A move
+refers to the one RealRow of its edge's class at the entry's world, keyed
+by the class id build_graph gives the edge and the world id: the real
+Bat's branches there, and per outcome, filled on first use, the successor
+world and the believed Bat's ClassTable of the outcome's class.  So a
+move or successor met again reads the row and calls no Bat method, and
+only a progression or step met for the first time goes through
+progress_kb or Bat.step, whose tables keep it.  One table serves every
+type of a verify call, and simulate.TraceEngine extends it for sampling,
+so the successor rule lives here alone.  The belief worlds summed over the
 entries' knowledge bases are capped by TABLE_BUDGET.  Guards and labels
 are read through kb.eval_subjective, whose truths the believed Bat keeps
 per knowledge base, so every node and every type shares them.
@@ -73,23 +79,42 @@ class Configuration:
         self.is_final = self.is_failing = False
 
 
-class Move:
-    """An enabled edge taken from one configuration: its really-possible
-    outcomes ((ground action, real likelihood), ...), the cut-offs that
-    real_outcomes gave with them, and per outcome its successor or None."""
+class RealRow:
+    """The real branches of one observed class at one world, which every
+    Move of an edge of that class at that world reads: its outcomes
+    ((ground action, real likelihood), ...), the cut-offs real_outcomes
+    gave with them, and per outcome, filled on first use, its successor
+    world and the believed Bat's ClassTable of its observed class.  The
+    row makes no step or progression: it points at the world that the real
+    Bat's step interned and keeps, and at the table that keeps the
+    progressions."""
 
-    __slots__ = ("edge", "outcomes", "cuts", "succ")
+    __slots__ = ("outcomes", "cuts", "after", "tables")
 
-    def __init__(self, edge, outcomes, cuts):
-        self.edge = edge
+    def __init__(self, outcomes, cuts):
         self.outcomes = outcomes
         self.cuts = cuts
-        self.succ = [None] * len(outcomes)
+        self.after = [None] * len(outcomes)
+        self.tables = [None] * len(outcomes)
+
+
+class Move:
+    """An enabled edge taken from one configuration: the real row of its
+    class at the configuration's world, and per outcome its successor or
+    None."""
+
+    __slots__ = ("edge", "row", "succ")
+
+    def __init__(self, edge, row):
+        self.edge = edge
+        self.row = row
+        self.succ = [None] * len(row.outcomes)
 
 
 class ConfigTable:
     """The configurations of one run over a program graph, a real Bat and
-    an initial knowledge base, each filled once."""
+    an initial knowledge base, each filled once, and the real rows their
+    moves read, one per (edge class id, world id)."""
 
     def __init__(self, graph, rbat, kb0):
         self.graph = graph
@@ -97,6 +122,7 @@ class ConfigTable:
         self.kb0 = kb0
         self._enabled = {}  # (node, kb id) -> enabled(...)
         self._entries = {}  # (node, kb id, world id) -> Configuration
+        self._rows = [{} for _ in graph.classes]  # [cid][world id] -> RealRow
         self.configs = []  # every entry, by id
         self.support = 0  # belief worlds summed over the entries
 
@@ -148,15 +174,33 @@ class ConfigTable:
         entry.live = live
 
     def move(self, entry, i):
-        edge = entry.live[i]
-        move = entry.moves[i] = Move(edge, *self.real_outcomes(entry.world, edge))
+        edge, world = entry.live[i], entry.world
+        rows = self._rows[edge.cid]
+        row = rows.get(world.id)
+        if row is None:
+            row = rows[world.id] = RealRow(*self.real_outcomes(world, edge))
+        move = entry.moves[i] = Move(edge, row)
         return move
 
     def successor(self, entry, move, j):
-        t = move.outcomes[j][0]
-        obs = self.progress(entry.obs, t)
-        succ = move.succ[j] = BREAKDOWN if obs is BREAKDOWN else self.entry(
-            move.edge.target, obs, self.world_after(entry.world, t))
+        """Outcome j's successor entry, or BREAKDOWN: the knowledge base is
+        progressed first, and the world stepped only for an entry.  The
+        row finds a progression made before in its class table, and keeps
+        the step's world, so neither needs a Bat call."""
+        row, kb = move.row, entry.obs
+        t = row.outcomes[j][0]
+        table = row.tables[j]
+        if table is None:
+            table = row.tables[j] = kb.bat.class_table(t)
+        obs = table.progressed.get(kb.id) or self.progress(kb, t)
+        if obs is BREAKDOWN:
+            succ = BREAKDOWN
+        else:
+            after = row.after[j]
+            if after is None:
+                after = row.after[j] = self.world_after(entry.world, t)
+            succ = self.entry(move.edge.target, obs, after)
+        move.succ[j] = succ
         return succ
 
 
@@ -244,7 +288,7 @@ def build_pomdp(table, abstraction, witness, type_id=None) -> FinitePomdp:
                     f"{p.state_str(si)}; per-action successor would be ambiguous")
             move = entry.moves[i] or table.move(entry, i)
             branches = {}
-            for j, (t, like) in enumerate(move.outcomes):
+            for j, (t, like) in enumerate(move.row.outcomes):
                 succ = move.succ[j] or table.successor(entry, move, j)
                 # every breakdown branch goes to the one sink state
                 if succ is BREAKDOWN and not p.breakdown_states:

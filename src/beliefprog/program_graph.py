@@ -73,27 +73,30 @@ class Edge:
     """A guarded step to node target; label, the primitive's name printed
     once, is the action of its POMDP transitions and policy choices, and
     cls, the primitive's observed class symbol(args, _), keys its real
-    branches."""
+    branches; build_graph gives the edges of equal classes one cls object
+    and one class id, cid, counted from 0."""
 
-    __slots__ = ("guard", "prim", "target", "label", "cls")
+    __slots__ = ("guard", "prim", "target", "label", "cls", "cid")
 
-    def __init__(self, guard, prim, target):
+    def __init__(self, guard, prim, target, cls, cid):
         self.guard = guard
         self.prim = prim
         self.target = target
         self.label = print_program(prim)
-        self.cls = GroundAction(prim.symbol, prim.args, ())
+        self.cls = cls
+        self.cid = cid
 
     def __repr__(self):
         return f"Edge({print_formula(self.guard)}, {self.label}, {self.target})"
 
 
 class CharGraph:
-    def __init__(self, nodes, edges, fin, fail):
+    def __init__(self, nodes, edges, fin, fail, classes):
         self.nodes = nodes          # canonical subprograms, node 0 = program
         self.edges = edges          # list of Edge lists, per node
         self.fin = fin              # termination formula per node
         self.fail = fail            # failure formula per node
+        self.classes = classes      # the edges' observed classes, by cid
 
 
 def build_graph(delta) -> CharGraph:
@@ -103,6 +106,7 @@ def build_graph(delta) -> CharGraph:
     edges = []
     fin = []
     fail = []
+    classes, cids = [], {}  # the edges' observed classes, and their cids
     frontier = deque([delta])
     while frontier:
         node = frontier.popleft()
@@ -113,7 +117,11 @@ def build_graph(delta) -> CharGraph:
                 index[succ] = len(nodes)
                 nodes.append(succ)
                 frontier.append(succ)
-            out.append(Edge(guard, prim, index[succ]))
+            cls = GroundAction(prim.symbol, prim.args, ())
+            cid = cids.setdefault(cls, len(classes))
+            if cid == len(classes):
+                classes.append(cls)
+            out.append(Edge(guard, prim, index[succ], classes[cid], cid))
         edges.append(out)
         f = fin_condition(node)
         fin.append(f)
@@ -121,7 +129,7 @@ def build_graph(delta) -> CharGraph:
         for e in out:
             guards = disj(guards, e.guard)
         fail.append(neg(disj(f, guards)))
-    return CharGraph(nodes, edges, fin, fail)
+    return CharGraph(nodes, edges, fin, fail, classes)
 
 
 def enabled(graph, node, kb):

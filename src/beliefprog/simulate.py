@@ -37,20 +37,21 @@ arrays: its choice, one comparison against the choices' cut-offs; its
 move slot; its outcome, one comparison against the slots' cut-offs rows;
 its successor.  Python runs only for a configuration, move, successor or
 open verdict met for the first time, and fills each once per engine
-through the table's own methods; a configuration that a depth reaches
-is filled, and under first-enabled its first move taken, in the batch
-that reached it.  A trial keeps no history.  A finished trial belongs to
-the class of its outcome and its verdict, an open one included, as the
-tail that completes an open trace gives one answer whatever the trace's
-depth.  estimate walks the classes' least trials again, together,
-rebuilds their records, and judges each once with eval_trace_formula,
-which must give a decided class's carried verdict.  run_trace is that
-walk with one trial.  Trials run in chunks of _CHUNK in trial order, and
-a chunk makes a stream block only when the walk first reads it and drops
-it once the walk has passed it: memory does not grow with the trial
-count, and the streams' share of it does not grow with the horizon.
-When a step, a policy map or a verdict raises, the error of the
-lowest-numbered trial that met one is raised, a step error before a
+through the table's own methods, where a move or successor reads the
+real row of its class and world, made once; a configuration that a
+depth reaches is filled, and under first-enabled its first move taken,
+in the batch that reached it.  A trial keeps no history.  A finished
+trial belongs to the class of its outcome and its verdict, an open one
+included, as the tail that completes an open trace gives one answer
+whatever the trace's depth.  estimate walks the classes' least trials
+again, together, rebuilds their records, and judges each once with
+eval_trace_formula, which must give a decided class's carried verdict.
+run_trace is that walk with one trial.  Trials run in chunks of _CHUNK in
+trial order, and a chunk makes a stream block only when the walk first
+reads it and drops it once the walk has passed it: memory does not grow
+with the trial count, and the streams' share of it does not grow with
+the horizon.  When a step, a policy map or a verdict raises, the error of
+the lowest-numbered trial that met one is raised, a step error before a
 verdict error, as trial-by-trial runs would.
 """
 
@@ -203,8 +204,6 @@ class TraceEngine(ConfigTable):
         super().__init__(build_graph(model.program), real_bat(model),
                          initial_kb(model))
         self.model = model
-        # id(rbat.branches row) -> its cut_offs; rbat keeps each row alive
-        self._cuts = {}
         self._choices = np.zeros((2, 0), np.uint64)  # see choice_cuts
         self._admitted = None  # the last trace formula admit accepted
         self.choices = np.full(16, UNFILLED, np.intp)
@@ -215,10 +214,10 @@ class TraceEngine(ConfigTable):
         self.slot_config = np.zeros(16, np.intp)
         self.succ_slot = np.zeros(16, np.intp)
         self.moves_made = self.succs_made = 0
-        # the distinct cut-offs rows, padded with zeros as sample_outcomes
-        # reads a matrix; id(cuts) -> its row
+        # the real rows' cut-offs, padded with zeros as sample_outcomes
+        # reads a matrix, and the number of them
         self.cut_rows = np.zeros((4, 0), np.uint64)
-        self._rows = {}
+        self.cuts_made = 0
 
     # the table's steps, bound on this class too, so that a wrapper set on
     # TraceEngine (perfbench/spans.py) sees every call the table makes
@@ -234,15 +233,13 @@ class TraceEngine(ConfigTable):
 
     def real_outcomes(self, world, edge):
         """Really-possible ground outcomes of an edge's primitive program,
-        with their sampling cut-offs, made once per row."""
+        with the row of cut_rows that holds their sampling cut-offs; called
+        once per real row."""
         weighted, _ = super().real_outcomes(world, edge)
         if not weighted:
             raise BeliefProgError(
                 f"{edge.label} has no really-possible outcome at {world!r}")
-        cuts = self._cuts.get(id(weighted))
-        if cuts is None:
-            cuts = self._cuts[id(weighted)] = cut_offs([p for _, p in weighted])
-        return weighted, cuts
+        return weighted, self._add_row(cut_offs([p for _, p in weighted]))
 
     def fill_ids(self, ids, first_moves=False):
         """Fill the configurations ids, and with first_moves take the move
@@ -295,13 +292,10 @@ class TraceEngine(ConfigTable):
             except BeliefProgError as exc:
                 failed[slot] = exc
                 continue
-            r = self._rows.get(id(move.cuts))
-            if r is None:
-                r = self._rows[id(move.cuts)] = self._add_row(move.cuts)
             made.append(slot)
-            rows.append(r)
+            rows.append(move.row.cuts)
             first.append(self.succs_made + len(owners))
-            owners += [slot] * len(move.outcomes)
+            owners += [slot] * len(move.row.outcomes)
         if made:
             reached = self.succs_made
             self.succs_made += len(owners)
@@ -314,13 +308,14 @@ class TraceEngine(ConfigTable):
 
     def _add_row(self, cuts):
         """The row of cut_rows that a new cut-offs row takes."""
-        r, rows = len(self._rows), self.cut_rows
+        r, rows = self.cuts_made, self.cut_rows
         (n, width) = rows.shape
         if r == n or len(cuts) > width:
             self.cut_rows = np.zeros((2 * n if r == n else n,
                                       max(len(cuts), width)), np.uint64)
             self.cut_rows[:r, :width] = rows[:r]
         self.cut_rows[r, :len(cuts)] = cuts
+        self.cuts_made += 1
         return r
 
     def reached_by(self, slots):
@@ -639,7 +634,7 @@ def _records(engine, start, world0, policy, horizon, seed, trials):
         actions, kbs, num, den = [], [start.obs], 1, 1
         for c, i, j in engine.reached_by(np.array(slots, np.intp)):
             move = engine.configs[c].moves[i]
-            t, like = move.outcomes[j]
+            t, like = move.row.outcomes[j]
             actions.append(t)
             kbs.append(move.succ[j].obs)
             num *= like.numerator

@@ -425,6 +425,20 @@ def test_unevaluable_outcome_names_action_outcome_and_prim(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_progress_names_an_outcome_unevaluable_at_its_arguments(tmp_path,
+                                                                capsys):
+    # the program's a(1) evaluates; a term's controllable 0 does not
+    path = tmp_path / "m.bp"
+    path.write_text(DIVIDES_BY_ZERO.replace("program { a(0) }",
+                                            "program { a(1) }"))
+    assert run(capsys, "progress", str(path), "a(1, 2)")[0] == 0
+    code, out, err = run(capsys, "progress", str(path), "a(0, 2)")
+    assert code == 2
+    assert "after" not in out
+    assert err == ("error: outcome 1 of 'a' cannot be evaluated at a(0): "
+                   "division by zero (real)\n")
+
+
 BELIEF_DIVIDES_BY_ZERO = "F<=2 1 / (B(h = 2) - B(h = 2)) > 0"
 
 

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (EPSILON, FAILURE, IncompatibleActionError,
+from beliefprog import (EPSILON, FAILURE, BeliefProgError,
+                        IncompatibleActionError,
                         IncompatibleSensingError, LikelihoodSumError,
                         action_likelihood, believed_bat, eval_fluent_formula,
                         eval_subjective, initial_kb, make_world,
@@ -400,10 +401,109 @@ def test_a_world_interned_after_its_rows_were_sized_gets_its_row(choice):
     assert len(table.rows) <= later.id
 
     def moved(b, world):
-        d, outs = b.moves(b.intern(world).id, east)
-        return d, [(b.worlds[i], k) for i, k in outs]
+        outs = b.moves(b.intern(world).id, east)
+        scale = b.class_table(east).scale
+        return [(b.worlds[i], F(k, scale)) for i, k in outs]
     assert moved(bat, later) == moved(fresh, make_world(choice, [9]))
     assert table.rows[later.id] is not None
+
+
+# a's class reads likelihoods over 2 at h <= 0, over 3 at h = 1 and over 4
+# elsewhere; c(0, _)'s two outcomes coincide, so it keeps none of the mass
+# at h <= 0 and half of it elsewhere; s(1) is impossible away from h = 2
+SCALED = """
+    fluents h;
+    action a stochastic(; y) {
+      outcomes: (0), (1), (2);
+      likelihood:
+        case h <= 0: 1/2, 1/2, 0;
+        case h = 1:  1/3, 2/3, 0;
+        default:     1/4, 1/4, 1/2;
+    }
+    action c stochastic(x; y) {
+      outcomes: (x), (2 * x);
+      likelihood: case h <= 0: 0, 1; default: 1/2, 1/2;
+    }
+    action s sensing(1, 0) {
+      likelihood:
+        case h = 2: 1/3, 2/3;
+        default:    0, 1;
+    }
+    ssa h { case a(y): h + y; case c(x, y): h - y; default: h; }
+    belief { (0): 1 }
+    program { a; c(1); s }
+"""
+
+
+def progress_oracle(kb, t):
+    """progress_kb by the update rule over kb.dist in Fractions: the
+    progressed distribution, or the (error class, message) it raises."""
+    bat = kb.bat
+    sensing = bat.action_decl(t.symbol).kind == "sensing"
+    members = [t] if sensing else oi_alternatives(t.symbol, t.ctrl, bat.model)
+    new = {}
+    for w, p in kb.dist.items():
+        for member in members:
+            like = action_likelihood(member, w, bat)
+            if like:
+                u = progress_world(w, member, bat)
+                new[u] = new.get(u, 0) + p * like
+    eta = sum(new.values())
+    if eta == 0:
+        return ((IncompatibleSensingError, f"sensing result {t} is believed "
+                 "impossible (normalizer 0)") if sensing else
+                (IncompatibleActionError, f"action {t} has zero believed "
+                 "likelihood on the whole support"))
+    if eta != 1 and not sensing:
+        return (LikelihoodSumError, f"believed likelihoods of {t} are "
+                f"incomplete: total progressed mass {eta}")
+    return {u: p / eta for u, p in new.items()}
+
+
+def test_class_rows_over_one_denominator_equal_the_fraction_oracle():
+    m = parse_model(SCALED)
+    universe = [ga(m, term) for term in
+                ("a(0)", "a(1)", "a(2)", "c(0, 0)", "c(1, 1)", "c(1, 2)",
+                 "s(1)", "s(0)")]
+    for order in (universe, universe[::-1]):
+        kb0 = initial_kb(m)
+        bat = kb0.bat
+        a_table = bat.class_table(universe[0])
+        scales = [a_table.scale]
+        seen, frontier, checked = {kb0}, [kb0], 0
+        for _ in range(4):  # breadth first, every action at every kb
+            found = []
+            for kb in frontier:
+                for t in order:
+                    expected = progress_oracle(kb, t)
+                    try:
+                        got = progress_kb(kb, t)
+                    except BeliefProgError as exc:
+                        assert (type(exc), str(exc)) == expected, (kb, t)
+                        continue
+                    # the oracle's distribution is the same knowledge base,
+                    # with the same id in the Bat
+                    assert isinstance(expected, dict), (kb, t, expected)
+                    assert got is KnowledgeBase(expected, bat), (kb, t)
+                    assert got.dist == expected
+                    checked += 1
+                    if got not in seen:
+                        seen.add(got)
+                        found.append(got)
+                    if scales[-1] != a_table.scale:
+                        scales.append(a_table.scale)
+            frontier = found
+        assert checked > 40 and len(seen) > 10
+        # a's rows over 2 were filled and progressed before a row over 3
+        # or 4 grew the class's denominator
+        assert scales[:2] == [1, 2] and scales[-1] == 12
+        # every filled row, rescaled or not, is the believed likelihoods
+        for i, row in enumerate(a_table.rows):
+            if row is not None:
+                w = bat.worlds[i]
+                assert [(bat.worlds[j], F(k, a_table.scale)) for j, k in row] \
+                    == [(progress_world(w, t, bat), like)
+                        for t, like in bat.branches(w, a_table.cls)]
 
 
 def test_an_equal_action_object_reaches_the_same_progression(choice):

@@ -10,7 +10,8 @@ from scipy import stats
 
 from beliefprog import (BeliefProgError, EvalError, IncompatibleActionError,
                         IncompatibleSensingError, KnowledgeBase,
-                        LikelihoodSumError, action_likelihood, believed_bat,
+                        LikelihoodContextError, LikelihoodSumError,
+                        action_likelihood, believed_bat,
                         build_graph, enabled, estimate, eval_fluent_formula,
                         eval_trace_formula, make_world, oi_alternatives,
                         parse_model, parse_trace_formula, progress_kb,
@@ -988,6 +989,73 @@ def test_a_trials_step_error_outranks_its_verdict_error():
     assert (type(info.value), str(info.value)) == expected
 
 
+# the real world divides by the outcome, so only step(0) fails there, while
+# the agent believes h + y; step has no real likelihood row above h = 1
+LAZY = """
+    fluents h;
+    action step stochastic(; y) {
+      outcomes: (1), (0);
+      likelihood: case h <= 1: 1/2, 1/2;
+    }
+    ssa h { case step(y): h + 1 / y; default: h; }
+    believed { ssa h { case step(y): h + y; default: h; } }
+    belief { (0): 1 }
+    init { worlds: (0); }
+    program { (step)* }
+    property Q { P[>= 0](F<=1 B(h = 1) = 1) }
+"""
+
+
+def test_a_real_row_steps_only_the_outcomes_drawn(monkeypatch, tmp_path,
+                                                  capsys):
+    # a word below 2^63 draws step(1), one at or above it step(0): a trial
+    # that draws step(0) divides by zero there, one that draws step(1)
+    # twice meets h = 2, where step has no row
+    m = parse_model(LAZY)
+    w0 = make_world(m, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", m)
+    one, zero = 2 ** 63 - 1, 2 ** 63
+    words = np.random.default_rng(3).integers(0, 2 ** 64, size=(64, 4),
+                                              dtype=np.uint64)
+    words[:2, :2] = [[one, one], [zero, one]]
+    crafted_streams(monkeypatch, words)
+    expected = [_result(lambda: reference_trace(m, w0, "first-enabled", 2, 0,
+                                                t, words=words[t].tolist()))
+                for t in range(64)]
+    divided = [t for t, r in enumerate(expected) if r[0] is EvalError]
+    assert all(expected[t][1] == "division by zero" for t in divided)
+    drew_zero = (words[:, :2] >= zero).any(axis=1)  # at depth 0 or 1
+    assert divided == np.flatnonzero(drew_zero).tolist()
+    assert 0 not in divided and 1 in divided and len(divided) < 64
+    # each trial's walk, alone and together, errs only where it drew step(0)
+    engine = TraceEngine(m)
+    assert [_result(lambda: run_trace(m, w0, "first-enabled", 2, trial=t,
+                                      engine=engine))
+            for t in range(64)] == expected
+    streams = simulate._Streams(0, np.arange(64, dtype=np.uint64))
+    walk = TraceEngine(m)
+    ends = simulate._lockstep(walk, simulate._start(walk, w0, "first-enabled"),
+                              "first-enabled", None, 2, streams)
+    assert np.flatnonzero(ends.how < 0).tolist() == divided
+    # the lowest trial's error is raised, whichever the walk meets first:
+    # trial 1 divides at depth 0, before trial 0 meets the missing row at
+    # depth 2 or divides at depth 1
+    for first, error in (([one, one], LikelihoodContextError),
+                         ([one, zero], EvalError)):
+        words[0, :2] = first
+        expected = _result(lambda: reference_trace(
+            m, w0, "first-enabled", 3, 0, 0, words=words[0].tolist()))
+        assert expected[0] is error
+        with pytest.raises(error) as info:
+            estimate(m, psi, w0, "first-enabled", 64, 0, 3)
+        assert str(info.value) == expected[1]
+    # verify steps every action of the universe, and so meets step(0)
+    path = tmp_path / "lazy.bp"
+    path.write_text(LAZY)
+    assert main(["verify", str(path), "--property", "Q"]) == 2
+    assert capsys.readouterr().err == "error: division by zero\n"
+
+
 def test_estimate_checks_the_initial_world_once(coffee, monkeypatch):
     calls = []
     check = simulate.eval_fluent_formula
@@ -1055,6 +1123,33 @@ def test_sim_choice_keeps_one_step_entry_per_observed_class(monkeypatch,
     (real,) = [b for b in bats if b.which == "real"]
     assert step_counts(believed) == (1521, 64)
     assert len(rows) - 2 == len(real._branches) == 37
+
+
+def test_sim_choice_fills_each_real_row_step_and_progression_once(
+        monkeypatch):
+    # the 37 real rows above, the 60 distinct (real world, action) steps
+    # the trials take from them, and the 1521 progressions: a move or a
+    # successor met again reads its row, and 31 more progressions are of a
+    # sensing result believed impossible (BREAKDOWN), which no table keeps
+    calls = Counter()
+    for name in ("real_outcomes", "world_after", "progress"):
+        method = getattr(TraceEngine, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(TraceEngine, name, counted)
+    model = parse_model(CHOICE.read_text())
+    engine = TraceEngine(model)
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", model)
+    res = estimate(model, psi, make_world(model, [0]), "uniform-random", 2000,
+                   0, 10, engine=engine)
+    assert res.successes == 33
+    assert sum(map(len, engine._rows)) == calls["real_outcomes"] == 37
+    assert len(engine.rbat._steps) == calls["world_after"] == 60
+    assert step_counts(engine.kb0.bat)[0] == 1521
+    assert calls["progress"] == 1521 + 31
+    assert (engine.moves_made, engine.succs_made) == (5376, 5591)
 
 
 def test_branches_are_keyed_by_world_id_and_observed_class():
