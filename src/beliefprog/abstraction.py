@@ -42,7 +42,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BeliefProgError, SequenceBudgetError
 # BREAKDOWN is re-exported: beliefprog.abstraction.BREAKDOWN
@@ -427,8 +426,7 @@ def reps_from_ranges(model, ranges):
         raise RepresentativeError(
             f"representative ranges make a box of {size} worlds, over the "
             f"budget of {REPRESENTATIVE_BUDGET}")
-    axes = [[Fraction(v) for v in range(int(lo), int(hi) + 1)]
-            for lo, hi in bounds]
+    axes = [range(int(lo), int(hi) + 1) for lo, hi in bounds]
     return [make_world(model, vals) for vals in itertools.product(*axes)]
 
 
@@ -462,7 +460,7 @@ def reps_auto(model, spread=2, cap=500):
                 if row.context is not None:
                     sources.append(row.context)
     for f in model.fluents:
-        consts = {Fraction(0)}
+        consts = {0}
         for src in sources:
             _constants_near(src, f.name, consts)
         values = set()

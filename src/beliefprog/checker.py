@@ -14,15 +14,21 @@ reaches before the formula is decided (the finite-horizon policy tree of
 a POMDP).  Each leaf of the search stands for every policy that agrees
 with its fixed choices, so the leaves partition the policy space and
 their values give the exact extremes; the policy cap bounds search nodes.
-The witness policies come first in one fixed order of the policy space:
-decision observations sorted by name (their rendering), each one's
-choices in declaration order, the earlier observations varying slowest.
+The search's masses are ints over D^last, where D is the lcm of the
+POMDP's transition denominators (integer_weights, derived once per check)
+and last the formula's decision depth, so a step multiplies and divides
+ints exactly; probability, which re-derives each witness's value, stays
+in Fractions.  The witness policies come first in one fixed order of the
+policy space: decision observations sorted by name (their rendering),
+each one's choices in declaration order, the earlier observations varying
+slowest.
 """
 
 import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InadmissiblePropertyError, PolicyBudgetError
 from .kb import eval_subjective
@@ -170,8 +176,37 @@ def probability(pomdp, policy, psi, conservation=None) -> Fraction:
     return decided[True]
 
 
-def _search(pomdp, psi, cap):
-    """Min and max of Pr(psi) over every proper policy.
+def integer_weights(pomdp):
+    """(D, numerator): D is the lcm of the denominators of the POMDP's
+    transition probabilities, and numerator[id(prob)] = k, with
+    prob = k / D, for each probability object in pomdp.transitions.  Probabilities are
+    keyed by object, as one likelihood object serves many transitions and
+    a Fraction's hash is costly."""
+    probs = {id(prob): prob for trans in pomdp.transitions
+             for targets in trans.values() for _target, prob in targets}
+    d = lcm(*(prob.denominator for prob in probs.values()))
+    return d, {key: prob.numerator * (d // prob.denominator)
+               for key, prob in probs.items()}
+
+
+def _integer_step(pomdp, weights, policy, alive):
+    """_step on integer masses: a mass m over D^last at depth d < last is a
+    multiple of D^(last - d), so m * k // D is exact."""
+    d, numerator = weights
+    new = {}
+    get = new.get
+    for state, mass in alive.items():
+        label = _action_at(pomdp, policy, state)
+        for target, prob in pomdp.transitions[state][label]:
+            k = numerator[id(prob)]
+            if k:
+                new[target] = get(target, 0) + mass * k // d
+    return new
+
+
+def _search(pomdp, psi, cap, weights):
+    """Min and max of Pr(psi) over every proper policy, with weights, the
+    (D, numerator) of integer_weights(pomdp).
 
     Returns (min, argmin, max, argmax, search nodes).  A node propagates
     the open mass one depth under the choices fixed so far and branches
@@ -182,7 +217,9 @@ def _search(pomdp, psi, cap):
     space.  The witnesses are the first optimal policies when policies are
     ordered by their choice indices, observations sorted by name and
     compared in that order: each leaf's first member takes the first
-    choice wherever it fixed none, and the smallest such member wins."""
+    choice wherever it fixed none, and the smallest such member wins.
+    Masses and values are ints over D^last, last the decision depth: the
+    root holds D^last, and each extreme becomes one Fraction."""
     last = _last_depth(psi)
     decisions = policy_space(pomdp)
     choices_of = dict(decisions)
@@ -192,10 +229,19 @@ def _search(pomdp, psi, cap):
     nodes = 0
 
     def leaf(value, fixed):
-        key = tuple(choices.index(fixed[obs]) if obs in fixed else 0
-                    for obs, choices in decisions)
+        # the completion key is made only where the value ties or wins; it
+        # holds the nonzero choice indices as (-rank, index) in rank order,
+        # which order as the full tuples of indices do
+        key = None
         for sign in (1, -1):
-            if sign not in best or (sign * value, key) < best[sign][0]:
+            incumbent = best.get(sign)
+            if incumbent is not None and sign * value > incumbent[0][0]:
+                continue
+            if key is None:
+                key = tuple((-r, i) for r, i in sorted(
+                    (rank[obs], choices_of[obs].index(choice))
+                    for obs, choice in fixed.items()) if i)
+            if incumbent is None or (sign * value, key) < incumbent[0]:
                 best[sign] = ((sign * value, key), fixed)
 
     def visit(depth, alive, fixed, value):
@@ -204,7 +250,7 @@ def _search(pomdp, psi, cap):
         if cap is not None and nodes > cap:
             raise PolicyBudgetError(
                 f"policy search reached {nodes} nodes, over the cap {cap}")
-        decided = {True: value, False: Fraction(0)}
+        decided = {True: value, False: 0}
         alive = _absorb(pomdp, psi, depth, alive, verdicts, decided)
         if not alive or depth == last:
             leaf(decided[True], fixed)
@@ -214,15 +260,16 @@ def _search(pomdp, psi, cap):
                      key=rank.__getitem__)
         for combo in itertools.product(*[choices_of[obs] for obs in new]):
             branch = {**fixed, **dict(zip(new, combo))}
-            visit(depth + 1, _step(pomdp, branch, alive), branch,
-                  decided[True])
+            visit(depth + 1, _integer_step(pomdp, weights, branch, alive),
+                  branch, decided[True])
 
-    visit(0, {pomdp.initial: Fraction(1)}, {}, Fraction(0))
+    whole = weights[0] ** last
+    visit(0, {pomdp.initial: whole}, {}, 0)
 
     (low, _), argmin = best[1]
     (high, _), argmax = best[-1]
-    return (low, _complete(decisions, argmin), -high,
-            _complete(decisions, argmax), nodes)
+    return (Fraction(low, whole), _complete(decisions, argmin),
+            Fraction(-high, whole), _complete(decisions, argmax), nodes)
 
 
 def _complete(decisions, fixed):
@@ -304,11 +351,12 @@ def check(pomdps, phi, policy_cap=DEFAULT_POLICY_CAP) -> Verdict:
                 f"POMDP horizon {pomdp.k} is smaller than the property "
                 f"horizon {k}")
         policies = policy_count(pomdp)
+        weights = integer_weights(pomdp)
         p_truth = {}
         sub_list = []
         for sub in p_subs:
             minimum, argmin, maximum, argmax, nodes = _search(
-                pomdp, sub.trace, policy_cap)
+                pomdp, sub.trace, policy_cap, weights)
             log.info("type %s: %d proper policies, min %s and max %s after "
                      "%d search nodes", type_id, policies, minimum, maximum,
                      nodes)

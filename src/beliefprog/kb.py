@@ -1,15 +1,19 @@
 """Exact evaluation and progression of worlds and knowledge bases.
 
-Everything here works on arbitrary-precision rationals; there is no float
-anywhere in a semantic computation.  A knowledge base is a finite belief
-distribution over worlds paired with the action theory the agent believes.
-Its masses are integers keyed by world id over one denominator: the
-world with id i has mass num[i] / den, den > 0 is the lcm of the masses'
-reduced denominators, and so gcd(den, *num.values()) == 1 and (den, num)
-is the one form of the distribution.  Progression and B(phi) add and
-multiply ints and build a Fraction only for a value they return; kb.dist
-is a read-only {World: Fraction} view, made on first use.  Progression by
-t follows one update rule:
+Everything here is exact: a whole number is an int and any other rational
+a Fraction (the two mix exactly, compare and hash alike and print the
+same), and there is no float anywhere in a semantic computation.  A
+world's whole values are ints, as make_world, the parser's literals and
+arith keep them, so building, hashing and stepping a world works on ints.
+A knowledge base is a finite belief distribution over worlds paired with
+the action theory the agent believes.  Its masses are integers keyed by
+world id over one denominator: the world with id i has mass num[i] / den,
+den > 0 is the lcm of the masses' reduced denominators, and so
+gcd(den, *num.values()) == 1 and (den, num) is the one form of the
+distribution.  Progression and B(phi) add and multiply ints and build a
+Fraction only for a value they return; kb.dist is a read-only
+{World: Fraction} view, made on first use.  Progression by t follows one
+update rule:
 
   f'(u) = sum over support u' of f(u') *
           sum over a in the observed class of t:
@@ -63,7 +67,7 @@ from .errors import (EvalError, IncompatibleActionError,
                      LikelihoodSumError)
 from .syntax import (And, Bel, BinOp, BoolConst, Cmp, Conf, Expect,
                      EPSILON_NAME, FAILURE_NAME, FluentRef, Neg, Not, Num,
-                     Or, ParamRef, Piecewise, arith, frac_str)
+                     Or, ParamRef, Piecewise, arith, exact, frac_str)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,13 +118,13 @@ class World:
 
 
 def make_world(model, user_values):
-    """Build a world from a valuation of the user fluents; Final=Fail=0."""
+    """Build a world from a valuation of the user fluents (numbers or their
+    text), each whole value an int; Final=Fail=0."""
     names = [f.name for f in model.fluents]
     if len(user_values) != len(names):
         raise EvalError(f"world needs {len(names)} values, got {len(user_values)}")
-    vals = dict(zip(names, (Fraction(v) for v in user_values)))
-    vals["Final"] = ZERO
-    vals["Fail"] = ZERO
+    vals = dict(zip(names, (exact(Fraction(v)) for v in user_values)))
+    vals["Final"] = vals["Fail"] = 0
     return World(vals)
 
 
@@ -133,7 +137,7 @@ class GroundAction:
         _set(self, "symbol", symbol)
         _set(self, "ctrl", ctrl)
         _set(self, "unctrl", unctrl)
-        # Fraction hashing is costly; these objects key many dicts
+        # hashing the argument tuples is costly; these objects key many dicts
         _set(self, "_hash", hash((symbol, ctrl, unctrl)))
 
     def __setattr__(self, name, value):
@@ -391,7 +395,7 @@ def believed_bat(model):
 # ---------------------------------------------------------------------------
 # expression and formula evaluation (both sorts; see the module docstring)
 
-def eval_expr(e, world, bindings=None) -> Fraction:
+def eval_expr(e, world, bindings=None) -> int | Fraction:
     return _value(e, world, bindings or {})
 
 
@@ -407,7 +411,7 @@ def eval_subjective(kb, alpha) -> bool:
     return kb.bat.holds(kb, alpha)
 
 
-def _value(e, at, b) -> Fraction:
+def _value(e, at, b) -> int | Fraction:
     """The value of term e at a World or None (objective) or at a
     KnowledgeBase (subjective), with parameters bound by b."""
     cls = e.__class__
@@ -497,9 +501,9 @@ def _truth(phi, at, b) -> bool:
 
 def progress_world(world, action, bat) -> World:
     if action.symbol == EPSILON_NAME:
-        return world.updated({"Final": ONE})
+        return world.updated({"Final": 1})
     if action.symbol == FAILURE_NAME:
-        return world.updated({"Fail": ONE})
+        return world.updated({"Fail": 1})
     decl = bat.action_decl(action.symbol)
     if decl is None:
         raise EvalError(f"undeclared action {action.symbol!r}")
@@ -562,7 +566,7 @@ def likelihood_row(symbol, ctrl, world, bat):
     return out
 
 
-def action_likelihood(action, world, bat) -> Fraction:
+def action_likelihood(action, world, bat) -> int | Fraction:
     if action.symbol in (EPSILON_NAME, FAILURE_NAME):
         return ONE
     for value, weight in likelihood_row(action.symbol, action.ctrl, world, bat):

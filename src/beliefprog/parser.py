@@ -21,7 +21,7 @@ from .syntax import (
     LikelihoodTable, ModelFile, Neg, Nil, Not, Num, Or, POp, ParamRef,
     Piecewise, Prim, PropInterval, RESERVED_ACTIONS, RESERVED_FLUENTS,
     SsaCase, SsaRule, Star, Test, TRUE, UntilOp, XOp, arith, constant_value,
-    depth, seq,
+    depth, exact, seq,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -174,7 +174,7 @@ class Parser:
             inner = self._factor()
             return Num(-inner.value) if isinstance(inner, Num) else Neg(inner)
         if self.at("number"):
-            return Num(Fraction(self.advance().text))
+            return Num(exact(Fraction(self.advance().text)))
         if self.accept("("):
             e = self.expr()
             self.expect(")")
@@ -225,7 +225,7 @@ class Parser:
         return Conf(name.text, radius)
 
     def rational(self):
-        """A constant arithmetic expression folded to an exact Fraction."""
+        """A constant arithmetic expression folded to an exact number."""
         tok = self.peek()
         e = self.expr()
         value = constant_value(e)
@@ -704,15 +704,14 @@ def _mk_binop(op, left, right):
 
 
 def _interval_from_relop(op, r):
-    one, zero = Fraction(1), Fraction(0)
     if op == ">=":
-        return PropInterval(r, one)
+        return PropInterval(r, 1)
     if op == ">":
-        return PropInterval(r, one, lo_open=True)
+        return PropInterval(r, 1, lo_open=True)
     if op == "<=":
-        return PropInterval(zero, r)
+        return PropInterval(0, r)
     if op == "<":
-        return PropInterval(zero, r, hi_open=True)
+        return PropInterval(0, r, hi_open=True)
     return PropInterval(r, r)
 
 

@@ -35,12 +35,11 @@ the horizon carry a fail self-loop.
 
 import json
 import logging
-from fractions import Fraction
 
 from .errors import (LikelihoodContextError, ObservationUniformityError,
                      StateBudgetError, TableBudgetError)
-from .kb import (BREAKDOWN, KnowledgeBase, eval_subjective, next_observation,
-                 progress_kb)
+from .kb import (BREAKDOWN, ONE, KnowledgeBase, eval_subjective,
+                 next_observation, progress_kb)
 from .program_graph import enabled
 from .syntax import EPSILON_NAME, FAILURE_NAME, frac_str, print_formula
 
@@ -272,14 +271,14 @@ def build_pomdp(table, abstraction, witness, type_id=None) -> FinitePomdp:
     for si, (entry, depth) in enumerate(p.states):
         trans = p.transitions[si]
         if entry is None or depth == k:  # the sink, or the frontier
-            trans[FAILURE_NAME] = [(si, Fraction(1))]
+            trans[FAILURE_NAME] = [(si, ONE)]
             if entry is not None:
                 p.agent_actions.setdefault(p.obs_of[si], None)
             continue
         if entry.live is None:
             table.fill(entry)
         if entry.is_final:
-            trans[EPSILON_NAME] = [(si, Fraction(1))]
+            trans[EPSILON_NAME] = [(si, ONE)]
         for i, edge in enumerate(entry.live):
             label = edge.label
             if label in trans:
@@ -296,12 +295,13 @@ def build_pomdp(table, abstraction, witness, type_id=None) -> FinitePomdp:
                     log.warning("belief-breakdown branch reached via %s "
                                 "at %s", t, p.state_str(si))
                 target = state(succ, depth + 1)
-                branches[target] = branches.get(target, Fraction(0)) + like
+                branches[target] = branches[target] + like \
+                    if target in branches else like
             trans[label] = sorted(branches.items())
         agent = tuple(e.label for e in entry.live) + (
             (EPSILON_NAME,) if entry.is_final else ())
         if not agent:
-            trans[FAILURE_NAME] = [(si, Fraction(1))]
+            trans[FAILURE_NAME] = [(si, ONE)]
         obs = p.obs_of[si]
         known = p.agent_actions.get(obs)
         if known is None:

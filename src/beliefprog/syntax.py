@@ -2,10 +2,11 @@
 arithmetic rule (arith, and constant_value, which folds by it), and the
 canonical pretty-printer.
 
-All numeric literals are exact `fractions.Fraction` values; nothing in the
-AST ever holds a float.  Formula nodes are shared between the two formula
-sorts (fluent formulas and subjective formulas); the parser enforces the
-sort discipline.
+All numeric literals are exact: a whole number is an `int` and any other
+a `fractions.Fraction` (the two mix exactly, compare and hash alike and
+print the same); nothing in the AST ever holds a float.  Formula nodes
+are shared between the two formula sorts (fluent formulas and subjective
+formulas); the parser enforces the sort discipline.
 """
 
 from fractions import Fraction
@@ -190,7 +191,7 @@ def depth(node):
 # arithmetic expressions
 
 class Num(Node):
-    value: Fraction
+    value: Fraction  # an int where whole
 
 
 class FluentRef(Node):
@@ -220,15 +221,26 @@ class Piecewise(Node):
     default: object
 
 
+def exact(x):
+    """An int or Fraction x as an int when it is whole, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def arith(op, a, b):
-    """a op b for op one of + - * /; None for a division by zero."""
+    """a op b for op one of + - * / on ints and Fractions, exactly (an int
+    over an int is a Fraction, never a float), with a whole result as an
+    int; None for a division by zero."""
     if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b if b else None
+        value = a + b
+    elif op == "-":
+        value = a - b
+    elif op == "*":
+        value = a * b
+    elif b:
+        value = Fraction(a, b)
+    else:
+        return None
+    return value if value.__class__ is int else exact(value)
 
 
 def constant_value(e):
@@ -330,7 +342,7 @@ class Prim(Node):
     """Primitive program: an action with its controllable arguments only."""
 
     symbol: str
-    args: tuple  # of Fraction
+    args: tuple  # of exact numbers, ints where whole
     pos: tuple = loose(None)
 
 
@@ -476,7 +488,7 @@ class ModelFile(Node):
     real_bat: BatDecl
     believed_bat: BatDecl
     init: InitTheory
-    kb0: tuple  # of (valuation tuple, Fraction weight)
+    kb0: tuple  # of (valuation tuple, exact weight)
     program: object
     properties: tuple  # of (name, state formula)
     source: str = loose("")
@@ -504,8 +516,8 @@ class ModelFile(Node):
 # print_model is a strict inverse modulo sugar: parsing its output yields an
 # AST equal to the one printed (the parse/print fixed-point invariant).
 
-def frac_str(x: Fraction) -> str:
-    return str(x)  # Fraction prints as "p/q" or "p"
+def frac_str(x: int | Fraction) -> str:
+    return str(x)  # Fraction prints as "p/q" or "p", as an int does
 
 
 def print_expr(e) -> str:

@@ -8,7 +8,9 @@ import pytest
 from beliefprog import (ConfigTable, PolicyBudgetError, action_likelihood,
                         build_graph, build_pomdp, compute_types, make_world,
                         parse_model, progress_world)
-from beliefprog.checker import DEFAULT_POLICY_CAP, policy_count, policy_space
+from beliefprog.checker import (DEFAULT_POLICY_CAP, _absorb, _complete,
+                                _last_depth, _step, policy_count,
+                                policy_space)
 
 ROOT = Path(__file__).resolve().parent.parent
 COFFEE = ROOT / "models" / "coffee.bp"
@@ -66,6 +68,56 @@ def enumerate_policies(pomdp, cap=DEFAULT_POLICY_CAP):
     observations = [obs for obs, _ in decisions]
     for combo in itertools.product(*[choices for _, choices in decisions]):
         yield dict(zip(observations, combo))
+
+
+def fraction_search(pomdp, psi, cap=None):
+    """The checker's policy search with Fraction masses and probability's
+    _step: (min, argmin, max, argmax, search nodes), for checker._search on
+    integer masses to equal.  A node propagates the open mass one depth
+    under the choices fixed so far and branches over the decision
+    observations that this mass newly reaches; a leaf stands for every
+    policy that agrees with its fixed choices, and the smallest completion
+    key breaks a tie."""
+    last = _last_depth(psi)
+    decisions = policy_space(pomdp)
+    choices_of = dict(decisions)
+    rank = {obs: i for i, (obs, _choices) in enumerate(decisions)}
+    verdicts = {}
+    best = {}  # 1 (min) / -1 (max) -> ((sign * value, completion key), fixed)
+    nodes = 0
+
+    def leaf(value, fixed):
+        key = tuple(choices.index(fixed[obs]) if obs in fixed else 0
+                    for obs, choices in decisions)
+        for sign in (1, -1):
+            if sign not in best or (sign * value, key) < best[sign][0]:
+                best[sign] = ((sign * value, key), fixed)
+
+    def visit(depth, alive, fixed, value):
+        nonlocal nodes
+        nodes += 1
+        if cap is not None and nodes > cap:
+            raise PolicyBudgetError(
+                f"policy search reached {nodes} nodes, over the cap {cap}")
+        decided = {True: value, False: Fraction(0)}
+        alive = _absorb(pomdp, psi, depth, alive, verdicts, decided)
+        if not alive or depth == last:
+            leaf(decided[True], fixed)
+            return
+        reached = {pomdp.obs_of[state] for state in alive}
+        new = sorted((reached - fixed.keys()) & rank.keys(),
+                     key=rank.__getitem__)
+        for combo in itertools.product(*[choices_of[obs] for obs in new]):
+            branch = {**fixed, **dict(zip(new, combo))}
+            visit(depth + 1, _step(pomdp, branch, alive), branch,
+                  decided[True])
+
+    visit(0, {pomdp.initial: Fraction(1)}, {}, Fraction(0))
+
+    (low, _), argmin = best[1]
+    (high, _), argmax = best[-1]
+    return (low, _complete(decisions, argmin), -high,
+            _complete(decisions, argmax), nodes)
 
 
 def trace_likelihood(world, actions, bat):

@@ -15,7 +15,7 @@ from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective
 from beliefprog.syntax import Bel, Cmp, Conf, Expect, FluentRef, Num
-from conftest import ROOT, step_counts, trace_likelihood
+from conftest import COFFEE, ROOT, step_counts, trace_likelihood
 
 F = Fraction
 
@@ -38,6 +38,18 @@ def test_world_hash_tells_minus_one_from_minus_two(coffee):
     assert minus_one != minus_two
     assert hash(minus_one) != hash(minus_two)
     assert hash(minus_one) == hash(make_world(coffee, [-1]))
+
+
+def test_worlds_of_an_int_and_of_an_equal_fraction_are_one_value(coffee):
+    as_int = kb_mod.World({"h": 2, "Final": 0, "Fail": 0})
+    as_fraction = kb_mod.World({"h": F(2), "Final": F(0), "Fail": F(0)})
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    assert repr(as_int) == repr(as_fraction) == "World(Fail=0, Final=0, h=2)"
+    # make_world keeps whole values as ints, whatever they were given as
+    for given in (2, F(2), "2", "4/2"):
+        w = make_world(coffee, [given])
+        assert w == as_int and type(w["h"]) is int
+    assert type(make_world(coffee, ["1/2"])["h"]) is Fraction
 
 
 def test_eval_constraint_at_origin(coffee):
@@ -614,3 +626,62 @@ def test_belief_sums_are_shared_by_types_nodes_and_trials(
                         "--policy", "uniform-random", "--trials", "2000",
                         "--seed", "1", "--horizon", "10",
                         "--psi", "F<=3 B(h = 2) = 1") == (0, 700, 700)
+
+
+def _exact(v):
+    """An int, or a Fraction that is not whole."""
+    return type(v) is int or type(v) is Fraction and v.denominator != 1
+
+
+@pytest.mark.parametrize("path, world, psi", [
+    (COFFEE, "h=0", "F<=2 B(h=2) = 1"),
+    (ROOT / "perfbench" / "models" / "coffee_deep.bp", "h=0", "F<=5 B(h = 2) = 1"),
+    (CHOICE, "h=0", "F<=3 B(h = 2) = 1"),
+], ids=["coffee", "coffee-deep", "coffee-choice"])
+def test_no_value_verify_and_simulate_reach_is_a_float_or_a_bool(
+        path, world, psi, monkeypatch, capsys):
+    # every Bat that verify and simulate make, with every world, step,
+    # likelihood, knowledge base and belief it keeps
+    bats = []
+    init = kb_mod.Bat.__init__
+
+    def recording_init(self, model, which):
+        init(self, model, which)
+        bats.append(self)
+
+    monkeypatch.setattr(kb_mod.Bat, "__init__", recording_init)
+    assert main(["verify", str(path), "--property", "P1"]) in (0, 1)
+    assert main(["simulate", str(path), "--world", world, "--policy",
+                 "uniform-random", "--trials", "500", "--seed", "3",
+                 "--psi", psi]) == 0
+    capsys.readouterr()
+    assert {bat.which for bat in bats} == {"real", "believed"}
+    worlds = [w for bat in bats for w in bat.worlds]
+    assert len(worlds) > 10
+    for w in worlds:
+        assert all(_exact(v) for _name, v in w._key), w
+    likes = [like for bat in bats for row in bat._branches.values()
+             for _t, like in row]
+    likes += [like for bat in bats for like, _w in bat._steps.values()]
+    assert likes
+    for like in likes:
+        assert type(like) in (int, Fraction), like
+    actions = [t for bat in bats for row in bat._branches.values()
+               for t, _like in row]
+    for t in actions:
+        assert all(_exact(v) for v in t.ctrl + t.unctrl), t
+    kbs = [kb for bat in bats for kb in bat._kbs]
+    assert len(kbs) > 3
+    for kb in kbs:
+        assert type(kb.den) is int and all(type(n) is int
+                                           for n in kb.num.values()), kb
+        assert all(type(p) is Fraction for p in kb.dist.values()), kb
+    beliefs = [v for bat in bats for _term, table in bat._belief.values()
+               for v in table.values()]
+    assert beliefs
+    for v in beliefs:
+        assert type(v) is Fraction, v
+    for bat in bats:
+        for table in {id(t): t for t in bat._tables.values()}.values():
+            assert all(type(k) is int for row in table.rows if row
+                       for _succ, k in row)

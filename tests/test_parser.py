@@ -59,6 +59,23 @@ def test_decimal_literals_are_exact():
     assert default.weights[0] == Num(Fraction(1, 20))
 
 
+def test_whole_literals_parse_to_ints_and_others_to_fractions():
+    m = parse_model("""
+        fluents h;
+        action a stochastic(; y) {
+          outcomes: (2), (0.5), (1/2), (4/2);
+          likelihood: case true: 1/4, 1/4, 1/4, 1/4;
+        }
+        ssa h { case a(y): h + y; default: h; }
+        belief { (0): 1 }
+        program { a }
+    """)
+    values = [vec[0].value for vec in m.real_bat.likelihood_for("a").outcomes]
+    assert values == [2, Fraction(1, 2), Fraction(1, 2), 2]
+    assert [type(v) for v in values] == [int, Fraction, Fraction, int]
+    assert type(m.kb0[0][1]) is int
+
+
 def test_reserved_fluent_name_rejected():
     with pytest.raises(ParseError) as err:
         parse_model("fluents Final;\nbelief { (0): 1 }\nprogram { }")

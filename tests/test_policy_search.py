@@ -4,7 +4,9 @@ check decides min and max over every proper policy by one depth-first
 search that fixes a choice only where mass arrives.  Here its extremes,
 its witnesses (the first optimal policies in enumerate_policies order) and
 its policy count must equal a brute-force pass of probability over
-enumerate_policies, the oracle in conftest.
+enumerate_policies, the oracle in conftest.  The search carries integer
+masses over D^last; fraction_search, the same search in Fractions, must
+give the same extremes, witnesses and node count.
 """
 
 import json
@@ -18,12 +20,13 @@ from beliefprog import (ConfigTable, LikelihoodContextError,
                         ObservationUniformityError, PolicyBudgetError,
                         build_graph, build_pomdp, check, compute_types,
                         estimate, make_world, parse_model, probability)
-from beliefprog.checker import policy_count
+from beliefprog.checker import _search, integer_weights, policy_count
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
 from beliefprog.pomdp import Configuration, FinitePomdp
 from beliefprog.syntax import TRUE, POp, PropInterval, UntilOp, XOp
-from conftest import COFFEE, ROOT, enumerate_policies, random_model_text
+from conftest import (COFFEE, ROOT, enumerate_policies, fraction_search,
+                      random_model_text)
 from test_checker import _dummy_obs, _random_layered_pomdp
 from test_trace_semantics import _consistent
 
@@ -44,12 +47,20 @@ def _oracle(pomdp, psi):
     return low[0], low[1], high[0], high[1]
 
 
+def _assert_matches_fraction_search(pomdp, psi):
+    got = _search(pomdp, psi, None, integer_weights(pomdp))
+    assert got == fraction_search(pomdp, psi)
+    assert type(got[0]) is type(got[2]) is Fraction
+    return got
+
+
 def _assert_matches_oracle(pomdp, psi, policy_cap=None):
     result = check([pomdp], POp(ANY, psi), policy_cap=policy_cap).per_type[0]
     sub = result.subformulas[0]
     assert result.policies == policy_count(pomdp)
     assert (sub.minimum, sub.argmin, sub.maximum, sub.argmax) == \
         _oracle(pomdp, psi)
+    _assert_matches_fraction_search(pomdp, psi)
     return sub
 
 
@@ -178,6 +189,25 @@ def test_search_matches_enumeration_on_bundled_models(path):
         _assert_matches_oracle(pomdp, phi.trace)
 
 
+@pytest.mark.parametrize("bound", [4, 5, 6])
+def test_integer_search_equals_the_fraction_search_on_the_choice_model(bound):
+    # past F<=3, which the bundled-model test above enumerates, there are
+    # too many policies to enumerate; D is 10 on every type, so the masses
+    # are ints over 10^bound, and F<=6 takes 473 search nodes per type
+    text = CHOICE.read_text().replace("F<=3", f"F<={bound}")
+    model = parse_model(text)
+    phi = model.property_named("P1")
+    _, pomdps = _pomdps(text, bound, phi)
+    assert len(pomdps) == 3
+    maxima = []
+    for pomdp in pomdps:
+        _low, _argmin, high, _argmax, nodes = \
+            _assert_matches_fraction_search(pomdp, phi.trace)
+        assert nodes > 1
+        maxima.append(high)
+    assert max(maxima) > 0
+
+
 def test_policy_cap_bounds_search_nodes_exactly(choice_pomdps):
     # 28 nodes decide each type's 2187 policies; a cap of exactly the node
     # count passes and one less fails
@@ -231,5 +261,23 @@ def test_mass_lost_in_a_step_is_an_error(choice_pomdps, monkeypatch):
         return new
 
     monkeypatch.setattr(checker_mod, "_step", leaky_step)
+    with pytest.raises(RuntimeError, match="witness policy re-check"):
+        check(pomdps, phi)
+
+
+def test_mass_lost_in_an_integer_step_is_an_error(choice_pomdps, monkeypatch):
+    # the search's own stepper leaks; probability's _step re-derives the
+    # witnesses' values in Fractions and disagrees
+    model, pomdps = choice_pomdps
+    phi = model.property_named("P1")
+    orig = checker_mod._integer_step
+
+    def leaky_step(pomdp, weights, policy, alive):
+        new = orig(pomdp, weights, policy, alive)
+        state = min(new)
+        new[state] //= 2
+        return new
+
+    monkeypatch.setattr(checker_mod, "_integer_step", leaky_step)
     with pytest.raises(RuntimeError, match="witness policy re-check"):
         check(pomdps, phi)

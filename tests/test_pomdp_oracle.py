@@ -20,7 +20,7 @@ from beliefprog import (BeliefProgError, ConfigTable, LikelihoodContextError,
                         ObservationUniformityError, build_graph, build_pomdp,
                         compute_types, horizon_of, parse_model, probability)
 from beliefprog.abstraction import reps_from_init
-from beliefprog.checker import _search, policy_space
+from beliefprog.checker import _search, integer_weights, policy_space
 from beliefprog.kb import (BREAKDOWN, action_likelihood, eval_subjective,
                            initial_kb, next_observation, oi_alternatives,
                            progress_world, real_bat)
@@ -126,7 +126,7 @@ def _outcome(build, psi):
         p = build()
     except BeliefProgError as exc:
         return type(exc), None
-    low, argmin, high, argmax, _nodes = _search(p, psi, None)
+    low, argmin, high, argmax, _nodes = _search(p, psi, None, integer_weights(p))
     space = [(p.observations[obs].render(), choices)
              for obs, choices in policy_space(p)]
     return (space, low, _rendered(p, argmin), high, _rendered(p, argmax)), p

@@ -9,7 +9,7 @@ from beliefprog.errors import Diagnostic
 from beliefprog.kb import GroundAction
 from beliefprog.syntax import (FALSE, TRUE, And, Cmp, FluentRef, ModelFile,
                                Nil, Not, Num, Or, Piecewise, Prim, PropInterval,
-                               SsaCase, UntilOp, depth, walk)
+                               SsaCase, UntilOp, arith, depth, walk)
 
 F = Fraction
 
@@ -137,3 +137,23 @@ def test_map_rebuilds_changed_children_and_keeps_loose_fields():
     assert mapped.pos == (4, 8)
     pw = Piecewise(((TRUE, FluentRef("h")),), Num(F(0)))
     assert pw.map(lambda child: one) == Piecewise(((one, one),), one)
+
+
+def test_arith_is_exact_and_gives_whole_results_as_ints():
+    # an int over an int is a Fraction, never a float
+    half = arith("/", 1, 2)
+    assert half == F(1, 2) and type(half) is Fraction
+    two = arith("/", 4, 2)
+    assert two == 2 and type(two) is int
+    assert arith("/", 1, 0) is None
+    assert arith("/", F(1, 2), 0) is None
+    # a whole result of Fractions is an int; any other stays a Fraction
+    for op, a, b, want in (("+", F(1, 2), F(1, 2), 1), ("-", F(3, 2), F(1, 2), 1),
+                           ("*", F(2, 3), 3, 2), ("/", F(1, 2), F(1, 4), 2),
+                           ("+", 1, 2, 3), ("*", -2, 3, -6)):
+        got = arith(op, a, b)
+        assert got == want and type(got) is int, (op, a, b)
+    for op, a, b, want in (("+", 1, F(1, 2), F(3, 2)), ("*", F(1, 3), 2, F(2, 3)),
+                           ("/", 2, 4, F(1, 2)), ("-", 0, F(1, 2), F(-1, 2))):
+        got = arith(op, a, b)
+        assert got == want and type(got) is Fraction, (op, a, b)
