@@ -33,20 +33,24 @@ carries the Bat that interned it and its id there, and a Bat that meets
 another's World interns a copy, so no id means two worlds.
 KnowledgeBase(dist, bat) is the Bat's one knowledge base of that value;
 across Bats, knowledge bases and worlds compare and hash by value.  The
-Bat memoises its steps, keyed by ids: the one likelihood memo, branches,
-per (world id, oi_class); the (likelihood, successor) per (world id,
-action); the truth of a formula per (formula object, world or kb id); and
-the value of a B term per (term, kb id), shared by equal terms.  The
-steps of the belief update are kept in one ClassTable per observed class,
-where a sensing result is its own class and any other action has its
-oi_class: the successful progressions by kb id, and each world's moves,
-successor ids with integer likelihoods, in a list indexed by world id.
-The rows of a class share one denominator, the table's scale, which grows
-to the lcm of every filled row's own, so a progression adds n * k over the
-support with no lcm of its own.  Every member of a class, and every action
-equal to one, finds the class's table with one lookup.  A Bat is made per
-theory per run (real_bat, initial_kb), so no table outlives the run that
-filled it.
+Bat evaluates the model's constants once: each likelihood row's weighted
+outcomes per (symbol, ctrl, row index), evaluated at no world on first use
+as they are rigid (a row that raises is not kept), and per action symbol
+its SSA cases and its non-frame defaults (a frame default f never changes
+f).  It memoises its steps, keyed by ids: the nonzero branches per (world
+id, oi_class), read from one likelihood row; the (likelihood, successor)
+per (world id, action); the truth of a formula per (formula object, world
+or kb id); and the value of a B term per (term, kb id), shared by equal
+terms.  The steps of the belief update are kept in one ClassTable per
+observed class, where a sensing result is its own class and any other
+action has its oi_class: the successful progressions by kb id, and each
+world's moves, successor ids with integer likelihoods, in a list indexed
+by world id.  The rows of a class share one denominator, the table's
+scale, which grows to the lcm of every filled row's own, so a progression
+adds n * k over the support with no lcm of its own.  Every member of a
+class, and every action equal to one, finds the class's table with one
+lookup.  A Bat is made per theory per run (real_bat, initial_kb), so no
+table outlives the run that filled it.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -232,6 +236,19 @@ class Bat:
         self.ssa = {rule.fluent: rule for rule in decl.ssa}
         self.likelihood = dict(decl.likelihood)
         self.actions = {a.name: a for a in model.actions}
+        # action symbol -> (fluent, case params, effect) in fluent order: a
+        # default has params None, and a frame default f, which never
+        # changes f, is left out
+        self.effects = {name: [] for name in self.actions}
+        for fluent, rule in self.ssa.items():
+            cases = {c.action: c for c in reversed(rule.cases)}  # first counts
+            for name, effects in self.effects.items():
+                case = cases.get(name)
+                if case is not None:
+                    effects.append((fluent, case.params, case.effect))
+                elif rule.default != FluentRef(fluent):
+                    effects.append((fluent, None, rule.default))
+        self._rows = {}  # (symbol, ctrl, row index) -> weighted outcomes
         self._branches = {}  # (world id, oi class) -> nonzero branches
         self._actions = {}  # oi class -> {outcome value: GroundAction}
         self._steps = {}  # (world id, action) -> (likelihood, successor)
@@ -504,18 +521,16 @@ def progress_world(world, action, bat) -> World:
         return world.updated({"Final": 1})
     if action.symbol == FAILURE_NAME:
         return world.updated({"Fail": 1})
-    decl = bat.action_decl(action.symbol)
-    if decl is None:
+    effects = bat.effects.get(action.symbol)
+    if effects is None:
         raise EvalError(f"undeclared action {action.symbol!r}")
     changes = {}
     args = action.ctrl + action.unctrl
-    for fluent, rule in bat.ssa.items():
-        case = next((c for c in rule.cases if c.action == action.symbol), None)
-        if case is not None:
-            bindings = dict(zip(case.params, args))
-            changes[fluent] = eval_expr(case.effect, world, bindings)
+    for fluent, params, effect in effects:
+        if params is not None:
+            changes[fluent] = _value(effect, world, dict(zip(params, args)))
         else:
-            new = eval_expr(rule.default, world)
+            new = _value(effect, world, {})
             if new != world[fluent]:
                 changes[fluent] = new
     return world.updated(changes) if changes else world
@@ -527,7 +542,8 @@ def progress_world(world, action, bat) -> World:
 def likelihood_row(symbol, ctrl, world, bat):
     """Outcome values and weights for the unique likelihood context true
     at this world.  Asserts context disjointness, completeness, and that
-    the weights sum to exactly 1.
+    the weights sum to exactly 1.  The row's values and weights are rigid,
+    so bat keeps them per (symbol, ctrl, row index) once they pass.
     """
     table = bat.likelihood.get(symbol)
     if table is None:
@@ -538,31 +554,35 @@ def likelihood_row(symbol, ctrl, world, bat):
     default = None
     for idx, row in enumerate(table.rows):
         if row.context is None:
-            default = row
-        elif eval_fluent_formula(row.context, world, bindings):
+            default = idx, row
+        elif _truth(row.context, world, bindings):
             matches.append((idx, row))
     if len(matches) > 1:
         raise LikelihoodContextError(
             f"likelihood contexts of {symbol!r} overlap at {world!r}")
     if matches:
-        row = matches[0][1]
+        idx, row = matches[0]
     elif default is not None:
-        row = default
+        idx, row = default
     else:
         raise LikelihoodContextError(
             f"no likelihood context of {symbol!r} is true at {world!r}")
-    out = []
-    total = ZERO
-    for vec, weight_expr in zip(table.outcomes, row.weights):
-        value = tuple(eval_expr(v, world, bindings) for v in vec)
-        weight = eval_expr(weight_expr, world, bindings)
-        if weight < 0:
-            raise LikelihoodSumError(f"negative outcome weight for {symbol!r}")
-        total += weight
-        out.append((value, weight))
-    if total != 1:
-        raise LikelihoodSumError(
-            f"outcome weights of {symbol!r} sum to {frac_str(total)}, not 1")
+    key = (symbol, ctrl, idx)
+    out = bat._rows.get(key)
+    if out is None:  # rigid, so evaluated at no world: a fluent raises
+        out = []
+        total = ZERO
+        for vec, weight_expr in zip(table.outcomes, row.weights):
+            value = tuple(_value(v, None, bindings) for v in vec)
+            weight = _value(weight_expr, None, bindings)
+            if weight < 0:
+                raise LikelihoodSumError(f"negative outcome weight for {symbol!r}")
+            total += weight
+            out.append((value, weight))
+        if total != 1:
+            raise LikelihoodSumError(
+                f"outcome weights of {symbol!r} sum to {frac_str(total)}, not 1")
+        out = bat._rows[key] = tuple(out)
     return out
 
 

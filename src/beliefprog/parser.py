@@ -2,7 +2,9 @@
 
 The complete grammar is documented in EBNF in the README.  Numeric literals
 ("3", "0.25") and fraction spellings ("1/2") all resolve to exact rationals;
-decimal literals are exact base-10, never binary floats.
+decimal literals are exact base-10, never binary floats, and a literal
+without a point is an int.  Every token carries its 1-based line and
+column, which diagnostics report.
 
 Two spots need backtracking: a program atom starting with "(" may be either
 a parenthesized program or a test formula, and a formula atom starting with
@@ -60,26 +62,26 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
+# Only a whitespace token can hold a newline, so each token's column is
+# counted from start, the offset where its line starts.
 def tokenize(text):
     tokens = []
-    line, col, pos = 1, 1, 0
+    line, start, pos = 1, 0, 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError([Diagnostic("syntax", f"unexpected character {text[pos]!r}",
-                                         line, col)])
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup != "punct" else lexeme
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+                                         line, pos - start + 1)])
+        kind, nxt = m.lastgroup, m.end()
+        if kind == "ws":  # rfind gives -1 where the token holds no newline
+            line += text.count("\n", pos, nxt)
+            start = text.rfind("\n", pos, nxt) + 1 or start
         else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            lexeme = m.group()
+            tokens.append(Token(lexeme if kind == "punct" else kind, lexeme,
+                                line, pos - start + 1))
+        pos = nxt
+    tokens.append(Token("eof", "", line, pos - start + 1))
     return tokens
 
 
@@ -95,11 +97,11 @@ class Parser:
 
     # -- cursor helpers ------------------------------------------------
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.i]  # advance stops at eof
 
     def at(self, kind, text=None):
-        t = self.peek()
+        t = self.tokens[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_word(self, word):
@@ -174,7 +176,8 @@ class Parser:
             inner = self._factor()
             return Num(-inner.value) if isinstance(inner, Num) else Neg(inner)
         if self.at("number"):
-            return Num(exact(Fraction(self.advance().text)))
+            text = self.advance().text
+            return Num(exact(Fraction(text)) if "." in text else int(text))
         if self.accept("("):
             e = self.expr()
             self.expect(")")
@@ -381,7 +384,8 @@ class Parser:
     def _state_unary(self):
         if self.accept("!"):
             return Not(self._state_unary())
-        if self.at_word("P") and self.peek(1).kind in ("[", "("):
+        # a token that is not eof has one after it
+        if self.at_word("P") and self.tokens[self.i + 1].kind in ("[", "("):
             return self._prob_formula()
         if self.at("("):
             mark = self.i

@@ -2,20 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (EPSILON, FAILURE, BeliefProgError,
+from beliefprog import (EPSILON, FAILURE, BeliefProgError, ConfigTable,
                         IncompatibleActionError,
                         IncompatibleSensingError, LikelihoodSumError,
-                        action_likelihood, believed_bat, eval_fluent_formula,
-                        eval_subjective, initial_kb, make_world,
-                        oi_alternatives, parse_ground_action, parse_model,
-                        progress_kb, progress_world, real_bat,
+                        action_likelihood, believed_bat, build_graph,
+                        build_pomdp, compute_types, estimate,
+                        eval_fluent_formula, eval_subjective, initial_kb,
+                        make_world, oi_alternatives, parse_ground_action,
+                        parse_model, progress_kb, progress_world, real_bat,
                         validate_restrictions)
 from beliefprog import kb as kb_mod
+from beliefprog.abstraction import reps_from_init
 from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
-from beliefprog.parser import parse_subjective
-from beliefprog.syntax import Bel, Cmp, Conf, Expect, FluentRef, Num
-from conftest import COFFEE, ROOT, step_counts, trace_likelihood
+from beliefprog.parser import parse_subjective, parse_trace_formula
+from beliefprog.syntax import (Bel, BinOp, Cmp, Conf, Expect, FluentRef,
+                               LikelihoodRow, LikelihoodTable, Num)
+from conftest import (COFFEE, ROOT, random_model_text, step_counts,
+                      trace_likelihood)
 
 F = Fraction
 
@@ -685,3 +689,250 @@ def test_no_value_verify_and_simulate_reach_is_a_float_or_a_bool(
         for table in {id(t): t for t in bat._tables.values()}.values():
             assert all(type(k) is int for row in table.rows if row
                        for _succ, k in row)
+
+
+# ---------------------------------------------------------------------------
+# the per-row and per-symbol memos against the tree walker
+
+def reference_likelihood_row(symbol, ctrl, world, bat):
+    """The row as the tree walker reads it: every context, outcome and
+    weight evaluated at the world, and the weights checked and summed anew."""
+    table = bat.likelihood.get(symbol)
+    if table is None:
+        raise kb_mod.EvalError(f"no likelihood table for {symbol!r}")
+    bindings = dict(zip(bat.action_decl(symbol).ctrl, ctrl))
+    rows = [row for row in table.rows if row.context is not None
+            and eval_fluent_formula(row.context, world, bindings)]
+    if len(rows) > 1:
+        raise kb_mod.LikelihoodContextError(
+            f"likelihood contexts of {symbol!r} overlap at {world!r}")
+    rows += [row for row in table.rows if row.context is None]
+    if not rows:
+        raise kb_mod.LikelihoodContextError(
+            f"no likelihood context of {symbol!r} is true at {world!r}")
+    out, total = [], F(0)
+    for vec, weight_expr in zip(table.outcomes, rows[0].weights):
+        value = tuple(kb_mod.eval_expr(v, world, bindings) for v in vec)
+        weight = kb_mod.eval_expr(weight_expr, world, bindings)
+        if weight < 0:
+            raise LikelihoodSumError(f"negative outcome weight for {symbol!r}")
+        total += weight
+        out.append((value, weight))
+    if total != 1:
+        raise LikelihoodSumError(f"outcome weights of {symbol!r} sum to "
+                                 f"{kb_mod.frac_str(total)}, not 1")
+    return tuple(out)
+
+
+def reference_progress_world(world, action, bat):
+    """The successor as the tree walker makes it: each fluent's SSA rule
+    scanned for the action's case, else its default evaluated."""
+    if action in (EPSILON, FAILURE):
+        return world.updated({"Final" if action == EPSILON else "Fail": 1})
+    if bat.action_decl(action.symbol) is None:
+        raise kb_mod.EvalError(f"undeclared action {action.symbol!r}")
+    changes, args = {}, action.ctrl + action.unctrl
+    for fluent, rule in bat.ssa.items():
+        case = next((c for c in rule.cases if c.action == action.symbol), None)
+        if case is not None:
+            changes[fluent] = kb_mod.eval_expr(case.effect, world,
+                                               dict(zip(case.params, args)))
+        elif kb_mod.eval_expr(rule.default, world) != world[fluent]:
+            changes[fluent] = kb_mod.eval_expr(rule.default, world)
+    return world.updated(changes)
+
+
+def _result(call, *args):
+    try:
+        return call(*args)
+    except BeliefProgError as exc:
+        return type(exc), str(exc)
+
+
+def _recorded_bats(monkeypatch, *runs):
+    """Every Bat that the calls make; a call may raise BeliefProgError."""
+    bats = []
+    init = kb_mod.Bat.__init__
+
+    def recording_init(self, model, which):
+        init(self, model, which)
+        bats.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(kb_mod.Bat, "__init__", recording_init)
+        for run in runs:
+            _result(run)
+    return bats
+
+
+def assert_memos_match_fresh_bats(bats):
+    """At every world a Bat interned and every class and action it stepped,
+    its likelihood_row, branches and step equal a fresh Bat's and the tree
+    walker's, or raise the same error class and message.  Returns the
+    number of (world, action) pairs compared."""
+    compared = 0
+    for bat in bats:
+        classes = {cls for _i, cls in bat._branches}
+        actions = {t for _i, t in bat._steps}
+        for world in list(bat.worlds):
+            for cls in classes:
+                fresh = kb_mod.Bat(bat.model, bat.which)
+                if cls not in (EPSILON, FAILURE):  # which have no table
+                    args = cls.symbol, cls.ctrl, world
+                    row = _result(kb_mod.likelihood_row, *args, bat)
+                    assert row == _result(kb_mod.likelihood_row, *args, fresh) \
+                        == _result(reference_likelihood_row, *args, bat), \
+                        (world, cls)
+                assert _result(bat.branches, world, cls) == \
+                    _result(fresh.branches, world, cls), (world, cls)
+            for t in actions:
+                fresh = kb_mod.Bat(bat.model, bat.which)
+                step = _result(bat.step, world, t)
+                assert step == _result(fresh.step, world, t), (world, t)
+                assert _result(progress_world, world, t, bat) == \
+                    _result(reference_progress_world, world, t, bat), (world, t)
+                compared += 1
+    return compared
+
+
+BUNDLED = [(COFFEE, "F<=2 B(h=2) = 1"),
+           (ROOT / "perfbench" / "models" / "coffee_deep.bp", "F<=5 B(h = 2) = 1"),
+           (ROOT / "perfbench" / "models" / "coffee_choice.bp",
+            "F<=3 B(h = 2) = 1")]
+
+
+@pytest.mark.parametrize("path, psi", BUNDLED,
+                         ids=["coffee", "coffee-deep", "coffee-choice"])
+def test_row_and_effect_memos_equal_fresh_bats(path, psi, monkeypatch, capsys):
+    bats = _recorded_bats(
+        monkeypatch, lambda: main(["verify", str(path), "--property", "P1"]),
+        lambda: main(["simulate", str(path), "--world", "h=0", "--policy",
+                      "uniform-random", "--trials", "300", "--seed", "3",
+                      "--psi", psi]))
+    capsys.readouterr()
+    assert {bat.which for bat in bats} == {"real", "believed"}
+    assert assert_memos_match_fresh_bats(bats) > 20
+
+
+def _verify_path(model):
+    """verify's types and one POMDP per type, on a model validate may refuse."""
+    graph = build_graph(model.program)
+    abstraction = compute_types(model, 2, reps_from_init(model), None)
+    table = ConfigTable(graph, abstraction.rbat, abstraction.kb0)
+    for witness in abstraction.types:
+        _result(build_pomdp, table, abstraction, witness)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_row_and_effect_memos_equal_fresh_bats_random(seed, monkeypatch):
+    model = parse_model(random_model_text(seed))
+    psi = parse_trace_formula("F<=2 B(f0 = 0) = 1", model)
+    bats = _recorded_bats(
+        monkeypatch, lambda: _verify_path(model),
+        lambda: estimate(model, psi, reps_from_init(model)[0],
+                         "uniform-random", 40, seed, 4))
+    assert assert_memos_match_fresh_bats(bats) > 0
+
+
+ROWS = """
+fluents h;
+action a stochastic(x; y) {
+  outcomes: (0), (1);
+  likelihood:
+    case h < 5: 1 / x, 1 - 1 / x;
+    case h = 9: x, 0;
+    default: x / x, 1 - x / x;
+}
+ssa h { case a(x, y): h + y; default: h; }
+init { worlds: (0); }
+belief { (0): 1 }
+program { a(2) }
+"""
+
+
+def test_a_row_is_kept_per_controllable_argument():
+    model = parse_model(ROWS)
+    bat, w = real_bat(model), make_world(model, [0])
+    half = ((0,), F(1, 2)), ((1,), F(1, 2))
+    quarter = ((0,), F(1, 4)), ((1,), F(3, 4))
+    assert kb_mod.likelihood_row("a", (2,), w, bat) == half
+    assert kb_mod.likelihood_row("a", (4,), w, bat) == quarter
+    assert kb_mod.likelihood_row("a", (2,), make_world(model, [3]), bat) == half
+    assert [like for _t, like in bat.branches(w, oi_alternatives(
+        "a", (4,), model)[0].oi_class)] == [F(1, 4), F(3, 4)]
+    assert kb_mod.likelihood_row("a", (4,), w, bat) == quarter
+    assert kb_mod.likelihood_row("a", (3,), make_world(model, [7]), bat) == \
+        (((0,), 1), ((1,), 0))
+    assert len(bat._rows) == 3
+
+
+def test_a_row_that_raises_raises_again_and_is_not_kept():
+    model = parse_model(ROWS)
+    bat, w = real_bat(model), make_world(model, [7])
+    for _ in range(2):
+        with pytest.raises(kb_mod.EvalError, match="^division by zero$"):
+            kb_mod.likelihood_row("a", (0,), w, bat)
+    with pytest.raises(kb_mod.EvalError, match="^division by zero$"):
+        bat.step(w, oi_alternatives("a", (0,), model)[0])
+    assert bat._rows == {}
+    # the same weights at h < 5 are 1 / 0 too, in another row
+    with pytest.raises(kb_mod.EvalError, match="^division by zero$"):
+        kb_mod.likelihood_row("a", (0,), make_world(model, [0]), bat)
+    for _ in range(2):
+        with pytest.raises(LikelihoodSumError,
+                           match="^negative outcome weight for 'a'$"):
+            kb_mod.likelihood_row("a", (-1,), make_world(model, [0]), bat)
+        with pytest.raises(LikelihoodSumError,
+                           match="^outcome weights of 'a' sum to 2, not 1$"):
+            kb_mod.likelihood_row("a", (2,), make_world(model, [9]), bat)
+    assert bat._rows == {}
+
+
+def test_a_fluent_in_a_hand_built_weight_raises_and_is_not_kept(coffee):
+    bat, w = real_bat(coffee), make_world(coffee, [2])
+    table = bat.likelihood["east"]
+    h = FluentRef("h")
+    bat.likelihood["east"] = LikelihoodTable(table.outcomes, (LikelihoodRow(
+        None, (BinOp("/", h, h), BinOp("-", Num(1), BinOp("/", h, h)))),))
+    for _ in range(2):
+        with pytest.raises(kb_mod.EvalError,
+                           match="^fluent 'h' has no value in this context$"):
+            kb_mod.likelihood_row("east", (1,), w, bat)
+    assert bat._rows == {}
+
+
+CLOCK = """
+fluents h, t, g;
+action a stochastic(x; y) {
+  outcomes: (x), (x + 1);
+  likelihood:
+    case true: 1/2, 1/2;
+}
+action b stochastic(; y) {
+  outcomes: (1), (2);
+  likelihood:
+    case true: 1/2, 1/2;
+}
+ssa h { case a(x, y): h + y; default: h; }
+ssa t { case b(y): t - y; default: t + 1; }
+ssa g { default: 3; }
+init { worlds: (0, 0, 0); }
+belief { (0, 0, 0): 1 }
+program { a(1); b }
+"""
+
+
+def test_only_frame_defaults_are_skipped():
+    model = parse_model(CLOCK)
+    bat = real_bat(model)
+    assert [(f, params) for f, params, _e in bat.effects["a"]] == \
+        [("h", ("x", "y")), ("t", None), ("g", None)]
+    assert [(f, params) for f, params, _e in bat.effects["b"]] == \
+        [("t", ("y",)), ("g", None)]
+    w = make_world(model, [0, 0, 0])
+    for term, after in [("a(1, 2)", [2, 1, 3]), ("b(2)", [0, -2, 3])]:
+        t = parse_ground_action(term, model)
+        u = progress_world(w, t, bat)
+        assert [u[f] for f in "htg"] == after
+        assert u == reference_progress_world(w, t, bat)
+        assert progress_world(u, t, bat) == reference_progress_world(u, t, bat)

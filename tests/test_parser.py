@@ -4,9 +4,11 @@ import pytest
 
 from beliefprog import ParseError, parse_ground_action, parse_model
 from beliefprog import syntax as S
-from beliefprog.parser import MAX_DEPTH, parse_subjective
+from beliefprog.errors import Diagnostic
+from beliefprog.parser import _TOKEN_RE, MAX_DEPTH, parse_subjective, tokenize
 from beliefprog.syntax import (Choice, Nil, Num, Prim, Seq, Star, depth,
                                print_model, print_program)
+from conftest import COFFEE, ROOT, random_model_text
 
 
 def test_coffee_model_shape(coffee):
@@ -63,16 +65,17 @@ def test_whole_literals_parse_to_ints_and_others_to_fractions():
     m = parse_model("""
         fluents h;
         action a stochastic(; y) {
-          outcomes: (2), (0.5), (1/2), (4/2);
-          likelihood: case true: 1/4, 1/4, 1/4, 1/4;
+          outcomes: (2), (0.5), (1/2), (4/2), (007), (0.50), (2.0);
+          likelihood: case true: 1/7, 1/7, 1/7, 1/7, 1/7, 1/7, 1/7;
         }
         ssa h { case a(y): h + y; default: h; }
         belief { (0): 1 }
         program { a }
     """)
     values = [vec[0].value for vec in m.real_bat.likelihood_for("a").outcomes]
-    assert values == [2, Fraction(1, 2), Fraction(1, 2), 2]
-    assert [type(v) for v in values] == [int, Fraction, Fraction, int]
+    assert values == [2, Fraction(1, 2), Fraction(1, 2), 2, 7, Fraction(1, 2), 2]
+    assert [type(v) for v in values] == [int, Fraction, Fraction, int, int,
+                                         Fraction, int]
     assert type(m.kb0[0][1]) is int
 
 
@@ -297,3 +300,83 @@ def test_standalone_formulas_are_depth_bounded(coffee):
         with pytest.raises(ParseError) as err:
             parse_subjective("!" * n + "B(h = 2) = 1", coffee)
         assert [d.code for d in err.value.diagnostics] == ["nesting"]
+
+
+def reference_tokenize(text):
+    """The tokenizer that counts newlines in every lexeme, kept as the
+    oracle of token positions."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError([Diagnostic(
+                "syntax", f"unexpected character {text[pos]!r}", line, col)])
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup if m.lastgroup != "punct" else lexeme
+            tokens.append((kind, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _tokens(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return [(d.code, d.message, d.line, d.col) for d in exc.diagnostics]
+
+
+def _reference_tokens(text):
+    try:
+        return reference_tokenize(text)
+    except ParseError as exc:
+        return [(d.code, d.message, d.line, d.col) for d in exc.diagnostics]
+
+
+BUNDLED_TEXTS = [COFFEE, ROOT / "perfbench" / "models" / "coffee_deep.bp",
+                 ROOT / "perfbench" / "models" / "coffee_choice.bp"]
+TRICKY_TEXTS = [
+    "",
+    "\n\n",
+    "fluents h; // a comment\n\n\n// another\nbelief{(0):1}",
+    "fluents h;\r\n\r\n  // crlf comment\r\nbelief { (0): 1 }\r\n",
+    "\tfluents\th;\n\t\t// tab\n\tbelief {\t(0):\t1/2 }",
+    "// only a comment",
+    "fluents h;\n  x <= 0.50 & y >= 007\n\n\t!= ?*|",
+    "fluents h;\n\n   $ belief",
+    "fluents h; // comment\r\n\t  @",
+    "fluents h;\r\n\t#",
+    "a\n\n\n",
+]
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(p.read_text(), id=p.stem) for p in BUNDLED_TEXTS),
+    *(pytest.param(random_model_text(seed), id=f"random-{seed}")
+      for seed in range(200)),
+    *(pytest.param(text, id=f"tricky-{i}") for i, text in enumerate(TRICKY_TEXTS)),
+])
+def test_tokens_keep_the_reference_positions(text):
+    assert _tokens(text) == _reference_tokens(text)
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("fluents h;\n\n   $ belief", 3, 4),
+    ("fluents h; // comment\r\n\t  @", 2, 4),
+    ("#", 1, 1),
+])
+def test_an_unexpected_character_is_reported_at_its_line_and_column(
+        text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    (d,) = err.value.diagnostics
+    assert d.code == "syntax" and d.message.startswith("unexpected character")
+    assert (d.line, d.col) == (line, col)

@@ -170,6 +170,73 @@ def test_witness_is_the_first_optimal_policy_not_the_first_leaf(monkeypatch):
     assert sub.maximum == 1 and sub.argmax == {0: "u0", 1: "u1"}
 
 
+def _planted_ties_pomdp(rng, k=3):
+    """A layered POMDP where most actions lead to one state and the others
+    split evenly over two, so that many policies tie at the extremes and
+    optimal leaves fix different observations.  Each state has its own
+    observation, numbered in a random order, so that the order in which
+    mass reaches observations is not their order in policy_space."""
+    p = FinitePomdp(k)
+    layers, n = [], 0
+    for _d in range(k + 1):
+        width = 2
+        layers.append(list(range(n, n + width)))
+        n += width
+    numbers = rng.sample(range(n), n)
+    p.observations = [_dummy_obs(i) for i in range(n)]
+    for d, layer in enumerate(layers):
+        for s in layer:
+            p.states.append((Configuration(s, p.observations[numbers[s]], None), d))
+            p.obs_of.append(numbers[s])
+            p.labels.append(frozenset())
+            p.transitions.append({})
+    for d in range(k):
+        for s in layers[d]:
+            labels = [f"u{a}" for a in range(rng.choice((2, 2, 3)))]
+            for label in labels:
+                if rng.random() < 0.7:
+                    targets = [(rng.choice(layers[d + 1]), F(1))]
+                else:
+                    targets = [(t, F(1, 2)) for t in rng.sample(layers[d + 1], 2)]
+                p.transitions[s][label] = targets
+            p.agent_actions[numbers[s]] = tuple(labels)
+    for s in layers[k]:
+        p.transitions[s]["fail"] = [(s, F(1))]
+        p.agent_actions[numbers[s]] = ()
+    return p, numbers, layers
+
+
+_ties = {"cases": 0, "split": 0}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_witness_rule_on_random_pomdps_with_planted_ties(seed, monkeypatch):
+    # the first optimal policy must win among several optimal leaves whose
+    # fixed choices differ, one of them keeping its first choice where
+    # another does not
+    rng = random.Random(seed)
+    p, numbers, layers = _planted_ties_pomdp(rng)
+    right = {numbers[s] for s in layers[-1] if rng.random() < 0.5} or \
+        {numbers[layers[-1][0]]}
+    psi = _until_on_observations(monkeypatch, p, set(range(len(p.states))), right)
+    sub = _assert_matches_oracle(p, psi)
+    for value in (sub.minimum, sub.maximum):
+        optimal = [policy for policy in enumerate_policies(p, cap=None)
+                   if probability(p, policy, psi) == value]
+        _ties["cases"] += 1
+        _ties["split"] += any(
+            policy[obs] != choices[0] and optimal[0][obs] == choices[0]
+            for policy in optimal[1:]
+            for obs, choices in checker_mod.policy_space(p))
+
+
+def test_zz_planted_ties_split_the_optimal_policies():
+    # runs after the suite above: most extremes must have had optimal
+    # policies that differ where the first one keeps its first choice
+    if _ties["cases"]:
+        assert _ties["split"] >= _ties["cases"] // 2, _ties
+
+
 # ---------------------------------------------------------------------------
 # the bundled models
 
