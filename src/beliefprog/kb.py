@@ -10,8 +10,8 @@ the action theory the agent believes.  Its masses are integers keyed by
 world id over one denominator: the world with id i has mass num[i] / den,
 den > 0 is the lcm of the masses' reduced denominators, and so
 gcd(den, *num.values()) == 1 and (den, num) is the one form of the
-distribution.  Progression and B(phi) add and multiply ints and build a
-Fraction only for a value they return; kb.dist is a read-only
+distribution.  Progression and B, Expect and Conf add and multiply ints
+and build a Fraction only for a value they return; kb.dist is a read-only
 {World: Fraction} view, made on first use.  Progression by t follows one
 update rule:
 
@@ -40,8 +40,9 @@ its SSA cases and its non-frame defaults (a frame default f never changes
 f).  It memoises its steps, keyed by ids: the nonzero branches per (world
 id, oi_class), read from one likelihood row; the (likelihood, successor)
 per (world id, action); the truth of a formula per (formula object, world
-or kb id); and the value of a B term per (term, kb id), shared by equal
-terms.  The steps of the belief update are kept in one ClassTable per
+or kb id); and per B term value, shared by equal terms, its int mass per
+kb id and its formula's truth per world id, read at support worlds alone.
+The steps of the belief update are kept in one ClassTable per
 observed class, where a sensing result is its own class and any other
 action has its oi_class: the successful progressions by kb id, and each
 world's moves, successor ids with integer likelihoods, in a list indexed
@@ -57,7 +58,10 @@ is believed impossible; next_observation is the one progression rule for
 both.  One evaluator, _value for terms and _truth for formulas, serves both
 sorts: at a World a term or formula is objective, and at an observation it
 is subjective, where B, Expect and Conf read the knowledge base and every
-comparison at BREAKDOWN is false.
+comparison at BREAKDOWN is false.  At a knowledge base, a comparison of a
+B, Expect or Conf term with a constant c, on either side, is decided in
+ints: the term's value is a ratio p / q of ints with q > 0 (a B term's mass
+over kb.den), and p / q op c is p * c.den op c.num * q.
 """
 
 from fractions import Fraction
@@ -254,8 +258,9 @@ class Bat:
         self._steps = {}  # (world id, action) -> (likelihood, successor)
         self._tables = {}  # action -> the ClassTable of its observed class
         self._truth = {}  # id(phi) -> (phi, {world or kb id: bool})
-        self._belief = {}  # id(term) -> (term, {kb id: Fraction})
-        self._belief_of = {}  # B term -> the one table of the terms equal to it
+        # id(term) -> (term, {kb id: int mass}, [world id -> bool or None])
+        self._belief = {}
+        self._belief_of = {}  # B term -> the one pair of the terms equal to it
         self.worlds = []  # world id -> World
         self._kbs = []  # ~kb id -> KnowledgeBase
         self._world_of = {}  # intern tables: each maps a value to its
@@ -385,19 +390,20 @@ class Bat:
             hit = table[at.id] = _truth(phi, at, {})
         return hit
 
-    def belief(self, kb, term):
-        """The value of the B term at one of this theory's knowledge
-        bases, summed once per knowledge base and term value: each term
-        object is hashed once, to share the table of an equal term met
-        before, and kept alive as in holds."""
+    def mass(self, kb, term):
+        """The B term's value at one of this theory's knowledge bases times
+        kb.den, an int, summed once per knowledge base and term value: each
+        term object is hashed once, to share the masses and the formula's
+        truths per world id of an equal term met before, and kept alive as
+        in holds."""
         entry = self._belief.get(id(term))
         if entry is None:
             entry = self._belief[id(term)] = (
-                term, self._belief_of.setdefault(term, {}))
-        table = entry[1]
-        hit = table.get(kb.id)
+                term, *self._belief_of.setdefault(term, ({}, [])))
+        _term, masses, truths = entry
+        hit = masses.get(kb.id)
         if hit is None:
-            hit = table[kb.id] = _belief(kb, term.formula)
+            hit = masses[kb.id] = _mass(kb, term.formula, truths)
         return hit
 
 
@@ -440,8 +446,8 @@ def _value(e, at, b) -> int | Fraction:
         if v is None:
             raise EvalError(f"fluent {e.name!r} has no value in this context")
         return v
-    if cls is Bel and subjective:
-        return at.bat.belief(at, e)
+    if subjective and cls in _RATIO:
+        return Fraction(*_ratio(e, at))
     if cls is BinOp:
         value = arith(e.op, _value(e.left, at, b), _value(e.right, at, b))
         if value is None:
@@ -451,16 +457,6 @@ def _value(e, at, b) -> int | Fraction:
     if cls is Neg:
         return -_value(e.operand, at, b)
     if subjective:
-        if cls is Expect:
-            return _expectation(e.fluent, at)
-        if cls is Conf:
-            # belief that the fluent lies in [E - r, E + r]; see the ledger
-            # note on the closed interval
-            mean = _expectation(e.fluent, at)
-            worlds = at.bat.worlds
-            return Fraction(sum(n for i, n in at.num.items()
-                                if abs(worlds[i][e.fluent] - mean) <= e.radius),
-                            at.den)
         raise TypeError(f"not a belief expression: {e!r}")
     if cls is ParamRef:
         try:
@@ -475,31 +471,65 @@ def _value(e, at, b) -> int | Fraction:
     raise TypeError(f"cannot evaluate {e!r} as an objective expression")
 
 
-def _belief(kb, phi) -> Fraction:
-    """B(phi) at a knowledge base: the mass of the worlds where phi holds,
-    each world's truth read from its Bat's memo."""
-    holds, worlds = kb.bat.holds, kb.bat.worlds
-    return Fraction(sum(n for i, n in kb.num.items()
-                        if holds(worlds[i], phi)), kb.den)
-
-
-def _expectation(fluent, kb) -> Fraction:
+def _mass(kb, phi, truths) -> int:
+    """The mass over kb.den of kb's support worlds where phi holds; truths
+    keeps phi's truth per world id, each found on first need at a support
+    world, in support order."""
     worlds = kb.bat.worlds
-    values = [(worlds[i][fluent], n) for i, n in kb.num.items()]
+    if len(truths) < len(worlds):
+        truths += [None] * (len(worlds) - len(truths))
+    m = 0
+    for i, n in kb.num.items():
+        t = truths[i]
+        if t is None:
+            t = truths[i] = _truth(phi, worlds[i], {})
+        if t:
+            m += n
+    return m
+
+
+def _ratio(e, kb):
+    """(p, q), ints with q > 0, where p / q is the value of a B, Expect or
+    Conf term e at a knowledge base."""
+    cls = e.__class__
+    if cls is Bel:
+        return kb.bat.mass(kb, e), kb.den
+    # the mean is m / (d * den), with d the lcm of the values' denominators
+    worlds, den = kb.bat.worlds, kb.den
+    values = [(worlds[i][e.fluent], n) for i, n in kb.num.items()]
     d = lcm(*(v.denominator for v, _ in values))
-    return Fraction(sum(v.numerator * (d // v.denominator) * n
-                        for v, n in values), d * kb.den)
+    scaled = [(v.numerator * (d // v.denominator), n) for v, n in values]
+    m = sum(a * n for a, n in scaled)
+    if cls is Expect:
+        return m, d * den
+    # Conf: the belief that the fluent lies in the closed [E - r, E + r]
+    # (see the ledger note), |v * d * den - m| * r.den <= r.num * d * den
+    r = e.radius
+    bound = r.numerator * d * den
+    return sum(n for a, n in scaled
+               if abs(a * den - m) * r.denominator <= bound), den
 
 
+_RATIO = frozenset((Bel, Expect, Conf))
 _CMP = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+_MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _truth(phi, at, b) -> bool:
     """The truth of formula phi where _value evaluates its terms."""
     cls = phi.__class__
     if cls is Cmp:
-        return at is not BREAKDOWN and \
-            _CMP[phi.op](_value(phi.left, at, b), _value(phi.right, at, b))
+        if at is BREAKDOWN:
+            return False
+        left, right, op = phi.left, phi.right, phi.op
+        if at.__class__ is KnowledgeBase:
+            if left.__class__ is Num and right.__class__ in _RATIO:
+                left, right, op = right, left, _MIRROR[op]
+            if right.__class__ is Num and left.__class__ in _RATIO:
+                p, q = _ratio(left, at)  # p / q op c in ints
+                c = right.value
+                return _CMP[op](p * c.denominator, c.numerator * q)
+        return _CMP[op](_value(left, at, b), _value(right, at, b))
     if cls is Not:
         return not _truth(phi.operand, at, b)
     if cls is And:

@@ -541,3 +541,50 @@ def test_type_order_follows_action_symbols_not_tree_order():
     assert [w["h"] for w in lazy.types] == [2, 0]
     eager, _, bitvecs = eager_compute_types(model, 1, reps)
     assert_same_abstraction(lazy, eager, bitvecs)
+
+
+# ---------------------------------------------------------------------------
+# every member of a type has its witness's POMDP
+
+def assert_members_share_their_witness_pomdp(model, k, reps, phi=None):
+    """Each representative's POMDP has the canonical bytes (or the error
+    class) of its type's witness, where the witness of its type is the one
+    with which compute_types finds a single type.  Returns the number of
+    representatives that are not a witness."""
+    graph = build_graph(model.program)
+    abstraction = compute_types(model, k, reps, phi)
+    witnesses = abstraction.types
+    own = {}
+    for w in witnesses:
+        own[w] = _pomdp_or_error(graph, abstraction, w)
+    members = 0
+    for rep in reps:
+        same = [w for w in witnesses
+                if len(compute_types(model, k, [w, rep], phi).types) == 1]
+        assert len(same) == 1, rep
+        assert _pomdp_or_error(graph, abstraction, rep) == own[same[0]], rep
+        members += rep != same[0]
+    return members
+
+
+def test_coffee_members_share_their_witness_pomdp(coffee_text):
+    # P1 at F<=8 from h = -10..0: 11 representatives in 9 types
+    model = parse_model(_with_bound(coffee_text, 8))
+    reps = reps_from_ranges(model, {"h": (-10, 0)})
+    assert assert_members_share_their_witness_pomdp(
+        model, 8, reps, model.property_named("P1")) == 2
+
+
+def test_choice_members_share_their_witness_pomdp():
+    model = parse_model(CHOICE.read_text())
+    phi = model.property_named("P1")
+    # from h = -4..0: 5 representatives in 4 types
+    reps = reps_from_ranges(model, {"h": (-4, 0)})
+    assert assert_members_share_their_witness_pomdp(
+        model, horizon_of(phi), reps, phi) == 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_members_share_their_witness_pomdp(seed):
+    model, reps = _box_case(seed)
+    assert_members_share_their_witness_pomdp(model, 2, reps)

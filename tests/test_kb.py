@@ -1,3 +1,6 @@
+import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,6 +284,49 @@ def test_confidence_uses_closed_interval(coffee):
     kb1 = progress_kb(kb, ga(coffee, "east(1, 1)"))
     assert eval_subjective(kb1, parse_subjective("Conf(h, 1/2) = 1/2", coffee))
     assert eval_subjective(kb1, parse_subjective("Conf(h, 1/2) <= 1/2", coffee))
+
+
+_OPS = {"=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+        "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("B(h = 0)", F(1, 2)), ("B(h = 2)", 0), ("B(true)", 1),
+    ("Expect(h)", F(1, 2)), ("Conf(h, 1/2)", 1), ("Conf(h, 1/4)", 0)])
+def test_comparisons_with_a_constant_on_either_side(coffee, text, value):
+    # kb0 is uniform on h = 0, 1; each term against constants around its
+    # value, under every operator, as term op c and as c op term
+    kb = initial_kb(coffee)
+    for c in (value - 1, value - F(1, 3), value, value + F(1, 2), value + 2):
+        for op, holds in _OPS.items():
+            shown = kb_mod.frac_str(c)
+            assert eval_subjective(kb, parse_subjective(
+                f"{text} {op} {shown}", coffee)) == holds(value, c), (op, c)
+            assert eval_subjective(kb, parse_subjective(
+                f"{shown} {op} {text}", coffee)) == holds(c, value), (op, c)
+
+
+def test_belief_reads_its_formula_at_support_worlds_only(coffee):
+    # after east(1) and sensing the coffee the support is h = 2, and the
+    # Bat also holds h = 0, where 1 / h raises: B reads no world outside
+    # the support
+    kb0 = initial_kb(coffee)
+    kb1 = progress_kb(kb0, ga(coffee, "east(1, 1)"))
+    kb2 = progress_kb(kb1, ga(coffee, "sencfe(1)"))
+    bat = kb0.bat
+    alpha = parse_subjective("B(1 / h = 1/2) = 1", coffee)
+    ids = {w["h"]: w.id for w in bat.worlds}
+    assert sorted(ids) == [0, 1, 2] and list(kb2.num) == [ids[2]]
+    for _ in range(2):
+        assert eval_subjective(kb2, alpha)
+        with pytest.raises(kb_mod.EvalError, match="^division by zero$"):
+            eval_subjective(kb1, alpha)
+    # kb1 lists h = 1 before h = 0, so h = 1 is read before the error
+    assert list(kb1.num) == [ids[1], ids[0], ids[2]]
+    _term, masses, truths = bat._belief[id(alpha.left)]
+    assert masses == {kb2.id: 1}
+    assert [truths[ids[h]] for h in (0, 1, 2)] == [None, False, True]
 
 
 def test_belief_arithmetic(coffee):
@@ -598,16 +644,16 @@ def test_world_interned_by_both_bats_keeps_steps_and_truths_apart(choice):
 # one memo for formula truths
 
 def _belief_sums(monkeypatch, *argv):
-    """The exit code of main(argv), the number of B sums it makes at a
-    knowledge base, and the number of knowledge bases they are made at."""
+    """The exit code of main(argv), the number of B masses it sums at a
+    knowledge base, and the number of knowledge bases they are summed at."""
     at = []
-    belief = kb_mod._belief
+    mass = kb_mod._mass
 
-    def counted(kb, phi):
+    def counted(kb, phi, truths):
         at.append(kb.id)
-        return belief(kb, phi)
+        return mass(kb, phi, truths)
 
-    monkeypatch.setattr(kb_mod, "_belief", counted)
+    monkeypatch.setattr(kb_mod, "_mass", counted)
     return main(list(argv)), len(at), len(set(at))
 
 
@@ -680,11 +726,14 @@ def test_no_value_verify_and_simulate_reach_is_a_float_or_a_bool(
         assert type(kb.den) is int and all(type(n) is int
                                            for n in kb.num.values()), kb
         assert all(type(p) is Fraction for p in kb.dist.values()), kb
-    beliefs = [v for bat in bats for _term, table in bat._belief.values()
-               for v in table.values()]
-    assert beliefs
-    for v in beliefs:
-        assert type(v) is Fraction, v
+    shared = {id(masses): (masses, truths) for bat in bats
+              for _term, masses, truths in bat._belief.values()}.values()
+    masses = [m for masses, _truths in shared for m in masses.values()]
+    assert masses
+    for m in masses:
+        assert type(m) is int, m
+    assert all(type(t) is bool or t is None for _masses, truths in shared
+               for t in truths)
     for bat in bats:
         for table in {id(t): t for t in bat._tables.values()}.values():
             assert all(type(k) is int for row in table.rows if row
@@ -936,3 +985,97 @@ def test_only_frame_defaults_are_skipped():
         assert [u[f] for f in "htg"] == after
         assert u == reference_progress_world(w, t, bat)
         assert progress_world(u, t, bat) == reference_progress_world(u, t, bat)
+
+
+# ---------------------------------------------------------------------------
+# row errors on random models
+
+_ROW = re.compile(r"^    (case (.*)|default): (.*);$")
+
+
+def broken_model_text(seed):
+    """random_model_text(seed) with one likelihood table broken in a way
+    that validate defers or lets pass, picked by a fixed rng: a weight that
+    depends on the controllable argument (negative at x = 0, summing to 2
+    at x = 2), a row whose context overlaps an earlier one without
+    repeating it, or a table without its default row.  Returns the kind
+    and the text."""
+    rng = random.Random(7919 * seed + 1)
+    lines = random_model_text(seed).split("\n")
+    rows, ctrl = [], False  # (line index, has ctrl, context or None)
+    for i, line in enumerate(lines):
+        if line.startswith("action "):
+            ctrl = "(x; y)" in line
+        match = _ROW.match(line)
+        if match:
+            rows.append((i, ctrl, match.group(2)))
+    kinds = [("weight", i) for i, has_ctrl, _c in rows if has_ctrl]
+    kinds += [("overlap", i) for i, _x, context in rows if context]
+    kinds += [("default", i) for i, _x, context in rows if context is None]
+    kind, i = rng.choice(kinds)
+    head, weights = lines[i].rsplit(": ", 1)
+    if kind == "weight":
+        lines[i] = f"{head}: {weights.replace(',', ' + x - 1,', 1)}" \
+            if "," in weights else f"{head}: {weights[:-1]} + x - 1;"
+    elif kind == "overlap":
+        context = _ROW.match(lines[i]).group(2)
+        lines.insert(i + 1, f"    case ({context}) | f0 > 9: {weights}")
+    else:
+        del lines[i]
+    return kind, "\n".join(lines)
+
+
+def _reference_step(world, t, bat):
+    """(likelihood, successor) from the tree walker's row and step."""
+    row = reference_likelihood_row(t.symbol, t.ctrl, world, bat)
+    like = next((w for value, w in row if value == t.unctrl), 0)
+    return like, reference_progress_world(world, t, bat)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_broken_rows_raise_as_the_walker_does_and_are_not_kept(seed):
+    # at every world of a small grid and every controllable argument 0..2,
+    # likelihood_row, branches and step give the walker's result or raise
+    # its error class and message, on both calls, and a row that raises is
+    # not kept
+    kind, text = broken_model_text(seed)
+    model = parse_model(text)
+    grid = [make_world(model, vals) for vals in
+            itertools.product(range(-2, 3), repeat=len(model.fluents))]
+    errors = set()
+    for bat in (real_bat(model), believed_bat(model)):
+        for decl in model.actions:
+            for ctrl in itertools.product(range(3), repeat=len(decl.ctrl)):
+                cls = kb_mod.GroundAction(decl.name, ctrl, ())
+                members = oi_alternatives(decl.name, ctrl, model)
+                for w in grid:
+                    row = _result(reference_likelihood_row, decl.name, ctrl,
+                                  w, bat)
+                    for _ in range(2):
+                        assert _result(kb_mod.likelihood_row, decl.name,
+                                       ctrl, w, bat) == row, (w, cls)
+                        branches = _result(bat.branches, w, cls)
+                        for t in members:
+                            assert _result(bat.step, w, t) == \
+                                _result(_reference_step, w, t, bat), (w, t)
+                    if isinstance(row[0], type):
+                        errors.add(row)
+                        assert branches == row, (w, cls)
+                    else:  # the first weight of a repeated value counts
+                        first = {}
+                        for v, like in row:
+                            first.setdefault(v, like)
+                        assert branches == tuple(
+                            (kb_mod.GroundAction(decl.name, ctrl, v), like)
+                            for v, like in first.items() if like != 0)
+        for (symbol, ctrl, idx), kept in bat._rows.items():
+            assert all(weight >= 0 for _v, weight in kept), symbol
+            assert sum(weight for _v, weight in kept) == 1, symbol
+    # each break raises its own error somewhere on the grid
+    assert any(cls is _RAISES[kind][0] and _RAISES[kind][1] in message
+               for cls, message in errors), (kind, errors)
+
+
+_RAISES = {"weight": (LikelihoodSumError, "outcome weight"),
+           "overlap": (kb_mod.LikelihoodContextError, "overlap at"),
+           "default": (kb_mod.LikelihoodContextError, "no likelihood context")}

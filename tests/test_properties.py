@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from beliefprog import (ConfigTable, IncompatibleActionError,
+from beliefprog import (BeliefProgError, ConfigTable, IncompatibleActionError,
                         IncompatibleSensingError, LikelihoodContextError,
                         ObservationUniformityError, PolicyBudgetError,
                         build_graph, build_pomdp, compute_types,
@@ -25,8 +25,10 @@ from beliefprog.kb import BREAKDOWN, eval_subjective, likelihood_row, real_bat
 from beliefprog.parser import parse_subjective
 from beliefprog.program_graph import enabled
 from beliefprog.simulate import TraceEngine, estimate
-from beliefprog.syntax import (TRUE, Bel, Cmp, FluentRef, Num, UntilOp,
-                               print_model, print_program, walk)
+from beliefprog.syntax import (TRUE, And, Bel, BinOp, Cmp, Conf, Expect,
+                               FluentRef, Neg, Num, UntilOp, print_model,
+                               print_program, walk)
+from belief_oracle import outcome, reference_truth, reference_value
 from conftest import COFFEE, ROOT, enumerate_policies, random_model_text
 
 N_CASES = 200
@@ -234,39 +236,92 @@ def _subjective_formulas(graph, context):
         context.formulas[i].formula for i in context.subjective_indices()]
 
 
+_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_CONSTANTS = (0, 1, Fraction(1, 2), -1, Fraction(-3, 2), Fraction(1, 3), 2)
+
+
+def comparisons(model):
+    """Per fluent f: B, Expect and Conf terms against constants (0, 1,
+    fractional and negative) on either side under all six operators, two
+    such terms against each other, terms that kb does not decide in
+    integers (a negated or a summed one), and formulas that raise at a
+    knowledge base whose support holds f = 0, or at every one."""
+    out = []
+    for f in model.fluents:
+        ref = FluentRef(f.name)
+        inverse = Bel(Cmp("=", BinOp("/", Num(1), ref), Num(1)))
+        terms = [Bel(Cmp("=", ref, Num(0))), Bel(Cmp(">=", ref, Num(1))),
+                 Expect(f.name), Conf(f.name, Fraction(1, 2)), Conf(f.name, 1),
+                 Conf(f.name, 0)]
+        for i, term in enumerate(terms):
+            for j, op in enumerate(_OPS):
+                c = Num(_CONSTANTS[(i + j) % len(_CONSTANTS)])
+                out += [Cmp(op, term, c), Cmp(op, c, term)]
+            out.append(Cmp(_OPS[i], term, terms[i - 1]))
+        out += [Cmp("<=", Neg(Expect(f.name)), Num(Fraction(1, 2))),
+                Cmp(">", Num(Fraction(1, 2)), BinOp("+", *terms[:2])),
+                Cmp(">", inverse, Num(0)), Cmp("<=", Num(1), inverse),
+                And(Cmp(">", Conf(f.name, 1), Num(0)), Cmp("!=", inverse, Num(0))),
+                Cmp("<", BinOp("/", Expect(f.name),
+                               Bel(Cmp("=", ref, Num(7)))), Num(1))]
+    return out
+
+
 def _check_memo(kb0, formulas):
-    """eval_subjective, read twice at every knowledge base that kb0's Bat
-    has made and at BREAKDOWN, is kb._truth without the memo.  Returns the
+    """eval_subjective and kb._value, read twice at every knowledge base
+    that kb0's Bat has made and at BREAKDOWN, are the Fraction walker's
+    truth and value, or raise its error class and message.  Returns the
     number of knowledge bases."""
     kbs = list(kb0.bat._kbs)
+    terms = list({id(e): e for alpha in formulas for e in walk(alpha)
+                  if isinstance(e, (Bel, Expect, Conf))}.values())
     for at in kbs + [BREAKDOWN]:
+        known = {}  # term -> its walker value at `at`, found once
+
+        def value(e, at):
+            v = known.get(e)
+            if v is None:  # an error is raised anew
+                v = known[e] = reference_value(e, at)
+            return v
+
         for alpha in formulas:
-            truth = kb_mod._truth(alpha, at, {})
-            assert eval_subjective(at, alpha) == truth
-            assert eval_subjective(at, alpha) == truth
+            truth = outcome(reference_truth, alpha, at, value)
+            assert outcome(eval_subjective, at, alpha) == truth, (alpha, at)
+            assert outcome(eval_subjective, at, alpha) == truth, (alpha, at)
+        for e in terms if at is not BREAKDOWN else ():
+            v = outcome(value, e, at)
+            assert outcome(kb_mod._value, e, at, {}) == v, (e, at)
+            assert outcome(kb_mod._value, e, at, {}) == v, (e, at)
     return len(kbs)
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
 def test_subjective_memo_matches_unmemoised_truth(model_factory, seed):
-    graph, abstraction, _pomdps = _build(model_factory(seed), k=3)
-    _check_memo(abstraction.kb0, _subjective_formulas(graph, abstraction.context))
-
-
-def _unmemoised_belief(bat, kb, term):
-    """Bat.belief with no memo: the mass of kb.dist where the formula
-    holds, each world's truth found afresh."""
-    return sum((p for w, p in kb.dist.items()
-                if kb_mod._truth(term.formula, w, {})), Fraction(0))
+    """At every knowledge base that verify's POMDPs and a uniform-random
+    estimate meet."""
+    model = model_factory(seed)
+    graph, abstraction, _pomdps = _build(model, k=3)
+    formulas = _subjective_formulas(graph, abstraction.context) + \
+        comparisons(model)
+    _check_memo(abstraction.kb0, formulas)
+    engine = TraceEngine(model)
+    psi = UntilOp(TRUE, Cmp("=", Bel(Cmp("=", FluentRef(model.fluents[0].name),
+                                         Num(0))), Num(1)), 2)
+    try:
+        estimate(model, psi, _reps(model)[0], "uniform-random", 40, seed, 4,
+                 engine)
+    except BeliefProgError:
+        pass
+    _check_memo(engine.kb0, formulas)
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
-def test_belief_memo_matches_unmemoised_truth(model_factory, seed,
-                                              monkeypatch):
+def test_belief_memo_matches_unmemoised_truth(model_factory, seed):
     """Every B term of the model's subjective formulas, and B(f = v) and
     B(f >= v) for every value v of a fluent f in a belief world, at every
     knowledge base the believed Bat has made, read through its memos, is
-    _value with B summed afresh; so is the truth of every formula."""
+    the Fraction walker's value, which sums B afresh; so is the truth of
+    every formula, and of each comparison of those terms with 1/2."""
     model = model_factory(seed)
     graph, abstraction, _pomdps = _build(model, k=3)
     formulas = _subjective_formulas(graph, abstraction.context)
@@ -275,19 +330,19 @@ def test_belief_memo_matches_unmemoised_truth(model_factory, seed,
     terms += [Bel(Cmp(op, FluentRef(f.name), Num(v)))
               for f in model.fluents for op in ("=", ">=")
               for v in sorted({w[f.name] for kb in kbs for w in kb.dist})]
-
-    def values():
-        return [([kb_mod._value(e, kb, {}) for e in terms],
-                 [kb_mod._truth(alpha, kb, {}) for alpha in formulas])
-                for kb in kbs]
-    memoised = values()
-    monkeypatch.setattr(kb_mod.Bat, "belief", _unmemoised_belief)
-    assert memoised == values()
+    formulas += [Cmp(op, e, Num(Fraction(1, 2))) for e in terms for op in _OPS]
+    for kb in kbs:
+        assert [kb_mod._value(e, kb, {}) for e in terms] == \
+            [reference_value(e, kb) for e in terms]
+        assert [eval_subjective(kb, alpha) for alpha in formulas] == \
+            [reference_truth(alpha, kb) for alpha in formulas]
     _mark("belief memo", bool(terms))
 
 
-@pytest.mark.parametrize("path", [COFFEE, ROOT / "perfbench" / "models" /
-                                  "coffee_choice.bp"], ids=["coffee", "choice"])
+@pytest.mark.parametrize("path", [
+    COFFEE, ROOT / "perfbench" / "models" / "coffee_deep.bp",
+    ROOT / "perfbench" / "models" / "coffee_choice.bp"],
+    ids=["coffee", "coffee-deep", "choice"])
 def test_subjective_memo_matches_unmemoised_truth_on_bundled_models(path):
     """Over verify's POMDPs for P1 and a uniform-random estimate of its
     trace formula."""
@@ -299,12 +354,12 @@ def test_subjective_memo_matches_unmemoised_truth_on_bundled_models(path):
     for witness in abstraction.types:
         build_pomdp(table, abstraction, witness)
     assert _check_memo(abstraction.kb0, _subjective_formulas(
-        graph, abstraction.context)) > 1
+        graph, abstraction.context) + comparisons(model)) > 1
     engine = TraceEngine(model)
     estimate(model, phi.trace, make_world(model, [0]), "uniform-random", 200,
              0, 10, engine)
     assert _check_memo(engine.kb0, _subjective_formulas(
-        engine.graph, abstraction.context)) > 10
+        engine.graph, abstraction.context) + comparisons(model)) > 10
 
 
 @pytest.mark.parametrize("seed", range(N_CASES))
