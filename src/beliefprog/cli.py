@@ -3,9 +3,18 @@
 Subcommands wire the pipeline together: parse -> validate -> graph ->
 types -> POMDPs -> check / simulate / export.  Exit codes for verify:
 0 the property holds, 1 it is violated, 2 error or inadmissible input.
+
+main pauses Python's cyclic garbage collector for the whole command and
+turns it back on, if it was on, however the command ends.  A command's
+worlds, knowledge bases and configuration tables live until it returns,
+and they are reference cycles (see kb), so each collection during the
+command would rescan them all and free almost nothing; the one collection
+after it frees them.  Library calls (compute_types, check, estimate)
+leave the caller's collector settings alone.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -442,7 +451,16 @@ def build_arg_parser():
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_arg_parser().parse_args(argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr)

@@ -40,8 +40,9 @@ its SSA cases and its non-frame defaults (a frame default f never changes
 f).  It memoises its steps, keyed by ids: the nonzero branches per (world
 id, oi_class), read from one likelihood row; the (likelihood, successor)
 per (world id, action); the truth of a formula per (formula object, world
-or kb id); and per B term value, shared by equal terms, its int mass per
-kb id and its formula's truth per world id, read at support worlds alone.
+or kb id), where a Not at a kb reads its operand's; and per B term value,
+shared by equal terms, its int mass per kb id and its formula's truth per
+world id, read at support worlds alone.
 The steps of the belief update are kept in one ClassTable per
 observed class, where a sensing result is its own class and any other
 action has its oi_class: the successful progressions by kb id, and each
@@ -51,7 +52,10 @@ scale, which grows to the lcm of every filled row's own, so a progression
 adds n * k over the support with no lcm of its own.  Every member of a
 class, and every action equal to one, finds the class's table with one
 lookup.  A Bat is made per theory per run (real_bat, initial_kb), so no
-table outlives the run that filled it.
+table outlives the run that filled it.  A World's bat and Bat.worlds point
+at each other, as do a KnowledgeBase's bat and Bat._kbs, so a Bat and all
+it interned are reference cycles: only the cyclic garbage collector frees
+them, once the run drops its last reference.
 
 An observation is a knowledge base or BREAKDOWN, left when a sensing result
 is believed impossible; next_observation is the one progression rule for
@@ -531,6 +535,8 @@ def _truth(phi, at, b) -> bool:
                 return _CMP[op](p * c.denominator, c.numerator * q)
         return _CMP[op](_value(left, at, b), _value(right, at, b))
     if cls is Not:
+        if at.__class__ is KnowledgeBase:  # a while's fin is Not(its guard)
+            return not at.bat.holds(at, phi.operand)
         return not _truth(phi.operand, at, b)
     if cls is And:
         return _truth(phi.left, at, b) and _truth(phi.right, at, b)

@@ -1,14 +1,18 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import beliefprog
 from beliefprog import abstraction as abstraction_mod
+from beliefprog import cli
+from beliefprog import kb as kb_mod
 from beliefprog import pomdp as pomdp_mod
 from beliefprog.cli import main
 from beliefprog.parser import MAX_DEPTH, parse_model
@@ -662,3 +666,73 @@ def test_reps_range_box_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     assert err.strip() == ("error: representative ranges make a box of "
                            "1000000 worlds, over the budget of "
                            f"{abstraction_mod.REPRESENTATIVE_BUDGET}")
+
+
+# ---------------------------------------------------------------------------
+# main pauses the cyclic garbage collector while a command runs
+
+PSI = "F<=2 B(h=2) = 1"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, ends", [
+    (("simulate", MODEL, "--world", "h=0", "--trials", "20", "--psi", PSI), 0),
+    (("verify", MODEL, "--property", "P1"), 1),
+    (("simulate", MODEL, "--trials", "0", "--psi", PSI), 2),
+    (("progress", MODEL, "east(("), 2),
+    (("progress", MODEL, "east(1,1)"), RuntimeError),
+    (("--version",), SystemExit)],
+    ids=["exit-0", "exit-1", "error", "parse-error", "escaping", "version"])
+def test_main_restores_the_collector_on_every_exit(capsys, monkeypatch,
+                                                   collecting, argv, ends):
+    inside = []
+    command = "cmd_" + argv[0]
+    if hasattr(cli, command):
+        run_command = getattr(cli, command)
+
+        def recording(args):
+            inside.append(gc.isenabled())
+            if ends is RuntimeError:
+                raise RuntimeError("escaped the command")
+            return run_command(args)
+        monkeypatch.setattr(cli, command, recording)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        if isinstance(ends, int):
+            assert main(list(argv)) == ends
+        else:
+            with pytest.raises(ends):
+                main(list(argv))
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    assert inside == ([False] if hasattr(cli, command) else [])
+    err = capsys.readouterr().err
+    if argv[-1] == "east((":
+        assert "[syntax]" in err  # the ParseError branch
+    elif ends == 2:
+        assert err == "error: trials must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", MODEL, "--property", "P1"),
+    ("simulate", MODEL, "--world", "h=0", "--trials", "20", "--psi", PSI)],
+    ids=["verify", "simulate"])
+def test_a_commands_tables_are_freed_once_it_returns(capsys, monkeypatch,
+                                                     argv):
+    # a Bat and its worlds and knowledge bases are reference cycles, so
+    # only a collection frees them; a command that kept them from the
+    # collector (gc.freeze, say) would leave these references alive
+    made = []
+    for owner in (kb_mod.Bat, pomdp_mod.ConfigTable):
+        def recording(self, *args, _init=owner.__init__):
+            made.append((type(self).__name__, weakref.ref(self)))
+            _init(self, *args)
+        monkeypatch.setattr(owner, "__init__", recording)
+    main(list(argv))
+    capsys.readouterr()
+    table = "ConfigTable" if argv[0] == "verify" else "TraceEngine"
+    assert sorted({kind for kind, _ref in made}) == ["Bat", table]
+    gc.collect()
+    assert [kind for kind, ref in made if ref() is not None] == []

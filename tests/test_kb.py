@@ -19,8 +19,9 @@ from beliefprog.abstraction import reps_from_init
 from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective, parse_trace_formula
+from beliefprog.program_graph import enabled
 from beliefprog.syntax import (Bel, BinOp, Cmp, Conf, Expect, FluentRef,
-                               LikelihoodRow, LikelihoodTable, Num)
+                               LikelihoodRow, LikelihoodTable, Not, Num)
 from conftest import (COFFEE, ROOT, random_model_text, step_counts,
                       trace_likelihood)
 
@@ -327,6 +328,36 @@ def test_belief_reads_its_formula_at_support_worlds_only(coffee):
     _term, masses, truths = bat._belief[id(alpha.left)]
     assert masses == {kb2.id: 1}
     assert [truths[ids[h]] for h in (0, 1, 2)] == [None, False, True]
+
+
+@pytest.mark.parametrize("path, node", [
+    # the choice loop's node: its edges carry the guard and its fin is
+    # Not(guard); coffee's inner loop: one edge carries the guard and the
+    # other Not(guard)
+    ("perfbench/models/coffee_choice.bp", 0), ("models/coffee.bp", 1)])
+def test_a_loop_guard_is_decided_once_per_knowledge_base(
+        monkeypatch, path, node):
+    model = parse_model((ROOT / path).read_text())
+    graph = build_graph(model.program)
+    formulas = [e.guard for e in graph.edges[node]] + [graph.fin[node]]
+    guards = {id(f): f for f in formulas if isinstance(f, Cmp)}
+    assert len(guards) == 1
+    guard, = guards.values()
+    assert any(isinstance(f, Not) and f.operand is guard for f in formulas)
+    decided = []
+    truth = kb_mod._truth
+
+    def counting(phi, at, b):
+        if phi is guard and at.__class__ is KnowledgeBase:
+            decided.append(at.id)
+        return truth(phi, at, b)
+
+    monkeypatch.setattr(kb_mod, "_truth", counting)
+    kb = initial_kb(model)  # a fresh Bat, so no truth is memoised yet
+    first = enabled(graph, node, kb)
+    assert decided == [kb.id]
+    assert enabled(graph, node, kb) == first
+    assert decided == [kb.id]
 
 
 def test_belief_arithmetic(coffee):
