@@ -40,9 +40,9 @@ its SSA cases and its non-frame defaults (a frame default f never changes
 f).  It memoises its steps, keyed by ids: the nonzero branches per (world
 id, oi_class), read from one likelihood row; the (likelihood, successor)
 per (world id, action); the truth of a formula per (formula object, world
-or kb id), where a Not at a kb reads its operand's; and per B term value,
-shared by equal terms, its int mass per kb id and its formula's truth per
-world id, read at support worlds alone.
+or kb id), where a Not, And or Or at a kb reads its operands'; and per
+B term value, shared by equal terms, its int mass per kb id and its
+formula's truth per world id, read at support worlds alone.
 The steps of the belief update are kept in one ClassTable per
 observed class, where a sensing result is its own class and any other
 action has its oi_class: the successful progressions by kb id, and each
@@ -534,13 +534,19 @@ def _truth(phi, at, b) -> bool:
                 c = right.value
                 return _CMP[op](p * c.denominator, c.numerator * q)
         return _CMP[op](_value(left, at, b), _value(right, at, b))
+    # at a knowledge base the operands' truths are memoised: a while's fin
+    # is Not(its guard), and a nested loop's edges And it with their own
     if cls is Not:
-        if at.__class__ is KnowledgeBase:  # a while's fin is Not(its guard)
+        if at.__class__ is KnowledgeBase:
             return not at.bat.holds(at, phi.operand)
         return not _truth(phi.operand, at, b)
     if cls is And:
+        if at.__class__ is KnowledgeBase:
+            return at.bat.holds(at, phi.left) and at.bat.holds(at, phi.right)
         return _truth(phi.left, at, b) and _truth(phi.right, at, b)
     if cls is Or:
+        if at.__class__ is KnowledgeBase:
+            return at.bat.holds(at, phi.left) or at.bat.holds(at, phi.right)
         return _truth(phi.left, at, b) or _truth(phi.right, at, b)
     if cls is BoolConst:
         return phi.value

@@ -26,25 +26,27 @@ The lockstep walk.  The trials of an estimate step together over the
 configuration table, depth by depth.  TraceEngine is pomdp.ConfigTable,
 the table build_pomdp unrolls, with what sampling adds: the cut-offs of
 each real row and of each choice count, the admitted trace formula, and
-flat arrays over the table's ids (per configuration its choice count and
-first move slot, per move slot its cut-offs row and first successor slot,
-per successor slot its configuration id).  The believed Bat keeps the
-truth of every state formula at every knowledge base
-(kb.eval_subjective).  Each live trial carries two integers, its
-configuration id and its verdict code (open, false, true, or an error's
-class and message), and each depth is a few numpy gathers over the flat
-arrays: its choice, one comparison against the choices' cut-offs; its
-move slot; its outcome, one comparison against the slots' cut-offs rows;
-its successor.  Python runs only for a configuration, move, successor or
-open verdict met for the first time, and fills each once per engine
-through the table's own methods, where a move or successor reads the
-real row of its class and world, made once; a configuration that a
-depth reaches is filled, and under first-enabled its first move taken,
-in the batch that reached it.  A trial keeps no history.  A finished
-trial belongs to the class of its outcome and its verdict, an open one
-included, as the tail that completes an open trace gives one answer
-whatever the trace's depth.  estimate walks the classes' least trials
-again, together, rebuilds their records, and judges each once with
+numpy copies of what the walk gathers from the table's int lists (per
+configuration its choice count and first move slot, per move slot its
+cut-offs row and first successor slot, per successor slot its
+configuration id).  The believed Bat keeps the truth of every state
+formula at every knowledge base (kb.eval_subjective).  Each live trial
+carries two integers, its configuration id and its verdict code (open,
+false, true, or an error's class and message), and each depth is a few
+numpy gathers over the arrays: its choice, one comparison against the
+choices' cut-offs; its move slot; its outcome, one comparison against the
+slots' cut-offs rows; its successor.  Python runs only for a
+configuration, move, successor or open verdict met for the first time,
+and fills each once per engine through the table's own methods, which
+write the table's lists, and copies the batch's ids into the arrays; a
+move or successor reads the real row of its class and world, made once,
+and a configuration that a depth reaches is filled, and under
+first-enabled its first move made, in the batch that reached it.  A
+trial keeps no history.  A finished trial belongs to the class of its
+outcome and its verdict, an open one included, as the tail that
+completes an open trace gives one answer whatever the trace's depth.
+estimate walks the classes' least trials again, together, rebuilds their
+records from the table's lists, and judges each once with
 eval_trace_formula, which must give a decided class's carried verdict.
 run_trace is that walk with one trial.  Trials run in chunks of _CHUNK in
 trial order, and a chunk makes a stream block only when the walk first
@@ -65,7 +67,7 @@ import numpy as np
 from .checker import decision_depth, obs_satisfies, trace_verdict
 from .errors import BeliefProgError
 from .kb import BREAKDOWN, eval_fluent_formula, initial_kb, real_bat
-from .pomdp import ConfigTable
+from .pomdp import BROKE, UNREACHED, ConfigTable
 # enabled stays bound here for perfbench/spans.py, which wraps it by name
 from .program_graph import build_graph, enabled  # noqa: F401
 from .syntax import GloballyOp, POp, walk
@@ -163,11 +165,11 @@ class Strategy:
     UNIFORM_RANDOM = "uniform-random"
 
 
-# flat-array codes: a configuration not yet filled; a move not yet made,
-# or the stop; a successor not yet reached, or BREAKDOWN; a policy map's
-# pick not yet read
-UNFILLED = UNMADE = UNREACHED = UNPICKED = -1
-STOP = BROKE = -2
+# numpy-array codes: a configuration not yet filled; a move not yet made,
+# or the stop; a policy map's pick not yet read.  A successor slot keeps
+# the table's codes, UNREACHED and BROKE.
+UNFILLED = UNMADE = UNPICKED = -1
+STOP = -2
 
 
 def _grown(a, n, fill):
@@ -186,19 +188,14 @@ class TraceEngine(ConfigTable):
     memoised in the real and believed Bat, so each is taken once per
     engine.
 
-    The walk reads the table through flat arrays over ids.  A
-    configuration's choices are its live edges, then the stop when it is
-    final; one that fails has none.  Per configuration id: its choice
-    count (UNFILLED before it is filled) and the move slot of its first
-    choice.  Per move slot (first_move[c] + choice index): its row of
-    cut_rows (UNMADE before the move is taken, STOP for the stop) and the
-    slot of its first successor.  Per successor slot (first_succ[move
-    slot] + outcome index): its configuration id (UNREACHED before it is
-    reached, BROKE for BREAKDOWN).  Each move slot also records its
-    configuration id, and each successor slot its move slot.  fill_ids,
-    move_ids and reach_ids fill configurations, move slots and successor
-    slots through the table's own methods and write them there, a batch
-    at a time; the arrays grow by doubling."""
+    The walk reads the table's ids through numpy arrays that fill_ids,
+    move_ids and reach_ids fill, a batch at a time, from the table's
+    lists; they grow by doubling.  A configuration's choices are its move
+    slots.  Per configuration id: its choice count (UNFILLED before it is
+    filled; 0 when it fails) and its first move slot.  Per move slot: its
+    row of cut_rows (UNMADE before the move is made, STOP for the stop)
+    and its first successor slot.  Per successor slot: the table's
+    successor code."""
 
     def __init__(self, model):
         super().__init__(build_graph(model.program), real_bat(model),
@@ -211,9 +208,6 @@ class TraceEngine(ConfigTable):
         self.row = np.full(16, UNMADE, np.intp)
         self.first_succ = np.zeros(16, np.intp)
         self.succ = np.full(16, UNREACHED, np.intp)
-        self.slot_config = np.zeros(16, np.intp)
-        self.succ_slot = np.zeros(16, np.intp)
-        self.moves_made = self.succs_made = 0
         # the real rows' cut-offs, padded with zeros as sample_outcomes
         # reads a matrix, and the number of them
         self.cut_rows = np.zeros((4, 0), np.uint64)
@@ -226,8 +220,8 @@ class TraceEngine(ConfigTable):
     world_after = ConfigTable.world_after
 
     def cover(self):
-        """Grow the arrays over configuration ids to every entry made."""
-        n = len(self.configs)
+        """Grow the arrays over configuration ids to every one made."""
+        n = len(self.nodes)
         self.choices = _grown(self.choices, n, UNFILLED)
         self.first_move = _grown(self.first_move, n, 0)
 
@@ -241,68 +235,57 @@ class TraceEngine(ConfigTable):
                 f"{edge.label} has no really-possible outcome at {world!r}")
         return weighted, self._add_row(cut_offs([p for _, p in weighted]))
 
-    def fill_ids(self, ids, first_moves=False):
-        """Fill the configurations ids, and with first_moves take the move
+    def fill_ids(self, ids, take_first=False):
+        """Fill the configurations ids, and with take_first make the move
         of each one's first live edge (one that raises stays UNMADE);
         returns {id: error} for each whose fill raised, which stays
         UNFILLED."""
-        failed, filled, counts, first, owners = {}, [], [], [], []
-        firsts, stops = [], []  # the slots of first edges and of stops
-        made = self.moves_made
+        failed, filled, counts, first, firsts, stops = {}, [], [], [], [], []
+        enabled, first_moves = self.enabled, self.first_moves
         for c in ids:
-            entry = self.configs[c]
-            try:
-                if entry.live is None:
-                    self.fill(entry)
-            except BeliefProgError as exc:
-                failed[c] = exc
-                continue
-            slot, n = made + len(owners), len(entry.live)
+            if enabled[c] is None:
+                try:
+                    self.fill(c)
+                except BeliefProgError as exc:
+                    failed[c] = exc
+                    continue
+            live, is_final, _failing = enabled[c]
+            slot, n = first_moves[c], len(live)
             filled.append(c)
-            counts.append(n + entry.is_final)
+            counts.append(n + is_final)
             first.append(slot)
             if n:
                 firsts.append(slot)
-            if entry.is_final:
+            if is_final:
                 stops.append(slot + n)
-            owners += [c] * counts[-1]
         if filled:
-            self.moves_made += len(owners)
-            self.row = _grown(self.row, self.moves_made, UNMADE)
-            self.first_succ = _grown(self.first_succ, self.moves_made, 0)
-            self.slot_config = _grown(self.slot_config, self.moves_made, 0)
-            self.slot_config[made:self.moves_made] = owners
+            made = len(self.real_rows)
+            self.row = _grown(self.row, made, UNMADE)
+            self.first_succ = _grown(self.first_succ, made, 0)
             self.first_move[filled] = first
             self.choices[filled] = counts
             self.row[stops] = STOP
-        if first_moves and firsts:
-            self.move_ids(np.array(firsts, np.intp))
+        if take_first and firsts:
+            self.move_ids(firsts)
         return failed
 
     def move_ids(self, slots):
-        """Take the moves of the move slots; returns {slot: error} for
-        each whose move raised, which stays UNMADE."""
-        cs = self.slot_config.take(slots)
-        edges = slots - self.first_move.take(cs)
-        failed, made, rows, first, owners = {}, [], [], [], []
-        for slot, c, i in zip(slots.tolist(), cs.tolist(), edges.tolist()):
-            entry = self.configs[c]
+        """Make the moves of the move slots, a list; returns {slot: error}
+        for each whose move raised, which stays UNMADE."""
+        failed, made, rows = {}, [], []
+        real_rows = self.real_rows
+        for m in slots:
             try:
-                move = entry.moves[i] or self.move(entry, i)
+                row = real_rows[m] or self.move(m)
             except BeliefProgError as exc:
-                failed[slot] = exc
+                failed[m] = exc
                 continue
-            made.append(slot)
-            rows.append(move.row.cuts)
-            first.append(self.succs_made + len(owners))
-            owners += [slot] * len(move.row.outcomes)
+            made.append(m)
+            rows.append(row.cuts)
         if made:
-            reached = self.succs_made
-            self.succs_made += len(owners)
-            self.succ = _grown(self.succ, self.succs_made, UNREACHED)
-            self.succ_slot = _grown(self.succ_slot, self.succs_made, 0)
-            self.succ_slot[reached:self.succs_made] = owners
-            self.first_succ[made] = first
+            self.succ = _grown(self.succ, len(self.succs), UNREACHED)
+            first_succs = self.first_succs
+            self.first_succ[made] = [first_succs[m] for m in made]
             self.row[made] = rows
         return failed
 
@@ -318,28 +301,18 @@ class TraceEngine(ConfigTable):
         self.cuts_made += 1
         return r
 
-    def reached_by(self, slots):
-        """The (configuration id, edge index, outcome index) of each
-        successor slot."""
-        moves = self.succ_slot.take(slots)
-        cs = self.slot_config.take(moves)
-        return zip(cs.tolist(), (moves - self.first_move.take(cs)).tolist(),
-                   (slots - self.first_succ.take(moves)).tolist())
-
     def reach_ids(self, slots):
-        """Reach the successors of the successor slots; returns {slot:
-        error} for each whose successor raised, which stays UNREACHED."""
+        """Reach the successors of the successor slots, a list; returns
+        {slot: error} for each whose successor raised, which stays
+        UNREACHED."""
         failed, reached, ids = {}, [], []
-        for a, (c, i, j) in zip(slots.tolist(), self.reached_by(slots)):
-            entry = self.configs[c]
-            move = entry.moves[i]
+        for s in slots:
             try:
-                succ = move.succ[j] or self.successor(entry, move, j)
+                ids.append(self.successor(s))
             except BeliefProgError as exc:
-                failed[a] = exc
+                failed[s] = exc
                 continue
-            reached.append(a)
-            ids.append(BROKE if succ is BREAKDOWN else succ.id)
+            reached.append(s)
         self.cover()
         self.succ[reached] = ids
         return failed
@@ -399,19 +372,20 @@ def _verdict(engine, psi, depth, obs):
         return (type(exc), str(exc))
 
 
-def _pick(entry, policy):
-    """The index of the choice a policy map makes at entry: a live edge's,
-    or the stop's after them."""
-    rendered = entry.obs.render()
+def _pick(engine, c, policy):
+    """The index of the choice a policy map makes at configuration c: a
+    live edge's, or the stop's after them."""
+    live, is_final, _failing = engine.enabled[c]
+    rendered = engine.kbs[c].render()
     label = policy.get(rendered)
     if label in (None, "eps"):
-        if entry.is_final:
-            return len(entry.live)
-        if label is None and entry.live:
+        if is_final:
+            return len(live)
+        if label is None and live:
             return 0
         raise BeliefProgError("policy stops at a non-final observation "
                               f"{rendered}")
-    for i, edge in enumerate(entry.live):
+    for i, edge in enumerate(live):
         if edge.label == label:
             return i
     raise BeliefProgError(f"policy action {label!r} is not enabled at "
@@ -480,12 +454,12 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
     n = len(streams.trials)
     ends = _Ends(n)
     trial = np.arange(n)  # the live trials, in order
-    cid = np.full(n, start.id)  # their configuration ids
+    cid = np.full(n, start)  # their configuration ids
     v = np.zeros(n, np.intp)  # and their verdict codes
     judging = psi is not None
     if judging:
-        v[:] = ends.code(_verdict(engine, psi, 0, start.obs))
-    pick = np.full(len(engine.configs), UNPICKED)  # a policy map's choices
+        v[:] = ends.code(_verdict(engine, psi, 0, engine.kbs[start]))
+    pick = np.full(len(engine.nodes), UNPICKED)  # a policy map's choices
 
     for depth in range(horizon):
         # fill the configurations met for the first time; failing ones,
@@ -516,12 +490,12 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
                 engine.choice_cuts(int(choices.max())).take(choices, axis=0),
                 streams.words(trial, 2 * depth), slot)
         elif mapped:
-            pick = _grown(pick, len(engine.configs), UNPICKED)
+            pick = _grown(pick, len(engine.nodes), UNPICKED)
             e = pick.take(cid)
             if e.min() <= UNPICKED:  # an error is below UNPICKED
                 for c in _unmet(cid, pick).tolist():
                     try:
-                        pick[c] = _pick(engine.configs[c], policy)
+                        pick[c] = _pick(engine, c, policy)
                     except BeliefProgError as exc:
                         pick[c] = ends.failed({c: exc})[c] + UNPICKED
                 e = pick.take(cid)
@@ -538,7 +512,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
         if row.min() < 0:
             new = _unmet(slot, engine.row)
             if len(new):
-                failed = ends.failed(engine.move_ids(new))
+                failed = ends.failed(engine.move_ids(new.tolist()))
                 row = engine.row.take(slot)
                 if failed:
                     out = row == UNMADE
@@ -564,8 +538,8 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
         if nxt.min() < 0:
             new = _unmet(at, engine.succ)
             if len(new):
-                made = len(engine.configs)
-                failed = ends.failed(engine.reach_ids(new))
+                made = len(engine.nodes)
+                failed = ends.failed(engine.reach_ids(new.tolist()))
                 if depth + 1 < horizon:
                     # every configuration made here is stood on next, and
                     # under first-enabled its first edge is taken there:
@@ -576,7 +550,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
                     # of 10 s runs, 2-vCPU host) this batch cut sim-coffee
                     # call_s from 15.11 to 14.56 ms (8 of 10 pairs), and
                     # left sim-choice as it was (74.2 and 74.0 ms, 5 of 10)
-                    engine.fill_ids(range(made, len(engine.configs)),
+                    engine.fill_ids(range(made, len(engine.nodes)),
                                     policy == Strategy.FIRST_ENABLED)
                 nxt = engine.succ.take(at)
                 if failed:
@@ -595,13 +569,13 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
             open_ = np.flatnonzero(v == 0)
             judging = len(open_) > 0
             if judging:
-                seen = np.zeros(len(engine.configs), bool)
+                seen = np.zeros(len(engine.nodes), bool)
                 seen[nxt[open_]] = True
                 present = np.flatnonzero(seen)
                 code = np.zeros(len(seen), np.intp)
                 code[present] = [
                     ends.code(_verdict(engine, psi, depth + 1,
-                                       engine.configs[c].obs))
+                                       engine.kbs[c]))
                     for c in present.tolist()]
                 v[open_] = code.take(nxt[open_])
         if path is not None:
@@ -631,12 +605,12 @@ def _records(engine, start, world0, policy, horizon, seed, trials):
     for how, slots in zip(ends.how.tolist(), steps):
         if how < 0:
             raise ends.errors[-1 - how]
-        actions, kbs, num, den = [], [start.obs], 1, 1
-        for c, i, j in engine.reached_by(np.array(slots, np.intp)):
-            move = engine.configs[c].moves[i]
-            t, like = move.row.outcomes[j]
+        actions, kbs, num, den = [], [engine.kbs[start]], 1, 1
+        for s in slots:
+            m = engine.succ_slot[s]
+            t, like = engine.real_rows[m].outcomes[s - engine.first_succs[m]]
             actions.append(t)
-            kbs.append(move.succ[j].obs)
+            kbs.append(engine.kbs[engine.succs[s]])
             num *= like.numerator
             den *= like.denominator
         records.append(TraceRecord(world0, actions, kbs, OUTCOMES[how],

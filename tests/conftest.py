@@ -50,6 +50,13 @@ def coffee_pomdps(coffee_table):
                          for i, witness in enumerate(abstraction.types)]
 
 
+def add_hand_state(p, depth):
+    """Append a state of a hand-built POMDP, which has no configuration
+    table, in build_pomdp's form: its configuration id, here its own
+    index, at a depth."""
+    p.states.append((len(p.states), depth))
+
+
 def pomdp_with_witness(abstraction, pomdps, h):
     """The POMDP of the type whose witness world has this h."""
     return next(p for w, p in zip(abstraction.types, pomdps) if w["h"] == h)

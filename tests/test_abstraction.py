@@ -157,9 +157,9 @@ def test_breakdown_marked_for_belief_impossible_sequences(coffee):
     assert kb2 != BREAKDOWN and kb2.render() == "{(2): 1}"
     targets = dict(p.transitions[p.state_index[(table.entry(0, kb1, w1), 1)]]
                    ["sencfe"])
-    reached = [i for i, (entry, depth) in enumerate(p.states)
-               if entry is not None and entry.obs == kb2
-               and entry.world == a.rbat.step(w1, sen1)[1] and depth == 2]
+    reached = [i for i, (c, depth) in enumerate(p.states)
+               if c is not None and table.kbs[c] == kb2
+               and table.worlds[c] == a.rbat.step(w1, sen1)[1] and depth == 2]
     assert len(reached) == 1 and targets[reached[0]] == Fraction(1, 10)
 
 

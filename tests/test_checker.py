@@ -12,9 +12,10 @@ from beliefprog.abstraction import BREAKDOWN
 from beliefprog.checker import obs_satisfies, policy_count
 from beliefprog.kb import KnowledgeBase, World, believed_bat
 from beliefprog.parser import parse_subjective
-from beliefprog.pomdp import Configuration, FinitePomdp
+from beliefprog.pomdp import FinitePomdp
 from beliefprog.syntax import POp, PropInterval, TRUE, UntilOp, XOp
-from conftest import COFFEE, enumerate_policies, pomdp_with_witness
+from conftest import (COFFEE, add_hand_state, enumerate_policies,
+                      pomdp_with_witness)
 
 F = Fraction
 
@@ -290,7 +291,7 @@ def _random_layered_pomdp(rng, k=3):
         for j in range(len(layer)):
             idx = len(p.states)
             p.observations.append(_dummy_obs(counter))
-            p.states.append((Configuration(idx, p.observations[-1], None), d))
+            add_hand_state(p, d)
             p.transitions.append({})
             p.obs_of.append(counter)
             p.labels.append(frozenset())

@@ -20,8 +20,9 @@ from beliefprog.cli import main
 from beliefprog.kb import BREAKDOWN, KnowledgeBase, next_observation
 from beliefprog.parser import parse_subjective, parse_trace_formula
 from beliefprog.program_graph import enabled
-from beliefprog.syntax import (Bel, BinOp, Cmp, Conf, Expect, FluentRef,
-                               LikelihoodRow, LikelihoodTable, Not, Num)
+from beliefprog.syntax import (And, Bel, BinOp, Cmp, Conf, Expect,
+                               FluentRef, LikelihoodRow, LikelihoodTable,
+                               Not, Num)
 from conftest import (COFFEE, ROOT, random_model_text, step_counts,
                       trace_likelihood)
 
@@ -358,6 +359,34 @@ def test_a_loop_guard_is_decided_once_per_knowledge_base(
     assert decided == [kb.id]
     assert enabled(graph, node, kb) == first
     assert decided == [kb.id]
+
+
+def test_an_outer_guard_in_and_edges_is_decided_once_per_knowledge_base(
+        monkeypatch):
+    # coffee's node 0: both edges carry And(B(h = 2) < 1, the inner
+    # loop's test or its negation) and the fin is Not(B(h = 2) < 1); each
+    # operand is decided once at a fresh knowledge base
+    model = parse_model(COFFEE.read_text())
+    graph = build_graph(model.program)
+    guard = graph.fin[0].operand
+    inner = graph.edges[0][0].guard.right
+    assert all(isinstance(e.guard, And) and e.guard.left is guard
+               for e in graph.edges[0])
+    decided = []
+    truth = kb_mod._truth
+
+    def counting(phi, at, b):
+        if (phi is guard or phi is inner) and \
+                at.__class__ is KnowledgeBase:
+            decided.append((phi is guard, at.id))
+        return truth(phi, at, b)
+
+    monkeypatch.setattr(kb_mod, "_truth", counting)
+    kb = initial_kb(model)  # a fresh Bat, so no truth is memoised yet
+    first = enabled(graph, 0, kb)
+    assert sorted(decided) == [(False, kb.id), (True, kb.id)]
+    assert enabled(graph, 0, kb) == first
+    assert len(decided) == 2
 
 
 def test_belief_arithmetic(coffee):

@@ -23,10 +23,10 @@ from beliefprog import (ConfigTable, LikelihoodContextError,
 from beliefprog.checker import _search, integer_weights, policy_count
 from beliefprog.cli import main
 from beliefprog.parser import parse_subjective
-from beliefprog.pomdp import Configuration, FinitePomdp
+from beliefprog.pomdp import FinitePomdp
 from beliefprog.syntax import TRUE, POp, PropInterval, UntilOp, XOp
-from conftest import (COFFEE, ROOT, enumerate_policies, fraction_search,
-                      random_model_text)
+from conftest import (COFFEE, ROOT, add_hand_state, enumerate_policies,
+                      fraction_search, random_model_text)
 from test_checker import _dummy_obs, _random_layered_pomdp
 from test_trace_semantics import _consistent
 
@@ -158,8 +158,7 @@ def test_witness_is_the_first_optimal_policy_not_the_first_leaf(monkeypatch):
     edges = {0: {"u0": 1, "u1": 2}, 1: {"u0": 3, "u1": 4}}
     p.observations = [_dummy_obs(i) for i in range(5)]
     for s, obs in enumerate([1, 0, 2, 3, 4]):
-        p.states.append((Configuration(s, p.observations[obs], None),
-                         (0, 1, 1, 2, 2)[s]))
+        add_hand_state(p, (0, 1, 1, 2, 2)[s])
         p.obs_of.append(obs)
         p.transitions.append({label: [(t, F(1))] for label, t in
                               edges.get(s, {"fail": s}).items()})
@@ -186,7 +185,7 @@ def _planted_ties_pomdp(rng, k=3):
     p.observations = [_dummy_obs(i) for i in range(n)]
     for d, layer in enumerate(layers):
         for s in layer:
-            p.states.append((Configuration(s, p.observations[numbers[s]], None), d))
+            add_hand_state(p, d)
             p.obs_of.append(numbers[s])
             p.labels.append(frozenset())
             p.transitions.append({})

@@ -73,22 +73,22 @@ def test_one_render_per_knowledge_base(monkeypatch, capsys):
 
 
 def test_states_are_table_entries(coffee_table, coffee_pomdps):
-    """A state is the table's one entry for its configuration, at a depth;
-    the sink is (None, None).  Types built over one table share entry
-    objects."""
+    """A state is the table's one id for its configuration, at a depth;
+    the sink is (None, None).  Types built over one table share ids."""
     _, table = coffee_table
     _, pomdps = coffee_pomdps
-    owners = {}  # entry -> the types whose POMDP has it
+    owners = {}  # configuration id -> the types whose POMDP has it
     for t, p in enumerate(pomdps):
-        for i, (entry, depth) in enumerate(p.states):
-            assert p.state_index[(entry, depth)] == i
-            if entry is None:
+        for i, (c, depth) in enumerate(p.states):
+            assert p.state_index[(c, depth)] == i
+            if c is None:
                 assert depth is None
                 assert p.observations[p.obs_of[i]] is BREAKDOWN
                 continue
-            assert entry is table.entry(entry.node, entry.obs, entry.world)
-            assert p.observations[p.obs_of[i]] is entry.obs
-            owners.setdefault(entry, set()).add(t)
+            assert c == table.entry(table.nodes[c], table.kbs[c],
+                                    table.worlds[c])
+            assert p.observations[p.obs_of[i]] is table.kbs[c]
+            owners.setdefault(c, set()).add(t)
     # 4 of the 12 configurations are states of more than one type
     assert len(owners) == 12
     assert sum(len(types) > 1 for types in owners.values()) == 4

@@ -746,7 +746,7 @@ def test_uniform_choice_frequencies_chi_square():
     # arm
     ((live, at),) = path
     assert len(live) == n
-    counts = Counter(engine.configs[c].world["h"]
+    counts = Counter(engine.worlds[c]["h"]
                      for c in engine.succ.take(at).tolist())
     assert sum(counts.values()) == n
     observed = [counts.get(F(i), 0) for i in range(3)]
@@ -1149,7 +1149,7 @@ def test_sim_choice_fills_each_real_row_step_and_progression_once(
     assert len(engine.rbat._steps) == calls["world_after"] == 60
     assert step_counts(engine.kb0.bat)[0] == 1521
     assert calls["progress"] == 1521 + 31
-    assert (engine.moves_made, engine.succs_made) == (5376, 5591)
+    assert (len(engine.real_rows), len(engine.succs)) == (5376, 5591)
 
 
 def test_branches_are_keyed_by_world_id_and_observed_class():
