@@ -614,8 +614,9 @@ def likelihood_row(symbol, ctrl, world, bat):
     if out is None:  # rigid, so evaluated at no world: a fluent raises
         out = []
         total = ZERO
-        for vec, weight_expr in zip(table.outcomes, row.weights):
-            value = tuple(_value(v, None, bindings) for v in vec)
+        for i, (vec, weight_expr) in enumerate(zip(table.outcomes,
+                                                   row.weights), 1):
+            value = _outcome(symbol, ctrl, i, vec, bindings, bat.which)
             weight = _value(weight_expr, None, bindings)
             if weight < 0:
                 raise LikelihoodSumError(f"negative outcome weight for {symbol!r}")
@@ -626,6 +627,18 @@ def likelihood_row(symbol, ctrl, world, bat):
                 f"outcome weights of {symbol!r} sum to {frac_str(total)}, not 1")
         out = bat._rows[key] = tuple(out)
     return out
+
+
+def _outcome(symbol, ctrl, i, vec, bindings, which):
+    """The values of outcome i of symbol(ctrl, _) in the which Bat, rigid,
+    so evaluated at no world; one that cannot be evaluated is named, as
+    validate's outcome-eval names it."""
+    try:
+        return tuple(_value(v, None, bindings) for v in vec)
+    except EvalError as exc:
+        at = GroundAction(symbol, tuple(ctrl), ())
+        raise EvalError(f"outcome {i} of {symbol!r} cannot be evaluated at "
+                        f"{at}: {exc} ({which})") from None
 
 
 def action_likelihood(action, world, bat) -> int | Fraction:
@@ -655,13 +668,7 @@ def oi_alternatives(symbol, ctrl, model):
                             ("believed", model.believed_bat)):
         table = bat_decl.likelihood_for(symbol)
         for i, vec in enumerate(table.outcomes, 1):
-            try:
-                value = tuple(eval_expr(v, None, bindings) for v in vec)
-            except EvalError as exc:  # worded as validate's outcome-eval
-                raise EvalError(
-                    f"outcome {i} of {symbol!r} cannot be evaluated at "
-                    f"{GroundAction(symbol, tuple(ctrl), ())}: {exc} "
-                    f"({which})") from None
+            value = _outcome(symbol, ctrl, i, vec, bindings, which)
             if value not in values:
                 values.append(value)
     return [GroundAction(symbol, tuple(ctrl), value) for value in values]

@@ -145,6 +145,13 @@ class Parser:
                                       pos[0] if pos else None,
                                       pos[1] if pos else None))
 
+    def listed(self, item):
+        """item, then one more after each comma: x (, x)*."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
     def ident(self, what="identifier"):
         t = self.expect("ident", f"expected {what}")
         if t.text in KEYWORDS:
@@ -197,7 +204,7 @@ class Parser:
         self.expect("{")
         cases = []
         while self.accept_word("case"):
-            guard = self.fluent_formula()
+            guard = self.formula()
             self.expect(":")
             value = self.expr()
             self.expect(";")
@@ -214,7 +221,7 @@ class Parser:
         t = self.advance()
         self.expect("(")
         if t.text == "B":
-            inner = self.fluent_formula()
+            inner = self.formula()
             self.expect(")")
             return Bel(inner)
         if t.text == "Expect":
@@ -238,12 +245,6 @@ class Parser:
 
     # -- formulas (both sorts share the boolean skeleton; the resolver
     #    enforces the sort discipline afterwards) ------------------------
-
-    def fluent_formula(self):
-        return self.formula()
-
-    def subjective_formula(self):
-        return self.formula()
 
     def formula(self):
         f = self._conjunct()
@@ -326,7 +327,7 @@ class Parser:
                 or t.text in ("true", "false"):
             mark = self.i
             try:
-                cond = self.subjective_formula()
+                cond = self.formula()
                 self.expect("?")
                 return Test(cond)
             except (ParseError, _Backtrack):
@@ -339,15 +340,13 @@ class Parser:
         args = []
         if self.accept("("):
             if not self.at(")"):
-                args.append(self.rational())
-                while self.accept(","):
-                    args.append(self.rational())
+                args = self.listed(self.rational)
             self.expect(")")
         return Prim(name.text, tuple(args), (name.line, name.col))
 
     def _while(self):
         self.expect_word("while")
-        cond = self.subjective_formula()
+        cond = self.formula()
         self.expect_word("do")
         body = self.program()
         self.expect_word("end")
@@ -356,7 +355,7 @@ class Parser:
 
     def _if(self):
         self.expect_word("if")
-        cond = self.subjective_formula()
+        cond = self.formula()
         self.expect_word("then")
         then = self.program()
         if self.accept_word("else"):
@@ -390,14 +389,14 @@ class Parser:
         if self.at("("):
             mark = self.i
             try:
-                return self.subjective_formula()
+                return self.formula()
             except (ParseError, _Backtrack):
                 self.i = mark
             self.expect("(")
             f = self.state_formula()
             self.expect(")")
             return f
-        return self.subjective_formula()
+        return self.formula()
 
     def _prob_formula(self):
         self.expect_word("P")
@@ -466,9 +465,7 @@ class Parser:
             t = self.peek()
             if self.at_word("fluents"):
                 self.advance()
-                fluents.append(self.ident("fluent name"))
-                while self.accept(","):
-                    fluents.append(self.ident("fluent name"))
+                fluents += self.listed(lambda: self.ident("fluent name"))
                 self.expect(";")
             elif self.at_word("action"):
                 decl, table = self._action_decl()
@@ -533,15 +530,11 @@ class Parser:
             return decl, LikelihoodTable(tuple(outcomes), tuple(rows))
         self.expect_word("sensing")
         self.expect("(")
-        first = self._outcome(None)
-        outcomes = [first]
-        while self.accept(","):
-            outcomes.append(self._outcome(len(first)))
+        outcomes = self._outcome_list(None)
+        width = len(outcomes[0])
+        if any(len(vec) != width for vec in outcomes):
+            self.fail("sensing outcomes must all have the same width")
         self.expect(")")
-        width = len(first)
-        for vec in outcomes:
-            if len(vec) != width:
-                self.fail("sensing outcomes must all have the same width")
         decl = ActionDecl(name.text, "sensing", (),
                           tuple(f"y{i}" for i in range(width)))
         self.expect("{")
@@ -550,18 +543,13 @@ class Parser:
         return decl, LikelihoodTable(tuple(outcomes), tuple(rows))
 
     def _param_names(self):
-        names = []
-        if self.at("ident") and not self.at(";") and not self.at(")"):
-            names.append(self.ident("parameter name").text)
-            while self.accept(","):
-                names.append(self.ident("parameter name").text)
-        return names
+        if not self.at("ident"):
+            return []
+        return self.listed(lambda: self.ident("parameter name").text)
 
     def _outcome(self, width):
         if self.accept("("):
-            vec = [self.expr()]
-            while self.accept(","):
-                vec.append(self.expr())
+            vec = self.listed(self.expr)
             self.expect(")")
         else:
             vec = [self.expr()]
@@ -570,10 +558,7 @@ class Parser:
         return tuple(vec)
 
     def _outcome_list(self, width):
-        outcomes = [self._outcome(width)]
-        while self.accept(","):
-            outcomes.append(self._outcome(width))
-        return outcomes
+        return self.listed(lambda: self._outcome(width))
 
     def _likelihood_rows(self, n_outcomes):
         self.expect_word("likelihood")
@@ -582,7 +567,7 @@ class Parser:
         saw_default = False
         while True:
             if self.accept_word("case"):
-                ctx = self.fluent_formula()
+                ctx = self.formula()
             elif self.accept_word("default"):
                 if saw_default:
                     self.fail("only one default likelihood row is allowed")
@@ -591,9 +576,7 @@ class Parser:
             else:
                 break
             self.expect(":")
-            weights = [self.expr()]
-            while self.accept(","):
-                weights.append(self.expr())
+            weights = self.listed(self.expr)
             self.expect(";")
             if n_outcomes is not None and len(weights) != n_outcomes:
                 self.fail(f"likelihood row has {len(weights)} weights, "
@@ -658,15 +641,11 @@ class Parser:
         while not self.at("}"):
             if self.accept_word("constraints"):
                 self.expect(":")
-                constraints.append(self.fluent_formula())
-                while self.accept(","):
-                    constraints.append(self.fluent_formula())
+                constraints += self.listed(self.formula)
                 self.expect(";")
             elif self.accept_word("worlds"):
                 self.expect(":")
-                worlds.append(self._valuation())
-                while self.accept(","):
-                    worlds.append(self._valuation())
+                worlds += self.listed(self._valuation)
                 self.expect(";")
             else:
                 self.fail("expected 'constraints' or 'worlds'")
@@ -675,9 +654,7 @@ class Parser:
 
     def _valuation(self):
         self.expect("(")
-        vals = [self.rational()]
-        while self.accept(","):
-            vals.append(self.rational())
+        vals = self.listed(self.rational)
         self.expect(")")
         return tuple(vals)
 
@@ -988,35 +965,33 @@ def model_digest(m: ModelFile) -> str:
 
 
 @_depth_bounded
+def _standalone(text, model, rule, resolve, what):
+    """A formula alone in text, read by the Parser method rule and resolved
+    by the _Resolver method resolve over the model's fluents and actions."""
+    p = Parser(text)
+    f = rule(p)
+    if not p.at("eof"):
+        p.fail(f"trailing input after {what}")
+    r = _Resolver(p, [], list(model.actions))
+    r.fluent_set = set(model.fluent_order)
+    out = resolve(r, f)
+    if p.errors:
+        raise ParseError(p.errors)
+    return out
+
+
 def parse_subjective(text: str, model: ModelFile):
     """Parse a standalone subjective formula over the model's fluents and
     actions.  A library entry point: the CLI reads state formulas only
     inside a model file or a --psi trace formula."""
-    p = Parser(text)
-    f = p.subjective_formula()
-    if not p.at("eof"):
-        p.fail("trailing input after formula")
-    r = _Resolver(p, [], list(model.actions))
-    r.fluent_set = set(model.fluent_order)
-    out = r.subjective(f)
-    if p.errors:
-        raise ParseError(p.errors)
-    return out
+    return _standalone(text, model, Parser.formula, _Resolver.subjective,
+                       "formula")
 
 
-@_depth_bounded
 def parse_trace_formula(text: str, model: ModelFile):
     """Parse a standalone trace formula such as "F<=2 B(h=2) = 1"."""
-    p = Parser(text)
-    psi = p.trace_formula()
-    if not p.at("eof"):
-        p.fail("trailing input after trace formula")
-    r = _Resolver(p, [], list(model.actions))
-    r.fluent_set = set(model.fluent_order)
-    out = r.state_formula(psi)
-    if p.errors:
-        raise ParseError(p.errors)
-    return out
+    return _standalone(text, model, Parser.trace_formula,
+                       _Resolver.state_formula, "trace formula")
 
 
 def parse_ground_action(text: str, model: ModelFile):
@@ -1034,9 +1009,7 @@ def parse_ground_action(text: str, model: ModelFile):
     args = []
     if p.accept("("):
         if not p.at(")"):
-            args.append(p.rational())
-            while p.accept(","):
-                args.append(p.rational())
+            args = p.listed(p.rational)
         p.expect(")")
     if not p.at("eof"):
         p.fail("trailing input after action term")

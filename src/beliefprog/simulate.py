@@ -52,8 +52,11 @@ run_trace is that walk with one trial.  Trials run in chunks of _CHUNK in
 trial order, and a chunk makes a stream block only when the walk first
 reads it and drops it once the walk has passed it: memory does not grow
 with the trial count, and the streams' share of it does not grow with
-the horizon.  When a step, a policy map or a verdict raises, the error of
-the lowest-numbered trial that met one is raised, a step error before a
+the horizon.  A step or a policy map's pick that raises leaves its
+error's code where its result would go, so a trial that meets it ends as
+a stop, a failing configuration or a breakdown ends; the engine keeps a
+step's error for each later walk to read there.  The error of the
+lowest-numbered trial that met one is raised, a step error before a
 verdict error, as trial-by-trial runs would.
 """
 
@@ -67,7 +70,7 @@ import numpy as np
 from .checker import decision_depth, obs_satisfies, trace_verdict
 from .errors import BeliefProgError
 from .kb import BREAKDOWN, eval_fluent_formula, initial_kb, real_bat
-from .pomdp import BROKE, UNREACHED, ConfigTable
+from .pomdp import UNREACHED, ConfigTable
 # enabled stays bound here for perfbench/spans.py, which wraps it by name
 from .program_graph import build_graph, enabled  # noqa: F401
 from .syntax import GloballyOp, POp, walk
@@ -167,9 +170,11 @@ class Strategy:
 
 # numpy-array codes: a configuration not yet filled; a move not yet made,
 # or the stop; a policy map's pick not yet read.  A successor slot keeps
-# the table's codes, UNREACHED and BROKE.
+# the table's codes, UNREACHED and BROKE.  A fill, move, successor or pick
+# that raised holds ERROR - e, for the engine's error e.
 UNFILLED = UNMADE = UNPICKED = -1
 STOP = -2
+ERROR = -3
 
 
 def _grown(a, n, fill):
@@ -195,7 +200,8 @@ class TraceEngine(ConfigTable):
     filled; 0 when it fails) and its first move slot.  Per move slot: its
     row of cut_rows (UNMADE before the move is made, STOP for the stop)
     and its first successor slot.  Per successor slot: the table's
-    successor code."""
+    successor code.  A step that raised holds its error's code in place of
+    its result."""
 
     def __init__(self, model):
         super().__init__(build_graph(model.program), real_bat(model),
@@ -212,6 +218,7 @@ class TraceEngine(ConfigTable):
         # reads a matrix, and the number of them
         self.cut_rows = np.zeros((4, 0), np.uint64)
         self.cuts_made = 0
+        self.errors = []  # the steps' errors, each as (class, message)
 
     # the table's steps, bound on this class too, so that a wrapper set on
     # TraceEngine (perfbench/spans.py) sees every call the table makes
@@ -235,19 +242,27 @@ class TraceEngine(ConfigTable):
                 f"{edge.label} has no really-possible outcome at {world!r}")
         return weighted, self._add_row(cut_offs([p for _, p in weighted]))
 
+    def error_code(self, exc):
+        """The code of a step error, kept as its class and message."""
+        self.errors.append((type(exc), str(exc)))
+        return ERROR + 1 - len(self.errors)
+
+    def error(self, code):
+        """The step error of a code at or below ERROR, made anew."""
+        cls, message = self.errors[ERROR - code]
+        return cls(message)
+
     def fill_ids(self, ids, take_first=False):
         """Fill the configurations ids, and with take_first make the move
-        of each one's first live edge (one that raises stays UNMADE);
-        returns {id: error} for each whose fill raised, which stays
-        UNFILLED."""
-        failed, filled, counts, first, firsts, stops = {}, [], [], [], [], []
+        of each one's first live edge."""
+        filled, counts, first, firsts, stops = [], [], [], [], []
         enabled, first_moves = self.enabled, self.first_moves
         for c in ids:
             if enabled[c] is None:
                 try:
                     self.fill(c)
                 except BeliefProgError as exc:
-                    failed[c] = exc
+                    self.choices[c] = self.error_code(exc)
                     continue
             live, is_final, _failing = enabled[c]
             slot, n = first_moves[c], len(live)
@@ -267,18 +282,16 @@ class TraceEngine(ConfigTable):
             self.row[stops] = STOP
         if take_first and firsts:
             self.move_ids(firsts)
-        return failed
 
     def move_ids(self, slots):
-        """Make the moves of the move slots, a list; returns {slot: error}
-        for each whose move raised, which stays UNMADE."""
-        failed, made, rows = {}, [], []
+        """Make the moves of the move slots, a list."""
+        made, rows = [], []
         real_rows = self.real_rows
         for m in slots:
             try:
                 row = real_rows[m] or self.move(m)
             except BeliefProgError as exc:
-                failed[m] = exc
+                self.row[m] = self.error_code(exc)
                 continue
             made.append(m)
             rows.append(row.cuts)
@@ -287,7 +300,6 @@ class TraceEngine(ConfigTable):
             first_succs = self.first_succs
             self.first_succ[made] = [first_succs[m] for m in made]
             self.row[made] = rows
-        return failed
 
     def _add_row(self, cuts):
         """The row of cut_rows that a new cut-offs row takes."""
@@ -302,20 +314,15 @@ class TraceEngine(ConfigTable):
         return r
 
     def reach_ids(self, slots):
-        """Reach the successors of the successor slots, a list; returns
-        {slot: error} for each whose successor raised, which stays
-        UNREACHED."""
-        failed, reached, ids = {}, [], []
+        """Reach the successors of the successor slots, a list."""
+        ids = []
         for s in slots:
             try:
                 ids.append(self.successor(s))
             except BeliefProgError as exc:
-                failed[s] = exc
-                continue
-            reached.append(s)
+                ids.append(self.error_code(exc))
         self.cover()
-        self.succ[reached] = ids
-        return failed
+        self.succ[slots] = ids
 
     def choice_cuts(self, n):
         """A matrix whose row m, for m up to n or more, is the cut-offs of
@@ -393,24 +400,15 @@ def _pick(engine, c, policy):
 
 
 class _Ends:
-    """How each trial of a walk ended: how (an index into OUTCOMES, or
-    -1 - e for the step error errors[e]), its verdict code (an index into
-    verdicts: 0 open, 1 false, 2 true, then the errors' (class,
+    """How each trial of a walk ended: how (an index into OUTCOMES, or the
+    engine's code of its step error, below 0), its verdict code (an index
+    into verdicts: 0 open, 1 false, 2 true, then the errors' (class,
     message))."""
 
     def __init__(self, n):
         self.how = np.empty(n, np.intp)
         self.verdict = np.empty(n, np.intp)
-        self.errors = []
         self.verdicts = [None, False, True]
-
-    def failed(self, errors):
-        """The how code of each step error of {key: error}."""
-        codes = {}
-        for key, exc in errors.items():
-            self.errors.append(exc)
-            codes[key] = -len(self.errors)
-        return codes
 
     def code(self, verdict):
         if verdict is None:
@@ -421,11 +419,13 @@ class _Ends:
             return self.verdicts.index(verdict, 3)
         return 2 if verdict else 1
 
-    def leave(self, out, how, trial, cid, verdict, *aligned):
-        """End the trials in the mask out, each by how (one code, or one
-        per trial in out), and drop them from the arrays."""
+    def leave(self, out, codes, end, trial, cid, verdict, *aligned):
+        """End the trials in the mask out, each by its code in codes when
+        that is a step error's and by end otherwise, and drop them from the
+        arrays."""
         t = trial[out]
-        self.how[t] = how
+        codes = codes[out]
+        self.how[t] = np.where(codes <= ERROR, codes, end)
         self.verdict[t] = verdict[out]
         keep = np.flatnonzero(~out)
         return [a.take(keep) for a in (trial, cid, verdict, *aligned)]
@@ -463,22 +463,17 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
 
     for depth in range(horizon):
         # fill the configurations met for the first time; failing ones,
-        # which have no choice, end
+        # which have no choice, and fills that raised end
         choices = engine.choices.take(cid)
         if choices.min() <= 0:
             new = _unmet(cid, engine.choices)
             if len(new):
-                failed = ends.failed(engine.fill_ids(new.tolist()))
+                engine.fill_ids(new.tolist())
                 choices = engine.choices.take(cid)
-                if failed:
-                    out = choices == UNFILLED
-                    trial, cid, v, choices = ends.leave(
-                        out, [failed[c] for c in cid[out].tolist()],
-                        trial, cid, v, choices)
-            out = choices == 0
+            out = choices <= 0
             if out.any():
-                trial, cid, v, choices = ends.leave(out, FAIL, trial, cid, v,
-                                                    choices)
+                trial, cid, v, choices = ends.leave(out, choices, FAIL, trial,
+                                                    cid, v, choices)
             if not len(trial):
                 break
 
@@ -492,37 +487,33 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
         elif mapped:
             pick = _grown(pick, len(engine.nodes), UNPICKED)
             e = pick.take(cid)
-            if e.min() <= UNPICKED:  # an error is below UNPICKED
+            if e.min() < 0:
                 for c in _unmet(cid, pick).tolist():
                     try:
                         pick[c] = _pick(engine, c, policy)
                     except BeliefProgError as exc:
-                        pick[c] = ends.failed({c: exc})[c] + UNPICKED
+                        pick[c] = engine.error_code(exc)
                 e = pick.take(cid)
-                out = e < UNPICKED
+                out = e < 0  # each an error's code
                 if out.any():
                     trial, cid, v, e, slot = ends.leave(
-                        out, e[out] - UNPICKED, trial, cid, v, e, slot)
+                        out, e, FAIL, trial, cid, v, e, slot)
                     if not len(trial):
                         break
             slot += e
 
-        # take the moves made for the first time; a stop ends
+        # take the moves made for the first time; a stop, or a move that
+        # raised, ends
         row = engine.row.take(slot)
         if row.min() < 0:
             new = _unmet(slot, engine.row)
             if len(new):
-                failed = ends.failed(engine.move_ids(new.tolist()))
+                engine.move_ids(new.tolist())
                 row = engine.row.take(slot)
-                if failed:
-                    out = row == UNMADE
-                    trial, cid, v, slot, row = ends.leave(
-                        out, [failed[s] for s in slot[out].tolist()],
-                        trial, cid, v, slot, row)
-            out = row == STOP
+            out = row < 0
             if out.any():
-                trial, cid, v, slot, row = ends.leave(out, FINAL, trial, cid,
-                                                      v, slot, row)
+                trial, cid, v, slot, row = ends.leave(out, row, FINAL, trial,
+                                                      cid, v, slot, row)
             if not len(trial):
                 break
 
@@ -533,19 +524,19 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
             sample_outcomes(engine.cut_rows.take(row, axis=0),
                             streams.words(trial, word), at)
 
-        # reach the successors met for the first time; BREAKDOWN ends
+        # reach the successors met for the first time; BREAKDOWN, or a
+        # successor that raised, ends
         nxt = engine.succ.take(at)
         if nxt.min() < 0:
             new = _unmet(at, engine.succ)
             if len(new):
                 made = len(engine.nodes)
-                failed = ends.failed(engine.reach_ids(new.tolist()))
+                engine.reach_ids(new.tolist())
                 if depth + 1 < horizon:
                     # every configuration made here is stood on next, and
                     # under first-enabled its first edge is taken there:
-                    # fill it, and take that move, in this batch.  A fill
-                    # or move that raises here is left for that depth's
-                    # own fill or move to meet again and report.  Against
+                    # fill it, and take that move, in this batch, where an
+                    # error's code waits for that depth to read.  Against
                     # the lazy fill alone (perfbench, 10 alternating pairs
                     # of 10 s runs, 2-vCPU host) this batch cut sim-coffee
                     # call_s from 15.11 to 14.56 ms (8 of 10 pairs), and
@@ -553,15 +544,10 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
                     engine.fill_ids(range(made, len(engine.nodes)),
                                     policy == Strategy.FIRST_ENABLED)
                 nxt = engine.succ.take(at)
-                if failed:
-                    out = nxt == UNREACHED
-                    trial, cid, v, at, nxt = ends.leave(
-                        out, [failed[a] for a in at[out].tolist()],
-                        trial, cid, v, at, nxt)
-            out = nxt == BROKE
+            out = nxt < 0
             if out.any():
-                trial, cid, v, at, nxt = ends.leave(out, BROKEN, trial, cid, v,
-                                                    at, nxt)
+                trial, cid, v, at, nxt = ends.leave(out, nxt, BROKEN, trial,
+                                                    cid, v, at, nxt)
 
         # the verdicts still open, judged once per configuration; once
         # none is open, none opens again
@@ -585,7 +571,7 @@ def _lockstep(engine, start, policy, psi, horizon, streams, path=None):
             break
         streams.release(stride * (depth + 1))
     if len(trial):
-        ends.leave(np.ones(len(trial), bool), CUT, trial, cid, v)
+        ends.leave(np.ones(len(trial), bool), cid, CUT, trial, cid, v)
     return ends
 
 
@@ -604,7 +590,7 @@ def _records(engine, start, world0, policy, horizon, seed, trials):
     records = []
     for how, slots in zip(ends.how.tolist(), steps):
         if how < 0:
-            raise ends.errors[-1 - how]
+            raise engine.error(how)
         actions, kbs, num, den = [], [engine.kbs[start]], 1, 1
         for s in slots:
             m = engine.succ_slot[s]
@@ -705,7 +691,7 @@ def estimate(model, psi, world0, policy, trials, seed, horizon,
         erred = np.flatnonzero(ends.how < 0)
         if len(erred):
             errors.append((chunk + int(erred[0]),
-                           ends.errors[-1 - ends.how[erred[0]]]))
+                           engine.error(int(ends.how[erred[0]]))))
         if errors or len(ends.verdicts) > 3:
             break  # no later trial can raise first
     # each class's least trial walked again, and its trace judged once

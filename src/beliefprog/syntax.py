@@ -604,10 +604,7 @@ def _prog(p, prec):
 
 def print_state_formula(phi) -> str:
     if isinstance(phi, POp):
-        iv = phi.interval
-        lo = "(" if iv.lo_open else "["
-        hi = ")" if iv.hi_open else "]"
-        return f"P{lo}{frac_str(iv.lo)}, {frac_str(iv.hi)}{hi}({print_trace_formula(phi.trace)})"
+        return f"P{phi.interval}({print_trace_formula(phi.trace)})"
     if isinstance(phi, Not):
         return "!" + _wrap_state(phi.operand)
     if isinstance(phi, And):
@@ -632,6 +629,12 @@ def print_trace_formula(psi) -> str:
     if isinstance(psi, GloballyOp):
         return f"G {_wrap_state(psi.arg)}"
     raise TypeError(f"not a trace formula: {psi!r}")
+
+
+def _print_outcomes(table):
+    """A stochastic action's outcome list: each vector in parentheses."""
+    return ", ".join("(%s)" % ", ".join(print_expr(v) for v in vec)
+                     for vec in table.outcomes)
 
 
 def _print_likelihood(table, indent):
@@ -662,9 +665,7 @@ def print_model(m: ModelFile) -> str:
         if a.kind == "stochastic":
             sig = "stochastic(%s; %s)" % (", ".join(a.ctrl), ", ".join(a.unctrl))
             out.append(f"action {a.name} {sig} {{")
-            outs = ", ".join("(%s)" % ", ".join(print_expr(v) for v in vec)
-                             for vec in table.outcomes)
-            out.append(f"  outcomes: {outs};")
+            out.append(f"  outcomes: {_print_outcomes(table)};")
         else:
             vals = ", ".join(
                 print_expr(vec[0]) if len(vec) == 1
@@ -690,9 +691,7 @@ def print_model(m: ModelFile) -> str:
             decl = next(a for a in m.actions if a.name == name)
             out.append(f"  action {name} {{")
             if decl.kind == "stochastic":
-                outs = ", ".join("(%s)" % ", ".join(print_expr(v) for v in vec)
-                                 for vec in table.outcomes)
-                out.append(f"    outcomes: {outs};")
+                out.append(f"    outcomes: {_print_outcomes(table)};")
             out.append("    likelihood:")
             out.extend(_print_likelihood(table, "      "))
             out.append("  }")

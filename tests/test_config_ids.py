@@ -18,7 +18,8 @@ from beliefprog import (BeliefProgError, ConfigTable, estimate, make_world,
 from beliefprog.cli import main
 from beliefprog.kb import initial_kb, real_bat
 from beliefprog.pomdp import BROKE, UNREACHED
-from beliefprog.simulate import STOP, UNFILLED, UNMADE, TraceEngine, cut_offs
+from beliefprog.simulate import (ERROR, STOP, UNFILLED, UNMADE, TraceEngine,
+                                 cut_offs)
 from conftest import COFFEE, ROOT, random_model_text
 from test_kb import broken_model_text
 from test_simulator import SIM_CHOICE, SIM_COFFEE
@@ -65,8 +66,18 @@ def test_seed_zero_id_counts_are_pinned(monkeypatch, argv, counts):
         (counts[1], counts[3], counts[5])
 
 
+def check_raised(engine, code, step, i):
+    """code is that of a step error the engine keeps, and the table's step
+    at id i raises that error again."""
+    assert ERROR - len(engine.errors) < code <= ERROR
+    with pytest.raises(BeliefProgError) as info:
+        step(i)
+    assert (type(info.value), str(info.value)) == engine.errors[ERROR - code]
+
+
 def check_ids(engine):
-    """Each engine array against the table's lists, at every id."""
+    """Each engine array against the table's lists, at every id; an id
+    whose step raised holds its error's code."""
     configs, slots, succs = (len(engine.nodes), len(engine.real_rows),
                              len(engine.succs))
     assert len(engine.enabled) == len(engine.first_moves) == configs
@@ -78,7 +89,8 @@ def check_ids(engine):
     owners = []
     for c, fill in enumerate(engine.enabled):
         if fill is None:
-            assert engine.choices[c] == UNFILLED
+            if engine.choices[c] != UNFILLED:
+                check_raised(engine, engine.choices[c], engine.fill, c)
             continue
         live, is_final, is_failing = fill
         assert engine.choices[c] == len(live) + is_final
@@ -93,7 +105,10 @@ def check_ids(engine):
         c = engine.slot_config[m]
         stop = m - engine.first_moves[c] == len(engine.enabled[c][0])
         if row is None:
-            assert engine.row[m] == (STOP if stop else UNMADE)
+            if not stop and engine.row[m] != UNMADE:
+                check_raised(engine, engine.row[m], engine.move, m)
+            else:
+                assert engine.row[m] == (STOP if stop else UNMADE)
             continue
         assert not stop
         assert engine.row[m] == row.cuts
@@ -106,7 +121,11 @@ def check_ids(engine):
             [m] * len(row.outcomes)
         rows += len(row.outcomes)
     assert rows == succs
-    assert engine.succ[:succs].tolist() == engine.succs
+    for s, succ in enumerate(engine.succs):
+        if succ == UNREACHED and engine.succ[s] != UNREACHED:
+            check_raised(engine, engine.succ[s], engine.successor, s)
+        else:
+            assert engine.succ[s] == succ
 
 
 def check_successors(engine, model):
@@ -192,8 +211,8 @@ def test_engine_arrays_are_the_tables_ids_on_random_models(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_arrays_are_the_tables_ids_after_a_step_error(seed):
     # a likelihood table broken so that a move raises; the move's slot
-    # stays unmade in the table and in the engine, and the ids made
-    # before it still agree
+    # stays unmade in the table and holds the error's code in the engine,
+    # and the ids made before it still agree
     _kind, text = broken_model_text(seed)
     model = parse_model(text)
     fluent = model.fluents[0].name

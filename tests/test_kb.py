@@ -997,6 +997,41 @@ def test_a_row_that_raises_raises_again_and_is_not_kept():
     assert bat._rows == {}
 
 
+# outcome 1 divides by the controllable argument, which is 0 in the program;
+# the model is not validated, so only the step meets it
+OUTCOME_DIVIDES_BY_ZERO = """
+fluents h;
+action a stochastic(x; y) { outcomes: (1 / x), (2); likelihood: case true: 1/2, 1/2; }
+ssa h { case a(x, y): h + y; default: h; }
+belief { (0): 1 }
+init { worlds: (0); }
+program { a(0) }
+"""
+
+
+def test_an_unevaluable_outcome_is_named_by_every_step():
+    model = parse_model(OUTCOME_DIVIDES_BY_ZERO)
+    w = make_world(model, [0])
+    a = kb_mod.GroundAction("a", (0,), ())
+
+    def named(which):
+        return pytest.raises(kb_mod.EvalError, match=re.escape(
+            "outcome 1 of 'a' cannot be evaluated at a(0): division by "
+            f"zero ({which})") + "$")
+    with named("real"):
+        oi_alternatives("a", (0,), model)
+    for bat in (real_bat(model), believed_bat(model)):
+        with named(bat.which):
+            bat.branches(w, a.oi_class)
+    psi = parse_trace_formula("F<=1 B(h = 2) = 1", model)
+    with named("real"):
+        estimate(model, psi, w, "first-enabled", 10, 0, 3)
+    # at a(1) the outcome evaluates
+    assert [str(t) for t, _ in real_bat(model).branches(
+        w, kb_mod.GroundAction("a", (1,), ()).oi_class)] == \
+        ["a(1, 1)", "a(1, 2)"]
+
+
 def test_a_fluent_in_a_hand_built_weight_raises_and_is_not_kept(coffee):
     bat, w = real_bat(coffee), make_world(coffee, [2])
     table = bat.likelihood["east"]

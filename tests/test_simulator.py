@@ -740,7 +740,7 @@ def test_uniform_choice_frequencies_chi_square():
     path = []
     ends = simulate._lockstep(engine, start, "uniform-random", None, 1,
                               streams, path)
-    assert not ends.errors
+    assert not engine.errors
     assert (ends.how == simulate.OUTCOMES.index("horizon-cut")).all()
     # east(i) sets h to i, so the configuration a trial reaches names its
     # arm
@@ -954,7 +954,7 @@ def test_a_policy_maps_error_leaves_later_picks_to_be_read(monkeypatch):
     start = simulate._start(engine, w0, policy)
     streams = simulate._Streams(0, np.arange(3, dtype=np.uint64))
     ends = simulate._lockstep(engine, start, policy, None, 10, streams)
-    got = [simulate.OUTCOMES[h] if h >= 0 else str(ends.errors[-1 - h])
+    got = [simulate.OUTCOMES[h] if h >= 0 else str(engine.error(h))
            for h in ends.how.tolist()]
     stopped, *erred = [
         _result(lambda: reference_trace(m, w0, policy, 10, 0, t,
@@ -1054,6 +1054,61 @@ def test_a_real_row_steps_only_the_outcomes_drawn(monkeypatch, tmp_path,
     path.write_text(LAZY)
     assert main(["verify", str(path), "--property", "Q"]) == 2
     assert capsys.readouterr().err == "error: division by zero\n"
+
+
+# the loop's guard divides by zero where the agent is sure that h = 2,
+# which two east(1) reach: the fill of the third configuration raises
+DIVIDING_GUARD = """
+    fluents h;
+    action east stochastic(x; y) {
+      outcomes: (x);
+      likelihood: case true: 1;
+    }
+    ssa h { case east(x, y): h + y; default: h; }
+    belief { (0): 1 }
+    init { worlds: (0); }
+    program { east(1); east(1); while 1 / (B(h = 2) - 1) > 0 do east(1) end }
+"""
+
+
+@pytest.mark.parametrize("policy", ["first-enabled", "uniform-random"])
+def test_a_fill_error_first_reached_at_the_horizon_ends_no_trial(policy):
+    # the configuration whose fill raises is reached at depth 2: under
+    # horizon 2 no trial stands on it, and the walk does not fill it ahead
+    m = parse_model(DIVIDING_GUARD)
+    w0 = make_world(m, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", m)
+    engine = TraceEngine(m)
+    res = estimate(m, psi, w0, policy, 50, 0, 2, engine)
+    assert (res.successes, res.outcomes) == (50, {"horizon-cut": 50})
+    assert not engine.errors
+    expected = _result(lambda: reference_trace(m, w0, policy, 3, 0, 0))
+    assert expected == (EvalError, "division by zero in a belief expression")
+    for engine in (engine, TraceEngine(m)):
+        with pytest.raises(EvalError) as info:
+            estimate(m, psi, w0, policy, 50, 0, 3, engine)
+        assert str(info.value) == expected[1]
+        (code,) = engine.choices[engine.choices < simulate.UNFILLED]
+        assert str(engine.error(code)) == expected[1]
+
+
+@pytest.mark.parametrize("text, seed, error", [
+    (DIVIDING_GUARD, 0, EvalError),  # a fill
+    (LAZY, 1, EvalError),  # a successor's world step divides by zero
+    (LAZY, 2, LikelihoodContextError),  # a move at h = 2 has no row
+])
+def test_a_step_error_is_kept_for_the_next_estimate(text, seed, error):
+    m = parse_model(text)
+    w0 = make_world(m, [0])
+    psi = parse_trace_formula("F<=3 B(h = 2) = 1", m)
+    engine = TraceEngine(m)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(BeliefProgError) as info:
+            estimate(m, psi, w0, "first-enabled", 100, seed, 10, engine)
+        raised.append((type(info.value), str(info.value), len(engine.errors)))
+    # the second estimate reads the error where the first left it
+    assert raised[0] == raised[1] and raised[0][0] is error
 
 
 def test_estimate_checks_the_initial_world_once(coffee, monkeypatch):
