@@ -28,21 +28,29 @@ only touch the reserved fluents Final and Fail.
 
 Each Bat interns the worlds and knowledge bases it makes and gives each
 an integer id: world ids count up from 0 (Bat.worlds lists them) and
-knowledge-base ids down from -1, so one table may key both.  A World
-carries the Bat that interned it and its id there, and a Bat that meets
-another's World interns a copy, so no id means two worlds.
-KnowledgeBase(dist, bat) is the Bat's one knowledge base of that value;
-across Bats, knowledge bases and worlds compare and hash by value.  The
-Bat evaluates the model's constants once: each likelihood row's weighted
-outcomes per (symbol, ctrl, row index), evaluated at no world on first use
-as they are rigid (a row that raises is not kept), and per action symbol
-its SSA cases and its non-frame defaults (a frame default f never changes
-f).  It memoises its steps, keyed by ids: the nonzero branches per (world
-id, oi_class), read from one likelihood row; the (likelihood, successor)
-per (world id, action); the truth of a formula per (formula object, world
-or kb id), where a Not, And or Or at a kb reads its operands'; and per
-B term value, shared by equal terms, its int mass per kb id and its
-formula's truth per world id, read at support worlds alone.
+knowledge-base ids down from -1, so one table may key both.  A world that
+values exactly the declared fluents is interned by its vector, its values
+in fluent order.  A World carries the Bat that interned it and its id
+there, and a Bat that meets another's World interns a copy, so no id means
+two worlds.  KnowledgeBase(dist, bat) is the Bat's one knowledge base of
+that value; across Bats, knowledge bases and worlds compare and hash by
+value.  The Bat evaluates the model's constants once: each likelihood
+row's weighted outcomes per (symbol, ctrl, row index), evaluated at no
+world on first use as they are rigid (a row that raises is not kept), and
+per action symbol its SSA cases and its non-frame defaults (a frame
+default f never changes f).  A likelihood context or an effect reads only
+the fluents it names (and the action's arguments), so the Bat keeps the
+row a world picks per (symbol, ctrl, the world's values of the fluents
+the table's contexts name), and the new values of the fluents an action's
+effects set per (ground action, the world's values of the fluents those
+effects name); the tree walker fills each on a miss, and an evaluation
+that raises is not kept.  It memoises its steps, keyed by ids: the
+nonzero branches per (world id, oi_class), made once per (oi_class, row
+index); the (likelihood, successor) per (world id, action), the successor
+found by its vector; the truth of a formula per (formula object, world or
+kb id), where a Not, And or Or at a kb reads its operands'; and per B term
+value, shared by equal terms, its int mass per kb id and its formula's
+truth per world id, read at support worlds alone.
 The steps of the belief update are kept in one ClassTable per
 observed class, where a sensing result is its own class and any other
 action has its oi_class: the successful progressions by kb id, and each
@@ -71,7 +79,7 @@ over kb.den), and p / q op c is p * c.den op c.num * q.
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import eq, ge, gt, le, lt, ne
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from types import MappingProxyType
 
 from .errors import (EvalError, IncompatibleActionError,
@@ -79,7 +87,7 @@ from .errors import (EvalError, IncompatibleActionError,
                      LikelihoodSumError)
 from .syntax import (And, Bel, BinOp, BoolConst, Cmp, Conf, Expect,
                      EPSILON_NAME, FAILURE_NAME, FluentRef, Neg, Not, Num,
-                     Or, ParamRef, Piecewise, arith, exact, frac_str)
+                     Or, ParamRef, Piecewise, arith, exact, frac_str, walk)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -95,10 +103,7 @@ class World:
     def __init__(self, values):
         self._vals = dict(values)
         self._key = tuple(sorted(self._vals.items()))
-        # hash(-1) == hash(-2) in CPython, so the values are hashed by
-        # their text: h=-1 and h=-2 must not collide
-        self._hash = hash(tuple((name, str(v)) for name, v in self._key))
-        self.bat = self.id = None
+        self._hash = self.bat = self.id = None
 
     def __getitem__(self, name):
         return self._vals[name]
@@ -119,6 +124,11 @@ class World:
             isinstance(other, World) and self._key == other._key
 
     def __hash__(self):
+        # made on first use, as a Bat interns a world by its vector;
+        # hash(-1) == hash(-2) in CPython, so the values are hashed by
+        # their text: h=-1 and h=-2 must not collide
+        if self._hash is None:
+            self._hash = hash(tuple((name, str(v)) for name, v in self._key))
         return self._hash
 
     def __lt__(self, other):
@@ -256,7 +266,23 @@ class Bat:
                     effects.append((fluent, case.params, case.effect))
                 elif rule.default != FluentRef(fluent):
                     effects.append((fluent, None, rule.default))
+        # a world's vector: its values in fluent order, the key it is
+        # interned by besides its value (None for a world that does not
+        # value exactly the declared fluents)
+        self._order = model.fluent_order
+        self._at = {name: i for i, name in enumerate(self._order)}
+        # action symbol -> (its effects, the vector indices of the fluents
+        # they set, a getter of the values they read) or None, made on
+        # first use (see _effect_entry)
+        self._effects = {}
+        # ground action -> its symbol's entry and {values its effects read:
+        # the new values of the fluents they set}, or () for the walker
+        self._after = {}
+        # symbol -> (a getter of the values its contexts read, {(ctrl,
+        # read values): the row index a world picks})
+        self._picks = {}
         self._rows = {}  # (symbol, ctrl, row index) -> weighted outcomes
+        self._class_rows = {}  # (oi class, row index) -> nonzero branches
         self._branches = {}  # (world id, oi class) -> nonzero branches
         self._actions = {}  # oi class -> {outcome value: GroundAction}
         self._steps = {}  # (world id, action) -> (likelihood, successor)
@@ -266,9 +292,11 @@ class Bat:
         self._belief = {}
         self._belief_of = {}  # B term -> the one pair of the terms equal to it
         self.worlds = []  # world id -> World
+        self._vectors = []  # world id -> its vector or None
         self._kbs = []  # ~kb id -> KnowledgeBase
-        self._world_of = {}  # intern tables: each maps a value to its
-        self._kb_of = {}  # one object
+        self._world_at = {}  # intern tables: each maps a value to its one
+        self._world_of = {}  # object, _world_at a world's vector and
+        self._kb_of = {}  # _world_of a world that has none
 
     def action_decl(self, symbol):
         return self.actions.get(symbol)
@@ -276,13 +304,33 @@ class Bat:
     def intern(self, world):
         """The one World equal to world that this theory hands out, with
         its id here; a copy if another theory interned world first."""
-        hit = self._world_of.get(world)
+        if world.bat is self:
+            return world
+        vals, order = world._vals, self._order
+        vector = None
+        if len(vals) == len(order):
+            vector = tuple([vals.get(name) for name in order])
+            if None in vector:
+                vector = None
+        if vector is None:
+            hit = self._world_of.get(world)
+        else:
+            hit = self._world_at.get(vector)
         if hit is None:
-            hit = world if world.bat is None else World(world._vals)
-            hit.bat, hit.id = self, len(self.worlds)
-            self.worlds.append(hit)
-            self._world_of[hit] = hit
+            hit = self._add(world if world.bat is None else World(vals), vector)
         return hit
+
+    def _add(self, world, vector):
+        """Give a World new to this theory the next world id, interned by
+        its vector, or by its value if it has none."""
+        world.bat, world.id = self, len(self.worlds)
+        self.worlds.append(world)
+        self._vectors.append(vector)
+        if vector is None:
+            self._world_of[world] = world
+        else:
+            self._world_at[vector] = world
+        return world
 
     def intern_kb(self, num, den):
         """The one KnowledgeBase of this theory with masses num[i] / den
@@ -312,15 +360,19 @@ class Bat:
             symbol, ctrl = cls.symbol, cls.ctrl
             if symbol in (EPSILON_NAME, FAILURE_NAME):
                 hit = ((EPSILON if symbol == EPSILON_NAME else FAILURE, ONE),)
-            else:  # each outcome's GroundAction is made once per theory
-                actions = self._actions.setdefault(cls, {})
-                weights = {}
-                for value, weight in likelihood_row(symbol, ctrl, world, self):
-                    t = actions.get(value)
-                    if t is None:
-                        t = actions[value] = GroundAction(symbol, ctrl, value)
-                    weights.setdefault(t, weight)  # the first one counts
-                hit = tuple((t, like) for t, like in weights.items() if like != 0)
+            else:  # made once per (class, row index)
+                idx = _row_index(symbol, ctrl, world, self)
+                hit = self._class_rows.get((cls, idx))
+                if hit is None:  # each outcome's GroundAction made once
+                    actions = self._actions.setdefault(cls, {})
+                    weights = {}
+                    for value, weight in _row(symbol, ctrl, idx, self):
+                        t = actions.get(value)
+                        if t is None:
+                            t = actions[value] = GroundAction(symbol, ctrl, value)
+                        weights.setdefault(t, weight)  # the first one counts
+                    hit = self._class_rows[cls, idx] = tuple(
+                        (t, like) for t, like in weights.items() if like != 0)
             self._branches[key] = hit
         return hit
 
@@ -340,9 +392,60 @@ class Bat:
                     break
             else:
                 like = ZERO
-            hit = self._steps[key] = (
-                like, self.intern(progress_world(world, action, self)))
+            hit = self._steps[key] = (like, self._successor(world, action))
         return hit
+
+    def _successor(self, world, action):
+        """The interned successor of one of this theory's worlds under a
+        ground action.  An effect reads only the fluents it names, so the
+        new values of the fluents an action sets are kept per (action, the
+        values its effects read), and the successor is found by its
+        vector: a World is built only for a new one.  The walker,
+        progress_world, steps a world without a vector and an action whose
+        effects name a fluent outside it."""
+        entry = self._after.get(action)
+        if entry is None:  # its symbol's entry with a memo of its own
+            sym = self._effect_entry(action.symbol)
+            entry = self._after[action] = (*sym, {}) if sym else ()
+        vector = self._vectors[world.id]
+        if not entry or vector is None:
+            return self.intern(progress_world(world, action, self))
+        effects, sets, reads, memo = entry
+        key = reads(vector)
+        new = memo.get(key)
+        if new is None:  # one that raises is not kept
+            new = memo[key] = _new_values(world, action, effects)
+        succ = list(vector)
+        for i, v in zip(sets, new):
+            succ[i] = v
+        succ = tuple(succ)
+        hit = self._world_at.get(succ)
+        if hit is None:
+            hit = self._add(World(dict(zip(self._order, succ))), succ)
+        return hit
+
+    def _effect_entry(self, symbol):
+        """(effects, the vector indices of the fluents they set, a getter
+        of the values they read) for an action symbol, made once, where eps
+        sets Final and fail Fail to 1; None for an undeclared symbol and
+        for effects that name a fluent outside the vector, which the walker
+        steps."""
+        if symbol in self._effects:
+            return self._effects[symbol]
+        if symbol in (EPSILON_NAME, FAILURE_NAME):
+            effects = [("Final" if symbol == EPSILON_NAME else "Fail", None, Num(1))]
+        else:
+            effects = self.effects.get(symbol)
+        entry = None
+        if effects is not None:
+            at = self._at
+            sets = [fluent for fluent, _params, _effect in effects]
+            reads = _fluents(effect for _f, _p, effect in effects)
+            if all(fluent in at for fluent in sets + reads):
+                entry = (effects, [at[f] for f in sets],
+                         _getter([at[f] for f in reads]))
+        self._effects[symbol] = entry
+        return entry
 
     def class_table(self, action):
         """The ClassTable of action's observed class: the action itself
@@ -559,6 +662,9 @@ def _truth(phi, at, b) -> bool:
 # world progression
 
 def progress_world(world, action, bat) -> World:
+    """The successor of world under a ground action, by the tree walker:
+    each fluent an effect sets takes the effect's value where that differs
+    from its own, and eps and fail set Final and Fail to 1."""
     if action.symbol == EPSILON_NAME:
         return world.updated({"Final": 1})
     if action.symbol == FAILURE_NAME:
@@ -567,15 +673,35 @@ def progress_world(world, action, bat) -> World:
     if effects is None:
         raise EvalError(f"undeclared action {action.symbol!r}")
     changes = {}
-    args = action.ctrl + action.unctrl
-    for fluent, params, effect in effects:
-        if params is not None:
-            changes[fluent] = _value(effect, world, dict(zip(params, args)))
-        else:
-            new = _value(effect, world, {})
-            if new != world[fluent]:
-                changes[fluent] = new
+    for (fluent, _params, _effect), new in zip(
+            effects, _new_values(world, action, effects)):
+        if new != world.get(fluent):
+            changes[fluent] = new
     return world.updated(changes) if changes else world
+
+
+def _new_values(world, action, effects):
+    """The values at world of effects, an action's (fluent, case params or
+    None, effect) list, with the case params bound to its arguments."""
+    args = action.ctrl + action.unctrl
+    return tuple([_value(effect, world,
+                         {} if params is None else dict(zip(params, args)))
+                  for _fluent, params, effect in effects])
+
+
+def _fluents(trees):
+    """The sorted names of the fluents that the syntax trees name."""
+    return sorted({node.name for tree in trees for node in walk(tree)
+                   if node.__class__ is FluentRef})
+
+
+def _getter(indices):
+    """A function of a vector that gives its values at indices, a key."""
+    return itemgetter(*indices) if indices else _no_values
+
+
+def _no_values(_vector):
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -587,35 +713,47 @@ def likelihood_row(symbol, ctrl, world, bat):
     the weights sum to exactly 1.  The row's values and weights are rigid,
     so bat keeps them per (symbol, ctrl, row index) once they pass.
     """
+    return _row(symbol, ctrl, _row_index(symbol, ctrl, world, bat), bat)
+
+
+def _row_index(symbol, ctrl, world, bat):
+    """The index of the row of symbol's likelihood table that world picks
+    at the controllable arguments ctrl.  A context reads only the fluents
+    it names, so bat keeps the index per (symbol, ctrl, the world's values
+    of the fluents the table's contexts name); a choice that raises is not
+    kept, so each world raises with its own name, and a world that lacks
+    one of those fluents is left to the walker."""
     table = bat.likelihood.get(symbol)
     if table is None:
         raise EvalError(f"no likelihood table for {symbol!r}")
-    decl = bat.action_decl(symbol)
-    bindings = dict(zip(decl.ctrl, ctrl))
-    matches = []
-    default = None
-    for idx, row in enumerate(table.rows):
-        if row.context is None:
-            default = idx, row
-        elif _truth(row.context, world, bindings):
-            matches.append((idx, row))
-    if len(matches) > 1:
-        raise LikelihoodContextError(
-            f"likelihood contexts of {symbol!r} overlap at {world!r}")
-    if matches:
-        idx, row = matches[0]
-    elif default is not None:
-        idx, row = default
-    else:
-        raise LikelihoodContextError(
-            f"no likelihood context of {symbol!r} is true at {world!r}")
+    picks = bat._picks.get(symbol)
+    if picks is None:  # the read set, taken once per table
+        names = _fluents(row.context for row in table.rows
+                         if row.context is not None)
+        picks = bat._picks[symbol] = (_getter(names), {})
+    reads, chosen = picks
+    try:
+        key = (ctrl, reads(world._vals))
+    except KeyError:
+        return _pick_row(symbol, ctrl, table, world, bat)
+    idx = chosen.get(key)
+    if idx is None:
+        idx = chosen[key] = _pick_row(symbol, ctrl, table, world, bat)
+    return idx
+
+
+def _row(symbol, ctrl, idx, bat):
+    """The weighted outcomes of row idx of symbol's likelihood table at the
+    controllable arguments ctrl, kept by bat once they pass."""
     key = (symbol, ctrl, idx)
     out = bat._rows.get(key)
     if out is None:  # rigid, so evaluated at no world: a fluent raises
+        table = bat.likelihood[symbol]
+        bindings = dict(zip(bat.action_decl(symbol).ctrl, ctrl))
         out = []
         total = ZERO
         for i, (vec, weight_expr) in enumerate(zip(table.outcomes,
-                                                   row.weights), 1):
+                                                   table.rows[idx].weights), 1):
             value = _outcome(symbol, ctrl, i, vec, bindings, bat.which)
             weight = _value(weight_expr, None, bindings)
             if weight < 0:
@@ -627,6 +765,28 @@ def likelihood_row(symbol, ctrl, world, bat):
                 f"outcome weights of {symbol!r} sum to {frac_str(total)}, not 1")
         out = bat._rows[key] = tuple(out)
     return out
+
+
+def _pick_row(symbol, ctrl, table, world, bat):
+    """The index of the one row of table whose context is true at world,
+    else of its default row, by the tree walker."""
+    bindings = dict(zip(bat.action_decl(symbol).ctrl, ctrl))
+    matches = []
+    default = None
+    for idx, row in enumerate(table.rows):
+        if row.context is None:
+            default = idx
+        elif _truth(row.context, world, bindings):
+            matches.append(idx)
+    if len(matches) > 1:
+        raise LikelihoodContextError(
+            f"likelihood contexts of {symbol!r} overlap at {world!r}")
+    if matches:
+        return matches[0]
+    if default is not None:
+        return default
+    raise LikelihoodContextError(
+        f"no likelihood context of {symbol!r} is true at {world!r}")
 
 
 def _outcome(symbol, ctrl, i, vec, bindings, which):

@@ -87,6 +87,50 @@ def test_verify_json_report(capsys):
     assert json.loads(json.dumps(report)) == report
 
 
+def _verify_extra_property(tmp_path, capsys, model, name, formula):
+    """verify's exit code and JSON report for a property added to a model."""
+    path = tmp_path / "extra.bp"
+    path.write_text(Path(model).read_text() + f"\nproperty {name} {{ {formula} }}\n")
+    code, out, _ = run(capsys, "verify", str(path), "--property", name,
+                       "--format", "json")
+    return code, json.loads(out)
+
+
+def _bounds(report):
+    return [[(s["min"], s["max"], s["holds"]) for s in t["subformulas"]]
+            for t in report["verdict"]["per_type"]]
+
+
+def test_verify_a_conjunction_with_a_negated_p(tmp_path, capsys):
+    # P[I](psi) holds at a type when every proper policy's value lies in I;
+    # type 0 meets the first bound and misses the second, so only it holds
+    code, report = _verify_extra_property(
+        tmp_path, capsys, MODEL, "P3",
+        "P[>= 1/20](F<=2 B(h = 2) = 1) & !P[>= 1/2](X B(h = 2) = 1)")
+    assert code == 1
+    assert report["formula"] == \
+        "P[1/20, 1](F<=2 B(h = 2) = 1) & !P[1/2, 1](X B(h = 2) = 1)"
+    assert [t["holds"] for t in report["verdict"]["per_type"]] == \
+        [True, False, False]
+    assert _bounds(report) == [
+        [("1/20", "1/20", True), ("0", "0", False)],
+        [("0", "0", False), ("0", "0", False)],
+        [("0", "0", False), ("0", "0", False)]]
+
+
+def test_verify_a_negated_p_whose_values_straddle_its_interval(tmp_path, capsys):
+    # ! negates the whole claim that every policy's value lies in [0, 1/10]:
+    # type 0's values span [0, 1/4], so the claim fails and its negation
+    # holds there alone
+    code, report = _verify_extra_property(
+        tmp_path, capsys, CHOICE, "P4", "!P[<= 1/10](F<=3 B(h = 2) = 1)")
+    assert code == 1
+    assert [t["holds"] for t in report["verdict"]["per_type"]] == \
+        [True, False, False]
+    assert _bounds(report) == [[("0", "1/4", False)], [("0", "1/40", True)],
+                               [("0", "0", True)]]
+
+
 def test_verify_inadmissible_p2_exit_2(capsys):
     code, _, err = run(capsys, "verify", MODEL, "--property", "P2")
     assert code == 2

@@ -943,6 +943,71 @@ def test_row_and_effect_memos_equal_fresh_bats_random(seed, monkeypatch):
     assert assert_memos_match_fresh_bats(bats) > 0
 
 
+# move's contexts read h and d, and the second divides by zero at h = -1,
+# d = 1; look's read d alone, and none is true at d = 0, so worlds that differ
+# only in h raise there, each with its own name.  d's SSA reads h and d
+# through a piecewise case, and reset sets d to 1 whatever it was.  The runs
+# keep d >= 1 and h >= 0, away from both errors
+TWO_FLUENTS = """
+fluents h, d;
+action move stochastic(x; y) {
+  outcomes: (x), (x - 1);
+  likelihood:
+    case d = 0: 1/2, 1/2;
+    case d = 1 & h / (h + 1) < 1: 1/4, 3/4;
+    default: 3/4, 1/4;
+}
+action look sensing(1, 0) {
+  likelihood:
+    case d = 1: 4/5, 1/5;
+    case d >= 2: 1/10, 9/10;
+}
+action reset stochastic(; y) { outcomes: (0); likelihood: case true: 1; }
+ssa h { case move(x, y): h + y; default: h; }
+ssa d {
+  case move(x, y): { case h >= 1: d + 1; default: d };
+  case reset(y): 1;
+  default: d;
+}
+believed {
+  action look { likelihood: case d >= 1: 1, 0; }
+}
+init { worlds: (0, 1), (1, 1); }
+belief { (0, 1): 1/2, (1, 1): 1/2 }
+program { while B(h = 2) < 1 do (move(1) | move(0) | look | reset) end }
+"""
+
+
+def test_row_and_effect_memos_equal_fresh_bats_on_two_fluents(monkeypatch):
+    model = parse_model(TWO_FLUENTS)
+    psi = parse_trace_formula("F<=2 B(h = 2) = 1", model)
+    bats = _recorded_bats(
+        monkeypatch, lambda: _verify_path(model),
+        lambda: estimate(model, psi, reps_from_init(model)[0],
+                         "uniform-random", 40, 5, 4))
+    assert {bat.which for bat in bats} == {"real", "believed"}
+    # every action at every world of a grid, each reset first at d = 1,
+    # where it changes nothing
+    actions = [t for symbol, ctrl in [("move", (0,)), ("move", (1,)),
+                                      ("look", ()), ("reset", ())]
+               for t in oi_alternatives(symbol, ctrl, model)]
+    actions += [EPSILON, FAILURE]
+    grid = [make_world(model, [h, d]) for d in (1, 0, 2, 3) for h in range(-2, 5)]
+    errors = set()
+    for which in ("real", "believed"):
+        bat = kb_mod.Bat(model, which)
+        for w in grid:
+            for t in actions:
+                for result in (_result(bat.branches, w, t.oi_class),
+                               _result(bat.step, w, t)):
+                    if isinstance(result[0], type):
+                        errors.add(result[1])
+        bats.append(bat)
+    assert "division by zero" in errors
+    assert any(e.startswith("no likelihood context of 'look'") for e in errors)
+    assert assert_memos_match_fresh_bats(bats) > 500
+
+
 ROWS = """
 fluents h;
 action a stochastic(x; y) {
