@@ -28,29 +28,30 @@ only touch the reserved fluents Final and Fail.
 
 Each Bat interns the worlds and knowledge bases it makes and gives each
 an integer id: world ids count up from 0 (Bat.worlds lists them) and
-knowledge-base ids down from -1, so one table may key both.  A world that
-values exactly the declared fluents is interned by its vector, its values
-in fluent order.  A World carries the Bat that interned it and its id
-there, and a Bat that meets another's World interns a copy, so no id means
-two worlds.  KnowledgeBase(dist, bat) is the Bat's one knowledge base of
-that value; across Bats, knowledge bases and worlds compare and hash by
-value.  The Bat evaluates the model's constants once: each likelihood
-row's weighted outcomes per (symbol, ctrl, row index), evaluated at no
-world on first use as they are rigid (a row that raises is not kept), and
-per action symbol its SSA cases and its non-frame defaults (a frame
-default f never changes f).  A likelihood context or an effect reads only
-the fluents it names (and the action's arguments), so the Bat keeps the
-row a world picks per (symbol, ctrl, the world's values of the fluents
-the table's contexts name), and the new values of the fluents an action's
-effects set per (ground action, the world's values of the fluents those
-effects name); the tree walker fills each on a miss, and an evaluation
-that raises is not kept.  It memoises its steps, keyed by ids: the
-nonzero branches per (world id, oi_class), made once per (oi_class, row
-index); the (likelihood, successor) per (world id, action), the successor
-found by its vector; the truth of a formula per (formula object, world or
-kb id), where a Not, And or Or at a kb reads its operands'; and per B term
-value, shared by equal terms, its int mass per kb id and its formula's
-truth per world id, read at support worlds alone.
+knowledge-base ids down from -1, so one table may key both.  A world is
+interned by its vector, its values in fluent order.  A World carries the
+Bat that interned it and its id there, and a Bat that meets another's
+World interns a copy, so no id means two worlds.  KnowledgeBase(dist, bat)
+is the Bat's one knowledge base of that value; across Bats, knowledge
+bases and worlds compare and hash by value.  The Bat evaluates the model's
+constants once: each likelihood row's weighted outcomes per (symbol, ctrl,
+row index), evaluated at no world on first use as they are rigid (a row
+that raises is not kept), and per action symbol its SSA cases and its
+non-frame defaults (a frame default f never changes f).  A likelihood
+context or an effect reads only the fluents it names and the action's
+arguments, so it has one value at all worlds that agree on those fluents.
+The Bat therefore keeps the row a world picks per (symbol, ctrl, the
+values the table's contexts read), and the new values an action's effects
+give per (ground action, the values those effects read): the new values,
+not the changes, as a reset d := 1 changes d only where d is not 1.  The
+tree walker fills each on a miss, and an evaluation that raises is not
+kept, so each world raises with its own name.  It memoises its steps,
+keyed by ids: the nonzero branches per (world id, oi_class), made once per
+(oi_class, row index); the (likelihood, successor) per (world id, action);
+the truth of a formula per (formula object, world or kb id), where a Not,
+And or Or at a kb reads its operands'; and per B term value, shared by
+equal terms, its int mass per kb id and its formula's truth per world id,
+read at support worlds alone.
 The steps of the belief update are kept in one ClassTable per
 observed class, where a sensing result is its own class and any other
 action has its oi_class: the successful progressions by kb id, and each
@@ -117,16 +118,18 @@ class World:
         return World(vals)
 
     def vector(self, order):
-        return tuple(self._vals[name] for name in order)
+        return tuple([self._vals[name] for name in order])
 
     def __eq__(self, other):
         return self is other or \
             isinstance(other, World) and self._key == other._key
 
     def __hash__(self):
-        # made on first use, as a Bat interns a world by its vector;
+        # made on first use, as a Bat interns a world by its vector.
         # hash(-1) == hash(-2) in CPython, so the values are hashed by
-        # their text: h=-1 and h=-2 must not collide
+        # their text and h=-1, h=-2 fall in different buckets of a
+        # World-keyed dict; the int tuples that key a Bat's worlds and
+        # memos accept that collision, which costs a probe, not a result
         if self._hash is None:
             self._hash = hash(tuple((name, str(v)) for name, v in self._key))
         return self._hash
@@ -266,17 +269,13 @@ class Bat:
                     effects.append((fluent, case.params, case.effect))
                 elif rule.default != FluentRef(fluent):
                     effects.append((fluent, None, rule.default))
-        # a world's vector: its values in fluent order, the key it is
-        # interned by besides its value (None for a world that does not
-        # value exactly the declared fluents)
+        # a world's vector, its values in fluent order, is the key it is
+        # interned by
         self._order = model.fluent_order
         self._at = {name: i for i, name in enumerate(self._order)}
-        # action symbol -> (its effects, the vector indices of the fluents
-        # they set, a getter of the values they read) or None, made on
-        # first use (see _effect_entry)
-        self._effects = {}
+        self._effects = {}  # action symbol -> its _effect_entry
         # ground action -> its symbol's entry and {values its effects read:
-        # the new values of the fluents they set}, or () for the walker
+        # the new values of the fluents they set}
         self._after = {}
         # symbol -> (a getter of the values its contexts read, {(ctrl,
         # read values): the row index a world picks})
@@ -292,11 +291,10 @@ class Bat:
         self._belief = {}
         self._belief_of = {}  # B term -> the one pair of the terms equal to it
         self.worlds = []  # world id -> World
-        self._vectors = []  # world id -> its vector or None
+        self._vectors = []  # world id -> its vector
         self._kbs = []  # ~kb id -> KnowledgeBase
-        self._world_at = {}  # intern tables: each maps a value to its one
-        self._world_of = {}  # object, _world_at a world's vector and
-        self._kb_of = {}  # _world_of a world that has none
+        self._world_at = {}  # intern tables: a world's vector or a kb's
+        self._kb_of = {}  # value -> its one object
 
     def action_decl(self, symbol):
         return self.actions.get(symbol)
@@ -306,30 +304,19 @@ class Bat:
         its id here; a copy if another theory interned world first."""
         if world.bat is self:
             return world
-        vals, order = world._vals, self._order
-        vector = None
-        if len(vals) == len(order):
-            vector = tuple([vals.get(name) for name in order])
-            if None in vector:
-                vector = None
-        if vector is None:
-            hit = self._world_of.get(world)
-        else:
-            hit = self._world_at.get(vector)
+        vector = world.vector(self._order)
+        hit = self._world_at.get(vector)
         if hit is None:
-            hit = self._add(world if world.bat is None else World(vals), vector)
+            hit = self._add(
+                world if world.bat is None else World(world._vals), vector)
         return hit
 
     def _add(self, world, vector):
-        """Give a World new to this theory the next world id, interned by
-        its vector, or by its value if it has none."""
+        """Give a World new to this theory the next world id."""
         world.bat, world.id = self, len(self.worlds)
         self.worlds.append(world)
         self._vectors.append(vector)
-        if vector is None:
-            self._world_of[world] = world
-        else:
-            self._world_at[vector] = world
+        self._world_at[vector] = world
         return world
 
     def intern_kb(self, num, den):
@@ -397,20 +384,15 @@ class Bat:
 
     def _successor(self, world, action):
         """The interned successor of one of this theory's worlds under a
-        ground action.  An effect reads only the fluents it names, so the
-        new values of the fluents an action sets are kept per (action, the
-        values its effects read), and the successor is found by its
-        vector: a World is built only for a new one.  The walker,
-        progress_world, steps a world without a vector and an action whose
-        effects name a fluent outside it."""
+        ground action; a World is built only for a new one."""
         entry = self._after.get(action)
         if entry is None:  # its symbol's entry with a memo of its own
             sym = self._effect_entry(action.symbol)
-            entry = self._after[action] = (*sym, {}) if sym else ()
-        vector = self._vectors[world.id]
-        if not entry or vector is None:
-            return self.intern(progress_world(world, action, self))
+            if sym is None:  # undeclared: the walker raises
+                return self.intern(progress_world(world, action, self))
+            entry = self._after[action] = (*sym, {})
         effects, sets, reads, memo = entry
+        vector = self._vectors[world.id]
         key = reads(vector)
         new = memo.get(key)
         if new is None:  # one that raises is not kept
@@ -426,25 +408,22 @@ class Bat:
 
     def _effect_entry(self, symbol):
         """(effects, the vector indices of the fluents they set, a getter
-        of the values they read) for an action symbol, made once, where eps
-        sets Final and fail Fail to 1; None for an undeclared symbol and
-        for effects that name a fluent outside the vector, which the walker
-        steps."""
-        if symbol in self._effects:
-            return self._effects[symbol]
-        if symbol in (EPSILON_NAME, FAILURE_NAME):
-            effects = [("Final" if symbol == EPSILON_NAME else "Fail", None, Num(1))]
-        else:
-            effects = self.effects.get(symbol)
-        entry = None
-        if effects is not None:
+        of the values they read) of an action symbol, made on first use,
+        where eps sets Final and fail Fail to 1; None if it is undeclared."""
+        entry = self._effects.get(symbol)
+        if entry is None:
+            if symbol in (EPSILON_NAME, FAILURE_NAME):
+                fluent = "Final" if symbol == EPSILON_NAME else "Fail"
+                effects = [(fluent, None, Num(1))]
+            else:
+                effects = self.effects.get(symbol)
+                if effects is None:
+                    return None
             at = self._at
-            sets = [fluent for fluent, _params, _effect in effects]
             reads = _fluents(effect for _f, _p, effect in effects)
-            if all(fluent in at for fluent in sets + reads):
-                entry = (effects, [at[f] for f in sets],
-                         _getter([at[f] for f in reads]))
-        self._effects[symbol] = entry
+            entry = self._effects[symbol] = (
+                effects, [at[fluent] for fluent, _p, _e in effects],
+                _getter([at[f] for f in reads]))
         return entry
 
     def class_table(self, action):
@@ -697,11 +676,7 @@ def _fluents(trees):
 
 def _getter(indices):
     """A function of a vector that gives its values at indices, a key."""
-    return itemgetter(*indices) if indices else _no_values
-
-
-def _no_values(_vector):
-    return ()
+    return itemgetter(*indices) if indices else lambda _vector: ()
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +693,8 @@ def likelihood_row(symbol, ctrl, world, bat):
 
 def _row_index(symbol, ctrl, world, bat):
     """The index of the row of symbol's likelihood table that world picks
-    at the controllable arguments ctrl.  A context reads only the fluents
-    it names, so bat keeps the index per (symbol, ctrl, the world's values
-    of the fluents the table's contexts name); a choice that raises is not
-    kept, so each world raises with its own name, and a world that lacks
-    one of those fluents is left to the walker."""
+    at the controllable arguments ctrl, kept by bat per the values the
+    table's contexts read."""
     table = bat.likelihood.get(symbol)
     if table is None:
         raise EvalError(f"no likelihood table for {symbol!r}")
@@ -732,10 +704,7 @@ def _row_index(symbol, ctrl, world, bat):
                          if row.context is not None)
         picks = bat._picks[symbol] = (_getter(names), {})
     reads, chosen = picks
-    try:
-        key = (ctrl, reads(world._vals))
-    except KeyError:
-        return _pick_row(symbol, ctrl, table, world, bat)
+    key = (ctrl, reads(world._vals))
     idx = chosen.get(key)
     if idx is None:
         idx = chosen[key] = _pick_row(symbol, ctrl, table, world, bat)
